@@ -23,6 +23,7 @@ __all__ = [
     "primes_in_range",
     "valuation",
     "factorize",
+    "primitive_root",
     "is_square",
     "cornacchia_4l",
     "poly_trim",
@@ -169,6 +170,17 @@ def factorize(n: int, bound: int = 10**6) -> dict[int, int]:
             else:
                 raise ArithmeticError(f"cofactor {n} not factorable at desk scale")
     return out
+
+
+def primitive_root(q: int) -> int:
+    """The smallest generator of (Z/q)^* for a prime q."""
+    if not is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    parts = [(q - 1) // p for p in factorize(q - 1)]
+    for g in range(1, q):
+        if all(pow(g, e, q) != 1 for e in parts):
+            return g
+    raise ArithmeticError(f"no primitive root mod {q}")
 
 
 def is_square(n: int) -> bool:

@@ -45,10 +45,9 @@ from .arith import factorize, pm_gcd, pm_pow_xn, pm_sub, poly_deg, primes_in_ran
 from .classgroup import (
     ClassGroupData,
     UnitData,
-    _short_elements,
-    _start_bound,
     class_group,
     ideal_class_coordinates,
+    ideal_short_elements,
     saturate_units_at_3,
     two_rank,
     unit_group,
@@ -375,7 +374,8 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
 
     gtheta = _poly_at_theta(cd.F, cofactor)
     v1 = ideal_from_elements(cd.F, [gtheta], rational=v)
-    assert ideal_norm(v1) == v**3, "degree-3 prime part has the wrong norm"
+    if ideal_norm(v1) != v**3:
+        raise VerificationError("v1-norm", f"degree-3 prime part over {v} has the wrong norm")
     tame_v = _tame_line(cd.F, v, r)
 
     alpha, cofactor_vals = _certified_split(cd, v1, v)
@@ -420,7 +420,8 @@ def _single_root(f, v: int):
     for i in range(len(fv) - 1, 0, -1):
         acc = (acc * r + fv[i]) % v
         out[i - 1] = acc
-    assert (acc * r + fv[0]) % v == 0
+    if (acc * r + fv[0]) % v:
+        raise VerificationError("root", f"{r} is not a root of the defining polynomial mod {v}")
     return r, tuple(out)
 
 
@@ -494,11 +495,7 @@ def _reduced_combinations(K: NumberField, rows):
             yield tuple(
                 sum(c[i] * red[i][j] for i in range(n)) for j in range(n)
             )
-    bound = _start_bound(K, K.disc * linalg.lattice_index(rows) ** 2)
-    for _round in range(6):
-        for _val, el in _short_elements(K, rows, bound):
-            yield el
-        bound *= 2
+    yield from ideal_short_elements(K, rows)
 
 
 def _cofactor_valuations(cd: ConductorData, el, fac):
@@ -534,20 +531,16 @@ def _certificate(cd: ConductorData, Q: PrimeIdeal):
     for c, d in zip(coords, cd.cg.divisors):
         if c % d:
             m = math.lcm(m, d // math.gcd(d, c))
-    assert m % 3 != 0, "class order divisible by 3 despite h prime to 3"
+    if m % 3 == 0:
+        raise VerificationError(
+            "certificate",
+            f"class order {m} at a prime over {Q.p} is divisible by 3, yet 3 does not divide h(F)",
+        )
     power = ideal_pow(cd.F, list(Q.hnf), m)
     target = ideal_norm(power)
-    rows = [tuple(row) for row in power]
-    gamma = None
-    bound = _start_bound(cd.F, cd.F.disc * target * target)
-    for _round in range(6):
-        for _val, el in _short_elements(cd.F, rows, bound):
-            if abs(cd.F.el_norm(el)) == target:
-                gamma = el
-                break
-        if gamma is not None:
-            break
-        bound *= 2
+    gamma = next(
+        (el for el in ideal_short_elements(cd.F, power) if abs(cd.F.el_norm(el)) == target), None
+    )
     if gamma is None:
         cd.cert_failures.add(Q.p)
         raise FieldError(f"no generator found for the certificate at a prime over {Q.p}")
@@ -766,21 +759,13 @@ def diagonal_check(ell1: int, ell2: int) -> DiagonalReport:
 
 def _dlog3_table(ell: int):
     """table[x] = discrete log of x mod ell, reduced mod 3."""
-    g = _smallest_generator(ell)
+    g = arith.primitive_root(ell)
     table = [0] * ell
     acc = 1
     for k in range(ell - 1):
         table[acc] = k % 3
         acc = acc * g % ell
     return table
-
-
-def _smallest_generator(ell: int) -> int:
-    parts = [(ell - 1) // p for p in factorize(ell - 1)]
-    for g in range(2, ell):
-        if all(pow(g, e, ell) != 1 for e in parts):
-            return g
-    raise ValueError(f"no generator mod {ell}")
 
 
 def _pair_counts(cosets, m: int):

@@ -9,6 +9,13 @@ only once adding half again as many fresh relations leaves the Smith
 form unchanged.  Generators of every relation are kept, because the ray
 class construction reuses them as principal-ideal input.
 
+ClassGroupData carries the factor-base context it was built on, so an
+ideal class is read off without refactoring the rational primes below
+the Minkowski bound.  There is one smooth split (smooth_split: a short
+alpha in A whose cofactor (alpha)/A factors over the base, found by
+ideal_short_elements); ideal class coordinates and the ray-class Artin
+map (rayclass.artin_vector) both go through it.
+
 Units are a byproduct (norm +-1 elements and quotients of elements
 generating the same ideal); they are certified multiplicatively
 independent through the logarithmic embedding but not certified
@@ -18,6 +25,7 @@ fundamental.  Downstream 3-quotients only need the unit lattice to be
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -43,6 +51,8 @@ __all__ = [
     "class_group",
     "two_rank",
     "ideal_class_coordinates",
+    "ideal_short_elements",
+    "smooth_split",
     "unit_group",
     "el_div_exact",
     "exact_cube_root",
@@ -59,6 +69,7 @@ class ClassGroupData:
     coord_rows: tuple  # row j = class coordinates of factor_base[j]
     relations: tuple  # (generator coords, valuation vector over factor_base)
     unit_candidates: tuple
+    fb_ctx: _FBContext = dataclasses.field(compare=False, repr=False)  # base of smooth_split
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,8 @@ class UnitData:
 
 
 class _FBContext:
+    """The prime ideals of norm <= bound, and the primes above each p <= bound."""
+
     def __init__(self, K: NumberField, bound: int):
         self.K = K
         self.bound = bound
@@ -87,6 +100,15 @@ class _FBContext:
         self.fb = fb
         self.index = {P.key(): i for i, P in enumerate(fb)}
 
+    def factor(self, n: int):
+        """{p: e} for a positive n over the rational primes <= bound, or None."""
+        fac = {}
+        for p in self.rational_primes:
+            while n % p == 0:
+                fac[p] = fac.get(p, 0) + 1
+                n //= p
+        return fac if n == 1 else None
+
     def relation_of(self, alpha):
         """Valuation vector of (alpha) over the factor base, or None.
 
@@ -94,15 +116,8 @@ class _FBContext:
         """
         K = self.K
         N = abs(K.el_norm(alpha))
-        if N == 0:
-            return None
-        fac = {}
-        rem = N
-        for p in self.rational_primes:
-            while rem % p == 0:
-                fac[p] = fac.get(p, 0) + 1
-                rem //= p
-        if rem != 1:
+        fac = self.factor(N) if N else None
+        if fac is None:
             return None
         vec = [0] * len(self.fb)
         for p, ep in fac.items():
@@ -115,24 +130,27 @@ class _FBContext:
                         return None
                     vec[idx] = v
                     got += v * P.f
-            assert got == ep, "norm factorization does not match valuations"
+            if got != ep:
+                raise FieldError("norm factorization does not match the prime valuations")
         return tuple(vec)
+
+
+def _combine(coeffs, rows):
+    """sum_i coeffs[i] * rows[i], as a coordinate tuple."""
+    return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0])))
+
+
+def _reduced_basis(K: NumberField, rows):
+    """LLL-reduced basis of the lattice `rows` and its trace-form Gram matrix."""
+    T = linalg.lll_gram(linalg.gram_matrix(rows, K.trace_gram))
+    red = [_combine(t, rows) for t in T]
+    return red, linalg.gram_matrix(red, K.trace_gram)
 
 
 def _short_elements(K: NumberField, lattice_rows, bound, limit=20000):
     """(value, element coords) for lattice elements with trace form <= bound."""
-    gram = linalg.gram_matrix(lattice_rows, K.trace_gram)
-    T = linalg.lll_gram(gram)
-    red = [
-        tuple(sum(T[i][k] * lattice_rows[k][j] for k in range(len(lattice_rows))) for j in range(K.degree))
-        for i in range(len(lattice_rows))
-    ]
-    red_gram = linalg.gram_matrix(red, K.trace_gram)
-    out = []
-    for val, c in linalg.short_vectors(red_gram, bound, limit):
-        el = tuple(sum(c[i] * red[i][j] for i in range(len(red))) for j in range(K.degree))
-        out.append((val, el))
-    return out
+    red, red_gram = _reduced_basis(K, lattice_rows)
+    return [(val, _combine(c, red)) for val, c in linalg.short_vectors(red_gram, bound, limit)]
 
 
 def _start_bound(K: NumberField, covol_sq) -> int:
@@ -141,6 +159,25 @@ def _start_bound(K: NumberField, covol_sq) -> int:
     n = K.degree
     root = int(round(covol_sq ** (1.0 / n))) + 1
     return 2 * n * max(root, 1)
+
+
+def ideal_short_elements(K: NumberField, A):
+    """Nonzero elements of the ideal A in trace-form order, each once.
+
+    The bound starts at the Minkowski estimate from disc * N(A)^2 and
+    doubles after each of 6 rounds; the basis is LLL-reduced once.  A
+    round enumerates every vector up to its bound, sorted by exact value,
+    so only the values above the previous bound are new.
+    """
+    red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
+    nA = ideal_norm(A)
+    bound = _start_bound(K, K.disc * nA * nA)
+    done = 0
+    for _ in range(6):
+        for val, c in linalg.short_vectors(red_gram, bound, 20000):
+            if val > done:
+                yield _combine(c, red)
+        done, bound = bound, bound * 2
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +199,7 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
     nfb = len(fb)
     unit_cands = []
     if nfb == 0:
-        return ClassGroupData(K, (), (), 1, (), (), ())
+        return ClassGroupData(K, (), (), 1, (), (), (), ctx)
 
     rel_vecs = {}
     relations = []
@@ -248,6 +285,7 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
                 coord_rows=coord_rows,
                 relations=tuple(relations),
                 unit_candidates=tuple(unit_cands),
+                fb_ctx=ctx,
             )
         snapshot = divisors
         harvest(max(4, math.ceil(len(relations) / 2)))
@@ -270,70 +308,79 @@ def _class_coords_of_vec(cg: ClassGroupData, vec):
 
 
 def ideal_class_coordinates(A, cg: ClassGroupData):
-    """Coordinates of [A] over the elementary divisors; zero iff principal."""
+    """Coordinates of [A] over the elementary divisors; zero iff principal.
+
+    When no short element of A has a smooth cofactor, A is multiplied by
+    factor-base primes drawn from a generator seeded by the discriminant
+    (so the answer is deterministic) and their classes are taken back out.
+    """
     K = cg.field
     if not cg.divisors:
         return ()
-    ctx = getattr(cg, "_ctx", None)
-    if ctx is None:
-        ctx = _FBContext(K, minkowski_bound(K))
-        object.__setattr__(cg, "_ctx", ctx)
     rng = random.Random(K.disc)
     trial = [tuple(r) for r in A]
     shift = [0] * len(cg.factor_base)
     for attempt in range(6):
-        coords = _smooth_cofactor_coords(K, trial, ctx, cg)
-        if coords is not None:
-            base = [(-c) % d for c, d in zip(coords, cg.divisors)]
-            adj = _class_coords_of_vec(cg, shift)
-            return tuple((b - a) % d for b, a, d in zip(base, adj, cg.divisors))
+        split = smooth_split(cg, trial)
+        if split is not None:
+            # (alpha) = A * prod P_j^(shift_j + vec_j), so [A] = -[prod P_j^(...)]
+            total = [s + v for s, v in zip(shift, split[1])]
+            return tuple((-c) % d for c, d in zip(_class_coords_of_vec(cg, total), cg.divisors))
         j = rng.randrange(len(cg.factor_base))
         shift[j] += 1
         trial = ideal_mul(K, trial, list(cg.factor_base[j].hnf))
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def _smooth_cofactor_coords(K, A, ctx, cg):
-    """Class coordinates of the cofactor (alpha)/A for a short alpha in A."""
+def smooth_split(cg: ClassGroupData, A, usable=None):
+    """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
+
+    Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
+    for the first candidate of ideal_short_elements(A) that `usable`
+    (when given) accepts and whose cofactor factors over the base; None
+    when every candidate fails.
+    """
+    K = cg.field
+    ctx = cg.fb_ctx
     nA = ideal_norm(A)
-    bound = _start_bound(K, K.disc * nA * nA)
     val_A = {}
-    for _ in range(5):
-        for _sv, el in _short_elements(K, [tuple(r) for r in A], bound):
-            total, rem = divmod(abs(K.el_norm(el)), nA)
-            assert rem == 0
-            fac = {}
-            t = total
-            for p in ctx.rational_primes:
-                while t % p == 0:
-                    fac[p] = fac.get(p, 0) + 1
-                    t //= p
-            if t != 1:
-                continue
-            vec = [0] * len(ctx.fb)
-            ok = True
-            for p in fac:
-                for P in ctx.above[p]:
-                    if P.key() not in val_A:
-                        val_A[P.key()] = _ideal_valuation(K, A, P)
-                    v = element_valuation(K, el, P) - val_A[P.key()]
-                    assert v >= 0
-                    if v:
-                        idx = ctx.index.get(P.key())
-                        if idx is None:
-                            ok = False
-                            break
-                        vec[idx] = v
-                if not ok:
-                    break
-            if ok:
-                covered = 1
-                for P, v in zip(ctx.fb, vec):
-                    covered *= P.norm**v
-                if covered == total:
-                    return _class_coords_of_vec(cg, tuple(vec))
-        bound *= 2
+    for el in ideal_short_elements(K, A):
+        if usable is not None and not usable(el):
+            continue
+        total, rem = divmod(abs(K.el_norm(el)), nA)
+        if rem:
+            raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
+        fac = ctx.factor(total)
+        if fac is None:
+            continue
+        vec = _cofactor_vector(ctx, A, el, fac, val_A)
+        if vec is not None and math.prod(P.norm**v for P, v in zip(ctx.fb, vec)) == total:
+            return el, vec
     return None
+
+
+def _cofactor_vector(ctx: _FBContext, A, el, fac, val_A):
+    """Valuations of (el)/A over the factor base at the primes above `fac`.
+
+    None when a prime outside the base divides the cofactor; val_A
+    memoizes v_P(A) across the candidates of one split.
+    """
+    K = ctx.K
+    vec = [0] * len(ctx.fb)
+    for p in fac:
+        for P in ctx.above[p]:
+            key = P.key()
+            if key not in val_A:
+                val_A[key] = _ideal_valuation(K, A, P)
+            v = element_valuation(K, el, P) - val_A[key]
+            if v < 0:
+                raise FieldError("element of the ideal has a smaller valuation than the ideal")
+            if v:
+                idx = ctx.index.get(key)
+                if idx is None:
+                    return None
+                vec[idx] = v
+    return vec
 
 
 def _ideal_valuation(K, A, P: PrimeIdeal, cap=64) -> int:

@@ -131,7 +131,8 @@ def _cmd_census(args) -> int:
             ext = {"csv": "csv", "text": "txt", "jsonl": "jsonl"}[fmt]
             out = str(base / f"census_{cd.ell}.{ext}")
         jsonl_path = (out or "-") if fmt == "jsonl" else None
-        rows = run_census(cd, max_v, checkpoints=cps, workers=args.jobs, jsonl=jsonl_path)
+        workers = args.jobs if args.jobs is not None else cfg.workers
+        rows = run_census(cd, max_v, checkpoints=cps, workers=workers, jsonl=jsonl_path)
         if fmt != "jsonl":
             text = census_csv(rows) if fmt == "csv" else render_table(rows)
             _write_out(text, out)
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", action="append", help="INI config path (repeatable)")
     p.add_argument("--max-v", type=int, default=None)
     p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint bounds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: config workers, 1)")
     p.add_argument("--out", default=None, help="output path, or a directory for multiple conductors")
     p.add_argument("--format", choices=("csv", "text", "jsonl"), default=None)
     p.add_argument("--check-golden", action="store_true", help="diff rows against the shipped table")

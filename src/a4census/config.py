@@ -41,11 +41,18 @@ class Config:
     max_v: int = 10**3
     checkpoints: tuple = None  # None: table checkpoints up to max_v
     workers: int = 1
-    seed: int = 0
     out: str = None
     fmt: str = "csv"
     external_flags: dict = field(default_factory=dict)  # condition3/condition4 -> bool
     use_cache: bool = True
+
+
+# Every key read_config understands; anything else is rejected, not ignored.
+_KNOWN_KEYS = {
+    "conductor": {"ell", "cubic_poly", "quartic_poly", "units", "condition3", "condition4"},
+    "census": {"max_v", "checkpoints", "workers"},
+    "output": {"path", "format"},
+}
 
 
 def _parse_ints(text: str) -> tuple:
@@ -59,6 +66,12 @@ def read_config(path) -> Config:
         raise FileNotFoundError(path)
     if "conductor" not in cp:
         raise ValueError(f"{path}: missing [conductor] section")
+    for name in cp.sections():
+        if name not in _KNOWN_KEYS:
+            raise ValueError(f"{path}: unknown section [{name}]")
+        for key in cp[name]:
+            if key not in _KNOWN_KEYS[name]:
+                raise ValueError(f"{path}: unknown key '{key}' in section [{name}]")
     sec = cp["conductor"]
     cfg = Config(ell=sec.getint("ell"))
     if "cubic_poly" in sec:
@@ -76,7 +89,6 @@ def read_config(path) -> Config:
         if "checkpoints" in c:
             cfg.checkpoints = _parse_ints(c["checkpoints"])
         cfg.workers = c.getint("workers", cfg.workers)
-        cfg.seed = c.getint("seed", cfg.seed)
     if "output" in cp:
         o = cp["output"]
         cfg.out = o.get("path", cfg.out)

@@ -15,6 +15,7 @@ discriminant ell^2 found by exhaustive coefficient search.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,6 +187,8 @@ class NumberField:
     basis_den: int
     mult_table: tuple
     trace_gram: tuple
+    _adjugate: tuple = dataclasses.field(compare=False, repr=False)  # (adj, det) of basis_num
+    _one: tuple = dataclasses.field(compare=False, repr=False)  # coordinates of 1
 
     def el_mul(self, a, b):
         n = self.degree
@@ -216,10 +219,10 @@ class NumberField:
         return result
 
     def one(self):
-        return self._one  # type: ignore[attr-defined]  # set during construction
+        return self._one
 
     def from_int(self, k: int):
-        return tuple(k * x for x in self._one)  # type: ignore[attr-defined]
+        return tuple(k * x for x in self._one)
 
     def mul_matrix(self, a):
         """Rows = coordinates of a * w_i."""
@@ -289,7 +292,7 @@ def _power_to_coords(K: NumberField, num, den=1):
     """Solve c * (basis_num / basis_den) = num / den for integer c, else None."""
     n = K.degree
     num = tuple(num) + (0,) * (n - len(num))
-    adj, det = K._adjugate  # type: ignore[attr-defined]
+    adj, det = K._adjugate
     out = []
     for k in range(n):
         s = sum(num[i] * adj[i][k] for i in range(n))
@@ -379,7 +382,8 @@ def _finish_field(f, dpoly, basis_num, basis_den) -> NumberField:
     disc, remd = divmod(dpoly, index * index)
     if remd != 0:
         raise FieldError("inconsistent order index")
-    adj, det = _adjugate_int(basis_num)
+    # The stub carries only what _power_to_coords reads; the finished field
+    # is a copy with the derived tables filled in.
     stub = NumberField(
         poly=f,
         degree=n,
@@ -390,12 +394,12 @@ def _finish_field(f, dpoly, basis_num, basis_den) -> NumberField:
         basis_den=basis_den,
         mult_table=(),
         trace_gram=(),
+        _adjugate=_adjugate_int(basis_num),
+        _one=(),
     )
-    object.__setattr__(stub, "_adjugate", (adj, det))
     one_coords = _power_to_coords(stub, (1,) + (0,) * (n - 1), 1)
     if one_coords is None:
         raise FieldError("basis does not contain 1")
-    object.__setattr__(stub, "_one", one_coords)
     table = []
     for i in range(n):
         row = []
@@ -408,15 +412,12 @@ def _finish_field(f, dpoly, basis_num, basis_den) -> NumberField:
                 raise FieldError("basis does not span a ring")
             row.append(c)
         table.append(tuple(row))
-    object.__setattr__(stub, "mult_table", tuple(table))
-    gram = []
-    for i in range(n):
-        gram.append(tuple(stub.el_trace(table[i][j]) for j in range(n)))
-    object.__setattr__(stub, "trace_gram", tuple(gram))
+    K = dataclasses.replace(stub, mult_table=tuple(table), _one=one_coords)
+    gram = tuple(tuple(K.el_trace(table[i][j]) for j in range(n)) for i in range(n))
     got = arith.det_bareiss(gram)
     if got != disc:
         raise FieldError(f"trace-form determinant {got} disagrees with discriminant {disc}")
-    return stub
+    return dataclasses.replace(K, trace_gram=gram)
 
 
 def _maximalize_at(f, basis, p):

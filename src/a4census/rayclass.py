@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, linalg
-from .classgroup import ClassGroupData, UnitData, saturate_units_at_3
+from .classgroup import ClassGroupData, UnitData, saturate_units_at_3, smooth_split
 from .fields import (
     FieldError,
     NumberField,
@@ -49,9 +49,7 @@ from .fields import (
     element_in_ideal,
     factor_rational_prime,
     ideal_mul,
-    ideal_norm,
     ideal_pow,
-    minkowski_bound,
 )
 
 __all__ = [
@@ -228,8 +226,7 @@ class RayClass3Quotient:
     dim: int
     blocks: tuple
     local_dim: int
-    fb_primes: tuple  # factor-base primes coprime to the modulus
-    fb_positions: tuple  # their indices into the class-group valuation vectors
+    fb_positions: tuple  # indices of the factor-base primes coprime to the modulus
     rel_rref: tuple
     rel_pivots: tuple
     free_cols: tuple
@@ -277,13 +274,8 @@ def ray_class_3_quotient(m: Modulus, cg: ClassGroupData, u: UnitData) -> RayClas
     units, _ = saturate_units_at_3(K, u.fundamental_units)
     blocks = _build_blocks(K, m.finite)
     D = sum(b.dim for b in blocks)
-    fb_primes = []
-    fb_positions = []
-    for j, P in enumerate(cg.factor_base):
-        if not m.contains_prime(P):
-            fb_primes.append(P)
-            fb_positions.append(j)
-    ncols = D + len(fb_primes)
+    fb_positions = tuple(j for j, P in enumerate(cg.factor_base) if not m.contains_prime(P))
+    ncols = D + len(fb_positions)
 
     if cg.h % 3 == 0:
         cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
@@ -297,7 +289,7 @@ def ray_class_3_quotient(m: Modulus, cg: ClassGroupData, u: UnitData) -> RayClas
     for unit in units:
         if not _coprime_to_modulus(m, unit):
             raise FieldError("unit not coprime to the modulus")
-        rows.append(_local_row(blocks, unit, D) + [0] * len(fb_primes))
+        rows.append(_local_row(blocks, unit, D) + [0] * len(fb_positions))
     for gen, vec in cg.relations:
         if not _coprime_to_modulus(m, gen):
             continue
@@ -315,8 +307,7 @@ def ray_class_3_quotient(m: Modulus, cg: ClassGroupData, u: UnitData) -> RayClas
         dim=dim,
         blocks=blocks,
         local_dim=D,
-        fb_primes=tuple(fb_primes),
-        fb_positions=tuple(fb_positions),
+        fb_positions=fb_positions,
         rel_rref=tuple(tuple(r) for r in rref),
         rel_pivots=tuple(pivots),
         free_cols=free_cols,
@@ -335,10 +326,11 @@ def _local_row(blocks, el, D):
 def artin_vector(q: RayClass3Quotient, A):
     """Image of the class of the ideal A in the F_3 quotient.
 
-    A must be coprime to the modulus.  The class is smoothed: a short
-    alpha in A is found whose cofactor (alpha)/A factors over the
-    factor-base primes coprime to the modulus; the vector pairs the
-    local log of alpha against the cofactor valuations.
+    A must be coprime to the modulus.  The class is smoothed by
+    classgroup.smooth_split on the class group's own factor-base context:
+    a short alpha in A, coprime to the modulus, whose cofactor (alpha)/A
+    factors over the factor base; the vector pairs the local log of alpha
+    against the cofactor valuations at the primes coprime to the modulus.
     """
     K = q.cg.field
     m = q.modulus
@@ -348,9 +340,12 @@ def artin_vector(q: RayClass3Quotient, A):
             raise FieldError("ideal is not coprime to the modulus")
     if q.dim == 0:
         return ()
-    alpha, cof_vec = _smooth_split(K, A, q)
+    split = smooth_split(q.cg, A, usable=lambda el: _coprime_to_modulus(m, el))
+    if split is None:
+        raise FieldError("no smooth coprime representative found for the Artin input")
+    alpha, cof_vec = split
     vec = _local_row(q.blocks, alpha, q.local_dim)
-    vec.extend((-v) % 3 for v in cof_vec)
+    vec.extend((-cof_vec[j]) % 3 for j in q.fb_positions)
     return q.reduce_to_quotient(vec)
 
 
@@ -358,65 +353,6 @@ def frobenius_residue_degree(q: RayClass3Quotient, P: PrimeIdeal) -> int:
     """1 when the Artin image of P vanishes (split), else 3."""
     v = artin_vector(q, list(P.hnf))
     return 1 if not any(v) else 3
-
-
-def _fbctx(q: RayClass3Quotient):
-    ctx = getattr(q, "_fbctx_cache", None)
-    if ctx is None:
-        from .classgroup import _FBContext
-
-        ctx = _FBContext(q.cg.field, minkowski_bound(q.cg.field))
-        q._fbctx_cache = ctx
-    return ctx
-
-
-def _smooth_split(K: NumberField, A, q: RayClass3Quotient):
-    """(alpha, cofactor valuations over q.fb_primes) for short alpha in A."""
-    from .classgroup import _ideal_valuation, _short_elements, _start_bound
-    from .fields import element_valuation
-
-    ctx = _fbctx(q)
-    m = q.modulus
-    nA = ideal_norm(A)
-    bound = _start_bound(K, K.disc * nA * nA)
-    val_A = {}
-    fb_pos = {P.key(): i for i, P in enumerate(q.fb_primes)}
-    for _ in range(6):
-        for _sv, el in _short_elements(K, [tuple(r) for r in A], bound):
-            if not _coprime_to_modulus(m, el):
-                continue
-            total, rem = divmod(abs(K.el_norm(el)), nA)
-            assert rem == 0
-            fac = {}
-            t = total
-            for p in ctx.rational_primes:
-                while t % p == 0:
-                    fac[p] = fac.get(p, 0) + 1
-                    t //= p
-            if t != 1:
-                continue
-            vec = [0] * len(q.fb_primes)
-            covered = 1
-            ok = True
-            for p in fac:
-                for P in ctx.above[p]:
-                    key = P.key()
-                    if key not in val_A:
-                        val_A[key] = _ideal_valuation(K, A, P)
-                    v = element_valuation(K, el, P) - val_A[key]
-                    assert v >= 0
-                    if v:
-                        if key not in fb_pos:
-                            ok = False
-                            break
-                        vec[fb_pos[key]] = v
-                        covered *= P.norm**v
-                if not ok:
-                    break
-            if ok and covered == total:
-                return el, vec
-        bound *= 2
-    raise FieldError("no smooth coprime representative found for the Artin input")
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +424,6 @@ def _dlog_bsgs(q: int, g: int, x: int) -> int:
     raise ArithmeticError("dlog failed")
 
 
-def _primitive_root(q: int) -> int:
-    fac = arith.factorize(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in fac):
-            return g
-    raise ArithmeticError("no primitive root")
-
-
 def _integer_quotient_3rank(K, finite, cg, units) -> int:
     """dim over F_3 of Cl_m tensor F_3 via an all-integer Smith form.
 
@@ -514,7 +442,7 @@ def _integer_quotient_3rank(K, finite, cg, units) -> int:
         else:
             tb = TameBlock(K, P)
             if tb.dim:
-                tame_data.append((tb, _primitive_root(tb.q)))
+                tame_data.append((tb, arith.primitive_root(tb.q)))
 
     widths = [w.f * 2 if kind == "w3" else w.dim for kind, w in wild_data]
     widths.extend(1 for _ in tame_data)

@@ -12,6 +12,13 @@ def test_primes_upto_matches_sympy():
     assert arith.primes_upto(10**4) == list(sympy.primerange(2, 10**4 + 1))
 
 
+def test_primitive_root_matches_sympy():
+    for q in arith.primes_upto(2000):
+        assert arith.primitive_root(q) == sympy.primitive_root(q), q
+    with pytest.raises(ValueError):
+        arith.primitive_root(9)
+
+
 def test_primes_upto_is_inclusive():
     assert arith.primes_upto(13)[-1] == 13
     assert arith.primes_upto(1) == []

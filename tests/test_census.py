@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from a4census import classgroup
 from a4census.census import (
     CensusRow,
     VerificationError,
@@ -91,6 +92,23 @@ def test_dual_paths_agree_to_2000(conductor):
     cd = conductor(163)
     for v in sympy.primerange(2, 2000):
         assert fast_classify(cd, v) == classify_prime(cd, v)
+
+
+def test_classify_prime_reuses_the_class_group_factor_base(conductor, monkeypatch):
+    # Each call builds a new moving quotient; the factor-base context must
+    # come from the loaded class group, not be rebuilt per prime.
+    cd = conductor(277)
+    built = []
+    init = classgroup._FBContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(classgroup._FBContext, "__init__", counting_init)
+    verdicts = [classify_prime(cd, v) for v in sympy.primerange(10**6, 10**6 + 400)]
+    assert sum(pc.in_C3 for pc in verdicts) >= 5
+    assert built == []
 
 
 def test_census_row_ratios():

@@ -1,23 +1,40 @@
 """Class groups, units, and 3-saturation on the census fields."""
 
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import a4census
+from a4census import arith
 from a4census.classgroup import (
+    _start_bound,
     class_group,
     exact_cube_root,
     ideal_class_coordinates,
+    ideal_short_elements,
     saturate_units_at_3,
+    smooth_split,
     two_rank,
     unit_group,
 )
 from a4census.fields import (
     cubic_subfield,
+    element_in_ideal,
     factor_rational_prime,
+    ideal_eq,
     ideal_from_elements,
     ideal_mul,
     ideal_norm,
+    ideal_pow,
     quartic_field_search,
 )
+
+from conftest import CONDUCTORS
 
 KNOWN_H_L = {163: 4, 277: 4, 349: 4}
 KNOWN_H_F = {163: 1, 277: 2, 349: 1}
@@ -131,3 +148,88 @@ def test_exact_cube_root():
     assert F.el_pow(root, 3) == tuple(cube)
     # 2 has norm 16, not a cube, so it cannot be one
     assert exact_cube_root(F, F.from_int(2)) is None
+
+
+# ---------------------------------------------------------------------------
+# The smooth split and the short-element stream below it.
+
+
+def _degree3_primes(F, start, count):
+    """The residue-degree-3 primes over the first `count` C3 primes >= start."""
+    out = []
+    for v in arith.primes_in_range(start, start + 10**4):
+        primes = factor_rational_prime(F, v)
+        if sorted(P.f for P in primes) == [1, 3]:
+            out.append(next(P for P in primes if P.f == 3))
+            if len(out) == count:
+                return out
+    raise AssertionError("too few C3 primes in the window")
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_smooth_split_factors_the_principal_ideal(conductor, ell):
+    # Oracle independent of the search: rebuild (alpha) and A * prod P^vec
+    # as ideals and compare their Hermite forms.
+    cd = conductor(ell)
+    F = cd.F
+
+    def coprime_to_fixed_modulus(el):
+        return not element_in_ideal(cd.p31.hnf, el) and not element_in_ideal(cd.l2.hnf, el)
+
+    for v1 in _degree3_primes(F, 10**6, 3):
+        for usable in (None, coprime_to_fixed_modulus):
+            alpha, vec = smooth_split(cd.cg, v1.hnf, usable=usable)
+            assert usable is None or usable(alpha)
+            assert len(vec) == len(cd.cg.factor_base)
+            rhs = list(v1.hnf)
+            for P, e in zip(cd.cg.factor_base, vec):
+                if e:
+                    rhs = ideal_mul(F, rhs, ideal_pow(F, list(P.hnf), e))
+            assert ideal_eq(ideal_from_elements(F, [alpha]), rhs)
+
+
+@pytest.mark.parametrize("ell", [163, 277])
+def test_ideal_short_elements_ordered_and_unique(conductor, ell):
+    cd = conductor(ell)
+    F = cd.F
+    (A,) = _degree3_primes(F, 10**6, 1)
+    elements = list(itertools.islice(ideal_short_elements(F, A.hnf), 1500))
+    G = F.trace_gram
+    values = [sum(a * G[i][j] * b for i, a in enumerate(x) for j, b in enumerate(x)) for x in elements]
+    assert values == sorted(values)
+    first_bound = _start_bound(F, F.disc * ideal_norm(A.hnf) ** 2)
+    assert values[-1] > first_bound  # the stream crossed at least one doubling
+    seen = set()
+    for el in elements:
+        assert element_in_ideal(A.hnf, el)
+        assert el not in seen and tuple(-x for x in el) not in seen
+        seen.add(el)
+
+
+def test_smooth_split_rejects_a_non_ideal_under_optimize():
+    # Z*1 + 5*(rest of the basis) is a lattice of index 25 but not an
+    # ideal: the norm check must raise even with assertions stripped.
+    code = textwrap.dedent(
+        """
+        from a4census.classgroup import class_group, smooth_split
+        from a4census.fields import FieldError, cubic_subfield
+
+        K = cubic_subfield(7)
+        n = K.degree
+        rows = [tuple((1 if i == 0 else 5) * int(i == j) for j in range(n)) for i in range(n)]
+        if rows[0] != K.one():
+            raise SystemExit("integral basis does not start with 1")
+        try:
+            smooth_split(class_group(K), rows)
+        except FieldError:
+            print("FieldError")
+        """
+    )
+    src = str(Path(a4census.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "FieldError"

@@ -5,9 +5,11 @@ codes and capsys gets the same bytes a shell user would.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from a4census import cli
 from a4census.cli import main
 from a4census.config import golden_rows
 
@@ -58,6 +60,23 @@ def test_census_jsonl_to_file(capsys, tmp_path):
     assert len(recs) == 55
     assert recs[0] == {"v": 7, "lambda": False, "taubar": True}
     assert sum(1 for r in recs if r["lambda"]) == 38
+
+
+def test_census_workers_from_config_and_jobs_flag(capsys, tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_census(cd, N, checkpoints=None, workers=1, jsonl=None):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "load_conductor", lambda cfg: SimpleNamespace(ell=cfg.ell))
+    monkeypatch.setattr(cli, "run_census", fake_run_census)
+    ini = tmp_path / "w.ini"
+    ini.write_text("[conductor]\nell = 163\n[census]\nworkers = 2\n")
+    assert run(capsys, "census", "--config", str(ini))[0] == 0
+    assert run(capsys, "census", "--config", str(ini), "--jobs", "1")[0] == 0
+    assert run(capsys, "census", "--ell", "163")[0] == 0
+    assert seen == [2, 1, 1]
 
 
 def test_census_rejects_composite_conductor(capsys):

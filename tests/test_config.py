@@ -30,7 +30,6 @@ def test_read_config_full(tmp_path):
         "max_v = 5000\n"
         "checkpoints = 1000, 5000\n"
         "workers = 2\n"
-        "seed = 9\n"
         "[output]\n"
         "path = out.csv\n"
         "format = text\n"
@@ -44,7 +43,6 @@ def test_read_config_full(tmp_path):
     assert cfg.max_v == 5000
     assert cfg.checkpoints == (1000, 5000)
     assert cfg.workers == 2
-    assert cfg.seed == 9
     assert cfg.out == "out.csv"
     assert cfg.fmt == "text"
 
@@ -65,6 +63,28 @@ def test_read_config_errors(tmp_path):
     bad.write_text("[census]\nmax_v = 5\n")
     with pytest.raises(ValueError):
         read_config(bad)
+
+
+@pytest.mark.parametrize(
+    "text, section, key",
+    [
+        ("[conductor]\nell = 163\n[census]\nseed = 9\n", "census", "seed"),
+        ("[conductor]\nell = 163\nquartic = 9 -2 -7 1 1\n", "conductor", "quartic"),
+        ("[conductor]\nell = 163\n[output]\nfmt = csv\n", "output", "fmt"),
+    ],
+)
+def test_read_config_rejects_unknown_keys(tmp_path, text, section, key):
+    path = tmp_path / "u.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"'{key}' in section \[{section}\]"):
+        read_config(path)
+
+
+def test_read_config_rejects_unknown_section(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text("[conductor]\nell = 163\n[run]\nworkers = 2\n")
+    with pytest.raises(ValueError, match=r"\[run\]"):
+        read_config(path)
 
 
 @pytest.mark.parametrize("ell", [163, 277, 349])
