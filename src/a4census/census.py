@@ -31,7 +31,6 @@ is split into fixed chunks and merged in order.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 import math
@@ -48,7 +47,6 @@ from .classgroup import (
     class_group,
     ideal_class_coordinates,
     ideal_short_elements,
-    saturate_units_at_3,
     two_rank,
     unit_group,
 )
@@ -76,6 +74,7 @@ from .rayclass import (
     Modulus,
     RayClass3Quotient,
     TameBlock,
+    WildBlock,
     artin_vector,
     modulus_stability_check,
     ray_class_3_quotient,
@@ -146,22 +145,27 @@ class CensusRow:
 
 @dataclass(eq=False)
 class ConductorData:
-    """Everything v-independent about one conductor, precomputed once."""
+    """Everything v-independent about one conductor, built and verified once.
+
+    load_conductor is the only constructor; census pool workers receive
+    this object (inherited under fork, pickled under spawn) instead of
+    rebuilding it.  certs, cert_failures and q_primes are the only fields
+    filled lazily, during classification.  Their entries are deterministic
+    per key, so each worker filling its own copy changes no verdict.
+    """
 
     ell: int
-    recipe: Config
     L: NumberField
     F: NumberField
     cg_L: ClassGroupData
     cg: ClassGroupData
-    u: UnitData
-    units: tuple  # 3-saturated fundamental units of F
+    u: UnitData  # 3-saturated units (unit_group)
     p31: PrimeIdeal  # over 3, residue degree 3
     p32: PrimeIdeal  # over 3, residue degree 1
     l1: PrimeIdeal  # over ell, unramified
     l2: PrimeIdeal  # over ell, e = 3
     fixed_q: RayClass3Quotient  # Cl_{3_1^2 ell_2} (x) F_3, reference shape
-    wild: object  # shared block for (O/3_1^2)^* (x) F_3
+    wild: WildBlock  # the one block for (O/3_1^2)^* (x) F_3
     tame_l2: TameBlock
     unit_wild: tuple  # wild philog of each saturated unit
     unit_l2: tuple  # ell_2 character of each saturated unit
@@ -257,7 +261,6 @@ def load_conductor(config) -> ConductorData:
             if len(cand) != F.degree or abs(F.el_norm(tuple(cand))) != 1:
                 raise VerificationError("units", f"supplied candidate {cand} is not a unit of F")
     u = unit_group(F, seed_candidates=tuple(config.units or ()))
-    units, _sw = saturate_units_at_3(F, u.fundamental_units)
 
     at3 = factor_rational_prime(F, 3)
     p31 = next(P for P in at3 if P.f == 3)
@@ -266,19 +269,20 @@ def load_conductor(config) -> ConductorData:
     l1 = next(P for P in at_ell if P.e == 1)
     l2 = next(P for P in at_ell if P.e == 3)
 
-    if not modulus_stability_check(F, p31, cg, u, exponents=(2, 3)):
+    wild = WildBlock(F, p31)
+    if not modulus_stability_check(F, p31, cg, u, wild):
         raise VerificationError(
             "stability", "ray class quotient still grows from exponent 2 to 3 at 3_1"
         )
 
-    fixed_q = ray_class_3_quotient(Modulus(F, ((p31, 2), (l2, 1))), cg, u)
+    fixed_q = ray_class_3_quotient(Modulus(F, ((p31, 2), (l2, 1))), cg, u, wild)
     if fixed_q.dim != 1:
         raise VerificationError(
             "fixed-dim", f"fixed quotient has F_3-dimension {fixed_q.dim}, expected 1"
         )
-    wild, tame_l2 = fixed_q.blocks
-    unit_wild = tuple(wild.philog(w) for w in units)
-    unit_l2 = tuple(tame_l2.philog(w)[0] for w in units)
+    _, tame_l2 = fixed_q.blocks
+    unit_wild = tuple(wild.philog(w) for w in u.fundamental_units)
+    unit_l2 = tuple(tame_l2.philog(w)[0] for w in u.fundamental_units)
     rows = [list(pw) + [t] for pw, t in zip(unit_wild, unit_l2)]
     fixed_rref, fixed_pivots = linalg.rref_mod_p(rows, 4, 3)
     if 4 - len(fixed_pivots) != 1:
@@ -286,20 +290,13 @@ def load_conductor(config) -> ConductorData:
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
 
-    # Freeze the found polynomials into the recipe so census workers can
-    # rebuild this datum without repeating the quartic search.
-    recipe = dataclasses.replace(
-        config, cubic_poly=tuple(L.poly), quartic_poly=tuple(F.poly)
-    )
     cd = ConductorData(
         ell=ell,
-        recipe=recipe,
         L=L,
         F=F,
         cg_L=cg_L,
         cg=cg,
         u=u,
-        units=units,
         p31=p31,
         p32=p32,
         l1=l1,
@@ -343,7 +340,7 @@ def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
     v1 = next(P for P in primes if P.f == 3)
     v2 = next(P for P in primes if P.f == 1)
 
-    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u)
+    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
     in_lambda = any(artin_vector(moving, list(v1.hnf)))
     in_taubar = not any(artin_vector(cd.fixed_q, list(v1.hnf)))
     return PrimeClassification(v, True, in_lambda, in_taubar)
@@ -394,7 +391,9 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     )
     in_taubar = not any(fix_res)
 
-    rows = [list(pw) + [tame_v.philog(w)[0]] for pw, w in zip(cd.unit_wild, cd.units)]
+    rows = [
+        list(pw) + [tame_v.philog(w)[0]] for pw, w in zip(cd.unit_wild, cd.u.fundamental_units)
+    ]
     rref, pivots = linalg.rref_mod_p(rows, 4, 3)
     mov_res = linalg.residual_mod_p(rref, pivots, tuple(wild_net) + (v_net,), 3)
     in_lambda = any(mov_res)
@@ -599,13 +598,12 @@ def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
     return c3, cl, ct, cb, done, detail
 
 
-_WORKER_CD = None
+_WORKER_CD = None  # this pool worker's copy of the parent's verified datum
 
 
-def _worker_init(recipe: Config):
+def _worker_init(cd: ConductorData):
     global _WORKER_CD
-    logging.basicConfig(level=logging.WARNING)
-    _WORKER_CD = load_conductor(recipe)
+    _WORKER_CD = cd
 
 
 def _worker_count(args):
@@ -619,6 +617,7 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     Primes beyond the last checkpoint are never classified.  Work is cut
     into fixed CHUNK-sized ranges (checkpoints always land on segment
     boundaries), so the merged rows do not depend on the worker count.
+    Pool workers receive cd itself and never reload the conductor.
     """
     cps = _checkpoints_for(N, checkpoints)
     limit = cps[-1]
@@ -630,7 +629,7 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
         rows, detail_lines = _merge_segments(cd, segs, results, cps)
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(cd.recipe,)
+            max_workers=workers, initializer=_worker_init, initargs=(cd,)
         ) as pool:
             results = pool.map(
                 _worker_count, [(lo, hi, want_detail) for lo, hi in segs], chunksize=8

@@ -20,7 +20,8 @@ Units are a byproduct (norm +-1 elements and quotients of elements
 generating the same ideal); they are certified multiplicatively
 independent through the logarithmic embedding but not certified
 fundamental.  Downstream 3-quotients only need the unit lattice to be
-3-saturated, which exact_cube_root / saturate_units_at_3 provide.
+3-saturated, so unit_group returns its units already saturated at 3
+(exact_cube_root / saturate_units_at_3) with the regulator adjusted.
 """
 
 from __future__ import annotations
@@ -167,14 +168,19 @@ def ideal_short_elements(K: NumberField, A):
     The bound starts at the Minkowski estimate from disc * N(A)^2 and
     doubles after each of 6 rounds; the basis is LLL-reduced once.  A
     round enumerates every vector up to its bound, sorted by exact value,
-    so only the values above the previous bound are new.
+    so only the values above the previous bound are new.  The stream ends
+    early when a round would enumerate more than 20000 vectors.
     """
     red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
     nA = ideal_norm(A)
     bound = _start_bound(K, K.disc * nA * nA)
     done = 0
     for _ in range(6):
-        for val, c in linalg.short_vectors(red_gram, bound, 20000):
+        try:
+            batch = linalg.short_vectors(red_gram, bound, 20000)
+        except RuntimeError:
+            return  # enumeration too dense to push deeper
+        for val, c in batch:
             if val > done:
                 yield _combine(c, red)
         done, bound = bound, bound * 2
@@ -473,7 +479,11 @@ def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitD
         )
     with mpmath.workdps(digits):
         reg = abs(mpmath.det(mpmath.matrix([r[:rank] for r in found_rows])))
-    return UnitData(fundamental_units=tuple(found), regulator_estimate=float(reg), rank=rank)
+    # each swap takes a cube root, so the unit lattice index drops by 3
+    units, swaps = saturate_units_at_3(K, found)
+    return UnitData(
+        fundamental_units=units, regulator_estimate=float(reg) / 3**swaps, rank=rank
+    )
 
 
 def exact_cube_root(K: NumberField, u):
@@ -500,21 +510,11 @@ def exact_cube_root(K: NumberField, u):
     return None
 
 
-_SATURATION_MEMO: dict = {}
-
-
 def saturate_units_at_3(K: NumberField, units):
     """3-saturate the unit lattice: while some product of the generators
     (exponents in {0,1,2}, leading exponent 1) is a cube in the order,
     swap the cube root in.  Returns (units, number of swaps).
-
-    Memoized on (field, units): ray-class presentations re-saturate the
-    same generators for every auxiliary prime.
     """
-    memo_key = (K.poly, tuple(tuple(u) for u in units))
-    hit = _SATURATION_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
     units = [tuple(u) for u in units]
     swaps = 0
     for _ in range(24):
@@ -529,9 +529,7 @@ def saturate_units_at_3(K: NumberField, units):
                 hit = (exps, y)
                 break
         if hit is None:
-            out = (tuple(units), swaps)
-            _SATURATION_MEMO[memo_key] = out
-            return out
+            return tuple(units), swaps
         exps, y = hit
         j = next(i for i, e in enumerate(exps) if e)  # leading exponent is 1
         units[j] = y

@@ -178,7 +178,6 @@ def _cmd_verify_field(args) -> int:
     cd = _load_from_args(args)
     h_L = cd.cg_L.h
     h_F = cd.cg.h
-    sat = "saturated" if cd.units else "trivial"
     lines = [
         f"conductor {cd.ell}: all verification checks passed",
         f"  cubic field   {tuple(cd.L.poly)}  disc {cd.L.disc} = {cd.ell}^2",
@@ -187,7 +186,8 @@ def _cmd_verify_field(args) -> int:
         f"  galois        alternating on 4 letters (cubic resolvent check)",
         f"  splitting     3 = p1 * p2 with residue degrees (3, 1); "
         f"{cd.ell} = l1 * l2^3 with l2 ramified",
-        f"  class group   h(F) = {h_F} (prime to 3), units rank 3, {sat}",
+        f"  class group   h(F) = {h_F} (prime to 3)",
+        f"  units         rank {cd.u.rank}, 3-saturated, regulator {cd.u.regulator_estimate:.6f}",
         f"  ray class     fixed-modulus quotient has dimension 1",
         f"  stability     presentation stable under modulus exponent 3",
         f"  shanks        a = {cd.shanks_a}" if cd.is_shanks else "  shanks        not of Shanks form",

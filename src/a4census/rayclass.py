@@ -36,11 +36,10 @@ empirically through the two independent code paths above.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import arith, linalg
-from .classgroup import ClassGroupData, UnitData, saturate_units_at_3, smooth_split
+from .classgroup import ClassGroupData, UnitData, smooth_split
 from .fields import (
     FieldError,
     NumberField,
@@ -142,17 +141,20 @@ class _LatticeQuotientF3:
         rel = []
         for row in B_rows:
             s = linalg.hnf_solve(self.A, row)
-            assert s is not None, "inner lattice not contained in outer"
+            if s is None:
+                raise FieldError("inner lattice not contained in outer")
             rel.append(s)
         divisors, _, V = linalg.smith_normal_form(rel, len(rel), ncols)
+        if any(d not in (1, 3) for d in divisors):
+            raise FieldError(f"lattice quotient is not 3-elementary: divisors {divisors}")
         self.keep = [i for i, d in enumerate(divisors) if d == 3]
-        assert all(d in (1, 3) for d in divisors), divisors
         self.V = V
         self.dim = len(self.keep)
 
     def coords(self, z):
         s = linalg.hnf_solve(self.A, z)
-        assert s is not None, "element outside the outer lattice"
+        if s is None:
+            raise FieldError("element outside the outer lattice")
         n = len(s)
         return tuple(sum(s[k] * self.V[k][i] for k in range(n)) % 3 for i in self.keep)
 
@@ -169,7 +171,8 @@ class _LatticeQuotientF3:
             el = tuple(
                 sum(sol[i] * self.A[i][j] for i in range(n)) for j in range(len(self.A[0]))
             )
-            assert self.coords(el) == target
+            if self.coords(el) != target:
+                raise FieldError("lattice quotient preimage has the wrong coordinates")
             out.append(el)
         return out
 
@@ -191,7 +194,8 @@ class WildBlock:
     """(O/p^2)^* tensor F_3 for a prime over 3, via the 1-unit layer."""
 
     def __init__(self, K: NumberField, P: PrimeIdeal):
-        assert P.p == 3
+        if P.p != 3:
+            raise FieldError("wild block needs a prime over 3")
         self.K = K
         self.P = P
         p2 = ideal_pow(K, list(P.hnf), 2)
@@ -200,7 +204,8 @@ class WildBlock:
         self.layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
         self.dim = self.layer.dim
         self._memo = {}
-        assert self.dim == P.f
+        if self.dim != P.f:
+            raise FieldError(f"1-unit layer has F_3-dimension {self.dim}, expected {P.f}")
 
     def philog(self, el):
         # The same units and relation generators come through for every
@@ -247,32 +252,33 @@ def _coprime_to_modulus(m: Modulus, el) -> bool:
     return all(not element_in_ideal(list(P.hnf), el) for P, _ in m.finite)
 
 
-_WILD_BLOCK_CACHE: dict = {}
-
-
-def _build_blocks(K: NumberField, finite):
+def _build_blocks(K: NumberField, finite, wild):
     blocks = []
     for P, a in finite:
         if P.p == 3 and a >= 2:
             if a != 2:
                 raise FieldError("wild exponents above 2 are handled by the stability path only")
-            # One wild prime per field in practice; reusing the block keeps
-            # its philog cache warm across per-prime moduli.
-            key = (K.poly, P.key())
-            block = _WILD_BLOCK_CACHE.get(key)
-            if block is None:
-                block = _WILD_BLOCK_CACHE[key] = WildBlock(K, P)
-            blocks.append(block)
+            shared = wild is not None and wild.P.key() == P.key()
+            blocks.append(wild if shared else WildBlock(K, P))
         else:
             blocks.append(TameBlock(K, P))
+    if wild is not None and not any(b is wild for b in blocks):
+        raise FieldError("wild block is not at the modulus's prime over 3")
     return tuple(b for b in blocks if b.dim > 0)
 
 
-def ray_class_3_quotient(m: Modulus, cg: ClassGroupData, u: UnitData) -> RayClass3Quotient:
-    """Cl_m tensor F_3 with Artin data, from class-group and unit data."""
+def ray_class_3_quotient(
+    m: Modulus, cg: ClassGroupData, u: UnitData, wild: WildBlock = None
+) -> RayClass3Quotient:
+    """Cl_m tensor F_3 with Artin data, from class-group and unit data.
+
+    u must hold 3-saturated units, as unit_group returns them.  `wild`
+    is the block for the modulus's prime over 3 (exponent 2); callers
+    that classify many primes pass one block so its philog memo carries
+    over, otherwise a fresh block is built.
+    """
     K = m.field
-    units, _ = saturate_units_at_3(K, u.fundamental_units)
-    blocks = _build_blocks(K, m.finite)
+    blocks = _build_blocks(K, m.finite, wild)
     D = sum(b.dim for b in blocks)
     fb_positions = tuple(j for j, P in enumerate(cg.factor_base) if not m.contains_prime(P))
     ncols = D + len(fb_positions)
@@ -286,7 +292,7 @@ def ray_class_3_quotient(m: Modulus, cg: ClassGroupData, u: UnitData) -> RayClas
             raise FieldError("factor-base primes coprime to the modulus do not span Cl/3Cl")
 
     rows = []
-    for unit in units:
+    for unit in u.fundamental_units:
         if not _coprime_to_modulus(m, unit):
             raise FieldError("unit not coprime to the modulus")
         rows.append(_local_row(blocks, unit, D) + [0] * len(fb_positions))
@@ -301,7 +307,8 @@ def ray_class_3_quotient(m: Modulus, cg: ClassGroupData, u: UnitData) -> RayClas
     free_cols = tuple(c for c in range(ncols) if c not in pivots)
     dim = len(free_cols)
     cl3_bound = sum(1 for d in cg.divisors if d % 3 == 0)
-    assert dim <= D + cl3_bound, "exact-sequence dimension bound violated"
+    if dim > D + cl3_bound:
+        raise FieldError("exact-sequence dimension bound violated")
     return RayClass3Quotient(
         modulus=m,
         dim=dim,
@@ -319,7 +326,8 @@ def _local_row(blocks, el, D):
     row = []
     for b in blocks:
         row.extend(b.philog(el))
-    assert len(row) == D
+    if len(row) != D:
+        raise FieldError(f"local row has length {len(row)}, expected {D}")
     return row
 
 
@@ -369,7 +377,8 @@ class _WildCubicPresentation:
     """
 
     def __init__(self, K: NumberField, P: PrimeIdeal):
-        assert P.p == 3
+        if P.p != 3:
+            raise FieldError("cubic presentation needs a prime over 3")
         self.K = K
         self.P = P
         p2 = ideal_pow(K, list(P.hnf), 2)
@@ -386,10 +395,12 @@ class _WildCubicPresentation:
         for gi in self.g:
             cube = self.ring.pow(gi, 3)
             z = tuple(a - b for a, b in zip(cube, one))
-            assert self.layer1.coords(z) == (0,) * self.f, "cube escaped the second layer"
+            if self.layer1.coords(z) != (0,) * self.f:
+                raise FieldError("cube escaped the second layer")
             self.lam.append(self.layer2.coords(z))
         for hj in self.h:
-            assert self.ring.pow(hj, 3) == self.ring.one(), "h generator order is not 3"
+            if self.ring.pow(hj, 3) != self.ring.one():
+                raise FieldError("h generator order is not 3")
 
     def dlog(self, el):
         """Integer exponents (a | b) with el^kill = prod g^a h^b in U_1/U_3."""
@@ -402,154 +413,69 @@ class _WildCubicPresentation:
                 acc = self.ring.mul(acc, self.ring.pow(gi, ai))
         resid = self.ring.mul(y, self.ring.pow(acc, 8))  # 1-units have exponent 9 mod p^3
         z = tuple(p - q for p, q in zip(resid, one))
-        assert self.layer1.coords(z) == (0,) * self.f
+        if self.layer1.coords(z) != (0,) * self.f:
+            raise FieldError("first-layer residue survived the g-part of the discrete log")
         b = self.layer2.coords(z)
         return list(a) + list(b)
 
 
-def _dlog_bsgs(q: int, g: int, x: int) -> int:
-    """Discrete log base g in F_q^*, baby-step giant-step (desk scale)."""
-    m = math.isqrt(q - 1) + 1
-    table = {}
-    e = 1
-    for j in range(m):
-        table.setdefault(e, j)
-        e = e * g % q
-    factor = pow(g, (q - 1 - m) % (q - 1), q)
-    gamma = x % q
-    for i in range(m):
-        if gamma in table:
-            return (i * m + table[gamma]) % (q - 1)
-        gamma = gamma * factor % q
-    raise ArithmeticError("dlog failed")
+def _integer_quotient_3rank(K, P: PrimeIdeal, cg, units) -> int:
+    """dim over F_3 of Cl_{P^3} tensor F_3 via an all-integer Smith form.
 
-
-def _integer_quotient_3rank(K, finite, cg, units) -> int:
-    """dim over F_3 of Cl_m tensor F_3 via an all-integer Smith form.
-
-    Independent of the F_3 path: local blocks keep their full cyclic
-    orders (tame) and order-9 generators (wild exponent 3); the Smith
-    form is taken over Z and the 3-divisible diagonal entries counted.
+    Independent of the F_3 path: the local group keeps its order-9
+    generators (wild exponent 3); the Smith form is taken over Z and the
+    3-divisible diagonal entries counted.
     """
-    tame_data = []
-    wild_data = []
-    for P, a in finite:
-        if P.p == 3 and a >= 2:
-            if a == 2:
-                wild_data.append(("w2", WildBlock(K, P)))
-            else:
-                wild_data.append(("w3", _WildCubicPresentation(K, P)))
-        else:
-            tb = TameBlock(K, P)
-            if tb.dim:
-                tame_data.append((tb, arith.primitive_root(tb.q)))
+    w = _WildCubicPresentation(K, P)
+    f = w.f
+    fb_positions = [j for j, Q in enumerate(cg.factor_base) if Q.key() != P.key()]
+    ncols = 2 * f + len(fb_positions)
 
-    widths = [w.f * 2 if kind == "w3" else w.dim for kind, w in wild_data]
-    widths.extend(1 for _ in tame_data)
-    fb_primes = []
-    fb_positions = []
-    mod_keys = {P.key() for P, _ in finite}
-    for j, P in enumerate(cg.factor_base):
-        if P.key() not in mod_keys:
-            fb_primes.append(P)
-            fb_positions.append(j)
-    ncols = sum(widths) + len(fb_primes)
-
-    def local_dlog(el):
-        out = []
-        for kind, w in wild_data:
-            if kind == "w3":
-                out.extend(w.dlog(el))
-            else:
-                out.extend(w.philog(el))
-        for tb, g in tame_data:
-            out.append(_dlog_bsgs(tb.q, g, tb.residue(el)))
-        return out
-
+    # internal relations of the local group: g_i^3 = prod h^lam_i, h_j^3 = 1
     rows = []
-    # internal relations of the local groups
-    offset = 0
-    for kind, w in wild_data:
-        if kind == "w3":
-            f = w.f
-            for i in range(f):
-                row = [0] * ncols
-                row[offset + i] = 3
-                for j in range(f):
-                    row[offset + f + j] = -w.lam[i][j]
-                rows.append(row)
-            for j in range(f):
-                row = [0] * ncols
-                row[offset + f + j] = 3
-                rows.append(row)
-            offset += 2 * f
-        else:
-            for i in range(w.dim):
-                row = [0] * ncols
-                row[offset + i] = 3
-                rows.append(row)
-            offset += w.dim
-    for tb, g in tame_data:
+    for i in range(f):
         row = [0] * ncols
-        row[offset] = tb.q - 1
+        row[i] = 3
+        for j in range(f):
+            row[f + j] = -w.lam[i][j]
         rows.append(row)
-        offset += 1
-
-    finite_primes = [P for P, _ in finite]
-
-    def coprime(el):
-        return all(not element_in_ideal(list(P.hnf), el) for P in finite_primes)
+    for j in range(f):
+        row = [0] * ncols
+        row[f + j] = 3
+        rows.append(row)
 
     for unit in units:
-        assert coprime(unit)
-        rows.append(local_dlog(unit) + [0] * len(fb_primes))
+        if element_in_ideal(list(P.hnf), unit):
+            raise FieldError("unit not coprime to the modulus")
+        rows.append(w.dlog(unit) + [0] * len(fb_positions))
     for gen, vec in cg.relations:
-        if not coprime(gen):
+        if element_in_ideal(list(P.hnf), gen):
             continue
-        row = local_dlog(gen)
-        row.extend(-vec[j] for j in fb_positions)
-        rows.append(row)
+        rows.append(w.dlog(gen) + [-vec[j] for j in fb_positions])
 
     divisors, _, _ = linalg.smith_normal_form(rows, max(len(rows), ncols), ncols)
     divisors = list(divisors[:ncols])
-    assert len(divisors) == ncols and all(d != 0 for d in divisors), "relations do not close the ray group"
+    if len(divisors) != ncols or any(d == 0 for d in divisors):
+        raise FieldError("relations do not close the ray group")
     return sum(1 for d in divisors if d % 3 == 0)
 
 
 def modulus_stability_check(
     K: NumberField,
     prime_over_3: PrimeIdeal,
-    cg: ClassGroupData = None,
-    u: UnitData = None,
-    exponents=(2, 3),
-    reference_tame: PrimeIdeal = None,
+    cg: ClassGroupData,
+    u: UnitData,
+    wild: WildBlock = None,
 ) -> bool:
-    """True iff the quotient dimension is the same at both wild exponents.
+    """True iff the quotient dimension is the same at wild exponents 2 and 3.
 
-    The reference modulus is prime_over_3^a (optionally times a tame
-    prime).  Exponent <= 2 runs the F_3 presentation; exponent 3 runs
-    the independent integer-Smith path, so agreement genuinely checks
-    that depth-2 1-units already carry the whole 3-elementary quotient.
+    The modulus is prime_over_3^a.  Exponent 2 runs the F_3 presentation
+    (on the block `wild`, when given); exponent 3 runs the independent
+    integer-Smith path, so agreement genuinely checks that depth-2
+    1-units already carry the whole 3-elementary quotient.
     """
-    from .classgroup import class_group, unit_group
-
-    if cg is None:
-        cg = class_group(K)
-    if u is None:
-        u = unit_group(K, seed_candidates=cg.unit_candidates)
-    units, _ = saturate_units_at_3(K, u.fundamental_units)
-    dims = []
-    for a in exponents:
-        finite = [(prime_over_3, a)]
-        if reference_tame is not None:
-            finite.append((reference_tame, 1))
-        if a <= 2:
-            m = Modulus(field=K, finite=tuple(finite))
-            q = ray_class_3_quotient(m, cg, u)
-            dims.append(q.dim)
-        else:
-            dims.append(_integer_quotient_3rank(K, tuple(finite), cg, units))
-    return dims[0] == dims[1]
+    q = ray_class_3_quotient(Modulus(K, ((prime_over_3, 2),)), cg, u, wild)
+    return q.dim == _integer_quotient_3rank(K, prime_over_3, cg, u.fundamental_units)
 
 
 def brute_force_spans(q: RayClass3Quotient, norm_bound: int = 60) -> bool:

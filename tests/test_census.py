@@ -1,12 +1,13 @@
 """Census classification, drivers, scanner, and diagonal checks."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from a4census import classgroup
+from a4census import census, classgroup, rayclass
 from a4census.census import (
     CensusRow,
     VerificationError,
@@ -109,6 +110,48 @@ def test_classify_prime_reuses_the_class_group_factor_base(conductor, monkeypatc
     verdicts = [classify_prime(cd, v) for v in sympy.primerange(10**6, 10**6 + 400)]
     assert sum(pc.in_C3 for pc in verdicts) >= 5
     assert built == []
+
+
+def test_classify_prime_builds_no_wild_block(conductor, monkeypatch):
+    # The moving quotients of the reference route share the loaded block.
+    cd = conductor(163)
+    built = []
+    init = rayclass.WildBlock.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rayclass.WildBlock, "__init__", counting_init)
+    assert all(classify_prime(cd, v).in_C3 for v in (7, 19, 43))
+    assert built == []
+
+
+def test_each_load_builds_its_own_wild_block(conductor):
+    cd = conductor(163)
+    again = load_conductor(163)
+    assert again.wild is not cd.wild
+    assert again.fixed_q.blocks[0] is again.wild
+
+
+def test_pool_workers_receive_the_loaded_datum(conductor, monkeypatch):
+    # Workers must not reload the conductor: they use the parent's object.
+    cd = conductor(163)
+    serial = run_census(cd, 3000)
+
+    def no_reload(*args, **kwargs):
+        raise AssertionError("a census worker reloaded the conductor")
+
+    monkeypatch.setattr(census, "load_conductor", no_reload)
+    assert run_census(cd, 3000, workers=2) == serial
+
+
+def test_pickled_datum_classifies_alike(conductor):
+    # Under spawn or forkserver the pool pickles the datum for its workers.
+    cd = conductor(277)
+    copy = pickle.loads(pickle.dumps(cd))
+    for v in sympy.primerange(2, 3000):
+        assert fast_classify(copy, v) == fast_classify(cd, v)
 
 
 def test_census_row_ratios():

@@ -139,6 +139,18 @@ def test_saturation_is_idempotent():
     assert tuple(tuple(x) for x in twice) == tuple(tuple(x) for x in once)
 
 
+def test_unit_group_saturates_a_cubed_seed(conductor):
+    # seeded with a cubed generator, unit_group swaps the cube root back
+    # in and divides the regulator by 3, giving the loaded unit lattice
+    cd = conductor(163)
+    F = cd.F
+    units = list(cd.u.fundamental_units)
+    u = unit_group(F, seed_candidates=tuple(units[:2] + [F.el_pow(units[2], 3)]))
+    _, swaps = saturate_units_at_3(F, u.fundamental_units)
+    assert swaps == 0
+    assert u.regulator_estimate == pytest.approx(cd.u.regulator_estimate, rel=1e-9)
+
+
 def test_exact_cube_root():
     F = quartic_field_search(163)
     a = (2, 1, 0, 1)
@@ -204,6 +216,16 @@ def test_ideal_short_elements_ordered_and_unique(conductor, ell):
         assert element_in_ideal(A.hnf, el)
         assert el not in seen and tuple(-x for x in el) not in seen
         seen.add(el)
+
+
+def test_short_element_stream_ends_at_enumeration_overflow(conductor):
+    # Round 4 on the degree-3 prime over 1000003 would enumerate more than
+    # 20000 vectors: the stream ends there instead of raising, so an
+    # exhausted split reaches its documented None.
+    cd = conductor(163)
+    (v1,) = [P for P in factor_rational_prime(cd.F, 1000003) if P.f == 3]
+    assert sum(1 for _ in ideal_short_elements(cd.F, v1.hnf)) == 2521
+    assert smooth_split(cd.cg, v1.hnf, usable=lambda el: False) is None
 
 
 def test_smooth_split_rejects_a_non_ideal_under_optimize():

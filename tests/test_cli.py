@@ -172,11 +172,14 @@ def test_simulate_rejects_composite_p(capsys):
 
 
 @pytest.mark.parametrize("ell", [163, 277, 349])
-def test_verify_field_shipped(capsys, ell):
+def test_verify_field_shipped(capsys, conductor, ell):
     rc, out, err = run(capsys, "verify-field", "--ell", str(ell))
     assert rc == 0
     assert "all verification checks passed" in out
     assert "dimension 1" in out
+    (units,) = [line.split() for line in out.splitlines() if line.split()[0] == "units"]
+    assert units[1:4] == ["rank", "3,", "3-saturated,"]
+    assert units[4:] == ["regulator", f"{conductor(ell).u.regulator_estimate:.6f}"]
 
 
 def test_verify_field_composite(capsys):

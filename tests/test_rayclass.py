@@ -1,11 +1,18 @@
 """Ray class 3-quotients: dimensions, Artin map, stability."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from a4census.classgroup import class_group, saturate_units_at_3, unit_group
+import a4census
+from a4census.classgroup import class_group, unit_group
 from a4census.fields import (
+    FieldError,
     cubic_subfield,
     element_ideal,
     factor_rational_prime,
@@ -102,7 +109,7 @@ def test_cubed_unit_breaks_the_unit_presentation(conductor):
     _, pivots_good = linalg.rref_mod_p(rows_good, 4, 3)
     assert 4 - len(pivots_good) == 1
 
-    cubed = F.el_pow(cd.units[2], 3)
+    cubed = F.el_pow(cd.u.fundamental_units[2], 3)
     rows_bad = rows_good[:2] + [
         list(cd.wild.philog(cubed)) + [cd.tame_l2.philog(cubed)[0]]
     ]
@@ -111,16 +118,56 @@ def test_cubed_unit_breaks_the_unit_presentation(conductor):
     assert 4 - len(pivots_bad) == 2
 
 
-def test_internal_saturation_repairs_cubed_units(conductor):
-    # the full quotient saturates units on its own, so handing it a
-    # cubed generator leaves the dimension unchanged
+def test_relation_rows_cover_a_cubed_unit(conductor):
+    # the full quotient does not saturate units itself; a cubed generator
+    # still leaves the dimension unchanged, because the class-group
+    # relation rows already span the unit images
     cd = conductor(163)
     F = cd.F
-    units = list(cd.units)
+    units = list(cd.u.fundamental_units)
     cubed = tuple(units[:2] + [F.el_pow(units[2], 3)])
     u_bad = dataclasses.replace(cd.u, fundamental_units=cubed)
     m = Modulus(F, ((cd.p31, 2), (cd.l2, 1)))
     assert ray_class_3_quotient(m, cd.cg, u_bad).dim == cd.fixed_q.dim
+
+
+def test_ray_quotient_rejects_a_wild_block_at_another_prime(conductor):
+    cd = conductor(163)
+    with pytest.raises(FieldError):
+        ray_class_3_quotient(Modulus(cd.F, ((cd.p32, 2),)), cd.cg, cd.u, cd.wild)
+    with pytest.raises(FieldError):
+        ray_class_3_quotient(Modulus(cd.F, ((cd.l2, 1),)), cd.cg, cd.u, cd.wild)
+    q = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (cd.l2, 1))), cd.cg, cd.u, cd.wild)
+    assert q.blocks[0] is cd.wild and q.dim == cd.fixed_q.dim
+
+
+def test_rayclass_checks_hold_under_optimize():
+    # the lattice and wild-block checks are explicit errors, so they
+    # still fire with assertions stripped
+    code = textwrap.dedent(
+        """
+        from a4census.fields import FieldError, cubic_subfield, factor_rational_prime
+        from a4census.rayclass import WildBlock, _LatticeQuotientF3
+
+        K = cubic_subfield(7)
+        try:
+            WildBlock(K, factor_rational_prime(K, 7)[0])
+        except FieldError:
+            print("FieldError")
+        try:
+            _LatticeQuotientF3([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(9, 0, 0)], 3)
+        except FieldError:
+            print("FieldError")
+        """
+    )
+    src = str(Path(a4census.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["FieldError", "FieldError"]
 
 
 def test_moving_modulus_classification_spot_check(conductor):
