@@ -497,7 +497,8 @@ def factor_poly_mod_p(f, p):
     for g, m in out:
         for _ in range(m):
             check = pm_mul(check, g, p)
-    assert check == _pm_monic(f, p), "factorization self-check failed"
+    if check != _pm_monic(f, p):
+        raise ArithmeticError(f"factorization self-check failed mod {p}")
     return out
 
 

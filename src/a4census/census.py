@@ -22,11 +22,15 @@ resolvent field is a cubic extension of F ramified at ell_1 alone, and
 any modulus admitting ell_1 would pick up that base change, in which
 every degree-3 prime v1 splits for trivial reasons.  Two classifiers implement the same
 contract: classify_prime builds the moving ray class group from
-scratch (the reference path), fast_classify replaces factor-base
-columns by principality certificates Q^m = (gamma), which is valid
-because the class number of F is prime to 3.  Both are deterministic;
-the census output is byte-identical for any worker count because work
-is split into fixed chunks and merged in order.
+scratch (the reference path), fast_classify presents it on four local
+coordinates and replaces factor-base columns by principality
+certificates Q^m = (gamma), which is valid because the class number of
+F is prime to 3.  The certificates are built and verified once, in
+load_conductor.  Below the two routes there is one smooth split
+(classgroup.smooth_split) over the class group's factor base.  Both
+routes are deterministic; the census output is byte-identical for any
+worker count because work is split into fixed chunks and merged in
+order.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import logging
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, linalg
@@ -47,6 +51,7 @@ from .classgroup import (
     class_group,
     ideal_class_coordinates,
     ideal_short_elements,
+    smooth_split,
     two_rank,
     unit_group,
 )
@@ -63,7 +68,6 @@ from .fields import (
     ideal_from_elements,
     ideal_norm,
     ideal_pow,
-    element_valuation,
     new_number_field,
     quartic_field_search,
     quartic_galois_tag,
@@ -83,9 +87,6 @@ from .rayclass import (
 log = logging.getLogger(__name__)
 
 CHUNK = 1000  # primes are counted in fixed blocks so merges are order-stable
-
-# cofactor primes in smooth splittings stay at desk scale
-_COFACTOR_PRIME_BOUND = 10**6
 
 
 class VerificationError(FieldError):
@@ -143,15 +144,14 @@ class CensusRow:
         return Fraction(self.c_both, self.c3) if self.c3 else None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConductorData:
     """Everything v-independent about one conductor, built and verified once.
 
     load_conductor is the only constructor; census pool workers receive
     this object (inherited under fork, pickled under spawn) instead of
-    rebuilding it.  certs, cert_failures and q_primes are the only fields
-    filled lazily, during classification.  Their entries are deterministic
-    per key, so each worker filling its own copy changes no verdict.
+    rebuilding it.  No field is filled later: classification only reads
+    the datum, the certificates included.
     """
 
     ell: int
@@ -171,11 +171,10 @@ class ConductorData:
     unit_l2: tuple  # ell_2 character of each saturated unit
     fixed_rref: tuple  # unit rows reduced mod 3: the fast fixed functional
     fixed_pivots: tuple
+    # _certificate of each cg.factor_base prime, None over 3 and ell
+    certs: tuple
     shanks_a: object
     external_flags: dict
-    certs: dict = field(default_factory=dict)
-    cert_failures: set = field(default_factory=set)
-    q_primes: dict = field(default_factory=dict)
 
     @property
     def is_shanks(self) -> bool:
@@ -195,8 +194,9 @@ def load_conductor(config) -> ConductorData:
     Every claim the census later relies on is checked here and failures
     carry distinct tags: conductor shape, cubic and quartic discriminant,
     Galois group, splitting at 3 and ell, 4 | h(L), 3 coprime to h(F),
-    exponent stability of the wild modulus, and the one-dimensionality
-    of the fixed quotient.
+    exponent stability of the wild modulus, the one-dimensionality of
+    the fixed quotient, and a principality certificate for every
+    factor-base prime not over 3 or ell (`certificate`).
     """
     if isinstance(config, int):
         try:
@@ -269,7 +269,8 @@ def load_conductor(config) -> ConductorData:
     l1 = next(P for P in at_ell if P.e == 1)
     l2 = next(P for P in at_ell if P.e == 3)
 
-    wild = WildBlock(F, p31)
+    # every ray quotient presents the units and the class-group relations
+    wild = WildBlock(F, p31, known=u.fundamental_units + tuple(gen for gen, _ in cg.relations))
     if not modulus_stability_check(F, p31, cg, u, wild):
         raise VerificationError(
             "stability", "ray class quotient still grows from exponent 2 to 3 at 3_1"
@@ -289,6 +290,10 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
+    certs = tuple(
+        None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q)
+        for Q in cg.factor_base
+    )
 
     cd = ConductorData(
         ell=ell,
@@ -308,6 +313,7 @@ def load_conductor(config) -> ConductorData:
         unit_l2=unit_l2,
         fixed_rref=tuple(tuple(r) for r in fixed_rref),
         fixed_pivots=tuple(fixed_pivots),
+        certs=certs,
         shanks_a=shanks_param(ell),
         external_flags=dict(config.external_flags),
     )
@@ -355,9 +361,11 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
 
     Agrees with classify_prime everywhere.  The moving quotient is
     presented on the four local coordinates only (three wild, one tame
-    at v_2), with unit images as relations; ideal classes are moved
-    into that presentation through cached certificates Q^m = (gamma)
-    with m prime to 3, which exist because 3 does not divide h(F).
+    at v_2), with unit images as relations.  v1 is split by
+    classgroup.smooth_split over the factor base, and each cofactor
+    prime Q is moved into that presentation through its certificate
+    Q^m = (gamma) from cd.certs, built at load; m is prime to 3 because
+    3 does not divide h(F).
     """
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
@@ -369,19 +377,30 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
         return PrimeClassification(v, False)
     r, cofactor = root
 
-    gtheta = _poly_at_theta(cd.F, cofactor)
-    v1 = ideal_from_elements(cd.F, [gtheta], rational=v)
+    F = cd.F
+    gtheta = _poly_at_theta(F, cofactor)
+    v1 = ideal_from_elements(F, [gtheta], rational=v)
     if ideal_norm(v1) != v**3:
         raise VerificationError("v1-norm", f"degree-3 prime part over {v} has the wrong norm")
-    tame_v = _tame_line(cd.F, v, r)
+    tame_v = _tame_line(F, v, r)
 
-    alpha, cofactor_vals = _certified_split(cd, v1, v)
+    # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
+    # ell_2 and v_2, and puts a certificate behind every cofactor prime.
+    avoid = 3 * cd.ell * v
+    split = smooth_split(
+        cd.cg, v1, usable=lambda el: math.gcd(abs(F.el_norm(el)) // v**3, avoid) == 1
+    )
+    if split is None:
+        raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
+    alpha, vec = split
     wild_net = list(cd.wild.philog(alpha))
     l2_net = cd.tame_l2.philog(alpha)[0]
     v_net = tame_v.philog(alpha)[0]
-    for Q, vq in cofactor_vals:
-        inv3m, wg, lg, gamma = _certificate(cd, Q)
-        s = vq * inv3m
+    for vq, cert in zip(vec, cd.certs):
+        if not vq:
+            continue
+        m, gamma, wg, lg = cert
+        s = vq * pow(m, -1, 3)
         wild_net = [(a - s * b) % 3 for a, b in zip(wild_net, wg)]
         l2_net = (l2_net - s * lg) % 3
         v_net = (v_net - s * tame_v.philog(gamma)[0]) % 3
@@ -432,102 +451,16 @@ def _tame_line(K: NumberField, v: int, r: int) -> TameBlock:
     return TameBlock(K, stub)
 
 
-def _certified_split(cd: ConductorData, v1, v: int):
-    """A short alpha in v1 whose cofactor is certified prime by prime.
+def _certificate(F: NumberField, cg: ClassGroupData, wild: WildBlock, tame_l2: TameBlock, Q):
+    """(m, gamma, wild philog, ell_2 char) with Q^m = (gamma), m prime to 3.
 
-    Returns (alpha, [(Q, v_Q(alpha)), ...]) with (alpha) = v1 * prod Q^vQ,
-    every Q coprime to 3, ell and v.  Candidates whose cofactor norm
-    shares a factor with 3 * ell * v, or has a prime factor beyond desk
-    scale, are passed over.
+    m is the order of [Q] in the class group; it is prime to 3 because
+    3 does not divide h(F).  Q must lie over neither 3 nor ell, so that
+    gamma is a unit at 3_1 and ell_2.
     """
-    K = cd.F
-    rows = [tuple(row) for row in v1]
-    target = v**3
-    avoid = 3 * cd.ell * v
-    for el in _reduced_combinations(K, rows):
-        nm = abs(K.el_norm(el))
-        B, rem = divmod(nm, target)
-        if rem or B == 0 or math.gcd(B, avoid) != 1:
-            continue
-        if B == 1:
-            return el, []
-        try:
-            fac = factorize(B, bound=10**5)
-        except ArithmeticError:
-            continue
-        if max(fac) > _COFACTOR_PRIME_BOUND:
-            continue
-        vals = _cofactor_valuations(cd, el, fac)
-        if vals is not None:
-            return el, vals
-    raise FieldError(f"no certified splitting found in the degree-3 prime over {v}")
-
-
-def _reduced_combinations(K: NumberField, rows):
-    """Lattice elements as small combinations of an LLL-reduced basis.
-
-    Enumerates coefficient boxes of growing radius (one representative
-    per +- pair), then falls back to full sorted enumeration with a
-    doubling bound, so the stream is deterministic and only runs dry
-    when the lattice genuinely has no short usable vector.
-    """
-    n = K.degree
-    gram = linalg.gram_matrix(rows, K.trace_gram)
-    T = linalg.lll_gram(gram)
-    red = [
-        tuple(sum(T[i][k] * rows[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    ]
-    seen = set()
-    for radius in (1, 2, 4):
-        coeffs = sorted(
-            itertools.product(range(-radius, radius + 1), repeat=n),
-            key=lambda c: (sum(abs(x) for x in c), c),
-        )
-        for c in coeffs:
-            if all(x == 0 for x in c):
-                continue
-            if c in seen:
-                continue
-            seen.add(c)
-            seen.add(tuple(-x for x in c))
-            yield tuple(
-                sum(c[i] * red[i][j] for i in range(n)) for j in range(n)
-            )
-    yield from ideal_short_elements(K, rows)
-
-
-def _cofactor_valuations(cd: ConductorData, el, fac):
-    """[(Q, v_Q(el)), ...] covering the full cofactor, or None."""
-    out = []
-    for q, e in sorted(fac.items()):
-        if q in cd.cert_failures:
-            return None
-        primes = cd.q_primes.get(q)
-        if primes is None:
-            primes = cd.q_primes[q] = factor_rational_prime(cd.F, q)
-        got = 0
-        for Q in primes:
-            if Q.f > e:
-                continue
-            w = element_valuation(cd.F, el, Q)
-            if w:
-                out.append((Q, w))
-                got += w * Q.f
-        if got != e:
-            return None  # valuations must account for the whole q-part
-    return out
-
-
-def _certificate(cd: ConductorData, Q: PrimeIdeal):
-    """(m^-1 mod 3, wild philog, ell_2 char, gamma) with Q^m = (gamma)."""
-    key = Q.key()
-    cert = cd.certs.get(key)
-    if cert is not None:
-        return cert
-    coords = ideal_class_coordinates(list(Q.hnf), cd.cg)
+    coords = ideal_class_coordinates(list(Q.hnf), cg)
     m = 1
-    for c, d in zip(coords, cd.cg.divisors):
+    for c, d in zip(coords, cg.divisors):
         if c % d:
             m = math.lcm(m, d // math.gcd(d, c))
     if m % 3 == 0:
@@ -535,22 +468,14 @@ def _certificate(cd: ConductorData, Q: PrimeIdeal):
             "certificate",
             f"class order {m} at a prime over {Q.p} is divisible by 3, yet 3 does not divide h(F)",
         )
-    power = ideal_pow(cd.F, list(Q.hnf), m)
+    power = ideal_pow(F, list(Q.hnf), m)
     target = ideal_norm(power)
-    gamma = next(
-        (el for el in ideal_short_elements(cd.F, power) if abs(cd.F.el_norm(el)) == target), None
-    )
+    gamma = next((el for el in ideal_short_elements(F, power) if abs(F.el_norm(el)) == target), None)
     if gamma is None:
-        cd.cert_failures.add(Q.p)
-        raise FieldError(f"no generator found for the certificate at a prime over {Q.p}")
-    cert = (
-        pow(m, -1, 3),
-        cd.wild.philog(gamma),
-        cd.tame_l2.philog(gamma)[0],
-        gamma,
-    )
-    cd.certs[key] = cert
-    return cert
+        raise VerificationError(
+            "certificate", f"no generator found for the certificate at a prime over {Q.p}"
+        )
+    return m, gamma, wild.philog(gamma), tame_l2.philog(gamma)[0]
 
 
 # ---------------------------------------------------------------------------

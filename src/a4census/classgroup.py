@@ -12,9 +12,12 @@ class construction reuses them as principal-ideal input.
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
 the Minkowski bound.  There is one smooth split (smooth_split: a short
-alpha in A whose cofactor (alpha)/A factors over the base, found by
-ideal_short_elements); ideal class coordinates and the ray-class Artin
-map (rayclass.artin_vector) both go through it.
+alpha in A whose cofactor (alpha)/A factors over the base), and one
+short-element stream behind it (ideal_short_elements: small
+combinations of an LLL-reduced basis, then Fincke-Pohst rounds in
+trace-form order).  Ideal class coordinates, the ray-class Artin map
+(rayclass.artin_vector) and the fast census classifier
+(census.fast_classify) all go through it.
 
 Units are a byproduct (norm +-1 elements and quotients of elements
 generating the same ideal); they are certified multiplicatively
@@ -27,6 +30,8 @@ fundamental.  Downstream 3-quotients only need the unit lattice to be
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -162,16 +167,44 @@ def _start_bound(K: NumberField, covol_sq) -> int:
     return 2 * n * max(root, 1)
 
 
-def ideal_short_elements(K: NumberField, A):
-    """Nonzero elements of the ideal A in trace-form order, each once.
+@functools.cache
+def _coefficient_boxes(n: int):
+    """Coefficient vectors of the boxes of radius 1, 2, 4 in Z^n, each once.
 
-    The bound starts at the Minkowski estimate from disc * N(A)^2 and
-    doubles after each of 6 rounds; the basis is LLL-reduced once.  A
-    round enumerates every vector up to its bound, sorted by exact value,
-    so only the values above the previous bound are new.  The stream ends
-    early when a round would enumerate more than 20000 vectors.
+    Within a radius the new vectors come in (L1 norm, vector) order, one
+    per +- pair.  Returns (vectors, the set of them and their negatives).
+    """
+    seen = set()
+    out = []
+    for radius in (1, 2, 4):
+        box = sorted(
+            itertools.product(range(-radius, radius + 1), repeat=n),
+            key=lambda c: (sum(abs(x) for x in c), c),
+        )
+        for c in box:
+            if any(c) and c not in seen:
+                seen.add(c)
+                seen.add(tuple(-x for x in c))
+                out.append(c)
+    return tuple(out), frozenset(seen)
+
+
+def ideal_short_elements(K: NumberField, A):
+    """Nonzero elements of the ideal A, short ones first, each once up to sign.
+
+    The basis is LLL-reduced once.  The stream starts with the small
+    combinations of that basis (_coefficient_boxes: radius 1, 2, 4, in
+    (L1, c) order), which is where a smooth cofactor is usually found.
+    It goes on with Fincke-Pohst rounds in trace-form order: the bound
+    starts at the Minkowski estimate from disc * N(A)^2 and doubles after
+    each of 6 rounds, only values above the previous bound are new, and
+    coefficient vectors already yielded from the boxes are skipped.  The
+    stream ends early when a round would enumerate more than 20000 vectors.
     """
     red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
+    boxes, in_boxes = _coefficient_boxes(K.degree)
+    for c in boxes:
+        yield _combine(c, red)
     nA = ideal_norm(A)
     bound = _start_bound(K, K.disc * nA * nA)
     done = 0
@@ -181,7 +214,7 @@ def ideal_short_elements(K: NumberField, A):
         except RuntimeError:
             return  # enumeration too dense to push deeper
         for val, c in batch:
-            if val > done:
+            if val > done and c not in in_boxes:
                 yield _combine(c, red)
         done, bound = bound, bound * 2
 

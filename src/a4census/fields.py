@@ -675,7 +675,8 @@ def factor_rational_prime(K: NumberField, p: int):
                 )
             )
         out.sort(key=lambda P: (P.f, P.e, P.hnf))
-        assert sum(P.e * P.f for P in out) == K.degree
+        if sum(P.e * P.f for P in out) != K.degree:
+            raise FieldError(f"primes over {p} do not satisfy sum e*f = {K.degree}")
         return out
     return _factor_index_prime(K, p)
 
@@ -779,7 +780,8 @@ def _factor_index_prime(K: NumberField, p: int):
         id_rows += [tuple(int(x) % p for x in v) for v in ker]
         hnf_rows = linalg.hnf(id_rows, n)
         norm = linalg.lattice_index(hnf_rows)
-        assert norm == p**f_res
+        if norm != p**f_res:
+            raise FieldError(f"prime over {p} has norm {norm}, not {p}^{f_res}")
         P0 = PrimeIdeal(p=p, e=0, f=f_res, norm=norm, hnf=tuple(hnf_rows), gen_num=(), gen_den=1, theta_root=None)
         out.append(P0)
     # ramification indices by containment of pO in powers
@@ -798,7 +800,8 @@ def _factor_index_prime(K: NumberField, p: int):
             )
         )
     fixed.sort(key=lambda P: (P.f, P.e, P.hnf))
-    assert sum(P.e * P.f for P in fixed) == n
+    if sum(P.e * P.f for P in fixed) != n:
+        raise FieldError(f"primes over {p} do not satisfy sum e*f = {n}")
     return fixed
 
 

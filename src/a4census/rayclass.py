@@ -191,9 +191,14 @@ def _solve_f3(rows, target):
 
 
 class WildBlock:
-    """(O/p^2)^* tensor F_3 for a prime over 3, via the 1-unit layer."""
+    """(O/p^2)^* tensor F_3 for a prime over 3, via the 1-unit layer.
 
-    def __init__(self, K: NumberField, P: PrimeIdeal):
+    The logs of `known` elements (those coprime to p) are computed here
+    once and looked up afterwards; the block is not changed after
+    construction.
+    """
+
+    def __init__(self, K: NumberField, P: PrimeIdeal, known=()):
         if P.p != 3:
             raise FieldError("wild block needs a prime over 3")
         self.K = K
@@ -203,23 +208,18 @@ class WildBlock:
         self.kill = P.norm - 1
         self.layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
         self.dim = self.layer.dim
-        self._memo = {}
         if self.dim != P.f:
             raise FieldError(f"1-unit layer has F_3-dimension {self.dim}, expected {P.f}")
+        self._known = {tuple(el): self._log(el) for el in known if self.is_coprime(el)}
 
     def philog(self, el):
-        # The same units and relation generators come through for every
-        # auxiliary prime, so cache their images (bounded).
-        key = tuple(el)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        hit = self._known.get(tuple(el))
+        return hit if hit is not None else self._log(el)
+
+    def _log(self, el):
         y = self.ring.pow(el, self.kill)
         z = tuple(a - b for a, b in zip(y, self.K.one()))
-        out = self.layer.coords(z)
-        if len(self._memo) < 4096:
-            self._memo[key] = out
-        return out
+        return self.layer.coords(z)
 
     def is_coprime(self, el) -> bool:
         return self.ring.is_coprime(el)
@@ -274,8 +274,8 @@ def ray_class_3_quotient(
 
     u must hold 3-saturated units, as unit_group returns them.  `wild`
     is the block for the modulus's prime over 3 (exponent 2); callers
-    that classify many primes pass one block so its philog memo carries
-    over, otherwise a fresh block is built.
+    that classify many primes pass one block that already knows the logs
+    of the units and relation generators, otherwise a fresh block is built.
     """
     K = m.field
     blocks = _build_blocks(K, m.finite, wild)

@@ -1,5 +1,6 @@
 """Census classification, drivers, scanner, and diagonal checks."""
 
+import dataclasses
 import json
 import pickle
 from fractions import Fraction
@@ -19,7 +20,8 @@ from a4census.census import (
     run_census,
     scan_conductors,
 )
-from a4census.config import Config
+from a4census.config import Config, golden_rows
+from a4census.fields import ideal_eq, ideal_from_elements, ideal_pow
 from a4census.stats import census_csv
 
 from conftest import CONDUCTORS
@@ -57,6 +59,52 @@ def test_loaded_prime_labels(conductor):
         assert cd.l2.norm == ell
         assert cd.p31.f == 3 and cd.p32.f == 1
         assert cd.fixed_q.dim == 1
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_certificates_generate_the_prime_powers(conductor, ell):
+    # Oracle independent of the search: Q^m and (gamma) rebuilt as ideals
+    # and compared by Hermite form; the stored logs recomputed.
+    cd = conductor(ell)
+    F = cd.F
+    assert len(cd.certs) == len(cd.cg.factor_base)
+    assert any(cd.certs)
+    for Q, cert in zip(cd.cg.factor_base, cd.certs):
+        if Q.p in (3, ell):
+            assert cert is None
+            continue
+        m, gamma, wild_log, l2_log = cert
+        assert m % 3
+        assert ideal_eq(ideal_pow(F, list(Q.hnf), m), ideal_from_elements(F, [gamma]))
+        assert wild_log == cd.wild.philog(gamma)
+        assert l2_log == cd.tame_l2.philog(gamma)[0]
+
+
+def test_certificate_without_generator_fails_the_load(monkeypatch):
+    monkeypatch.setattr(census, "ideal_short_elements", lambda K, A: iter(()))
+    with pytest.raises(VerificationError) as exc:
+        load_conductor(163)
+    assert exc.value.check == "certificate"
+
+
+def test_classification_only_reads_the_datum(conductor, monkeypatch):
+    # Certificates are built at load: the census neither computes one nor
+    # changes the datum, serially or in pool workers.
+    cd = conductor(277)
+    before = pickle.dumps(cd)
+
+    def no_certificate_work(*args, **kwargs):
+        raise AssertionError("classification did certificate work")
+
+    monkeypatch.setattr(census, "_certificate", no_certificate_work)
+    monkeypatch.setattr(census, "ideal_class_coordinates", no_certificate_work)
+    monkeypatch.setattr(classgroup, "ideal_class_coordinates", no_certificate_work)
+    for workers in (1, 2):
+        rendered = census_csv(run_census(cd, 5000, workers=workers)).splitlines()
+        assert rendered == golden_rows(277)[: len(rendered)]
+    assert pickle.dumps(cd) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cd.certs = ()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import a4census
-from a4census import arith
+from a4census import arith, linalg
 from a4census.classgroup import (
+    _coefficient_boxes,
+    _reduced_basis,
     _start_bound,
     class_group,
     exact_cube_root,
@@ -202,15 +204,36 @@ def test_smooth_split_factors_the_principal_ideal(conductor, ell):
 
 @pytest.mark.parametrize("ell", [163, 277])
 def test_ideal_short_elements_ordered_and_unique(conductor, ell):
+    # The stream is the coefficient boxes of radius 1, 2, 4 over the
+    # LLL-reduced basis, each radius in (L1, c) order, then the
+    # Fincke-Pohst rounds in trace-form order.
     cd = conductor(ell)
     F = cd.F
     (A,) = _degree3_primes(F, 10**6, 1)
-    elements = list(itertools.islice(ideal_short_elements(F, A.hnf), 1500))
+    boxes, _ = _coefficient_boxes(F.degree)
+    elements = list(itertools.islice(ideal_short_elements(F, A.hnf), len(boxes) + 500))
+    red, _ = _reduced_basis(F, [tuple(r) for r in A.hnf])
+    coeffs = [tuple(int(x) for x in linalg.solve_rational(red, el)) for el in elements]
+
+    prefix = coeffs[: len(boxes)]
+    runs = {1: [], 2: [], 4: []}
+    for c in prefix:
+        runs[next(r for r in (1, 2, 4) if max(map(abs, c)) <= r)].append(c)
+    assert prefix == runs[1] + runs[2] + runs[4]
+    for run in runs.values():
+        keys = [(sum(map(abs, c)), c) for c in run]
+        assert keys == sorted(keys)
+    # one per +- pair of each box: ((2r + 1)^4 - 1) / 2 vectors up to radius r
+    assert [len(runs[1]), len(runs[1]) + len(runs[2]), len(prefix)] == [40, 312, 3280]
+
     G = F.trace_gram
-    values = [sum(a * G[i][j] * b for i, a in enumerate(x) for j, b in enumerate(x)) for x in elements]
-    assert values == sorted(values)
+    tail = [
+        sum(a * G[i][j] * b for i, a in enumerate(x) for j, b in enumerate(x))
+        for x in elements[len(boxes):]
+    ]
+    assert tail and tail == sorted(tail)
     first_bound = _start_bound(F, F.disc * ideal_norm(A.hnf) ** 2)
-    assert values[-1] > first_bound  # the stream crossed at least one doubling
+    assert tail[-1] > first_bound  # the stream crossed at least one doubling
     seen = set()
     for el in elements:
         assert element_in_ideal(A.hnf, el)
@@ -221,10 +244,11 @@ def test_ideal_short_elements_ordered_and_unique(conductor, ell):
 def test_short_element_stream_ends_at_enumeration_overflow(conductor):
     # Round 4 on the degree-3 prime over 1000003 would enumerate more than
     # 20000 vectors: the stream ends there instead of raising, so an
-    # exhausted split reaches its documented None.
+    # exhausted split reaches its documented None.  3280 of the elements
+    # come from the coefficient boxes.
     cd = conductor(163)
     (v1,) = [P for P in factor_rational_prime(cd.F, 1000003) if P.f == 3]
-    assert sum(1 for _ in ideal_short_elements(cd.F, v1.hnf)) == 2521
+    assert sum(1 for _ in ideal_short_elements(cd.F, v1.hnf)) == 4005
     assert smooth_split(cd.cg, v1.hnf, usable=lambda el: False) is None
 
 

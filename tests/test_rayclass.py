@@ -170,6 +170,38 @@ def test_rayclass_checks_hold_under_optimize():
     assert out.stdout.split() == ["FieldError", "FieldError"]
 
 
+def test_factorization_checks_hold_under_optimize():
+    # every factor-base prime and certificate rests on these self-checks,
+    # so they still fire with assertions stripped
+    code = textwrap.dedent(
+        """
+        from a4census import arith, fields
+        from a4census.fields import FieldError, cubic_subfield, factor_rational_prime
+
+        K = cubic_subfield(7)
+        real = fields.factor_poly_mod_p
+        fields.factor_poly_mod_p = lambda f, p: real(f, p)[:1]  # drop a prime
+        try:
+            factor_rational_prime(K, 13)
+        except FieldError:
+            print("FieldError")
+        arith._edf = lambda f, d, p, rng: [(1, 1)] * (arith.poly_deg(f) // d)
+        try:
+            arith.factor_poly_mod_p((1, 0, 1), 5)
+        except ArithmeticError:
+            print("ArithmeticError")
+        """
+    )
+    src = str(Path(a4census.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["FieldError", "ArithmeticError"]
+
+
 def test_moving_modulus_classification_spot_check(conductor):
     # 7, 19, 43 are the smallest order-3 Frobenius primes for ell = 163
     cd = conductor(163)
