@@ -207,7 +207,8 @@ def cornacchia_4l(ell: int) -> tuple[int, int]:
         if a * a == t:
             if a % 3 != 1:
                 a = -a
-            assert a % 3 == 1
+            if a % 3 != 1:
+                raise ArithmeticError(f"4*{ell} = a^2 + 27 b^2 with a divisible by 3")
             return a, b
         b += 1
     raise ValueError(f"no representation 4*{ell} = a^2 + 27 b^2")
@@ -579,5 +580,6 @@ def poly_discriminant(f) -> int:
     r = resultant(f, poly_derivative(f))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     q, rem = divmod(sign * r, f[-1])
-    assert rem == 0
+    if rem:
+        raise ArithmeticError("resultant is not divisible by the leading coefficient")
     return q

@@ -174,7 +174,6 @@ class ConductorData:
     # _certificate of each cg.factor_base prime, None over 3 and ell
     certs: tuple
     shanks_a: object
-    external_flags: dict
 
     @property
     def is_shanks(self) -> bool:
@@ -197,6 +196,14 @@ def load_conductor(config) -> ConductorData:
     exponent stability of the wild modulus, the one-dimensionality of
     the fixed quotient, and a principality certificate for every
     factor-base prime not over 3 or ell (`certificate`).
+
+    L and F each come from the first of: the config polynomial, the
+    cache record ("L", "F"), or their construction (cubic_subfield,
+    quartic_field_search).  Every stage runs once: h(L) is screened
+    (`class-number`) before the quartic search, which builds no class
+    group of its own, and the searched F is used as returned.  A cold
+    load writes the record {L, F}; the fields are re-verified on every
+    read.
     """
     if isinstance(config, int):
         try:
@@ -229,14 +236,11 @@ def load_conductor(config) -> ConductorData:
         )
 
     if config.quartic_poly is not None:
-        quartic = tuple(config.quartic_poly)
-    elif cached and "quartic_poly" in cached:
-        quartic = tuple(cached["quartic_poly"])
+        F = new_number_field(tuple(config.quartic_poly))
+    elif cached and "F" in cached:
+        F = field_from_record(cached["F"])
     else:
-        quartic = quartic_field_search(ell).poly
-    F = field_from_record(cached["F"]) if cached and "F" in cached else new_number_field(quartic)
-    if F.poly != tuple(quartic):
-        F = new_number_field(quartic)
+        F = quartic_field_search(ell)
     if F.degree != 4 or F.disc != ell * ell:
         raise VerificationError(
             "quartic-disc", f"quartic field has discriminant {F.disc}, expected {ell}^2"
@@ -315,17 +319,9 @@ def load_conductor(config) -> ConductorData:
         fixed_pivots=tuple(fixed_pivots),
         certs=certs,
         shanks_a=shanks_param(ell),
-        external_flags=dict(config.external_flags),
     )
     if config.use_cache and cached is None:
-        cache_write(
-            ell,
-            {
-                "L": field_to_record(L),
-                "F": field_to_record(F),
-                "quartic_poly": list(F.poly),
-            },
-        )
+        cache_write(ell, {"L": field_to_record(L), "F": field_to_record(F)})
     return cd
 
 
@@ -763,7 +759,8 @@ def a4_order3_density() -> Fraction:
     (1/2) * (4/12 + 4/12) = 1/3.
     """
     perms = [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
-    assert len(perms) == 12
+    if len(perms) != 12:
+        raise ValueError(f"A4 built with {len(perms)} elements, expected 12")
     classes = []
     seen = set()
     for p in perms:
@@ -772,9 +769,12 @@ def a4_order3_density() -> Fraction:
         orbit = {_conj(g, p) for g in perms}
         seen |= orbit
         classes.append(orbit)
-    assert sorted(len(c) for c in classes) == [1, 3, 4, 4]
+    sizes = sorted(len(c) for c in classes)
+    if sizes != [1, 3, 4, 4]:
+        raise ValueError(f"A4 class sizes {sizes}, expected [1, 3, 4, 4]")
     order3 = [c for c in classes if _perm_order(next(iter(c))) == 3]
-    assert len(order3) == 2
+    if len(order3) != 2:
+        raise ValueError(f"{len(order3)} classes of order 3 in A4, expected 2")
     return Fraction(1, 2) * sum(Fraction(len(c), len(perms)) for c in order3)
 
 

@@ -9,6 +9,13 @@ only once adding half again as many fresh relations leaves the Smith
 form unchanged.  Generators of every relation are kept, because the ray
 class construction reuses them as principal-ideal input.
 
+All lattice enumeration goes through one round stream (_rounds): the
+basis is LLL-reduced once, and each round doubles the trace-form bound
+and yields only the coefficient vectors above the previous bound.  The
+relation harvest keeps one stream per source lattice, unit_group reads
+one over the maximal order, and ideal_short_elements reads one after
+its coefficient boxes.
+
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
 the Minkowski bound.  There is one smooth split (smooth_split: a short
@@ -19,12 +26,14 @@ trace-form order).  Ideal class coordinates, the ray-class Artin map
 (rayclass.artin_vector) and the fast census classifier
 (census.fast_classify) all go through it.
 
-Units are a byproduct (norm +-1 elements and quotients of elements
-generating the same ideal); they are certified multiplicatively
-independent through the logarithmic embedding but not certified
-fundamental.  Downstream 3-quotients only need the unit lattice to be
-3-saturated, so unit_group returns its units already saturated at 3
-(exact_cube_root / saturate_units_at_3) with the regulator adjusted.
+Units come from their own search (unit_group: norm +-1 elements of the
+maximal order in trace-form order, after any seeds from the conductor
+config), not from class-group byproducts.  They are certified
+multiplicatively independent through the logarithmic embedding but not
+certified fundamental.  Downstream 3-quotients only need the unit
+lattice to be 3-saturated, so unit_group returns its units already
+saturated at 3 (exact_cube_root / saturate_units_at_3) with the
+regulator adjusted.
 """
 
 from __future__ import annotations
@@ -60,7 +69,6 @@ __all__ = [
     "ideal_short_elements",
     "smooth_split",
     "unit_group",
-    "el_div_exact",
     "exact_cube_root",
     "saturate_units_at_3",
 ]
@@ -74,7 +82,6 @@ class ClassGroupData:
     h: int
     coord_rows: tuple  # row j = class coordinates of factor_base[j]
     relations: tuple  # (generator coords, valuation vector over factor_base)
-    unit_candidates: tuple
     fb_ctx: _FBContext = dataclasses.field(compare=False, repr=False)  # base of smooth_split
 
 
@@ -153,18 +160,30 @@ def _reduced_basis(K: NumberField, rows):
     return red, linalg.gram_matrix(red, K.trace_gram)
 
 
-def _short_elements(K: NumberField, lattice_rows, bound, limit=20000):
-    """(value, element coords) for lattice elements with trace form <= bound."""
-    red, red_gram = _reduced_basis(K, lattice_rows)
-    return [(val, _combine(c, red)) for val, c in linalg.short_vectors(red_gram, bound, limit)]
-
-
 def _start_bound(K: NumberField, covol_sq) -> int:
     # Minkowski: the lattice minimum of the trace form is at most
     # n * (covolume)^(2/n); covol_sq = disc * norm^2 for an ideal lattice.
     n = K.degree
     root = int(round(covol_sq ** (1.0 / n))) + 1
     return 2 * n * max(root, 1)
+
+
+def _rounds(gram, bound, limit=20000):
+    """Each doubling round's new coefficient vectors over a reduced basis.
+
+    Round k enumerates the vectors of trace form <= bound * 2^k in
+    trace-form order and yields those above the previous round's bound.
+    The stream ends when a round would enumerate more than `limit`
+    vectors: the enumeration is too dense to push deeper.
+    """
+    done = 0
+    while True:
+        try:
+            batch = linalg.short_vectors(gram, bound, limit)
+        except RuntimeError:
+            return
+        yield [c for val, c in batch if val > done]
+        done, bound = bound, bound * 2
 
 
 @functools.cache
@@ -206,17 +225,10 @@ def ideal_short_elements(K: NumberField, A):
     for c in boxes:
         yield _combine(c, red)
     nA = ideal_norm(A)
-    bound = _start_bound(K, K.disc * nA * nA)
-    done = 0
-    for _ in range(6):
-        try:
-            batch = linalg.short_vectors(red_gram, bound, 20000)
-        except RuntimeError:
-            return  # enumeration too dense to push deeper
-        for val, c in batch:
-            if val > done and c not in in_boxes:
+    for batch in itertools.islice(_rounds(red_gram, _start_bound(K, K.disc * nA * nA)), 6):
+        for c in batch:
+            if c not in in_boxes:
                 yield _combine(c, red)
-        done, bound = bound, bound * 2
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +248,16 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
     ctx = _FBContext(K, mb)
     fb = ctx.fb
     nfb = len(fb)
-    unit_cands = []
     if nfb == 0:
-        return ClassGroupData(K, (), (), 1, (), (), (), ctx)
+        return ClassGroupData(K, (), (), 1, (), (), ctx)
 
-    rel_vecs = {}
+    rel_vecs = set()
     relations = []
 
     def add_relation(gen, vec):
-        if not any(vec):
-            if abs(K.el_norm(gen)) == 1 and gen != K.one() and gen != tuple(-x for x in K.one()):
-                unit_cands.append(gen)
+        if not any(vec) or vec in rel_vecs:
             return False
-        if vec in rel_vecs:
-            other = rel_vecs[vec]
-            q = el_div_exact(K, gen, other)
-            if q is not None and abs(K.el_norm(q)) == 1 and q != K.one():
-                unit_cands.append(q)
-            return False
-        rel_vecs[vec] = gen
+        rel_vecs.add(vec)
         relations.append((gen, vec))
         return True
 
@@ -267,36 +270,26 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
                 vec[ctx.index[P.key()]] = P.e
             add_relation(K.from_int(p), tuple(vec))
 
-    ring_rows = [tuple(int(i == j) for j in range(K.degree)) for i in range(K.degree)]
-    sources = [(ring_rows, K.disc)] + [(list(P.hnf), K.disc * P.norm * P.norm) for P in fb]
-    source_bounds = [_start_bound(K, cs) for _, cs in sources]
-    source_done = [0] * len(sources)  # value threshold already processed
+    def source(rows, covol_sq):
+        # reduced on the first round asked for; a source never reached costs nothing
+        red, gram = _reduced_basis(K, rows)
+        for batch in _rounds(gram, _start_bound(K, covol_sq)):
+            yield [_combine(c, red) for c in batch]
 
-    source_active = [True] * len(sources)
+    ring_rows = [tuple(int(i == j) for j in range(K.degree)) for i in range(K.degree)]
+    streams = [source(ring_rows, K.disc)]
+    streams += [source(list(P.hnf), K.disc * P.norm * P.norm) for P in fb]
 
     def harvest(target_new: int) -> int:
         got = 0
         for _ in range(6):
-            for si, (rows, _) in enumerate(sources):
+            for stream in streams:
                 if got >= target_new:
                     return got
-                if not source_active[si]:
-                    continue
-                lo = source_done[si]
-                hi = source_bounds[si]
-                try:
-                    batch = _short_elements(K, rows, hi)
-                except RuntimeError:
-                    source_active[si] = False  # enumeration too dense to push deeper
-                    continue
-                for val, el in batch:
-                    if val <= lo:
-                        continue
+                for el in next(stream, ()):  # an ended stream gives nothing
                     vec = ctx.relation_of(el)
                     if vec is not None and add_relation(el, vec):
                         got += 1
-                source_done[si] = hi
-                source_bounds[si] = hi * 2
         return got
 
     harvest(max(2 * nfb, nfb + 6))
@@ -323,7 +316,6 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
                 h=h,
                 coord_rows=coord_rows,
                 relations=tuple(relations),
-                unit_candidates=tuple(unit_cands),
                 fb_ctx=ctx,
             )
         snapshot = divisors
@@ -434,21 +426,7 @@ def _ideal_valuation(K, A, P: PrimeIdeal, cap=64) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact element division and units.
-
-
-def el_div_exact(K: NumberField, a, b):
-    """a / b when the quotient lies in the maximal order, else None."""
-    if not any(b):
-        raise ZeroDivisionError
-    M = K.mul_matrix(b)
-    try:
-        x = linalg.solve_rational(M, list(a))
-    except ZeroDivisionError:
-        return None
-    if any(f.denominator != 1 for f in x):
-        return None
-    return tuple(int(f) for f in x)
+# Units.
 
 
 def _gram_det(rows):
@@ -465,10 +443,11 @@ def _gram_det(rows):
 def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitData:
     """Rank degree-1 independent units by bounded search.
 
-    Candidates are norm +-1 elements in trace-form order (plus any seeds,
-    e.g. class-group byproducts); a candidate joins the basis when it
-    raises the rank of the log-embedding lattice, certified by the Gram
-    determinant staying above the numerical noise floor.
+    Candidates are the seeds (units from the conductor config), then the
+    norm +-1 elements of the maximal order in trace-form order over at
+    most max_rounds rounds of 120000 vectors each; a candidate joins the
+    basis when it raises the rank of the log-embedding lattice, certified
+    by the Gram determinant staying above the numerical noise floor.
     """
     n = K.degree
     rank = n - 1
@@ -492,19 +471,13 @@ def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitD
 
     for u in seed_candidates:
         consider(u)
-    ring_rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    bound = _start_bound(K, K.disc)
-    done = 0
-    for _ in range(max_rounds):
-        if len(found) >= rank:
-            break
-        for val, el in _short_elements(K, ring_rows, bound, limit=120000):
-            if val <= done:
-                continue
-            consider(el)
+    if len(found) < rank:
+        red, gram = _reduced_basis(K, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        rounds = itertools.islice(_rounds(gram, _start_bound(K, K.disc), 120000), max_rounds)
+        for c in itertools.chain.from_iterable(rounds):
+            consider(_combine(c, red))
             if len(found) >= rank:
                 break
-        done, bound = bound, bound * 2
     if len(found) < rank:
         raise FieldError(
             f"found {len(found)} of {rank} independent units within search bounds; "

@@ -21,7 +21,7 @@ from .cohomology import (
     simulate_unramified_probability,
     wiles_difference,
 )
-from .config import Config, golden_rows, read_config
+from .config import Config, golden_rows, parse_ints, read_config
 from .fields import FieldError
 from .stats import (
     census_csv,
@@ -30,10 +30,6 @@ from .stats import (
     render_report,
     render_table,
 )
-
-
-def _parse_checkpoints(text):
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
 def _load_from_args(args) -> census_mod.ConductorData:
@@ -123,7 +119,7 @@ def _cmd_census(args) -> int:
             cfg.use_cache = False
         cd = load_conductor(cfg)
         max_v = args.max_v if args.max_v is not None else cfg.max_v
-        cps = _parse_checkpoints(args.checkpoints) if args.checkpoints else cfg.checkpoints
+        cps = parse_ints(args.checkpoints) if args.checkpoints else cfg.checkpoints
         out = args.out if args.out is not None else cfg.out
         fmt = args.format if args.format is not None else cfg.fmt
         if multi or (out is not None and Path(out).is_dir()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -43,19 +43,19 @@ class Config:
     workers: int = 1
     out: str = None
     fmt: str = "csv"
-    external_flags: dict = field(default_factory=dict)  # condition3/condition4 -> bool
     use_cache: bool = True
 
 
 # Every key read_config understands; anything else is rejected, not ignored.
 _KNOWN_KEYS = {
-    "conductor": {"ell", "cubic_poly", "quartic_poly", "units", "condition3", "condition4"},
+    "conductor": {"ell", "cubic_poly", "quartic_poly", "units"},
     "census": {"max_v", "checkpoints", "workers"},
     "output": {"path", "format"},
 }
 
 
-def _parse_ints(text: str) -> tuple:
+def parse_ints(text: str) -> tuple:
+    """Integers separated by spaces or commas."""
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
@@ -75,19 +75,16 @@ def read_config(path) -> Config:
     sec = cp["conductor"]
     cfg = Config(ell=sec.getint("ell"))
     if "cubic_poly" in sec:
-        cfg.cubic_poly = _parse_ints(sec["cubic_poly"])
+        cfg.cubic_poly = parse_ints(sec["cubic_poly"])
     if "quartic_poly" in sec:
-        cfg.quartic_poly = _parse_ints(sec["quartic_poly"])
+        cfg.quartic_poly = parse_ints(sec["quartic_poly"])
     if "units" in sec:
-        cfg.units = tuple(_parse_ints(part) for part in sec["units"].split(";") if part.strip())
-    for flag in ("condition3", "condition4"):
-        if flag in sec:
-            cfg.external_flags[flag] = sec.getboolean(flag)
+        cfg.units = tuple(parse_ints(part) for part in sec["units"].split(";") if part.strip())
     if "census" in cp:
         c = cp["census"]
         cfg.max_v = c.getint("max_v", cfg.max_v)
         if "checkpoints" in c:
-            cfg.checkpoints = _parse_ints(c["checkpoints"])
+            cfg.checkpoints = parse_ints(c["checkpoints"])
         cfg.workers = c.getint("workers", cfg.workers)
     if "output" in cp:
         o = cp["output"]

@@ -319,22 +319,6 @@ def _adjugate_int(mat):
     return [tuple(r) for r in adj], det
 
 
-def _trace_powers(f, upto):
-    """Tr(theta^k) for k < upto via Newton's identities (monic f)."""
-    f = poly_trim(f)
-    n = poly_deg(f)
-    e = [(-1) ** k * f[n - k] for k in range(n + 1)]  # elementary symmetric
-    t = [n]
-    for k in range(1, upto):
-        s = 0
-        for i in range(1, min(k, n) + 1):
-            s += (-1) ** (i - 1) * e[i] * t[k - i]
-        if k <= n:
-            s += (-1) ** (k - 1) * e[k] * k
-        t.append(s)
-    return t
-
-
 def new_number_field(coeffs) -> NumberField:
     """Build the field and its maximal order from a monic defining polynomial.
 
@@ -457,7 +441,8 @@ def _maximalize_at(f, basis, p):
             for mj in rad:
                 z = _table_mul(e_i, mj, table)
                 q = linalg.hnf_solve(rad, z)
-                assert q is not None, "radical is not an ideal"
+                if q is None:
+                    raise FieldError(f"radical at {p} is not an ideal")
                 entry.extend(x % p for x in q)
             cols.append(entry)
         eqs2 = [[cols[i][j] for i in range(n)] for j in range(len(cols[0]))]
@@ -751,7 +736,8 @@ def _factor_index_prime(K: NumberField, p: int):
                     found = True
                     break
                 continue
-            assert all(mult == 1 for _, mult in fac), "nilpotents escaped the radical"
+            if any(mult != 1 for _, mult in fac):
+                raise FieldError(f"nilpotents escaped the radical at {p}")
             for g, _ in fac:
                 cof = _pm_quot(mu, g, p)
                 # idempotent: cof(y) * (cof(y)^-1 mod g)(y)
@@ -843,7 +829,8 @@ def _min_poly_mod(x, qmul, ident, rref_span, piv_span, dim_b, p):
             # dependence among pows[0..k]: solve for coefficients
             eqs = [[pows[i][j] for i in range(k + 1)] for j in range(dim_b)]
             ker = linalg.kernel_mod_p(eqs, k + 1, p)
-            assert ker
+            if not ker:
+                raise FieldError("dependent powers with an empty kernel mod p")
             co = min(ker, key=lambda v2: tuple(v2))
             # normalize: highest nonzero coefficient is on pows[k]
             co = list(co)
@@ -851,12 +838,13 @@ def _min_poly_mod(x, qmul, ident, rref_span, piv_span, dim_b, p):
                 co.pop()
             inv = pow(co[-1], -1, p)
             return tuple(c * inv % p for c in co)
-    raise AssertionError("no minimal polynomial found")
+    raise FieldError("no minimal polynomial found")
 
 
 def _pm_quot(f, g, p):
     q, r = arith.pm_divmod(f, g, p)
-    assert not r
+    if r:
+        raise FieldError("factor of the minimal polynomial does not divide it")
     return q
 
 
@@ -868,7 +856,8 @@ def _pm_invmod(f, g, p):
         q, r2 = arith.pm_divmod(r0, r1, p)
         r0, r1 = r1, r2
         s0, s1 = s1, arith.pm_sub(s0, arith.pm_mul(q, s1, p), p)
-    assert poly_deg(r0) == 0, "not invertible"
+    if poly_deg(r0) != 0:
+        raise FieldError("cofactor is not invertible modulo its factor")
     inv = pow(r0[0], -1, p)
     return tuple(c * inv % p for c in s0)
 
@@ -957,7 +946,8 @@ def period_cubic(ell: int):
     """
     a, b = arith.cornacchia_4l(ell)
     f = (-ell * a, -3 * ell, 0, 1)
-    assert poly_discriminant(f) == (27 * ell * b) ** 2
+    if poly_discriminant(f) != (27 * ell * b) ** 2:
+        raise FieldError(f"period cubic of {ell} has the wrong discriminant")
     return f
 
 
@@ -1049,18 +1039,11 @@ def quartic_field_search(ell: int, coeff_bound: int = 20) -> NumberField:
     result deterministic.  The winner's resolvent cubic is verified to
     define a cubic field of discriminant ell^2 as well.
 
-    The class-number precondition (4 divides h of the cubic subfield) is
-    checked up front; without it no such field exists.
+    This is a pure coefficient search: the caller screens the
+    class-number condition (4 divides h of the cubic subfield) first,
+    because without it no such field exists and the scan finds nothing
+    (census.load_conductor, tag `class-number`).
     """
-    from .classgroup import class_group  # deferred: classgroup imports this module
-
-    L = cubic_subfield(ell)
-    cg = class_group(L)
-    if cg.h % 4 != 0:
-        raise FieldError(
-            f"conductor {ell} fails the class-number condition "
-            f"(h = {cg.h} is not divisible by 4); no A4 quartic of discriminant {ell}^2 exists"
-        )
     ell2 = ell * ell
 
     def scan():

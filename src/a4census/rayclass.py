@@ -237,12 +237,6 @@ class RayClass3Quotient:
     free_cols: tuple
     cg: ClassGroupData
 
-    def local_phi(self, el):
-        out = []
-        for b in self.blocks:
-            out.extend(b.philog(el))
-        return out
-
     def reduce_to_quotient(self, vec):
         res = linalg.residual_mod_p([list(r) for r in self.rel_rref], list(self.rel_pivots), list(vec), 3)
         return tuple(res[c] for c in self.free_cols)

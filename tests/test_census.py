@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from a4census import census, classgroup, rayclass
+from a4census import census, classgroup, fields, rayclass
 from a4census.census import (
     CensusRow,
     VerificationError,
@@ -48,6 +48,43 @@ def test_load_conductor_rejects_wrong_poly():
     cfg = Config(ell=163, cubic_poly=(-1, -20, -17, 1), use_cache=False)  # the 349 cubic
     with pytest.raises(VerificationError):
         load_conductor(cfg)
+
+
+def test_cold_load_runs_each_stage_once(monkeypatch):
+    # h(L) and h(F) are the only class groups, L is built once, and the
+    # quartic search builds neither again
+    calls = {"class_group": 0, "cubic_subfield": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (census, classgroup):
+        monkeypatch.setattr(mod, "class_group", counted("class_group", classgroup.class_group))
+    for mod in (census, fields):
+        monkeypatch.setattr(mod, "cubic_subfield", counted("cubic_subfield", fields.cubic_subfield))
+    load_conductor(Config(ell=163, use_cache=False))
+    assert calls == {"class_group": 2, "cubic_subfield": 1}
+
+
+def test_cache_record_reads_alike_with_or_without_quartic_poly(tmp_path, monkeypatch):
+    # Records once also carried "quartic_poly"; F comes from "F" either way.
+    monkeypatch.setenv("A4CENSUS_CACHE", str(tmp_path))
+    cold = load_conductor(Config(ell=163))
+    path = tmp_path / "conductor_163.json"
+    record = json.loads(path.read_text())
+    assert set(record) == {"version", "ell", "L", "F"}
+
+    def no_search(ell):
+        raise AssertionError("a cached load searched for F")
+
+    monkeypatch.setattr(census, "quartic_field_search", no_search)
+    assert load_conductor(Config(ell=163)).F == cold.F
+    path.write_text(json.dumps(dict(record, quartic_poly=list(cold.F.poly))))
+    assert load_conductor(Config(ell=163)).F == cold.F
 
 
 def test_loaded_prime_labels(conductor):

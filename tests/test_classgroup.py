@@ -25,6 +25,7 @@ from a4census.classgroup import (
     unit_group,
 )
 from a4census.fields import (
+    FieldError,
     cubic_subfield,
     element_in_ideal,
     factor_rational_prime,
@@ -139,6 +140,15 @@ def test_saturation_is_idempotent():
     twice, swaps = saturate_units_at_3(F, once)
     assert swaps == 0
     assert tuple(tuple(x) for x in twice) == tuple(tuple(x) for x in once)
+
+
+def test_unit_group_overflow_is_a_field_error(monkeypatch):
+    # An enumeration too dense for its limit ends the search: with no
+    # seeds the missing units are a FieldError, not a RuntimeError.
+    real = linalg.short_vectors
+    monkeypatch.setattr(linalg, "short_vectors", lambda gram, bound, limit: real(gram, bound, 1))
+    with pytest.raises(FieldError, match="independent units"):
+        unit_group(cubic_subfield(163))
 
 
 def test_unit_group_saturates_a_cubed_seed(conductor):

@@ -24,8 +24,6 @@ def test_read_config_full(tmp_path):
         "cubic_poly = -1 -14 -11 1\n"
         "quartic_poly = 9, -2, -7, 1, 1\n"
         "units = 1 0 0 0; 0 1 0 0\n"
-        "condition3 = true\n"
-        "condition4 = false\n"
         "[census]\n"
         "max_v = 5000\n"
         "checkpoints = 1000, 5000\n"
@@ -39,7 +37,6 @@ def test_read_config_full(tmp_path):
     assert cfg.cubic_poly == (-1, -14, -11, 1)
     assert cfg.quartic_poly == (9, -2, -7, 1, 1)
     assert cfg.units == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert cfg.external_flags == {"condition3": True, "condition4": False}
     assert cfg.max_v == 5000
     assert cfg.checkpoints == (1000, 5000)
     assert cfg.workers == 2
@@ -70,6 +67,7 @@ def test_read_config_errors(tmp_path):
     [
         ("[conductor]\nell = 163\n[census]\nseed = 9\n", "census", "seed"),
         ("[conductor]\nell = 163\nquartic = 9 -2 -7 1 1\n", "conductor", "quartic"),
+        ("[conductor]\nell = 163\ncondition3 = true\n", "conductor", "condition3"),
         ("[conductor]\nell = 163\n[output]\nfmt = csv\n", "output", "fmt"),
     ],
 )
@@ -93,7 +91,7 @@ def test_shipped_configs(ell):
     assert cfg.ell == ell
     assert cfg.cubic_poly is not None
     assert cfg.quartic_poly is not None
-    assert cfg.external_flags == {"condition3": True, "condition4": True}
+    assert cfg.units is None
 
 
 def test_shipped_config_missing():
@@ -141,4 +139,4 @@ def test_config_defaults():
     assert cfg.use_cache is True
     assert cfg.workers == 1
     assert cfg.fmt == "csv"
-    assert cfg.external_flags == {}
+    assert cfg.checkpoints is None

@@ -110,6 +110,17 @@ def test_known_quartic_polynomials():
     assert tuple(quartic_field_search(349).poly) == (15, -11, -13, 0, 1)
 
 
+def test_quartic_search_builds_no_class_group(monkeypatch):
+    # the 4 | h(L) screen belongs to load_conductor; the search is pure
+    from a4census import classgroup
+
+    def no_class_group(*args, **kwargs):
+        raise AssertionError("the quartic search built a class group")
+
+    monkeypatch.setattr(classgroup, "class_group", no_class_group)
+    assert tuple(quartic_field_search(163).poly) == (9, -2, -7, 1, 1)
+
+
 def test_quartic_277_has_nontrivial_index():
     F = quartic_field_search(277)
     assert F.index == 4

@@ -190,6 +190,14 @@ def test_factorization_checks_hold_under_optimize():
             arith.factor_poly_mod_p((1, 0, 1), 5)
         except ArithmeticError:
             print("ArithmeticError")
+        try:
+            fields._pm_invmod((0, 1), (0, 0, 1), 5)  # x shares a factor with x^2
+        except FieldError:
+            print("FieldError")
+        try:
+            fields._pm_quot((1, 0, 1), (0, 1), 5)  # x^2 + 1 = x * x + 1
+        except FieldError:
+            print("FieldError")
         """
     )
     src = str(Path(a4census.__file__).resolve().parents[1])
@@ -199,7 +207,7 @@ def test_factorization_checks_hold_under_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["FieldError", "ArithmeticError"]
+    assert out.stdout.split() == ["FieldError", "ArithmeticError", "FieldError", "FieldError"]
 
 
 def test_moving_modulus_classification_spot_check(conductor):
