@@ -5,8 +5,12 @@ field of conductor ell inside Q(zeta_ell), and a totally real quartic
 A4-field F of discriminant ell^2.  An auxiliary prime v != ell counts
 when v = 1 mod 3 and Frobenius at v acts on the roots of F with cycle
 type (3,1), so v splits in F as v1 * v2 with residue degrees 3 and 1.
-That is the set C^(3); its members are then sorted by two mod-3 ray
-class conditions on the degree-3 prime v1:
+That is the set C^(3).  Since Gal(L/Q) = A4/V4 and the elements of
+A4 outside V4 are the 3-cycles, a prime v not dividing 3 * ell * [O_F :
+Z[theta]] lies in C^(3) exactly when v = 1 mod 3 and v is not a cube
+mod ell (v^((ell-1)/3) != 1 mod ell); fast_classify uses this gate and
+classify_prime factors v in F.  The members of C^(3) are then sorted by
+two mod-3 ray class conditions on the degree-3 prime v1:
 
   * v lies in C^(tau-bar) when v1 becomes trivial in the fixed quotient
     Cl_{3_1^2 ell_2} (x) F_3, the Galois group of the cubic governing
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, linalg
-from .arith import factorize, pm_gcd, pm_pow_xn, pm_sub, poly_deg, primes_in_range
+from .arith import factorize, primes_in_range
 from .classgroup import (
     ClassGroupData,
     UnitData,
@@ -355,7 +359,16 @@ def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
 def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     """Classify one auxiliary prime via principality certificates.
 
-    Agrees with classify_prime everywhere.  The moving quotient is
+    Agrees with classify_prime everywhere.  Membership in C^(3) is
+    decided by the C3 gate: v = 1 mod 3 and v^((ell-1)/3) != 1 mod ell.
+    This is exact for every prime that is not excluded: Frobenius at v
+    has cycle type (3,1) on the roots of F exactly when it has order 3
+    in A4, that is when its image in A4/V4 = Gal(L/Q) is nontrivial,
+    which happens exactly when v is not a cube mod ell; and v prime to
+    3 * ell * index keeps f squarefree mod v.  Only C3 primes reach the
+    polynomial work: the one root r of f mod v (_quartic_root), whose
+    absence raises VerificationError("root"), gives v2 = (v, theta - r)
+    and v1 from the cubic cofactor.  The moving quotient is
     presented on the four local coordinates only (three wild, one tame
     at v_2), with unit images as relations.  v1 is split by
     classgroup.smooth_split over the factor base, and each cofactor
@@ -366,11 +379,13 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
         return PrimeClassification(v, False, skipped=True)
-    if v % 3 != 1:
+    if v % 3 != 1 or pow(v, (cd.ell - 1) // 3, cd.ell) == 1:
         return PrimeClassification(v, False)
-    root = _single_root(cd.F.poly, v)
+    root = _quartic_root(cd.F.poly, v)
     if root is None:
-        return PrimeClassification(v, False)
+        raise VerificationError(
+            "root", f"{v} passed the C3 gate, but f mod {v} does not have exactly one root"
+        )
     r, cofactor = root
 
     F = cd.F
@@ -415,26 +430,57 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     return PrimeClassification(v, True, in_lambda, in_taubar)
 
 
-def _single_root(f, v: int):
-    """(root, monic cubic cofactor) when f mod v has cycle type (3,1).
+def _quartic_root(f, v: int):
+    """(root, monic cubic cofactor) when f has exactly one distinct root mod v.
 
-    The number of roots of f mod v is deg gcd(x^v - x, f).  When it is
-    one, the remaining cubic factor has no roots, hence is irreducible,
-    so the cycle type check needs no full factorization.
+    f is a monic quartic, constant term first; returns None for any
+    other root count.  The distinct roots of f mod v are those of
+    gcd(x^v - x, f) (Cohen, GTM 138, 1.6).  x^v mod (f, v) is built by
+    square and multiply on coefficient 4-tuples, reducing with
+    x^4 = n0 + n1 x + n2 x^2 + n3 x^3.
     """
-    fv = tuple(c % v for c in f)
-    xv = pm_pow_xn(v, fv, v)
-    lin = pm_gcd(pm_sub(xv, (0, 1), v), fv, v)
-    if poly_deg(lin) != 1:
+    n0, n1, n2, n3 = (-c % v for c in f[:4])
+    a0, a1, a2, a3 = 0, 1, 0, 0
+    for bit in bin(v)[3:]:
+        # square: the x^6, x^5, x^4 coefficients fold back below x^4
+        d6 = a3 * a3 % v
+        d5 = (2 * a2 * a3 + d6 * n3) % v
+        d4 = (a2 * a2 + 2 * a1 * a3 + d6 * n2 + d5 * n3) % v
+        a0, a1, a2, a3 = (
+            (a0 * a0 + d4 * n0) % v,
+            (2 * a0 * a1 + d5 * n0 + d4 * n1) % v,
+            (a1 * a1 + 2 * a0 * a2 + d6 * n0 + d5 * n1 + d4 * n2) % v,
+            (2 * (a0 * a3 + a1 * a2) + d6 * n1 + d5 * n2 + d4 * n3) % v,
+        )
+        if bit == "1":  # times x
+            a0, a1, a2, a3 = (
+                a3 * n0 % v, (a0 + a3 * n1) % v, (a1 + a3 * n2) % v, (a2 + a3 * n3) % v
+            )
+    # gcd(x^v - x, f) by Euclid on coefficient lists
+    a, b = [c % v for c in f], [a0, (a1 - 1) % v, a2, a3]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, v)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % v
+            s = len(a) - db
+            for j in range(db):
+                a[s + j] = (a[s + j] - c * b[j]) % v
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    if len(a) != 2:
         return None
-    r = (-lin[0]) % v
+    r = -a[0] * pow(a[1], -1, v) % v
     # synthetic division of f by (x - r) mod v
-    out = [0] * (len(fv) - 1)
+    out = [0] * 4
     acc = 0
-    for i in range(len(fv) - 1, 0, -1):
-        acc = (acc * r + fv[i]) % v
+    for i in range(4, 0, -1):
+        acc = (acc * r + f[i]) % v
         out[i - 1] = acc
-    if (acc * r + fv[0]) % v:
+    if (acc * r + f[0]) % v:
         raise VerificationError("root", f"{r} is not a root of the defining polynomial mod {v}")
     return r, tuple(out)
 

@@ -3,6 +3,10 @@
 Building ConductorData re-verifies every field/class/ray invariant and
 a census to 1e5 takes a few seconds, so both are computed once per
 session and shared across test modules.
+
+The field cache lives in a temporary directory for the whole session,
+so the suite neither reads nor writes the user's cache.  Tests that set
+A4CENSUS_CACHE themselves (monkeypatch.setenv) override it as before.
 """
 
 import time
@@ -10,11 +14,19 @@ import time
 import pytest
 
 from a4census.census import load_conductor, run_census
+from a4census.config import CACHE_ENV
 
 CONDUCTORS = (163, 277, 349)
 
 _CD = {}
 _RUNS = {}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_ENV, str(tmp_path_factory.mktemp("a4census-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

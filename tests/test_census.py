@@ -2,13 +2,21 @@
 
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from a4census import census, classgroup, fields, rayclass
+import a4census
+from a4census import arith, census, classgroup, fields, rayclass
 from a4census.census import (
     CensusRow,
     VerificationError,
@@ -161,6 +169,74 @@ def test_c3_membership_against_sympy(conductor):
             continue
         degrees = sorted(g.degree() for g, _ in sympy.Poly(expr, x, modulus=v).factor_list()[1])
         assert res.in_C3 == (degrees == [1, 3])
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_c3_gate_matches_the_reference_factorization(conductor, ell, monkeypatch):
+    # The gate (v not a cube mod ell) against the residue degrees of the
+    # reference route's factorization of v in F; primes the gate rejects
+    # never reach the root kernel.
+    cd = conductor(ell)
+    kernel = census._quartic_root
+    reached = []
+    monkeypatch.setattr(census, "_quartic_root", lambda f, v: reached.append(v) or kernel(f, v))
+    c3 = []
+    for v in arith.primes_in_range(2, 2 * 10**4):
+        if v % 3 != 1 or cd.excluded(v):
+            continue
+        in_c3 = sorted(P.f for P in fields.factor_rational_prime(cd.F, v)) == [1, 3]
+        assert fast_classify(cd, v).in_C3 == in_c3, v
+        if in_c3:
+            c3.append(v)
+    assert reached == c3
+
+
+def test_gate_and_root_count_check_holds_under_optimize():
+    # a C3 prime whose polynomial has no single root is an explicit error,
+    # so the cross-check of the gate still fires with assertions stripped
+    code = textwrap.dedent(
+        """
+        from a4census import census
+        from a4census.census import VerificationError, fast_classify, load_conductor
+
+        cd = load_conductor(163)
+        census._quartic_root = lambda f, v: None  # no root on a C3 prime
+        try:
+            fast_classify(cd, 7)
+        except VerificationError as exc:
+            print(exc.check)
+        """
+    )
+    src = str(Path(a4census.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["root"]
+
+
+monic_quartic = st.lists(
+    st.integers(min_value=-(10**7), max_value=10**7), min_size=4, max_size=4
+).map(lambda c: tuple(c) + (1,))
+kernel_prime = st.one_of(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 31, 163]),
+    st.integers(min_value=10**6, max_value=10**9).map(sympy.nextprime),
+)
+
+
+@given(monic_quartic, kernel_prime)
+@settings(max_examples=200, deadline=None)
+def test_quartic_root_matches_distinct_roots(f, v):
+    roots = arith.distinct_roots_mod_p(f, v)
+    got = census._quartic_root(f, v)
+    if len(roots) != 1:
+        assert got is None
+        return
+    r, cofactor = got
+    assert [r] == roots
+    assert arith.pm_mul((-r, 1), cofactor, v) == arith.pm_reduce(f, v)
 
 
 def test_excluded_primes_are_skipped(conductor):
