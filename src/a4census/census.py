@@ -39,6 +39,7 @@ order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -69,7 +70,6 @@ from .fields import (
     factor_rational_prime,
     field_from_record,
     field_to_record,
-    ideal_from_elements,
     ideal_norm,
     ideal_pow,
     new_number_field,
@@ -367,14 +367,16 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     which happens exactly when v is not a cube mod ell; and v prime to
     3 * ell * index keeps f squarefree mod v.  Only C3 primes reach the
     polynomial work: the one root r of f mod v (_quartic_root), whose
-    absence raises VerificationError("root"), gives v2 = (v, theta - r)
-    and v1 from the cubic cofactor.  The moving quotient is
-    presented on the four local coordinates only (three wild, one tame
-    at v_2), with unit images as relations.  v1 is split by
-    classgroup.smooth_split over the factor base, and each cofactor
-    prime Q is moved into that presentation through its certificate
-    Q^m = (gamma) from cd.certs, built at load; m is prime to 3 because
-    3 does not divide h(F).
+    absence raises VerificationError("root"), gives v2 = (v, theta - r),
+    and the cubic cofactor g gives v1 = vO + Z g(theta) in closed form
+    (_degree3_prime; g(theta) = 0 mod v raises VerificationError
+    ("v1-norm")).  The moving quotient is presented on the four local
+    coordinates only (three wild, one tame at v_2), with unit images as
+    relations.  v1 is split by classgroup.smooth_split over the factor
+    base, keeping the first alpha whose cofactor norm N(alpha)/v^3 is
+    prime to 3 * ell * v, and each cofactor prime Q is moved into that
+    presentation through its certificate Q^m = (gamma) from cd.certs,
+    built at load; m is prime to 3 because 3 does not divide h(F).
     """
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
@@ -388,19 +390,13 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
         )
     r, cofactor = root
 
-    F = cd.F
-    gtheta = _poly_at_theta(F, cofactor)
-    v1 = ideal_from_elements(F, [gtheta], rational=v)
-    if ideal_norm(v1) != v**3:
-        raise VerificationError("v1-norm", f"degree-3 prime part over {v} has the wrong norm")
-    tame_v = _tame_line(F, v, r)
+    v1 = _degree3_prime(_poly_at_theta(cd.F, cofactor), v)
+    tame_v = _tame_line(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(
-        cd.cg, v1, usable=lambda el: math.gcd(abs(F.el_norm(el)) // v**3, avoid) == 1
-    )
+    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1)
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -483,6 +479,25 @@ def _quartic_root(f, v: int):
     if (acc * r + f[0]) % v:
         raise VerificationError("root", f"{r} is not a root of the defining polynomial mod {v}")
     return r, tuple(out)
+
+
+def _degree3_prime(gtheta, v: int):
+    """HNF of v1 = vO + Z g(theta), the degree-3 prime over v.
+
+    For v prime to the index, O/vO = F_v[x]/(x - r) x F_v[x]/(g), and
+    g(theta) spans the line F_v x 0 that is v1/vO.  With k the first
+    coordinate of g(theta) that is nonzero mod v, the HNF is v times the
+    identity with row k replaced by g(theta) / g(theta)_k mod v: one
+    modular inverse in place of an ideal HNF (Cohen, GTM 138, 4.8).
+    """
+    k = next((i for i, c in enumerate(gtheta) if c % v), None)
+    if k is None:
+        raise VerificationError("v1-norm", f"g(theta) vanishes mod {v}: no degree-3 prime over {v}")
+    inv = pow(gtheta[k], -1, v)
+    n = len(gtheta)
+    rows = [tuple(v * (i == j) for j in range(n)) for i in range(n)]
+    rows[k] = tuple(c * inv % v for c in gtheta)
+    return rows
 
 
 def _tame_line(K: NumberField, v: int, r: int) -> TameBlock:
@@ -584,40 +599,43 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     Primes beyond the last checkpoint are never classified.  Work is cut
     into fixed CHUNK-sized ranges (checkpoints always land on segment
     boundaries), so the merged rows do not depend on the worker count.
-    Pool workers receive cd itself and never reload the conductor.
+    Pool workers receive cd itself and never reload the conductor.  With
+    `jsonl` (a path, or "-" for stdout) each C3 prime's record is written
+    in order as its segment is merged, not held until the end.
     """
     cps = _checkpoints_for(N, checkpoints)
     limit = cps[-1]
     segs = _segments(limit, cps)
     want_detail = jsonl is not None
 
-    if workers <= 1:
-        results = (_count_segment(cd, lo, hi, want_detail) for lo, hi in segs)
-        rows, detail_lines = _merge_segments(cd, segs, results, cps)
+    if jsonl is None:
+        sink = contextlib.nullcontext(None)
+    elif jsonl == "-":
+        sink = contextlib.nullcontext(sys.stdout)
     else:
+        sink = open(jsonl, "w")
+    with sink as out:
+        if workers <= 1:
+            results = (_count_segment(cd, lo, hi, want_detail) for lo, hi in segs)
+            return _merge_segments(cd, segs, results, cps, out)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(cd,)
         ) as pool:
             results = pool.map(
                 _worker_count, [(lo, hi, want_detail) for lo, hi in segs], chunksize=8
             )
-            rows, detail_lines = _merge_segments(cd, segs, results, cps)
-    if jsonl is not None:
-        if jsonl == "-":
-            for line in detail_lines:
-                sys.stdout.write(line + "\n")
-        else:
-            with open(jsonl, "w") as fh:
-                for line in detail_lines:
-                    fh.write(line + "\n")
-    return rows
+            return _merge_segments(cd, segs, results, cps, out)
 
 
-def _merge_segments(cd, segs, results, cps):
+def _merge_segments(cd, segs, results, cps, out):
+    """Fold the segment results in order into checkpoint rows.
+
+    Each segment's detail lines go to `out` (when given) as it is
+    merged, so a long census holds at most one segment's lines.
+    """
     rows = []
     c3 = cl = ct = cb = done = 0
     cps_left = list(cps)
-    detail_lines = []
     for (lo, hi), res in zip(segs, results):
         sc3, scl, sct, scb, sdone, detail = res
         c3 += sc3
@@ -626,7 +644,8 @@ def _merge_segments(cd, segs, results, cps):
         cb += scb
         done += sdone
         if detail:
-            detail_lines.extend(detail)
+            out.write("".join(line + "\n" for line in detail))
+            out.flush()
         if cps_left and hi == cps_left[0]:
             cps_left.pop(0)
             rows.append(CensusRow(hi, c3, cl, ct, cb, done))
@@ -634,7 +653,7 @@ def _merge_segments(cd, segs, results, cps):
                 "conductor %d: n=%d |C3|=%d lambda=%d taubar=%d both=%d",
                 cd.ell, hi, c3, cl, ct, cb,
             )
-    return rows, detail_lines
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ trace-form order).  Ideal class coordinates, the ray-class Artin map
 (rayclass.artin_vector) and the fast census classifier
 (census.fast_classify) all go through it.
 
+Valuations are read off the norm where that is exact.  N((alpha)) is
+the product of N(P)^v_P(alpha), so when alpha lies in exactly one
+prime P above p, v_P(alpha) = v_p(N(alpha)) / f(P); in a split, where
+the cofactor of an ideal A is wanted, this holds at every p prime to
+N(A).  Only when alpha lies in two or more primes above p, or p divides
+N(A), are the valuations found by powering P (element_valuation).  The
+relation harvest and smooth_split share this rule (_valuations_above).
+
 Units come from their own search (unit_group: norm +-1 elements of the
 maximal order in trace-form order, after any seeds from the conductor
 config), not from class-group byproducts.  They are certified
@@ -52,6 +60,7 @@ from .fields import (
     FieldError,
     NumberField,
     PrimeIdeal,
+    element_in_ideal,
     element_valuation,
     factor_rational_prime,
     ideal_contains,
@@ -135,8 +144,8 @@ class _FBContext:
         vec = [0] * len(self.fb)
         for p, ep in fac.items():
             got = 0
-            for P in self.above[p]:
-                v = element_valuation(K, alpha, P)
+            above = self.above[p]
+            for P, v in zip(above, _valuations_above(K, alpha, above, ep)):
                 if v:
                     idx = self.index.get(P.key())
                     if idx is None:
@@ -148,6 +157,24 @@ class _FBContext:
         return tuple(vec)
 
 
+def _valuations_above(K: NumberField, el, above, ep: int):
+    """v_P(el) for each P in `above`, all the primes over p, where p^ep || N(el).
+
+    N((el)) is the product of N(P)^v_P(el) with N(P) = p^f(P), so when el
+    lies in exactly one P above p, v_P(el) = ep / f(P) and no power of P
+    is formed; in every other case each valuation comes from
+    element_valuation.
+    """
+    inside = [element_in_ideal(P.hnf, el) for P in above]
+    if sum(inside) == 1:
+        P = above[inside.index(True)]
+        v, rem = divmod(ep, P.f)
+        if rem:
+            raise FieldError(f"norm exponent {ep} at {P.p} is not a multiple of f = {P.f}")
+        return [v if hit else 0 for hit in inside]
+    return [element_valuation(K, el, P) if hit else 0 for P, hit in zip(above, inside)]
+
+
 def _combine(coeffs, rows):
     """sum_i coeffs[i] * rows[i], as a coordinate tuple."""
     return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0])))
@@ -155,9 +182,8 @@ def _combine(coeffs, rows):
 
 def _reduced_basis(K: NumberField, rows):
     """LLL-reduced basis of the lattice `rows` and its trace-form Gram matrix."""
-    T = linalg.lll_gram(linalg.gram_matrix(rows, K.trace_gram))
-    red = [_combine(t, rows) for t in T]
-    return red, linalg.gram_matrix(red, K.trace_gram)
+    T, red_gram = linalg.lll_gram(linalg.gram_matrix(rows, K.trace_gram))
+    return [_combine(t, rows) for t in T], red_gram
 
 
 def _start_bound(K: NumberField, covol_sq) -> int:
@@ -369,45 +395,55 @@ def smooth_split(cg: ClassGroupData, A, usable=None):
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
     for the first candidate of ideal_short_elements(A) that `usable`
     (when given) accepts and whose cofactor factors over the base; None
-    when every candidate fails.
+    when every candidate fails.  The cofactor norm N(alpha)/N(A) is taken
+    once per candidate, and `usable(alpha, cofactor_norm)` receives it.
     """
     K = cg.field
     ctx = cg.fb_ctx
     nA = ideal_norm(A)
     val_A = {}
     for el in ideal_short_elements(K, A):
-        if usable is not None and not usable(el):
-            continue
         total, rem = divmod(abs(K.el_norm(el)), nA)
         if rem:
             raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
+        if usable is not None and not usable(el, total):
+            continue
         fac = ctx.factor(total)
         if fac is None:
             continue
-        vec = _cofactor_vector(ctx, A, el, fac, val_A)
+        vec = _cofactor_vector(ctx, A, nA, el, fac, val_A)
         if vec is not None and math.prod(P.norm**v for P, v in zip(ctx.fb, vec)) == total:
             return el, vec
     return None
 
 
-def _cofactor_vector(ctx: _FBContext, A, el, fac, val_A):
+def _cofactor_vector(ctx: _FBContext, A, nA, el, fac, val_A):
     """Valuations of (el)/A over the factor base at the primes above `fac`.
 
-    None when a prime outside the base divides the cofactor; val_A
-    memoizes v_P(A) across the candidates of one split.
+    None when a prime outside the base divides the cofactor.  At a p
+    prime to N(A), A is a unit at every prime above p and the valuations
+    of el come from _valuations_above; elsewhere val_A memoizes v_P(A)
+    across the candidates of one split.
     """
     K = ctx.K
     vec = [0] * len(ctx.fb)
-    for p in fac:
-        for P in ctx.above[p]:
-            key = P.key()
-            if key not in val_A:
-                val_A[key] = _ideal_valuation(K, A, P)
-            v = element_valuation(K, el, P) - val_A[key]
-            if v < 0:
-                raise FieldError("element of the ideal has a smaller valuation than the ideal")
+    for p, ep in fac.items():
+        above = ctx.above[p]
+        if nA % p:
+            vals = _valuations_above(K, el, above, ep)
+        else:
+            vals = []
+            for P in above:
+                key = P.key()
+                if key not in val_A:
+                    val_A[key] = _ideal_valuation(K, A, P)
+                v = element_valuation(K, el, P) - val_A[key]
+                if v < 0:
+                    raise FieldError("element of the ideal has a smaller valuation than the ideal")
+                vals.append(v)
+        for P, v in zip(above, vals):
             if v:
-                idx = ctx.index.get(key)
+                idx = ctx.index.get(P.key())
                 if idx is None:
                     return None
                 vec[idx] = v

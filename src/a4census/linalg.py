@@ -284,9 +284,10 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 def lll_gram(gram, delta=Fraction(3, 4)):
     """LLL-reduce a basis known only through its Gram matrix.
 
-    Returns the unimodular transform rows T, so the reduced basis is
-    T applied to the original one and its Gram matrix is T G T^t.
-    The form must be positive definite.
+    Returns (T, B): the unimodular transform rows T, so the reduced
+    basis is T applied to the original one, and B = T G T^t, the exact
+    Gram matrix of the reduced basis, which the reduction keeps up to
+    date anyway.  The form must be positive definite.
 
     All-integer variant: instead of rational Gram-Schmidt data it
     carries d[i] (the leading i x i Gram determinants) and the scaled
@@ -295,7 +296,7 @@ def lll_gram(gram, delta=Fraction(3, 4)):
     """
     n = len(gram)
     if n == 0:
-        return []
+        return [], []
     dn, dd = delta.numerator, delta.denominator
     b = [[int(x) for x in row] for row in gram]  # Gram of the current basis
     h = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -357,7 +358,7 @@ def lll_gram(gram, delta=Fraction(3, 4)):
                 lam[i][k - 1] = (newd * t + lam_ * lam[i][k]) // d[k + 1]
             d[k] = newd
             k = max(k - 1, 1)
-    return [tuple(r) for r in h]
+    return [tuple(r) for r in h], b
 
 
 def gram_matrix(rows, form):

@@ -342,7 +342,7 @@ def artin_vector(q: RayClass3Quotient, A):
             raise FieldError("ideal is not coprime to the modulus")
     if q.dim == 0:
         return ()
-    split = smooth_split(q.cg, A, usable=lambda el: _coprime_to_modulus(m, el))
+    split = smooth_split(q.cg, A, usable=lambda el, _cofactor_norm: _coprime_to_modulus(m, el))
     if split is None:
         raise FieldError("no smooth coprime representative found for the Artin input")
     alpha, cof_vec = split

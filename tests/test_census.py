@@ -217,6 +217,68 @@ def test_gate_and_root_count_check_holds_under_optimize():
     assert out.stdout.split() == ["root"]
 
 
+def _c3_primes(cd, lo, hi, count=None):
+    out = []
+    for v in arith.primes_in_range(lo, hi):
+        if cd.excluded(v) or v % 3 != 1 or pow(v, (cd.ell - 1) // 3, cd.ell) == 1:
+            continue
+        out.append(v)
+        if len(out) == count:
+            break
+    return out
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_closed_form_v1_matches_the_ideal_hnf(conductor, ell):
+    # vO + Z g(theta) in closed form against the HNF of (v, g(theta)) on
+    # every C3 prime below 2*10^4 and 20 above 10^6; above 10^6 also
+    # against the reference route's degree-3 prime.
+    cd = conductor(ell)
+    F = cd.F
+    high = _c3_primes(cd, 10**6, 10**6 + 10**4, count=20)
+    assert len(high) == 20
+    for v in _c3_primes(cd, 2, 2 * 10**4) + high:
+        _, cofactor = census._quartic_root(F.poly, v)
+        gtheta = fields._poly_at_theta(F, cofactor)
+        v1 = census._degree3_prime(gtheta, v)
+        assert v1 == ideal_from_elements(F, [gtheta], rational=v), v
+        if v > 10**6:
+            (ref,) = [P for P in fields.factor_rational_prime(F, v) if P.f == 3]
+            assert v1 == list(ref.hnf), v
+
+
+def test_v1_norm_check_holds_under_optimize():
+    # a cubic cofactor with g(theta) = 0 mod v is an explicit error, so the
+    # v1 check still fires with assertions stripped
+    code = textwrap.dedent(
+        """
+        from a4census import census
+        from a4census.census import VerificationError, fast_classify, load_conductor
+
+        cd = load_conductor(163)
+        kernel = census._quartic_root
+
+        def vanishing_cofactor(f, v):
+            r, cofactor = kernel(f, v)
+            return r, tuple(v * c for c in cofactor)
+
+        census._quartic_root = vanishing_cofactor
+        try:
+            fast_classify(cd, 7)
+        except VerificationError as exc:
+            print(exc.check)
+        """
+    )
+    src = str(Path(a4census.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["v1-norm"]
+
+
 monic_quartic = st.lists(
     st.integers(min_value=-(10**7), max_value=10**7), min_size=4, max_size=4
 ).map(lambda c: tuple(c) + (1,))
@@ -377,6 +439,26 @@ def test_jsonl_stream(conductor, tmp_path):
     assert both == rows[0].c_both
     vs = [r["v"] for r in recs]
     assert vs == sorted(vs)
+
+
+def test_jsonl_lines_reach_disk_before_the_last_segment(conductor, tmp_path, monkeypatch):
+    # run_census writes each segment's lines as it merges them: when the
+    # last segment is classified, every earlier C3 line is already in the file
+    cd = conductor(163)
+    out = tmp_path / "d.jsonl"
+    count = census._count_segment
+    seen = {}
+
+    def spy(cd_, lo, hi, want_detail):
+        if hi == 3000:
+            seen["lines"] = out.read_text().splitlines()
+        return count(cd_, lo, hi, want_detail)
+
+    monkeypatch.setattr(census, "_count_segment", spy)
+    rows = run_census(cd, 3000, checkpoints=(2000, 3000), jsonl=str(out))
+    assert len(seen["lines"]) == rows[0].c3 > 0
+    assert out.read_text().splitlines()[: rows[0].c3] == seen["lines"]
+    assert len(out.read_text().splitlines()) == rows[1].c3
 
 
 # ---------------------------------------------------------------------------

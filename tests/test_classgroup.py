@@ -1,5 +1,6 @@
 """Class groups, units, and 3-saturation on the census fields."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -8,6 +9,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import a4census
 from a4census import arith, linalg
@@ -15,6 +18,7 @@ from a4census.classgroup import (
     _coefficient_boxes,
     _reduced_basis,
     _start_bound,
+    _valuations_above,
     class_group,
     exact_cube_root,
     ideal_class_coordinates,
@@ -28,6 +32,7 @@ from a4census.fields import (
     FieldError,
     cubic_subfield,
     element_in_ideal,
+    element_valuation,
     factor_rational_prime,
     ideal_eq,
     ideal_from_elements,
@@ -197,19 +202,55 @@ def test_smooth_split_factors_the_principal_ideal(conductor, ell):
     cd = conductor(ell)
     F = cd.F
 
-    def coprime_to_fixed_modulus(el):
+    def coprime_to_fixed_modulus(el, cofactor_norm):
+        assert cofactor_norm * ideal_norm(v1.hnf) == abs(F.el_norm(el))
         return not element_in_ideal(cd.p31.hnf, el) and not element_in_ideal(cd.l2.hnf, el)
 
     for v1 in _degree3_primes(F, 10**6, 3):
         for usable in (None, coprime_to_fixed_modulus):
             alpha, vec = smooth_split(cd.cg, v1.hnf, usable=usable)
-            assert usable is None or usable(alpha)
+            assert usable is None or usable(alpha, abs(F.el_norm(alpha)) // ideal_norm(v1.hnf))
             assert len(vec) == len(cd.cg.factor_base)
             rhs = list(v1.hnf)
             for P, e in zip(cd.cg.factor_base, vec):
                 if e:
                     rhs = ideal_mul(F, rhs, ideal_pow(F, list(P.hnf), e))
             assert ideal_eq(ideal_from_elements(F, [alpha]), rhs)
+
+
+small_element = st.tuples(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=4, max_size=4).filter(any),
+    st.sampled_from([1, 2, 3]),  # power
+    st.sampled_from([1, 2, 3, 4, 5, 7]),  # rational multiplier
+)
+
+
+@pytest.mark.parametrize("ell", [163, 277])
+@given(small_element)
+@settings(max_examples=60, deadline=None)
+def test_valuations_read_off_the_norm_match_element_valuation(conductor, ell, spec):
+    # every prime above each p <= 50, 277's index prime 2 included; the
+    # multiplier puts an element in all primes above p (the fallback)
+    cd = conductor(ell)
+    F = cd.F
+    coords, power, k = spec
+    el = tuple(k * x for x in F.el_pow(tuple(coords), power))
+    norm = abs(F.el_norm(el))
+    for p in arith.primes_upto(50):
+        ep = 0
+        while norm % p ** (ep + 1) == 0:
+            ep += 1
+        if not ep:
+            continue
+        above = _primes_above(F, p)
+        expected = [element_valuation(F, el, P) for P in above]
+        assert _valuations_above(F, el, above, ep) == expected, (p, el)
+        assert sum(v * P.f for v, P in zip(expected, above)) == ep
+
+
+@functools.cache
+def _primes_above(F, p):
+    return factor_rational_prime(F, p)
 
 
 @pytest.mark.parametrize("ell", [163, 277])
@@ -259,7 +300,7 @@ def test_short_element_stream_ends_at_enumeration_overflow(conductor):
     cd = conductor(163)
     (v1,) = [P for P in factor_rational_prime(cd.F, 1000003) if P.f == 3]
     assert sum(1 for _ in ideal_short_elements(cd.F, v1.hnf)) == 4005
-    assert smooth_split(cd.cg, v1.hnf, usable=lambda el: False) is None
+    assert smooth_split(cd.cg, v1.hnf, usable=lambda el, cofactor_norm: False) is None
 
 
 def test_smooth_split_rejects_a_non_ideal_under_optimize():

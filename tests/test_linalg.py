@@ -137,9 +137,10 @@ def _transformed_gram(gram, t):
     return [[sum(rows[i][b] * t[j][b] for b in range(m)) for j in range(n)] for i in range(n)]
 
 
-def _check_reduced(gram, t, delta=Fraction(3, 4)):
+def _check_reduced(gram, t, reduced_gram, delta=Fraction(3, 4)):
     assert abs(det_bareiss([list(r) for r in t])) == 1
     g2 = _transformed_gram(gram, t)
+    assert [list(r) for r in reduced_gram] == g2  # the returned Gram is T G T^t
     mu, b = _rational_gso(g2)
     n = len(g2)
     for i in range(n):
@@ -163,8 +164,8 @@ basis_strategy = st.integers(min_value=2, max_value=5).flatmap(
 def test_lll_gram_produces_reduced_basis(rows):
     n = len(rows)
     gram = [[sum(rows[i][k] * rows[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    t = linalg.lll_gram(gram)
-    _check_reduced(gram, t)
+    t, reduced_gram = linalg.lll_gram(gram)
+    _check_reduced(gram, t, reduced_gram)
 
 
 @given(st.integers(min_value=5, max_value=10**5).filter(lambda v: v % 3 == 1))
@@ -179,8 +180,8 @@ def test_lll_gram_on_census_shaped_lattices(v):
         [pow(r, 3, v**3), 0, 0, 1],
     ]
     gram = [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
-    t = linalg.lll_gram(gram)
-    _check_reduced(gram, t)
+    t, reduced_gram = linalg.lll_gram(gram)
+    _check_reduced(gram, t, reduced_gram)
 
 
 def test_lll_gram_rejects_indefinite_forms():
