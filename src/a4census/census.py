@@ -503,7 +503,7 @@ def _degree3_prime(gtheta, v: int):
 def _tame_line(K: NumberField, v: int, r: int) -> TameBlock:
     """Character block at the degree-1 prime (v, theta - r)."""
     stub = PrimeIdeal(
-        p=v, e=1, f=1, norm=v, hnf=(), gen_num=(-r, 1, 0, 0), gen_den=1, theta_root=r
+        p=v, e=1, f=1, norm=v, hnf=(), gen_num=(-r, 1, 0, 0), gen_den=1, theta_root=r, anti_uniformizer=None
     )
     return TameBlock(K, stub)
 

@@ -31,8 +31,11 @@ the product of N(P)^v_P(alpha), so when alpha lies in exactly one
 prime P above p, v_P(alpha) = v_p(N(alpha)) / f(P); in a split, where
 the cofactor of an ideal A is wanted, this holds at every p prime to
 N(A).  Only when alpha lies in two or more primes above p, or p divides
-N(A), are the valuations found by powering P (element_valuation).  The
-relation harvest and smooth_split share this rule (_valuations_above).
+N(A), are the valuations counted out with P's anti-uniformizer
+(element_valuation, one multiplication and one exact division by p per
+unit of valuation), and v_P(A) is the least v_P of its rows.  Whether
+alpha lies in P is the same test, alpha*beta in pO.  The relation
+harvest and smooth_split share this rule (_valuations_above).
 
 Units come from their own search (unit_group: norm +-1 elements of the
 maximal order in trace-form order, after any seeds from the conductor
@@ -60,16 +63,16 @@ from .fields import (
     FieldError,
     NumberField,
     PrimeIdeal,
-    element_in_ideal,
+    element_in_prime,
     element_valuation,
     factor_rational_prime,
-    ideal_contains,
     ideal_mul,
     ideal_norm,
     minkowski_bound,
 )
 
 __all__ = [
+    "EMBEDDING_DIGITS",
     "ClassGroupData",
     "UnitData",
     "class_group",
@@ -81,6 +84,11 @@ __all__ = [
     "exact_cube_root",
     "saturate_units_at_3",
 ]
+
+
+# Decimal digits of the real embeddings behind the unit logarithms and
+# the cube roots of the 3-saturation.
+EMBEDDING_DIGITS = 80
 
 
 @dataclass(frozen=True)
@@ -161,11 +169,11 @@ def _valuations_above(K: NumberField, el, above, ep: int):
     """v_P(el) for each P in `above`, all the primes over p, where p^ep || N(el).
 
     N((el)) is the product of N(P)^v_P(el) with N(P) = p^f(P), so when el
-    lies in exactly one P above p, v_P(el) = ep / f(P) and no power of P
-    is formed; in every other case each valuation comes from
-    element_valuation.
+    lies in exactly one P above p, v_P(el) = ep / f(P); in every other
+    case each valuation comes from element_valuation.  Membership in P is
+    tested with P's anti-uniformizer (element_in_prime).
     """
-    inside = [element_in_ideal(P.hnf, el) for P in above]
+    inside = [element_in_prime(P, el) for P in above]
     if sum(inside) == 1:
         P = above[inside.index(True)]
         v, rem = divmod(ep, P.f)
@@ -450,15 +458,9 @@ def _cofactor_vector(ctx: _FBContext, A, nA, el, fac, val_A):
     return vec
 
 
-def _ideal_valuation(K, A, P: PrimeIdeal, cap=64) -> int:
-    v = 0
-    power = [tuple(r) for r in P.hnf]
-    while v < cap:
-        if not ideal_contains(power, A):
-            return v
-        v += 1
-        power = ideal_mul(K, power, list(P.hnf))
-    raise ArithmeticError("ideal valuation cap exceeded")
+def _ideal_valuation(K, A, P: PrimeIdeal) -> int:
+    """v_P(A), the least v_P over the rows of A, which generate it."""
+    return min(element_valuation(K, row, P) for row in A)
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +486,22 @@ def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitD
     most max_rounds rounds of 120000 vectors each; a candidate joins the
     basis when it raises the rank of the log-embedding lattice, certified
     by the Gram determinant staying above the numerical noise floor.
+    K's real embeddings are computed once, to EMBEDDING_DIGITS digits,
+    and serve both the logarithms and the 3-saturation.
     """
     n = K.degree
     rank = n - 1
     found = []
     found_rows = []
-    digits = 60
     noise = mpmath.mpf(10) ** (-25)
-    roots = K.embeddings(digits)
+    roots = K.embeddings(EMBEDDING_DIGITS)
 
     def consider(u):
         if abs(K.el_norm(u)) != 1:
             return
         if len(found) >= rank:
             return
-        with mpmath.workdps(digits):
+        with mpmath.workdps(EMBEDDING_DIGITS):
             vals = K.embed_element(u, roots)
             row = [mpmath.log(abs(v)) for v in vals]
             if _gram_det(found_rows + [row]) > noise:
@@ -519,20 +522,21 @@ def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitD
             f"found {len(found)} of {rank} independent units within search bounds; "
             "supply units explicitly in the conductor config"
         )
-    with mpmath.workdps(digits):
+    with mpmath.workdps(EMBEDDING_DIGITS):
         reg = abs(mpmath.det(mpmath.matrix([r[:rank] for r in found_rows])))
     # each swap takes a cube root, so the unit lattice index drops by 3
-    units, swaps = saturate_units_at_3(K, found)
+    units, swaps = saturate_units_at_3(K, found, roots)
     return UnitData(
         fundamental_units=units, regulator_estimate=float(reg) / 3**swaps, rank=rank
     )
 
 
-def exact_cube_root(K: NumberField, u):
-    """y with y^3 = u in the maximal order, or None.  Exactly verified."""
-    digits = 80
-    with mpmath.workdps(digits):
-        roots = K.embeddings(digits)
+def exact_cube_root(K: NumberField, u, roots):
+    """y with y^3 = u in the maximal order, or None.  Exactly verified.
+
+    `roots` are K's real embeddings, K.embeddings(EMBEDDING_DIGITS).
+    """
+    with mpmath.workdps(EMBEDDING_DIGITS):
         vals = K.embed_element(u, roots)
         # real cube root; mpmath.cbrt would pick the complex principal root
         targets = [mpmath.sign(v) * mpmath.cbrt(abs(v)) for v in vals]
@@ -552,10 +556,13 @@ def exact_cube_root(K: NumberField, u):
     return None
 
 
-def saturate_units_at_3(K: NumberField, units):
+def saturate_units_at_3(K: NumberField, units, roots):
     """3-saturate the unit lattice: while some product of the generators
     (exponents in {0,1,2}, leading exponent 1) is a cube in the order,
     swap the cube root in.  Returns (units, number of swaps).
+
+    `roots` are K's real embeddings, K.embeddings(EMBEDDING_DIGITS),
+    computed once by the caller and shared by every exact_cube_root.
     """
     units = [tuple(u) for u in units]
     swaps = 0
@@ -566,7 +573,7 @@ def saturate_units_at_3(K: NumberField, units):
             for u, e in zip(units, exps):
                 for _ in range(e):
                     w = K.el_mul(w, u)
-            y = exact_cube_root(K, w)
+            y = exact_cube_root(K, w, roots)
             if y is not None:
                 hit = (exps, y)
                 break

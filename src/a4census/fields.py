@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +63,7 @@ __all__ = [
     "element_in_ideal",
     "ideal_contains",
     "element_valuation",
+    "element_in_prime",
     "minkowski_bound",
     "field_to_record",
     "field_from_record",
@@ -563,6 +565,9 @@ class PrimeIdeal:
     gen_num: tuple  # second generator over the power basis (with gen_den)
     gen_den: int
     theta_root: object  # int root of poly mod p for unramified degree-1 primes
+    # beta in pP^-1 but not in pO, as the columns of its multiplication
+    # matrix: (a*beta)_k = sum_i a_i col_k[i] (element_valuation)
+    anti_uniformizer: tuple = dataclasses.field(compare=False, repr=False)
 
     def key(self):
         return (self.p, self.f, self.e, self.hnf)
@@ -624,18 +629,39 @@ def ideal_contains(A, B) -> bool:
     return all(linalg.hnf_solve(A, row) is not None for row in B)
 
 
-def element_valuation(K: NumberField, a, P: PrimeIdeal, cap=64) -> int:
-    """v_P(a) for a nonzero integral element, by powering P."""
+def element_valuation(K: NumberField, a, P: PrimeIdeal) -> int:
+    """v_P(a) for a nonzero integral element of K, by P's anti-uniformizer.
+
+    beta lies in pP^-1 but not in pO, so v_P(beta) = e(P) - 1 and
+    v_Q(beta) >= e(Q) at every other Q above p.  Hence a lies in P exactly
+    when a*beta is in pO, and then a*beta/p is integral with v_P one less
+    and no smaller valuation elsewhere.  The valuation is the number of
+    such exact divisions (Cohen, GTM 138, Alg. 4.8.17).
+    """
     if not any(a):
         raise ValueError("valuation of zero")
+    p, cols = P.p, P.anti_uniformizer
     v = 0
-    power = P.hnf
-    while v < cap:
-        if not element_in_ideal(power, a):
+    while True:
+        prod = [sum(map(operator.mul, a, col)) for col in cols]
+        if any(x % p for x in prod):
             return v
+        a = [x // p for x in prod]
         v += 1
-        power = ideal_mul(K, power, P.hnf)
-    raise ArithmeticError("valuation cap exceeded")
+
+
+def element_in_prime(P: PrimeIdeal, a) -> bool:
+    """a in P, tested as a*beta in pO one coordinate at a time (see element_valuation)."""
+    p = P.p
+    for col in P.anti_uniformizer:
+        if sum(map(operator.mul, a, col)) % p:
+            return False
+    return True
+
+
+def _multiplication_columns(K: NumberField, beta):
+    """The columns of beta's multiplication matrix, the form element_valuation reads."""
+    return tuple(zip(*K.mul_matrix(beta)))  # row i of the matrix = beta * w_i
 
 
 def factor_rational_prime(K: NumberField, p: int):
@@ -647,6 +673,11 @@ def factor_rational_prime(K: NumberField, p: int):
             gtheta = _poly_at_theta(K, gz)
             hnf_rows = ideal_from_elements(K, [gtheta], rational=p)
             root = (-gz[0]) % p if poly_deg(gz) == 1 else None
+            # beta = (f/g)(theta): beta * g(theta) = f(theta) = 0 mod p, and
+            # beta is not in pO because deg(f/g) < n and p is prime to the index
+            cofactor, rem = arith.pm_divmod(K.poly, g, p)
+            if rem:
+                raise FieldError(f"factor of the defining polynomial mod {p} does not divide it")
             out.append(
                 PrimeIdeal(
                     p=p,
@@ -657,6 +688,7 @@ def factor_rational_prime(K: NumberField, p: int):
                     gen_num=gz,
                     gen_den=1,
                     theta_root=root,
+                    anti_uniformizer=_multiplication_columns(K, _poly_at_theta(K, cofactor)),
                 )
             )
         out.sort(key=lambda P: (P.f, P.e, P.hnf))
@@ -768,31 +800,35 @@ def _factor_index_prime(K: NumberField, p: int):
         norm = linalg.lattice_index(hnf_rows)
         if norm != p**f_res:
             raise FieldError(f"prime over {p} has norm {norm}, not {p}^{f_res}")
-        P0 = PrimeIdeal(p=p, e=0, f=f_res, norm=norm, hnf=tuple(hnf_rows), gen_num=(), gen_den=1, theta_root=None)
-        out.append(P0)
-    # ramification indices by containment of pO in powers
-    pO = linalg.hnf([tuple(p * int(i == k) for k in range(n)) for i in range(n)], n)
-    fixed = []
-    for P0 in out:
-        e_val = 1
-        power = ideal_mul(K, P0.hnf, P0.hnf)
-        while ideal_contains(power, pO):
-            e_val += 1
-            power = ideal_mul(K, power, P0.hnf)
-        gen_num, gen_den = _two_element_gen(K, P0, p)
-        fixed.append(
-            PrimeIdeal(
-                p=p, e=e_val, f=P0.f, norm=P0.norm, hnf=P0.hnf, gen_num=gen_num, gen_den=gen_den, theta_root=None
-            )
+        gamma = _two_element_gen(K, hnf_rows, p)
+        gen_num, gen_den = K.to_power_basis(gamma)
+        # beta * P lies in pO exactly when every coordinate of beta * gamma
+        # is 0 mod p, linear conditions whose solutions form pP^-1/pO, of
+        # dimension f
+        betas = linalg.kernel_mod_p(_multiplication_columns(K, gamma), n, p)
+        if len(betas) != f_res:
+            raise FieldError(f"pP^-1/pO has dimension {len(betas)} at a prime over {p}, not f = {f_res}")
+        P = PrimeIdeal(
+            p=p,
+            e=0,
+            f=f_res,
+            norm=norm,
+            hnf=tuple(hnf_rows),
+            gen_num=gen_num,
+            gen_den=gen_den,
+            theta_root=None,
+            anti_uniformizer=_multiplication_columns(K, betas[0]),
         )
-    fixed.sort(key=lambda P: (P.f, P.e, P.hnf))
-    if sum(P.e * P.f for P in fixed) != n:
+        # the ramification index is v_P(p), which needs only the anti-uniformizer
+        out.append(dataclasses.replace(P, e=element_valuation(K, K.from_int(p), P)))
+    out.sort(key=lambda P: (P.f, P.e, P.hnf))
+    if sum(P.e * P.f for P in out) != n:
         raise FieldError(f"primes over {p} do not satisfy sum e*f = {n}")
-    return fixed
+    return out
 
 
-def _two_element_gen(K: NumberField, P: PrimeIdeal, p: int):
-    """Find alpha with (p, alpha) = P; returned over the power basis.
+def _two_element_gen(K: NumberField, hnf_rows, p: int):
+    """alpha with (p, alpha) = P, P the prime with these HNF rows.
 
     Any generator is congruent mod pO to a [0,p)-combination of the HNF
     rows, and adding pO elements never changes the ideal (p, alpha), so
@@ -800,16 +836,15 @@ def _two_element_gen(K: NumberField, P: PrimeIdeal, p: int):
     """
     import itertools
 
-    rows = [tuple(r) for r in P.hnf]
-    target = rows
+    rows = [tuple(r) for r in hnf_rows]
     n = K.degree
     for coeffs in itertools.product(range(p), repeat=len(rows)):
         if not any(coeffs):
             continue
         cand = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n))
         trial = ideal_from_elements(K, [cand], rational=p)
-        if [tuple(r) for r in trial] == target:
-            return K.to_power_basis(cand)
+        if [tuple(r) for r in trial] == rows:
+            return cand
     raise FieldError("no two-element representation found")
 
 

@@ -8,6 +8,7 @@ algorithms favour exactness and clarity over asymptotics.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .arith import det_bareiss
@@ -375,9 +376,17 @@ def gram_matrix(rows, form):
 def short_vectors(gram, bound, limit=100000):
     """Nonzero coefficient vectors c (up to sign) with c G c^t <= bound.
 
-    Exact Fincke-Pohst enumeration using the Gram-Schmidt data of `gram`.
-    Results are sorted by quadratic-form value.  Raises RuntimeError if
-    more than `limit` vectors would be produced.
+    Fincke-Pohst enumeration (Cohen, GTM 138, 2.7.3).  The Gram-Schmidt
+    data of `gram` are computed exactly and rounded to floats once; the
+    recursion prunes in floats against the bound widened by a relative
+    1e-6.  In dimension <= 4 that is orders of magnitude above the
+    rounding error unless the form is extremely ill-conditioned (the
+    lattices enumerated here are LLL-reduced), so no qualifying vector is
+    cut off.  At each leaf the exact value c G c^t decides whether c is
+    kept, and it is the value returned.  Results are (value, c) pairs
+    sorted by value, then by the lesser of c and -c, and c is given with
+    its first nonzero coordinate positive.  Raises RuntimeError exactly
+    when more than `limit` vectors qualify, c and -c counted apart.
     """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]
@@ -393,34 +402,37 @@ def short_vectors(gram, bound, limit=100000):
             b[i] -= mu[i][j] ** 2 * b[j]
         if b[i] <= 0:
             raise ValueError("form is not positive definite")
-    bound = Fraction(bound)
+    if n == 0 or not bound > 0:
+        return []
+    # the center of c_i given c_j, j > i, is -sum_j mu_ji c_j
+    mu_col = [[float(mu[j][i]) for j in range(i + 1, n)] for i in range(n)]
+    bf = [float(x) for x in b]
     out = []
     c = [0] * n
 
     def recurse(i, remaining):
-        if len(out) > limit:
-            raise RuntimeError("short-vector enumeration overflow")
-        if i < 0:
-            if any(c):
-                out.append((bound - remaining, tuple(c)))
-            return
-        center = -sum(mu[j][i] * c[j] for j in range(i + 1, n))
-        if remaining < 0:
-            return
-        # integer range around the real center with (x - center)^2 * b_i <= remaining
-        half = _frac_sqrt_ceil(remaining / b[i])
+        center = -sum(map(operator.mul, mu_col[i], c[i + 1 :]))
+        bi = bf[i]
+        half = math.sqrt(remaining / bi)
         x = math.ceil(center - half)
         hi = center + half
         while x <= hi:
             d = x - center
-            used = d * d * b[i]
-            if used <= remaining:
+            rest = remaining - d * d * bi
+            if rest >= 0:
                 c[i] = x
-                recurse(i - 1, remaining - used)
+                if i:
+                    recurse(i - 1, rest)
+                elif any(c):
+                    val = sum(ca * sum(map(operator.mul, row, c)) for ca, row in zip(c, gram))
+                    if val <= bound:
+                        out.append((val, tuple(c)))
+                        if len(out) > limit:
+                            raise RuntimeError("short-vector enumeration overflow")
             x += 1
         c[i] = 0
 
-    recurse(n - 1, bound)
+    recurse(n - 1, float(bound) * (1 + 1e-6))
     seen = set()
     uniq = []
     for val, vec in sorted(out):
@@ -436,15 +448,3 @@ def _first_nonzero_positive(vec) -> bool:
         if x:
             return x > 0
     return True
-
-
-def _frac_sqrt_ceil(fr: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(fr), tight enough for enumeration."""
-    if fr <= 0:
-        return Fraction(0)
-    num, den = fr.numerator, fr.denominator
-    # ceil(sqrt(num/den)) <= ceil(sqrt(num*den))/den
-    r = math.isqrt(num * den)
-    if r * r < num * den:
-        r += 1
-    return Fraction(r, den)

@@ -45,7 +45,7 @@ from .fields import (
     NumberField,
     PrimeIdeal,
     QuotientRing,
-    element_in_ideal,
+    element_in_prime,
     factor_rational_prime,
     ideal_mul,
     ideal_pow,
@@ -243,7 +243,7 @@ class RayClass3Quotient:
 
 
 def _coprime_to_modulus(m: Modulus, el) -> bool:
-    return all(not element_in_ideal(list(P.hnf), el) for P, _ in m.finite)
+    return all(not element_in_prime(P, el) for P, _ in m.finite)
 
 
 def _build_blocks(K: NumberField, finite, wild):
@@ -439,11 +439,11 @@ def _integer_quotient_3rank(K, P: PrimeIdeal, cg, units) -> int:
         rows.append(row)
 
     for unit in units:
-        if element_in_ideal(list(P.hnf), unit):
+        if element_in_prime(P, unit):
             raise FieldError("unit not coprime to the modulus")
         rows.append(w.dlog(unit) + [0] * len(fb_positions))
     for gen, vec in cg.relations:
-        if element_in_ideal(list(P.hnf), gen):
+        if element_in_prime(P, gen):
             continue
         rows.append(w.dlog(gen) + [-vec[j] for j in fb_positions])
 

@@ -1,0 +1,108 @@
+"""Slow, independent references for fast kernels of the package.
+
+Each is a direct transcription of the textbook definition, used only as
+a test oracle:
+
+- powering_valuation: v_P(a) as the largest k with a in P^k, by forming
+  the ideal powers P^k (fields.element_valuation reads it off P's
+  anti-uniformizer instead);
+- fraction_short_vectors: Fincke-Pohst enumeration carried out entirely
+  in Fractions (linalg.short_vectors prunes in floats).
+"""
+
+import math
+from fractions import Fraction
+
+from a4census.fields import element_in_ideal, ideal_mul
+
+
+def powering_valuation(K, a, P, cap=64) -> int:
+    """v_P(a) for a nonzero integral element, by powering P."""
+    if not any(a):
+        raise ValueError("valuation of zero")
+    v = 0
+    power = P.hnf
+    while v < cap:
+        if not element_in_ideal(power, a):
+            return v
+        v += 1
+        power = ideal_mul(K, power, P.hnf)
+    raise ArithmeticError("valuation cap exceeded")
+
+
+def fraction_short_vectors(gram, bound, limit=100000):
+    """Nonzero c (up to sign) with c G c^t <= bound, all in exact arithmetic.
+
+    Sorted by value, then by the lesser of c and -c; c is returned with
+    its first nonzero coordinate positive.  Raises RuntimeError when more
+    than `limit` vectors qualify, c and -c counted apart.
+    """
+    n = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        b[i] = g[i][i]
+        for j in range(i):
+            mu[i][j] = g[i][j]
+            for k in range(j):
+                mu[i][j] -= mu[i][k] * mu[j][k] * b[k]
+            mu[i][j] /= b[j]
+            b[i] -= mu[i][j] ** 2 * b[j]
+        if b[i] <= 0:
+            raise ValueError("form is not positive definite")
+    bound = Fraction(bound)
+    out = []
+    c = [0] * n
+
+    def recurse(i, remaining):
+        if i < 0:
+            if any(c):
+                out.append((bound - remaining, tuple(c)))
+                if len(out) > limit:
+                    raise RuntimeError("short-vector enumeration overflow")
+            return
+        center = -sum(mu[j][i] * c[j] for j in range(i + 1, n))
+        if remaining < 0:
+            return
+        # integer range around the real center with (x - center)^2 * b_i <= remaining
+        half = _frac_sqrt_ceil(remaining / b[i])
+        x = math.ceil(center - half)
+        hi = center + half
+        while x <= hi:
+            d = x - center
+            used = d * d * b[i]
+            if used <= remaining:
+                c[i] = x
+                recurse(i - 1, remaining - used)
+            x += 1
+        c[i] = 0
+
+    recurse(n - 1, bound)
+    seen = set()
+    uniq = []
+    for val, vec in sorted(out):
+        canon = vec if _first_nonzero_positive(vec) else tuple(-x for x in vec)
+        if canon not in seen:
+            seen.add(canon)
+            uniq.append((val, canon))
+    return uniq
+
+
+def _first_nonzero_positive(vec) -> bool:
+    for x in vec:
+        if x:
+            return x > 0
+    return True
+
+
+def _frac_sqrt_ceil(fr: Fraction) -> Fraction:
+    """A rational upper bound for sqrt(fr), tight enough for enumeration."""
+    if fr <= 0:
+        return Fraction(0)
+    num, den = fr.numerator, fr.denominator
+    # ceil(sqrt(num/den)) <= ceil(sqrt(num*den))/den
+    r = math.isqrt(num * den)
+    if r * r < num * den:
+        r += 1
+    return Fraction(r, den)

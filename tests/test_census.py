@@ -59,9 +59,10 @@ def test_load_conductor_rejects_wrong_poly():
 
 
 def test_cold_load_runs_each_stage_once(monkeypatch):
-    # h(L) and h(F) are the only class groups, L is built once, and the
-    # quartic search builds neither again
-    calls = {"class_group": 0, "cubic_subfield": 0}
+    # h(L) and h(F) are the only class groups, L is built once, the
+    # quartic search builds neither again, and the unit search and the
+    # 3-saturation share one set of F's real embeddings
+    calls = {"class_group": 0, "cubic_subfield": 0, "embeddings": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -74,8 +75,11 @@ def test_cold_load_runs_each_stage_once(monkeypatch):
         monkeypatch.setattr(mod, "class_group", counted("class_group", classgroup.class_group))
     for mod in (census, fields):
         monkeypatch.setattr(mod, "cubic_subfield", counted("cubic_subfield", fields.cubic_subfield))
+    monkeypatch.setattr(
+        fields.NumberField, "embeddings", counted("embeddings", fields.NumberField.embeddings)
+    )
     load_conductor(Config(ell=163, use_cache=False))
-    assert calls == {"class_group": 2, "cubic_subfield": 1}
+    assert calls == {"class_group": 2, "cubic_subfield": 1, "embeddings": 1}
 
 
 def test_cache_record_reads_alike_with_or_without_quartic_poly(tmp_path, monkeypatch):

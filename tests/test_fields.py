@@ -1,10 +1,14 @@
 """Number field construction checked against sympy."""
 
+import functools
+
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.numberfields.galoisgroups import galois_group
 
-from a4census import fields
+from a4census import arith, fields
 from a4census.fields import (
     FieldError,
     cubic_subfield,
@@ -19,6 +23,8 @@ from a4census.fields import (
     shanks_param,
     splitting_pattern,
 )
+
+from oracles import powering_valuation
 
 X = sympy.symbols("x")
 
@@ -179,6 +185,50 @@ def test_element_valuation_sums_to_norm_valuation():
                 m //= p
                 v += 1
             assert total == v
+
+
+@functools.cache
+def _primes_to_50_and_ell(F, ell):
+    """The primes of F above each p <= 50 and above ell, each with a valid anti-uniformizer."""
+    out = []
+    for p in arith.primes_upto(50) + [ell]:
+        for P in factor_rational_prime(F, p):
+            # beta = 1 * beta, read off the columns of its multiplication matrix
+            beta = tuple(sum(x * y for x, y in zip(F.one(), col)) for col in P.anti_uniformizer)
+            assert any(x % p for x in beta), "beta lies in pO"
+            assert all(not any(x % p for x in F.el_mul(beta, row)) for row in P.hnf), "beta*P is not in pO"
+            out.append(P)
+    return tuple(out)
+
+
+valuation_case = st.tuples(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=4, max_size=4).filter(any),
+    st.sampled_from([1, 2, 3]),  # power of that element
+    st.integers(min_value=0, max_value=10**6),  # picks a prime P and one of its HNF rows
+    st.integers(min_value=0, max_value=3),  # power of the HNF row, an element of P
+    st.integers(min_value=0, max_value=3),  # power of P's rational prime
+)
+
+
+@pytest.mark.parametrize("ell", [163, 277])
+@given(valuation_case)
+@settings(max_examples=40, deadline=None)
+def test_element_valuation_matches_the_powering_oracle(conductor, ell, case):
+    # alpha^power * row^j * p^k, compared at every prime above each p <= 50
+    # and above ell; for 277 these include the index prime 2 (two primes of
+    # degree 2), ell_2 (e = 3) and 3_1 (f = 3)
+    F = conductor(ell).F
+    primes = _primes_to_50_and_ell(F, ell)
+    kinds = {(P.p, P.e, P.f) for P in primes}
+    assert {(ell, 3, 1), (3, 1, 3)} <= kinds
+    assert ell != 277 or (F.index % 2 == 0 and (2, 1, 2) in kinds)
+    coords, power, pick, j, k = case
+    P = primes[pick % len(primes)]
+    row = P.hnf[(pick // len(primes)) % len(P.hnf)]
+    el = F.el_mul(F.el_pow(tuple(coords), power), F.el_pow(row, j))
+    el = tuple(P.p**k * x for x in el)
+    for Q in primes:
+        assert element_valuation(F, el, Q) == powering_valuation(F, el, Q), (Q.p, Q.e, Q.f, el)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from a4census import linalg
 from a4census.arith import det_bareiss
 
+from oracles import fraction_short_vectors
+
 mat3 = st.lists(
     st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3),
     min_size=3,
@@ -208,6 +210,53 @@ def test_short_vectors_finds_the_minimum():
         vals.append(val)
     assert vals == sorted(vals)
     assert vals[0] == best
+
+
+def _outcome(fn, gram, bound, limit):
+    try:
+        return fn(gram, bound, limit)
+    except RuntimeError:
+        return "overflow"
+
+
+short_vector_case = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n), min_size=n, max_size=n
+        ),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+        st.integers(min_value=0, max_value=120),
+    )
+)
+
+
+@given(short_vector_case)
+@settings(max_examples=150, deadline=None)
+def test_short_vectors_match_the_fraction_oracle(case):
+    # Gram matrices of random bases; one bound is the value of a lattice
+    # vector (attained exactly), the other arbitrary.  A singular basis
+    # gives a semidefinite form, which both reject.
+    rows, c, other = case
+    n = len(rows)
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
+    if det_bareiss(gram) == 0:
+        for fn in (linalg.short_vectors, fraction_short_vectors):
+            with pytest.raises(ValueError):
+                fn(gram, other)
+        return
+    attained = sum(c[i] * gram[i][j] * c[j] for i in range(n) for j in range(n))
+    for bound in (attained, other):
+        expected = _outcome(fraction_short_vectors, gram, bound, 2000)
+        assert _outcome(linalg.short_vectors, gram, bound, 2000) == expected
+        if expected == "overflow":
+            continue
+        assert bound != attained or not any(c) or expected[-1][0] == attained
+        # the overflow comes at the same limit: c and -c count apart
+        qualifying = 2 * len(expected)
+        for limit in {max(qualifying - 1, 0), qualifying}:
+            want = expected if qualifying <= limit else "overflow"
+            assert _outcome(linalg.short_vectors, gram, bound, limit) == want
+            assert _outcome(fraction_short_vectors, gram, bound, limit) == want
 
 
 def test_rref_mod_p_and_residual():
