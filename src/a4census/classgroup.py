@@ -53,6 +53,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -185,7 +186,7 @@ def _valuations_above(K: NumberField, el, above, ep: int):
 
 def _combine(coeffs, rows):
     """sum_i coeffs[i] * rows[i], as a coordinate tuple."""
-    return tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0])))
+    return tuple(sum(map(operator.mul, coeffs, col)) for col in zip(*rows))
 
 
 def _reduced_basis(K: NumberField, rows):
@@ -331,7 +332,7 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
     snapshot = None
     for _ in range(max_rounds):
         mat = [list(vec) for _, vec in relations]
-        divisors, _, V = linalg.smith_normal_form(mat, max(len(mat), nfb), nfb)
+        divisors, V = linalg.smith_normal_form(mat, max(len(mat), nfb), nfb)
         divisors = list(divisors[:nfb])
         if len(divisors) < nfb or any(d == 0 for d in divisors):
             if harvest(max(4, nfb // 2)) == 0:

@@ -950,11 +950,6 @@ class QuotientRing:
     def one(self):
         return self.reduce(self.K.one())
 
-    def is_coprime(self, a):
-        """(a) + I = O, i.e. a is a unit mod I."""
-        rows = list(self.hnf) + list(self.K.mul_matrix(a))
-        return linalg.lattice_index(linalg.hnf(rows, self.K.degree)) == 1
-
 
 # ---------------------------------------------------------------------------
 # The census field constructions.

@@ -197,20 +197,19 @@ def residual_mod_p(rref_rows, pivots, vec, p):
 def smith_normal_form(mat, nrows=None, ncols=None):
     """Smith normal form D = U*A*V with unimodular U, V.
 
-    Returns (divisors, U, V) where `divisors` is the full diagonal of D
-    (zeros included), U is nrows x nrows and V is ncols x ncols.
+    Returns (divisors, V) where `divisors` is the full diagonal of D
+    (zeros included) and V is ncols x ncols.  U is not formed: the rows
+    of A*V span the same lattice as the rows of D.
     """
     a = [list(r) for r in mat]
     m = nrows if nrows is not None else len(a)
     n = ncols if ncols is not None else (len(a[0]) if a else 0)
     while len(a) < m:
         a.append([0] * n)
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in a:
@@ -220,7 +219,6 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -272,10 +270,9 @@ def smith_normal_form(mat, nrows=None, ncols=None):
             continue
         if piv < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
     divisors = [a[i][i] for i in range(min(m, n))]
-    return divisors, u, v
+    return divisors, v
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +361,11 @@ def lll_gram(gram, delta=Fraction(3, 4)):
 
 def gram_matrix(rows, form):
     """Gram matrix of `rows` under the symmetric bilinear `form` matrix."""
-    n = len(rows)
-    m = len(form)
+    cols = list(zip(*form))
     out = []
-    for i in range(n):
-        tmp = [sum(rows[i][a] * form[a][b] for a in range(m)) for b in range(m)]
-        out.append([sum(tmp[b] * rows[j][b] for b in range(m)) for j in range(n)])
+    for row in rows:
+        tmp = [sum(map(operator.mul, row, col)) for col in cols]
+        out.append([sum(map(operator.mul, tmp, other)) for other in rows])
     return out
 
 

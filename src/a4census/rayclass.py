@@ -22,7 +22,11 @@ Local blocks:
     layer p/p^2, of F_3-dimension f; the log of x is the coordinate
     vector of x^(norm-1) - 1.  Raising to norm-1 kills the tame part and
     acts invertibly (norm-1 = 2 mod 3) on the 1-units, and is a
-    homomorphism into p/p^2 exactly, not just up to higher terms.
+    homomorphism into p/p^2 exactly, not just up to higher terms.  No
+    power is taken: (O/p^2)^* is the Teichmueller representatives times
+    the 1-units, w(x) = x^norm mod p^2 depends only on x mod p, and
+    x^(norm-1) - 1 = 1 - x * w(x)^-1 mod p^2, with w^-1 read from a table
+    of the norm-1 unit residues mod p (WildBlock).
   * exponent 3 keeps the 9-torsion honest: see the integer-Smith path in
     modulus_stability_check, which presents (O/p^3)^* on order-9
     generators with explicit cube relations and never reduces mod 3
@@ -36,6 +40,7 @@ empirically through the two independent code paths above.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import arith, linalg
@@ -144,7 +149,7 @@ class _LatticeQuotientF3:
             if s is None:
                 raise FieldError("inner lattice not contained in outer")
             rel.append(s)
-        divisors, _, V = linalg.smith_normal_form(rel, len(rel), ncols)
+        divisors, V = linalg.smith_normal_form(rel, len(rel), ncols)
         if any(d not in (1, 3) for d in divisors):
             raise FieldError(f"lattice quotient is not 3-elementary: divisors {divisors}")
         self.keep = [i for i, d in enumerate(divisors) if d == 3]
@@ -193,6 +198,14 @@ def _solve_f3(rows, target):
 class WildBlock:
     """(O/p^2)^* tensor F_3 for a prime over 3, via the 1-unit layer.
 
+    The log of x is the layer coordinate vector of x^(N-1) - 1, N = N(p),
+    computed without powering.  3p lies in p^2, so x^3 mod p^2 depends
+    only on x mod p; hence so does the Teichmueller representative
+    w(x) = x^N mod p^2, and w^(N-1) = 1.  Then x^(N-1) = w(x)/x, and
+    x^(N-1) - 1 = 1 - x * w(x)^-1 mod p^2 because x * w(x)^-1 is a 1-unit.
+    The N - 1 values w^-1 = x^(N(N-2)) mod p^2 are tabled here by the
+    residue of x mod p (Cohen, GTM 193, ch. 4).
+
     The logs of `known` elements (those coprime to p) are computed here
     once and looked up afterwards; the block is not changed after
     construction.
@@ -205,11 +218,17 @@ class WildBlock:
         self.P = P
         p2 = ideal_pow(K, list(P.hnf), 2)
         self.ring = QuotientRing(K, p2)
-        self.kill = P.norm - 1
         self.layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
         self.dim = self.layer.dim
         if self.dim != P.f:
             raise FieldError(f"1-unit layer has F_3-dimension {self.dim}, expected {P.f}")
+        # 3O lies in p, so the vectors with coordinates 0, 1, 2 meet every residue
+        N = P.norm
+        self.residues = QuotientRing(K, P.hnf)
+        reps = {self.residues.reduce(x) for x in itertools.product(range(3), repeat=K.degree)}
+        if len(reps) != N:
+            raise FieldError(f"{len(reps)} residues mod the wild prime, expected {N}")
+        self._teich_inv = {r: self.ring.pow(r, N * (N - 2)) for r in reps if any(r)}
         self._known = {tuple(el): self._log(el) for el in known if self.is_coprime(el)}
 
     def philog(self, el):
@@ -217,12 +236,13 @@ class WildBlock:
         return hit if hit is not None else self._log(el)
 
     def _log(self, el):
-        y = self.ring.pow(el, self.kill)
-        z = tuple(a - b for a, b in zip(y, self.K.one()))
-        return self.layer.coords(z)
+        inv = self._teich_inv.get(self.residues.reduce(el))
+        if inv is None:
+            raise FieldError("element is not coprime to the wild prime")
+        return self.layer.coords(tuple(a - b for a, b in zip(self.K.one(), self.ring.mul(el, inv))))
 
     def is_coprime(self, el) -> bool:
-        return self.ring.is_coprime(el)
+        return not element_in_prime(self.P, el)
 
 
 @dataclass
@@ -447,7 +467,7 @@ def _integer_quotient_3rank(K, P: PrimeIdeal, cg, units) -> int:
             continue
         rows.append(w.dlog(gen) + [-vec[j] for j in fb_positions])
 
-    divisors, _, _ = linalg.smith_normal_form(rows, max(len(rows), ncols), ncols)
+    divisors, _ = linalg.smith_normal_form(rows, max(len(rows), ncols), ncols)
     divisors = list(divisors[:ncols])
     if len(divisors) != ncols or any(d == 0 for d in divisors):
         raise FieldError("relations do not close the ray group")

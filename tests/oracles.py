@@ -7,13 +7,17 @@ a test oracle:
   the ideal powers P^k (fields.element_valuation reads it off P's
   anti-uniformizer instead);
 - fraction_short_vectors: Fincke-Pohst enumeration carried out entirely
-  in Fractions (linalg.short_vectors prunes in floats).
+  in Fractions (linalg.short_vectors prunes in floats);
+- power_wild_log: the wild log as the layer coordinates of a^(N-1) - 1
+  mod P^2 by square and multiply (rayclass.WildBlock reads the
+  Teichmueller inverse from a table instead).
 """
 
 import math
 from fractions import Fraction
 
-from a4census.fields import element_in_ideal, ideal_mul
+from a4census.fields import QuotientRing, element_in_ideal, ideal_mul, ideal_pow
+from a4census.rayclass import _LatticeQuotientF3
 
 
 def powering_valuation(K, a, P, cap=64) -> int:
@@ -28,6 +32,17 @@ def powering_valuation(K, a, P, cap=64) -> int:
         v += 1
         power = ideal_mul(K, power, P.hnf)
     raise ArithmeticError("valuation cap exceeded")
+
+
+def power_wild_log(K, P, a):
+    """F_3 coordinates of a^(N(P)-1) - 1 in P/P^2, P a prime over 3.
+
+    Raises FieldError (from the layer) when a lies in P.
+    """
+    p2 = ideal_pow(K, list(P.hnf), 2)
+    y = QuotientRing(K, p2).pow(a, P.norm - 1)
+    layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
+    return layer.coords(tuple(b - c for b, c in zip(y, K.one())))
 
 
 def fraction_short_vectors(gram, bound, limit=100000):

@@ -322,6 +322,18 @@ def test_dual_paths_agree_to_2000(conductor):
         assert fast_classify(cd, v) == classify_prime(cd, v)
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_dual_paths_agree_above_a_million(conductor, ell):
+    # criterion 12 stops at 10^4; the census runs to 10^8
+    cd = conductor(ell)
+    high = _c3_primes(cd, 10**6, 10**6 + 10**4, count=20)
+    assert len(high) == 20
+    for v in high:
+        fast = fast_classify(cd, v)
+        assert fast.in_C3
+        assert fast == classify_prime(cd, v), v
+
+
 def test_classify_prime_reuses_the_class_group_factor_base(conductor, monkeypatch):
     # Each call builds a new moving quotient; the factor-base context must
     # come from the loaded class group, not be rebuilt per prime.

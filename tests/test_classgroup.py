@@ -17,6 +17,7 @@ from a4census import arith, linalg
 from a4census.classgroup import (
     EMBEDDING_DIGITS,
     _coefficient_boxes,
+    _combine,
     _reduced_basis,
     _start_bound,
     _valuations_above,
@@ -102,6 +103,32 @@ def test_principal_ideal_has_trivial_class():
     A = ideal_from_elements(L, [(5, 1, 0)])
     assert ideal_norm(A) == abs(L.el_norm((5, 1, 0)))
     assert not any(ideal_class_coordinates(A, cg))
+
+
+combine_case = st.tuples(
+    st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=5)
+).flatmap(
+    lambda km: st.tuples(
+        st.lists(st.integers(min_value=-(10**9), max_value=10**9), min_size=km[0], max_size=km[0]),
+        st.lists(
+            st.lists(st.integers(min_value=-(10**9), max_value=10**9), min_size=km[1], max_size=km[1]),
+            min_size=km[0],
+            max_size=km[0],
+        ),
+    )
+)
+
+
+@given(combine_case)
+@settings(max_examples=150)
+def test_combine_matches_the_double_loop(case):
+    # k coefficients against k rows of length m, k and m independent
+    coeffs, rows = case
+    want = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        for j, x in enumerate(row):
+            want[j] += c * x
+    assert _combine(coeffs, rows) == tuple(want)
 
 
 # ---------------------------------------------------------------------------

@@ -93,21 +93,21 @@ def test_hnf_solve_roundtrip():
 @given(mat3)
 @settings(max_examples=60)
 def test_smith_normal_form_matches_sympy(rows):
-    divisors, u, v = linalg.smith_normal_form(rows)
-    m = sympy.Matrix(rows)
-    d = sympy.Matrix(u) * m * sympy.Matrix(v)
-    # U A V is the diagonal the function reports
-    for i in range(d.rows):
-        for j in range(d.cols):
-            assert d[i, j] == (divisors[min(i, j)] if i == j else 0)
-    # unimodular transforms
-    assert abs(sympy.Matrix(u).det()) == 1
+    divisors, v = linalg.smith_normal_form(rows)
+    m, n = len(rows), len(rows[0])
+    # V is unimodular
     assert abs(sympy.Matrix(v).det()) == 1
-    # divisibility chain
+    # a unimodular U with U A V = D exists exactly when A V and D span
+    # the same row lattice
+    av = [[int(x) for x in r] for r in (sympy.Matrix(rows) * sympy.Matrix(v)).tolist()]
+    diag = [[divisors[i] if i == j else 0 for j in range(n)] for i in range(min(m, n))]
+    assert linalg.hnf(av, ncols=n) == linalg.hnf(diag, ncols=n)
+    # nonnegative divisors in a divisibility chain
+    assert all(x >= 0 for x in divisors)
     nz = [x for x in divisors if x]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
-    theirs = smith_normal_form(m)
+    theirs = smith_normal_form(sympy.Matrix(rows))
     for i, x in enumerate(divisors):
         assert abs(theirs[i, i]) == abs(x)
 
@@ -257,6 +257,36 @@ def test_short_vectors_match_the_fraction_oracle(case):
             want = expected if qualifying <= limit else "overflow"
             assert _outcome(linalg.short_vectors, gram, bound, limit) == want
             assert _outcome(fraction_short_vectors, gram, bound, limit) == want
+
+
+def _loop_gram(rows, form):
+    k, m = len(rows), len(form)
+    return [
+        [sum(rows[i][a] * form[a][b] * rows[j][b] for a in range(m) for b in range(m)) for j in range(k)]
+        for i in range(k)
+    ]
+
+
+gram_case = st.integers(min_value=1, max_value=5).flatmap(
+    lambda m: st.tuples(
+        st.lists(
+            st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=m, max_size=m),
+            min_size=0,
+            max_size=7,
+        ),
+        st.lists(
+            st.lists(st.integers(min_value=-50, max_value=50), min_size=m, max_size=m), min_size=m, max_size=m
+        ),
+    )
+)
+
+
+@given(gram_case)
+@settings(max_examples=150)
+def test_gram_matrix_matches_the_triple_loop(case):
+    # any number of rows against an m x m form, not necessarily symmetric
+    rows, form = case
+    assert linalg.gram_matrix(rows, form) == _loop_gram(rows, form)
 
 
 def test_rref_mod_p_and_residual():

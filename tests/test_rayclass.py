@@ -8,6 +8,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import a4census
 from a4census.classgroup import class_group, unit_group
@@ -15,6 +17,7 @@ from a4census.fields import (
     FieldError,
     cubic_subfield,
     element_ideal,
+    element_in_prime,
     factor_rational_prime,
     ideal_mul,
     quartic_field_search,
@@ -29,6 +32,7 @@ from a4census.rayclass import (
 )
 
 from conftest import CONDUCTORS
+from oracles import power_wild_log
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -158,6 +162,11 @@ def test_rayclass_checks_hold_under_optimize():
             _LatticeQuotientF3([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(9, 0, 0)], 3)
         except FieldError:
             print("FieldError")
+        (P3,) = factor_rational_prime(K, 3)  # 3 is inert: P3 = 3O
+        try:
+            WildBlock(K, P3).philog((3, 6, -3))
+        except FieldError:
+            print("FieldError")
         """
     )
     src = str(Path(a4census.__file__).resolve().parents[1])
@@ -167,7 +176,7 @@ def test_rayclass_checks_hold_under_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["FieldError", "FieldError"]
+    assert out.stdout.split() == ["FieldError", "FieldError", "FieldError"]
 
 
 def test_factorization_checks_hold_under_optimize():
@@ -253,3 +262,40 @@ def test_wild_block_philog_multiplicative(conductor):
     ab = F.el_mul(a, b)
     pa, pb, pab = wild.philog(a), wild.philog(b), wild.philog(ab)
     assert list(pab) == [(x + y) % 3 for x, y in zip(pa, pb)]
+
+
+big_element = st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 4)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@given(a=big_element, b=big_element)
+@settings(max_examples=30, deadline=None)
+def test_wild_log_matches_the_powering_oracle(conductor, ell, a, b):
+    # the Teichmueller table against a^(N-1) - 1 by square and multiply,
+    # on elements coprime to 3_1 and their products (277 has index 4)
+    cd = conductor(ell)
+    F, P = cd.F, cd.p31
+    assume(not element_in_prime(P, a) and not element_in_prime(P, b))
+    for x in (a, b, F.el_mul(a, b)):
+        assert cd.wild.philog(x) == power_wild_log(F, P, x)
+    inside = F.el_mul(a, P.hnf[-1])
+    with pytest.raises(FieldError):
+        cd.wild.philog(inside)
+    with pytest.raises(FieldError):
+        power_wild_log(F, P, inside)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_wild_logs_of_the_load_match_the_powering_oracle(conductor, ell):
+    # the looked-up logs: units, certificates and relation generators
+    cd = conductor(ell)
+    F, P = cd.F, cd.p31
+    assert cd.unit_wild == tuple(power_wild_log(F, P, w) for w in cd.u.fundamental_units)
+    for cert in cd.certs:
+        if cert is not None:
+            _, gamma, wild_log, _ = cert
+            assert wild_log == power_wild_log(F, P, gamma)
+    gens = [gen for gen, _ in cd.cg.relations if not element_in_prime(P, gen)]
+    assert len(gens) > 50
+    for gen in gens:
+        assert cd.wild.philog(gen) == power_wild_log(F, P, gen)
