@@ -32,10 +32,8 @@ __all__ = [
     "poly_sub",
     "poly_neg",
     "poly_mul",
-    "poly_scale",
     "poly_eval",
     "poly_derivative",
-    "poly_shift",
     "poly_divmod_monic",
     "pm_reduce",
     "pm_add",
@@ -258,12 +256,6 @@ def poly_mul(f, g):
     return tuple(out)
 
 
-def poly_scale(f, c):
-    if c == 0:
-        return ()
-    return tuple(a * c for a in f)
-
-
 def poly_eval(f, x):
     acc = 0
     for a in reversed(poly_trim(f)):
@@ -273,14 +265,6 @@ def poly_eval(f, x):
 
 def poly_derivative(f):
     return poly_trim(i * f[i] for i in range(1, len(f)))
-
-
-def poly_shift(f, t):
-    """f(x + t), exactly."""
-    out = ()
-    for a in reversed(poly_trim(f)):
-        out = poly_add(poly_mul(out, (t, 1)), (a,))
-    return out
 
 
 def poly_divmod_monic(f, g):

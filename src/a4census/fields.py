@@ -1,10 +1,16 @@
 """Totally real number fields of degree 3 and 4.
 
 A field is carried as a monic integral defining polynomial together with
-an integral basis for the maximal order, found by p-maximalising Z[theta]
-at every prime whose square divides disc(f).  Elements are integer
+an integral basis for the maximal order.  NumberField is the one order
+type: Z[theta] is built as one, and the Round 2 method (Cohen, GTM 138,
+6.1) enlarges it at every prime whose square divides disc(f), each
+intermediate order again a verified NumberField.  Elements are integer
 coordinate vectors over the integral basis; ideals are integer row-HNF
 matrices over the same basis.  All arithmetic is exact.
+
+Primes above p are read off the factors of f mod p when p is prime to
+the index, and otherwise by splitting O/pO modulo its p-radical into
+fields (Cohen, GTM 138, 6.2).  The same p-radical serves both steps.
 
 The two constructions the census needs are the cyclic cubic field of
 prime conductor ell = 1 mod 3 (from the Shanks polynomial when ell is of
@@ -18,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,11 +64,9 @@ __all__ = [
     "ideal_from_elements",
     "ideal_mul",
     "ideal_pow",
-    "ideal_add",
     "ideal_norm",
     "ideal_eq",
     "element_in_ideal",
-    "ideal_contains",
     "element_valuation",
     "element_in_prime",
     "minkowski_bound",
@@ -173,11 +178,12 @@ def is_irreducible(f) -> bool:
 
 @dataclass(frozen=True)
 class NumberField:
-    """A totally real field Q[x]/(poly) with its maximal order.
+    """A totally real field Q[x]/(poly) with an order containing Z[theta].
 
-    basis_num / basis_den give the integral basis over the power basis
-    (rows of basis_num divided by basis_den); mult_table[i][j] holds the
-    integer coordinates of w_i * w_j over the integral basis.
+    new_number_field returns the maximal order; the orders met while
+    maximalising are NumberFields too.  basis_num / basis_den give the
+    order's basis w_i over the power basis (rows of basis_num divided by
+    basis_den); mult_table[i][j] holds the integer coordinates of w_i * w_j.
     """
 
     poly: tuple
@@ -249,26 +255,12 @@ class NumberField:
         n = self.degree
         return sum(self.mult_table[i][j][i] * a[j] for i in range(n) for j in range(n))
 
-    def to_power_basis(self, a):
-        """(numerator tuple, denominator) of the element over the power basis."""
-        n = self.degree
-        num = [0] * n
-        for i in range(n):
-            if a[i]:
-                for j in range(n):
-                    num[j] += a[i] * self.basis_num[i][j]
-        g = math.gcd(math.gcd(*[abs(x) for x in num]) if any(num) else self.basis_den, self.basis_den)
-        return tuple(x // g for x in num), self.basis_den // g
-
     def from_power_basis(self, num, den=1):
         """Coordinates over the integral basis; raises if not integral."""
         c = _power_to_coords(self, num, den)
         if c is None:
             raise FieldError("element is not in the maximal order")
         return c
-
-    def theta(self):
-        return self.from_power_basis((0, 1))
 
     def embeddings(self, digits=50):
         """Real roots of poly, high-precision floats via mpmath."""
@@ -325,8 +317,9 @@ def new_number_field(coeffs) -> NumberField:
     """Build the field and its maximal order from a monic defining polynomial.
 
     Requires degree 3 or 4, irreducible over Q, and totally real.  The
-    order starts at Z[theta] and is enlarged at every prime p with
-    p^2 | disc(f) by the radical-idealiser step until p-maximal.
+    order starts at Z[theta], built by _order like every order after it,
+    and _maximalize_at enlarges it at every prime p with p^2 | disc(f)
+    until it is p-maximal.
     """
     f = poly_trim(coeffs)
     n = poly_deg(f)
@@ -339,23 +332,22 @@ def new_number_field(coeffs) -> NumberField:
     if not is_totally_real(f):
         raise FieldError("field is not totally real")
     dpoly = poly_discriminant(f)
-    bad = [p for p, e in sorted(factorize(dpoly).items()) if e >= 2]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for p in bad:
-        basis = _maximalize_at(f, basis, p)
-    den = 1
-    for row in basis:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    num_rows = [tuple(int(x * den) for x in row) for row in basis]
-    hnf_rows = linalg.hnf(num_rows, n)
-    g = den
-    for row in hnf_rows:
-        for x in row:
-            g = math.gcd(g, x)
-    num_rows = [tuple(x // g for x in row) for row in hnf_rows]
-    den //= g
-    return _finish_field(f, dpoly, num_rows, den)
+    K = _order(f, dpoly, [tuple(int(i == j) for j in range(n)) for i in range(n)], 1)
+    for p, e in sorted(factorize(dpoly).items()):
+        if e >= 2:
+            K = _maximalize_at(K, p)
+    return K
+
+
+def _order(f, dpoly, rows, den) -> NumberField:
+    """The verified order with Z-basis rows/den over the power basis.
+
+    The basis is put in canonical form, the HNF of the rows divided by the
+    gcd of its entries and den, so an order has one representation.
+    """
+    h = linalg.hnf(rows, poly_deg(f))
+    g = math.gcd(den, *(x for row in h for x in row))
+    return _finish_field(f, dpoly, [tuple(x // g for x in row) for row in h], den // g)
 
 
 def _finish_field(f, dpoly, basis_num, basis_den) -> NumberField:
@@ -406,147 +398,51 @@ def _finish_field(f, dpoly, basis_num, basis_den) -> NumberField:
     return dataclasses.replace(K, trace_gram=gram)
 
 
-def _maximalize_at(f, basis, p):
-    """Radical-idealiser enlargement until the order is p-maximal.
+def _maximalize_at(K: NumberField, p: int) -> NumberField:
+    """The p-maximal order over the order K (Round 2, Cohen, GTM 138, 6.1).
 
-    `basis` is a list of Fraction rows over the power basis.  One round:
-    I = p-radical of O (kernel of the iterated Frobenius on O/pO), then
-    O' = (1/p) {y in O : y I <= p I}.  O is p-maximal exactly when O'=O.
+    One round: I = p-radical of O (_radical_mod_p), then the idealiser
+    O' = (1/p) {y in O : y I <= p I}.  O is p-maximal exactly when O' = O.
+    Each enlarged order is built and verified by _order.
     """
-    n = poly_deg(f)
+    n = K.degree
+    p_rows = [tuple(p * int(i == k) for k in range(n)) for i in range(n)]  # pO
     for _ in range(40):
-        num, den = _scale_basis(basis)
-        ctx = _order_context(f, num, den)
-        if ctx is None:
-            raise FieldError("intermediate basis is not an order")
-        table, one = ctx
-        m = 1
-        while p**m < n:
-            m += 1
-        frob = []
-        for i in range(n):
-            e_i = tuple(int(i == k) for k in range(n))
-            acc = e_i
-            for _ in range(m):
-                acc = _table_pow(acc, p, table, p, one)
-            frob.append(acc)
-        eqs = [[frob[i][j] % p for i in range(n)] for j in range(n)]
-        nil = linalg.kernel_mod_p(eqs, n, p)
-        rad_rows = [tuple(p * int(i == k) for k in range(n)) for i in range(n)]
-        rad_rows += [tuple(int(x) % p for x in v) for v in nil]
-        rad = linalg.hnf(rad_rows, n)
+        rad = linalg.hnf(p_rows + _radical_mod_p(K, p), n)
         # idealiser condition: y * m_j in p*I for every radical basis row
-        cols = []
-        for i in range(n):
-            e_i = tuple(int(i == k) for k in range(n))
-            entry = []
-            for mj in rad:
-                z = _table_mul(e_i, mj, table)
+        cols = [[] for _ in range(n)]
+        for mj in rad:
+            for i, z in enumerate(K.mul_matrix(mj)):  # z = w_i * m_j
                 q = linalg.hnf_solve(rad, z)
                 if q is None:
                     raise FieldError(f"radical at {p} is not an ideal")
-                entry.extend(x % p for x in q)
-            cols.append(entry)
-        eqs2 = [[cols[i][j] for i in range(n)] for j in range(len(cols[0]))]
-        ys = linalg.kernel_mod_p(eqs2, n, p)
+                cols[i].extend(x % p for x in q)
+        ys = linalg.kernel_mod_p(list(zip(*cols)), n, p)
         if not ys:
-            return basis
-        new_rows = [tuple(p * int(i == k) for k in range(n)) for i in range(n)]
-        new_rows += [tuple(int(x) % p for x in v) for v in ys]
-        enlarged = linalg.hnf(new_rows, n)
+            return K
+        enlarged = linalg.hnf(p_rows + ys, n)
         if linalg.lattice_index(enlarged) == p**n:
-            return basis  # only pO itself: already maximal
-        # convert O-coordinates back to power-basis rows and divide by p
-        basis = []
-        for row in enlarged:
-            vec = [Fraction(0)] * n
-            for i, c in enumerate(row):
-                if c:
-                    for j in range(n):
-                        vec[j] += Fraction(c * num[i][j], den)
-            basis.append([x / p for x in vec])
-        basis = _hnf_fraction_rows(basis, n)
+            return K  # only pO itself: already maximal
+        # O-coordinates to power-basis rows, then divide by p
+        rows = [tuple(sum(c * b[j] for c, b in zip(row, K.basis_num)) for j in range(n)) for row in enlarged]
+        K = _order(K.poly, K.disc_poly, rows, K.basis_den * p)
     raise FieldError(f"maximalization at {p} did not terminate")
 
 
-def _scale_basis(basis):
-    n = len(basis)
-    den = 1
-    for row in basis:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    num = [tuple(int(x * den) for x in row) for row in basis]
-    return num, den
+def _radical_mod_p(K: NumberField, p: int):
+    """Basis mod p of the p-radical of O, as O-coordinate vectors.
 
-
-def _hnf_fraction_rows(rows, n):
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in rows]
-    h = linalg.hnf(int_rows, n)
-    return [[Fraction(x, den) for x in row] for row in h]
-
-
-def _order_context(f, num, den):
-    """(structure constants, coords of 1) for the order num/den, or None."""
-    n = poly_deg(f)
-    adj, det = _adjugate_int(num)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = poly_mul(num[i], num[j])
-            _, rem = poly_divmod_monic(prod, f)
-            rem = tuple(rem) + (0,) * (n - len(rem))
-            out = []
-            for k in range(n):
-                s = sum(rem[t] * adj[t][k] for t in range(n))
-                q, r = divmod(s * den, det * den * den)
-                if r:
-                    return None
-                out.append(q)
-            row.append(tuple(out))
-        table.append(tuple(row))
-    one = []
-    for k in range(n):
-        q, r = divmod(adj[0][k] * den, det)
-        if r:
-            return None
-        one.append(q)
-    return tuple(table), tuple(one)
-
-
-def _table_mul(a, b, table):
-    n = len(table)
-    out = [0] * n
-    for i in range(n):
-        if a[i]:
-            for j in range(n):
-                if b[j]:
-                    c = a[i] * b[j]
-                    row = table[i][j]
-                    for k in range(n):
-                        out[k] += c * row[k]
-    return tuple(out)
-
-
-def _table_pow(a, e, table, p, one):
-    """a^e mod p in the order with structure constants `table`.
-
-    `one` must be the coordinates of the multiplicative identity; on a
-    non-power basis it is not the first basis vector.
+    The radical of O/pO is the kernel of the F_p-linear map x -> x^(p^m)
+    with p^m >= n (Cohen, GTM 138, 6.1); its preimage in O is the
+    p-radical, which contains pO.
     """
-    n = len(table)
-    result = tuple(x % p for x in one)
-    base = tuple(x % p for x in a)
-    while e:
-        if e & 1:
-            result = tuple(x % p for x in _table_mul(result, base, table))
-        base = tuple(x % p for x in _table_mul(base, base, table))
-        e >>= 1
-    return result
+    n = K.degree
+    q = p
+    while q < n:
+        q *= p
+    pO = QuotientRing(K, [tuple(p * int(i == k) for k in range(n)) for i in range(n)])
+    frob = [pO.pow(tuple(int(i == k) for k in range(n)), q) for i in range(n)]
+    return linalg.kernel_mod_p(list(zip(*frob)), n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +451,17 @@ def _table_pow(a, e, table, p, one):
 
 @dataclass(frozen=True)
 class PrimeIdeal:
-    """A prime of the maximal order, with HNF basis over the integral basis."""
+    """A prime of the maximal order, with HNF basis over the integral basis.
+
+    The HNF rows span P as a lattice; membership and valuations go through
+    the anti-uniformizer.
+    """
 
     p: int
     e: int
     f: int
     norm: int
     hnf: tuple
-    gen_num: tuple  # second generator over the power basis (with gen_den)
-    gen_den: int
     theta_root: object  # int root of poly mod p for unramified degree-1 primes
     # beta in pP^-1 but not in pO, as the columns of its multiplication
     # matrix: (a*beta)_k = sum_i a_i col_k[i] (element_valuation)
@@ -608,10 +506,6 @@ def ideal_pow(K: NumberField, A, k: int):
     return result
 
 
-def ideal_add(K: NumberField, A, B):
-    return linalg.hnf(list(A) + list(B), K.degree)
-
-
 def ideal_norm(A) -> int:
     return linalg.lattice_index(A)
 
@@ -622,11 +516,6 @@ def ideal_eq(A, B) -> bool:
 
 def element_in_ideal(A, a) -> bool:
     return linalg.hnf_solve(A, a) is not None
-
-
-def ideal_contains(A, B) -> bool:
-    """A >= B as lattices, i.e. the ideal A divides the ideal B."""
-    return all(linalg.hnf_solve(A, row) is not None for row in B)
 
 
 def element_valuation(K: NumberField, a, P: PrimeIdeal) -> int:
@@ -685,8 +574,6 @@ def factor_rational_prime(K: NumberField, p: int):
                     f=poly_deg(g),
                     norm=p ** poly_deg(g),
                     hnf=tuple(hnf_rows),
-                    gen_num=gz,
-                    gen_den=1,
                     theta_root=root,
                     anti_uniformizer=_multiplication_columns(K, _poly_at_theta(K, cofactor)),
                 )
@@ -707,22 +594,16 @@ def _poly_at_theta(K: NumberField, g):
 
 
 def _factor_index_prime(K: NumberField, p: int):
-    """Primes above p when p divides the order index: split O/pO directly."""
+    """Primes above p when p divides the order index (Cohen, GTM 138, 6.2).
+
+    O/pO modulo its radical (_radical_mod_p) is a product of finite fields;
+    random elements split it by idempotents until each component is a
+    field, and each component's kernel gives one prime P.  Its
+    anti-uniformizer beta is the first basis vector of pP^-1/pO = {x :
+    x*P in pO}, solved mod p from P's HNF rows.
+    """
     n = K.degree
-    table_mod = tuple(tuple(tuple(x % p for x in K.mult_table[i][j]) for j in range(n)) for i in range(n))
-    one_coords = K.one()
-    m = 1
-    while p**m < n:
-        m += 1
-    frob = []
-    for i in range(n):
-        e_i = tuple(int(i == k) for k in range(n))
-        acc = e_i
-        for _ in range(m):
-            acc = _table_pow(acc, p, table_mod, p, one_coords)
-        frob.append(acc)
-    eqs = [[frob[i][j] % p for i in range(n)] for j in range(n)]
-    nil = linalg.kernel_mod_p(eqs, n, p)
+    nil = _radical_mod_p(K, p)
     nil_rref, nil_pivots = linalg.rref_mod_p([list(v) for v in nil], n, p) if nil else ([], [])
     free_cols = [j for j in range(n) if j not in nil_pivots]
 
@@ -737,13 +618,11 @@ def _factor_index_prime(K: NumberField, p: int):
         return tuple(out)
 
     def qmul(a, b):
-        return to_quot(_table_mul(lift(a), lift(b), table_mod))
+        return to_quot(K.el_mul(lift(a), lift(b)))
 
     dim_b = len(free_cols)
-    one_q = to_quot(tuple(x % p for x in one_coords))
-    import random as _random
-
-    rng = _random.Random(arith._poly_seed(K.poly, p) ^ 0xA5)
+    one_q = to_quot(K.one())
+    rng = random.Random(arith._poly_seed(K.poly, p) ^ 0xA5)
     components = [(one_q, [to_quot(tuple(int(i == k) for k in range(n))) for i in range(n)])]
     # each component: (identity element, spanning set); refine until fields
     final = []
@@ -800,12 +679,11 @@ def _factor_index_prime(K: NumberField, p: int):
         norm = linalg.lattice_index(hnf_rows)
         if norm != p**f_res:
             raise FieldError(f"prime over {p} has norm {norm}, not {p}^{f_res}")
-        gamma = _two_element_gen(K, hnf_rows, p)
-        gen_num, gen_den = K.to_power_basis(gamma)
-        # beta * P lies in pO exactly when every coordinate of beta * gamma
-        # is 0 mod p, linear conditions whose solutions form pP^-1/pO, of
-        # dimension f
-        betas = linalg.kernel_mod_p(_multiplication_columns(K, gamma), n, p)
+        # beta * P lies in pO exactly when every coordinate of beta * h is
+        # 0 mod p for every HNF row h of P: linear conditions whose
+        # solutions form pP^-1/pO, of dimension f
+        eqs = [col for h in hnf_rows for col in _multiplication_columns(K, h)]
+        betas = linalg.kernel_mod_p(eqs, n, p)
         if len(betas) != f_res:
             raise FieldError(f"pP^-1/pO has dimension {len(betas)} at a prime over {p}, not f = {f_res}")
         P = PrimeIdeal(
@@ -814,8 +692,6 @@ def _factor_index_prime(K: NumberField, p: int):
             f=f_res,
             norm=norm,
             hnf=tuple(hnf_rows),
-            gen_num=gen_num,
-            gen_den=gen_den,
             theta_root=None,
             anti_uniformizer=_multiplication_columns(K, betas[0]),
         )
@@ -825,27 +701,6 @@ def _factor_index_prime(K: NumberField, p: int):
     if sum(P.e * P.f for P in out) != n:
         raise FieldError(f"primes over {p} do not satisfy sum e*f = {n}")
     return out
-
-
-def _two_element_gen(K: NumberField, hnf_rows, p: int):
-    """alpha with (p, alpha) = P, P the prime with these HNF rows.
-
-    Any generator is congruent mod pO to a [0,p)-combination of the HNF
-    rows, and adding pO elements never changes the ideal (p, alpha), so
-    scanning those combinations is exhaustive.
-    """
-    import itertools
-
-    rows = [tuple(r) for r in hnf_rows]
-    n = K.degree
-    for coeffs in itertools.product(range(p), repeat=len(rows)):
-        if not any(coeffs):
-            continue
-        cand = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n))
-        trial = ideal_from_elements(K, [cand], rational=p)
-        if [tuple(r) for r in trial] == rows:
-            return cand
-    raise FieldError("no two-element representation found")
 
 
 def _min_poly_mod(x, qmul, ident, rref_span, piv_span, dim_b, p):

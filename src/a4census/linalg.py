@@ -11,19 +11,15 @@ import math
 import operator
 from fractions import Fraction
 
-from .arith import det_bareiss
-
 __all__ = [
     "hnf",
     "hnf_solve",
-    "in_lattice",
     "lattice_eq",
     "lattice_index",
     "inverse_rational",
     "solve_rational",
     "kernel_mod_p",
     "rref_mod_p",
-    "rank_mod_p",
     "residual_mod_p",
     "smith_normal_form",
     "lll_gram",
@@ -100,10 +96,6 @@ def hnf_solve(h, target):
     return coeffs
 
 
-def in_lattice(h, v) -> bool:
-    return hnf_solve(h, v) is not None
-
-
 def lattice_eq(h1, h2) -> bool:
     return [tuple(r) for r in h1] == [tuple(r) for r in h2]
 
@@ -178,10 +170,6 @@ def rref_mod_p(rows, ncols, p):
         if rank == len(work):
             break
     return [tuple(r) for r in work[:rank]], pivots
-
-
-def rank_mod_p(rows, ncols, p) -> int:
-    return len(rref_mod_p(rows, ncols, p)[0])
 
 
 def residual_mod_p(rref_rows, pivots, vec, p):

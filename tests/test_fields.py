@@ -1,14 +1,17 @@
 """Number field construction checked against sympy."""
 
 import functools
+import math
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.galoisgroups import galois_group
 
-from a4census import arith, fields
+from a4census import arith, fields, linalg
+from a4census.config import shipped_config
 from a4census.fields import (
     FieldError,
     cubic_subfield,
@@ -16,7 +19,6 @@ from a4census.fields import (
     factor_rational_prime,
     field_from_record,
     field_to_record,
-    ideal_from_elements,
     ideal_norm,
     new_number_field,
     quartic_field_search,
@@ -85,6 +87,46 @@ def test_cubic_subfield_rejects_bad_conductor():
         cubic_subfield(11)  # 11 = 2 mod 3
     with pytest.raises(FieldError):
         cubic_subfield(15)
+
+
+# ---------------------------------------------------------------------------
+# Maximal orders against sympy's Round 2.
+
+
+def _canonical_order(rows, den):
+    """(HNF rows, den) of the lattice rows/den, reduced by the common gcd."""
+    h = linalg.hnf([tuple(int(x) for x in r) for r in rows], len(rows))
+    g = math.gcd(den, *(x for r in h for x in r))
+    return tuple(tuple(x // g for x in r) for r in h), den // g
+
+
+def _round_two_fields():
+    """Period cubics of conductor < 1000 whose index 27b has a prime factor above 3,
+    the shipped L and F of each conductor, and one quartic of index 8."""
+    polys = []
+    for ell in arith.primes_upto(1000):
+        if ell % 3 == 1 and shanks_param(ell) is None:
+            _, b = arith.cornacchia_4l(ell)
+            if max(arith.factorize(abs(b)), default=1) > 3:
+                polys.append(fields.period_cubic(ell))
+    assert len(polys) == 25
+    for ell in (163, 277, 349):
+        cfg = shipped_config(ell)
+        polys += [tuple(cfg.cubic_poly), tuple(cfg.quartic_poly)]
+    # 2 = P^2 Q^2 with Z[theta]/2 = F_2[x]/(x^4): the 2-radical contains theta,
+    # whose square is not 0 mod 2, so one Frobenius does not find it
+    polys.append((4, -4, -12, -2, 1))
+    return polys
+
+
+def test_maximal_orders_match_sympy_round_two():
+    # the index primes above 3 include 5 (181, index 135) and 7 (331, index 189)
+    for f in _round_two_fields():
+        K = new_number_field(f)
+        ZK, dK = round_two(_sym_poly(f))
+        cols = ZK.matrix.to_Matrix()  # columns are the basis over the power basis
+        assert (K.basis_num, K.basis_den) == _canonical_order(cols.T.tolist(), int(ZK.denom)), f
+        assert K.disc == dK, f
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +206,7 @@ def test_factor_rational_prime_norms():
         assert sorted(pr.norm for pr in primes) == sorted(p**pr.f for pr in primes)
         assert sum(pr.e * pr.f for pr in primes) == 4
         for pr in primes:
-            # the stored HNF and the two-element generators agree
-            gen = F.from_power_basis(pr.gen_num, pr.gen_den)
-            A = ideal_from_elements(F, [gen], rational=p)
-            assert ideal_norm(A) == pr.norm
-            assert tuple(tuple(r) for r in pr.hnf) == tuple(tuple(r) for r in A)
+            assert ideal_norm(pr.hnf) == pr.norm
 
 
 def test_element_valuation_sums_to_norm_valuation():
@@ -188,21 +226,34 @@ def test_element_valuation_sums_to_norm_valuation():
 
 
 @functools.cache
-def _primes_to_50_and_ell(F, ell):
-    """The primes of F above each p <= 50 and above ell, each with a valid anti-uniformizer."""
+def _primes_to_50_and_ell(K, ell):
+    """The primes of K above each p <= 50 and above ell, each with a valid anti-uniformizer."""
     out = []
     for p in arith.primes_upto(50) + [ell]:
-        for P in factor_rational_prime(F, p):
+        for P in factor_rational_prime(K, p):
             # beta = 1 * beta, read off the columns of its multiplication matrix
-            beta = tuple(sum(x * y for x, y in zip(F.one(), col)) for col in P.anti_uniformizer)
+            beta = tuple(sum(x * y for x, y in zip(K.one(), col)) for col in P.anti_uniformizer)
             assert any(x % p for x in beta), "beta lies in pO"
-            assert all(not any(x % p for x in F.el_mul(beta, row)) for row in P.hnf), "beta*P is not in pO"
+            assert all(not any(x % p for x in K.el_mul(beta, row)) for row in P.hnf), "beta*P is not in pO"
             out.append(P)
     return tuple(out)
 
 
+def _check_valuations(K, primes, case):
+    """alpha^power * row^j * p^k against the powering oracle at every prime in `primes`."""
+    coords, power, pick, j, k = case
+    coords = tuple(coords[: K.degree])
+    assume(any(coords))
+    P = primes[pick % len(primes)]
+    row = P.hnf[(pick // len(primes)) % len(P.hnf)]
+    el = K.el_mul(K.el_pow(coords, power), K.el_pow(row, j))
+    el = tuple(P.p**k * x for x in el)
+    for Q in primes:
+        assert element_valuation(K, el, Q) == powering_valuation(K, el, Q), (Q.p, Q.e, Q.f, el)
+
+
 valuation_case = st.tuples(
-    st.lists(st.integers(min_value=-30, max_value=30), min_size=4, max_size=4).filter(any),
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=4, max_size=4).filter(any),  # cut to the degree
     st.sampled_from([1, 2, 3]),  # power of that element
     st.integers(min_value=0, max_value=10**6),  # picks a prime P and one of its HNF rows
     st.integers(min_value=0, max_value=3),  # power of the HNF row, an element of P
@@ -222,13 +273,24 @@ def test_element_valuation_matches_the_powering_oracle(conductor, ell, case):
     kinds = {(P.p, P.e, P.f) for P in primes}
     assert {(ell, 3, 1), (3, 1, 3)} <= kinds
     assert ell != 277 or (F.index % 2 == 0 and (2, 1, 2) in kinds)
-    coords, power, pick, j, k = case
-    P = primes[pick % len(primes)]
-    row = P.hnf[(pick // len(primes)) % len(P.hnf)]
-    el = F.el_mul(F.el_pow(tuple(coords), power), F.el_pow(row, j))
-    el = tuple(P.p**k * x for x in el)
-    for Q in primes:
-        assert element_valuation(F, el, Q) == powering_valuation(F, el, Q), (Q.p, Q.e, Q.f, el)
+    _check_valuations(F, primes, case)
+
+
+_cubic = functools.cache(cubic_subfield)
+
+
+@pytest.mark.parametrize("ell", [277, 331])
+@given(valuation_case)
+@settings(max_examples=40, deadline=None)
+def test_cubic_element_valuation_matches_the_powering_oracle(ell, case):
+    # the period cubics of 277 (index 108 = 2^2 3^3) and 331 (index
+    # 189 = 3^3 7): their index primes take the O/pO splitting route of
+    # factor_rational_prime
+    L = _cubic(ell)
+    assert L.index == {277: 108, 331: 189}[ell]
+    primes = _primes_to_50_and_ell(L, ell)
+    assert (ell, 3, 1) in {(P.p, P.e, P.f) for P in primes}
+    _check_valuations(L, primes, case)
 
 
 # ---------------------------------------------------------------------------

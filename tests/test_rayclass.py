@@ -20,7 +20,6 @@ from a4census.fields import (
     element_in_prime,
     factor_rational_prime,
     ideal_mul,
-    quartic_field_search,
 )
 from a4census.rayclass import (
     Modulus,
