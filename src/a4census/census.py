@@ -33,8 +33,19 @@ F is prime to 3.  The certificates are built and verified once, in
 load_conductor.  Below the two routes there is one smooth split
 (classgroup.smooth_split) over the class group's factor base.  Both
 routes are deterministic; the census output is byte-identical for any
-worker count because work is split into fixed chunks and merged in
+worker count because work is split into fixed segments and merged in
 order.
+
+The census (run_census) classifies a segment of up to CHUNK integers in
+three stages (_count_segment): fast_classify's gate, root and closed-form
+v1 for every prime; one batched float64 LLL (linalg.lll_float_batch)
+over the v1 lattices of all the segment's C3 primes, whose unimodular
+transforms are certified exactly; then fast_classify's split and
+residuals from each reduced basis.  A lattice's transform does not
+depend on the rest of its batch, so neither the verdicts nor the alpha
+behind them depend on the worker count or on where segments are cut.
+fast_classify itself, and every other caller of smooth_split, starts
+from the HNF and reduces it exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import contextlib
 import itertools
 import logging
 import math
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -90,7 +102,7 @@ from .rayclass import (
 
 log = logging.getLogger(__name__)
 
-CHUNK = 1000  # primes are counted in fixed blocks so merges are order-stable
+CHUNK = 8000  # primes are counted in fixed blocks so merges are order-stable
 
 
 class VerificationError(FieldError):
@@ -103,6 +115,10 @@ class VerificationError(FieldError):
     def __init__(self, check: str, message: str):
         self.check = check
         super().__init__(message)
+
+    def __reduce__(self):
+        # a pool worker's error reaches the parent pickled, tag included
+        return type(self), (self.check, str(self))
 
 
 @dataclass(frozen=True)
@@ -178,6 +194,7 @@ class ConductorData:
     # _certificate of each cg.factor_base prime, None over 3 and ell
     certs: tuple
     shanks_a: object
+    frame: tuple  # float Cholesky factor of F.trace_gram: real coordinates for the census LLL
 
     @property
     def is_shanks(self) -> bool:
@@ -323,6 +340,7 @@ def load_conductor(config) -> ConductorData:
         fixed_pivots=tuple(fixed_pivots),
         certs=certs,
         shanks_a=shanks_param(ell),
+        frame=linalg.cholesky_float(F.trace_gram),
     )
     if config.use_cache and cached is None:
         cache_write(ell, {"L": field_to_record(L), "F": field_to_record(F)})
@@ -378,6 +396,15 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     presentation through its certificate Q^m = (gamma) from cd.certs,
     built at load; m is prime to 3 because 3 does not divide h(F).
     """
+    pre = _c3_setup(cd, v)
+    if isinstance(pre, PrimeClassification):
+        return pre
+    r, v1 = pre
+    return _c3_verdict(cd, v, r, v1)
+
+
+def _c3_setup(cd: ConductorData, v: int):
+    """fast_classify up to v1: the verdict of a prime outside C^(3), else (r, v1 HNF)."""
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
         return PrimeClassification(v, False, skipped=True)
@@ -389,14 +416,19 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
             "root", f"{v} passed the C3 gate, but f mod {v} does not have exactly one root"
         )
     r, cofactor = root
+    return r, _degree3_prime(_poly_at_theta(cd.F, cofactor), v)
 
-    v1 = _degree3_prime(_poly_at_theta(cd.F, cofactor), v)
+
+def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
+    """fast_classify from v1 on, given any basis of v1 (N(v1) = v^3)."""
     tame_v = _tame_line(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1)
+    split = smooth_split(
+        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3
+    )
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -557,11 +589,56 @@ def _segments(limit: int, cps) -> list:
 
 
 def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
-    """Classify primes in (lo, hi]; returns counts and optional records."""
+    """Classify the primes in (lo, hi]: counts, optional records, fallbacks.
+
+    Three stages, each verdict equal to fast_classify's:
+      1. every prime goes through the gate, the root and the closed-form
+         v1 (_c3_setup);
+      2. the v1 bases of the segment's C3 primes are reduced together by
+         one linalg.lll_float_batch in the real coordinates cd.frame; each
+         returned T is unimodular, checked exactly, and the rows T v1 are
+         formed in integers, so they are a basis of v1 whatever the floats
+         did (a lattice without a certified T keeps its HNF);
+      3. each C3 prime is classified from its reduced basis (_c3_verdict),
+         whose exact LLL then has little left to do.
+    A lattice's T does not depend on the other lattices of the batch, so
+    the verdicts and the alpha behind them do not depend on where the
+    segments are cut or on the worker count.  A FieldError at one prime
+    (VerificationError "v1-norm" in stage 1, "no smooth split" in stage 3)
+    is contained: that prime is classified by classify_prime and counted
+    as a fallback.  VerificationError("root") means the gate is wrong and
+    propagates.
+    """
+    verdicts = []
+    pending = []  # (index in verdicts, v, r, v1 HNF) of each C3 prime
+    fallbacks = 0
+    for v in primes_in_range(lo + 1, hi + 1):
+        try:
+            pre = _c3_setup(cd, v)
+        except VerificationError as exc:
+            if exc.check == "root":
+                raise
+            pre = _fallback(cd, v, exc)
+            fallbacks += 1
+        if isinstance(pre, PrimeClassification):
+            verdicts.append(pre)
+        else:
+            pending.append((len(verdicts), v, *pre))
+            verdicts.append(None)
+    transforms = linalg.lll_float_batch([v1 for *_, v1 in pending], cd.frame)
+    for (i, v, r, v1), T in zip(pending, transforms):
+        if T is not None:
+            cols = list(zip(*v1))
+            v1 = [tuple(sum(map(operator.mul, t, col)) for col in cols) for t in T]
+        try:
+            verdicts[i] = _c3_verdict(cd, v, r, v1)
+        except FieldError as exc:
+            verdicts[i] = _fallback(cd, v, exc)
+            fallbacks += 1
+
     c3 = cl = ct = cb = done = 0
     detail = [] if want_detail else None
-    for v in primes_in_range(lo + 1, hi + 1):
-        pc = fast_classify(cd, v)
+    for pc in verdicts:
         if pc.skipped:
             continue
         done += 1
@@ -573,9 +650,14 @@ def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
             if want_detail:
                 detail.append(
                     '{"v": %d, "lambda": %s, "taubar": %s}'
-                    % (v, str(pc.in_CLambda).lower(), str(pc.in_Ctaubar).lower())
+                    % (pc.v, str(pc.in_CLambda).lower(), str(pc.in_Ctaubar).lower())
                 )
-    return c3, cl, ct, cb, done, detail
+    return c3, cl, ct, cb, done, detail, fallbacks
+
+
+def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
+    log.info("conductor %d: fast route failed at %d (%s); using classify_prime", cd.ell, v, exc)
+    return classify_prime(cd, v)
 
 
 _WORKER_CD = None  # this pool worker's copy of the parent's verified datum
@@ -595,11 +677,19 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     """Cumulative census rows at each checkpoint up to N.
 
     Primes beyond the last checkpoint are never classified.  Work is cut
-    into fixed CHUNK-sized ranges (checkpoints always land on segment
-    boundaries), so the merged rows do not depend on the worker count.
-    Pool workers receive cd itself and never reload the conductor.  With
+    into fixed segments of CHUNK = 8000 integers (checkpoints always land
+    on segment boundaries), so the merged rows do not depend on the worker
+    count.  Each segment is classified in three stages (_count_segment):
+    the gate, root and v1 of every prime; one batched float LLL over the
+    segment's v1 lattices; the split of each v1 from its reduced basis.
+    A lattice's reduction does not depend on its batch, so the output is
+    the same however the segments fall.  Pool workers receive cd itself,
+    never reload the conductor, and take one segment per task.  With
     `jsonl` (a path, or "-" for stdout) each C3 prime's record is written
-    in order as its segment is merged, not held until the end.
+    in order as its segment is merged, so a census holds one segment's
+    lines at a time.  A prime at which the fast route raises FieldError
+    is classified by classify_prime; the number of such fallbacks is
+    logged at the end.  VerificationError("root") aborts the census.
     """
     cps = _checkpoints_for(N, checkpoints)
     limit = cps[-1]
@@ -619,9 +709,7 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(cd,)
         ) as pool:
-            results = pool.map(
-                _worker_count, [(lo, hi, want_detail) for lo, hi in segs], chunksize=8
-            )
+            results = pool.map(_worker_count, [(lo, hi, want_detail) for lo, hi in segs])
             return _merge_segments(cd, segs, results, cps, out)
 
 
@@ -629,18 +717,20 @@ def _merge_segments(cd, segs, results, cps, out):
     """Fold the segment results in order into checkpoint rows.
 
     Each segment's detail lines go to `out` (when given) as it is
-    merged, so a long census holds at most one segment's lines.
+    merged, so a long census holds at most one segment's lines.  The
+    segments' fallbacks to classify_prime are summed and logged.
     """
     rows = []
-    c3 = cl = ct = cb = done = 0
+    c3 = cl = ct = cb = done = fallbacks = 0
     cps_left = list(cps)
     for (lo, hi), res in zip(segs, results):
-        sc3, scl, sct, scb, sdone, detail = res
+        sc3, scl, sct, scb, sdone, detail, sfall = res
         c3 += sc3
         cl += scl
         ct += sct
         cb += scb
         done += sdone
+        fallbacks += sfall
         if detail:
             out.write("".join(line + "\n" for line in detail))
             out.flush()
@@ -651,6 +741,11 @@ def _merge_segments(cd, segs, results, cps, out):
                 "conductor %d: n=%d |C3|=%d lambda=%d taubar=%d both=%d",
                 cd.ell, hi, c3, cl, ct, cb,
             )
+    if fallbacks:
+        log.warning(
+            "conductor %d: %d fallback(s) to classify_prime after the fast route failed",
+            cd.ell, fallbacks,
+        )
     return rows
 
 

@@ -2,14 +2,19 @@
 
 Matrices are lists (or tuples) of rows.  Everything is sized for number
 fields of degree <= 4 and factor bases of a few dozen primes, so the
-algorithms favour exactness and clarity over asymptotics.
+algorithms favour exactness and clarity over asymptotics.  The one
+float routine, lll_float_batch, reduces many lattices at once in numpy
+and hands back exact integer transforms that it has certified.
 """
 
 from __future__ import annotations
 
+import array
 import math
 import operator
 from fractions import Fraction
+
+from .arith import det_bareiss
 
 __all__ = [
     "hnf",
@@ -23,6 +28,8 @@ __all__ = [
     "residual_mod_p",
     "smith_normal_form",
     "lll_gram",
+    "cholesky_float",
+    "lll_float_batch",
     "short_vectors",
     "gram_matrix",
 ]
@@ -345,6 +352,175 @@ def lll_gram(gram, delta=Fraction(3, 4)):
             d[k] = newd
             k = max(k - 1, 1)
     return [tuple(r) for r in h], b
+
+
+def cholesky_float(gram):
+    """Lower-triangular float L with L L^t = gram, for a positive definite form.
+
+    For an integer basis y, the rows of y L are real coordinates of the
+    lattice: their dot products are the form's values.  Pure Python: it
+    runs once per form, and numpy.linalg would call LAPACK.
+    """
+    n = len(gram)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = float(gram[i][j]) - sum(low[i][c] * low[j][c] for c in range(j))
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif s > 0:
+                low[i][i] = math.sqrt(s)
+            else:
+                raise ValueError("gram matrix is not positive definite")
+    return tuple(tuple(r) for r in low)
+
+
+def lll_float_batch(bases, frame, max_steps=2000):
+    """LLL transforms of many integer lattices at once, in float64.
+
+    `bases` holds m square integer bases (lists of rows) of one dimension
+    n, and `frame` a float n x n matrix L (cholesky_float) with L L^t the
+    form, so that each lattice is reduced in the real coordinates y L of
+    its rows y.  Yields one entry per lattice, in order: the transform T
+    as a tuple of rows of Python integers, so that T y is the reduced
+    basis, or None where T cannot be certified.  Each T is certified
+    exactly: its entries are integers and |det T| = 1, so T y is a basis
+    of the same lattice whatever the floats did.  T is tracked in
+    float64, which is exact for integers below 2^53; a transform that
+    outgrew that bound fails the determinant check (or holds a
+    non-finite entry) and gives None.  How well T y is reduced is not
+    part of the contract: callers that need an exact reduction run
+    lll_gram on T y.
+
+    Schnorr-Euchner LLL (Math. Programming 66, 1994), as in Nguyen and
+    Stehle, "Floating-point LLL revisited" (Eurocrypt 2005): at its stage
+    k a lattice recomputes row k of its Gram-Schmidt data from the
+    current float vectors, size-reduces b_k against b_{k-1}, ..., b_0,
+    and takes the Lovasz test with delta = 0.99, above lll_gram's 3/4,
+    so that lll_gram finds the result already reduced.  All m lattices
+    advance one stage per pass, each with its own k and its own mask; a
+    finished lattice is frozen.  Only elementwise numpy operations and
+    gathers by lattice index run, with no sum across lattices and no
+    BLAS call, so a lattice's T is bitwise the same whether it is reduced
+    alone, in any batch or in any order.  After `max_steps` passes each
+    lattice keeps the transform it has.  One pass costs about the same
+    for any m, so the batch pays only when it is wide (a hundred
+    lattices or more).
+    """
+    # Imported here rather than at module load, so that the package goes
+    # on importing numpy last (through cohomology): with numpy imported
+    # first, CPython 3.11 left each process about 1 MB larger.
+    import numpy as np
+
+    m = len(bases)
+    if m == 0:
+        return
+    n = len(frame)
+    w = 2 * n
+    # Lattice index last, one lane per lattice: bt[i, :n] are the real
+    # coordinates of row i, bt[i, n:] its row of T.
+    fr = np.array(frame, dtype=np.float64)
+    y = np.array([[[e[i][c] for e in bases] for c in range(n)] for i in range(n)], dtype=np.float64)
+    bt = np.zeros((n, w, m))
+    for c in range(n):
+        bt[:, :n] += y[:, c, None, :] * fr[c, None, :, None]
+    for i in range(n):
+        bt[i, n + i] = 1.0
+    b = bt[:, :n]
+    mu = np.zeros((n, n - 1, m))  # row j: mu_jl, l < j, stored when the lattice passes stage j
+    r = np.ones((n, m))  # squared Gram-Schmidt norms, valid below the stage
+    r[0] = _dot_rows(b[0], b[0])
+    btf, muf, rf = bt.reshape(-1), mu.reshape(-1), r.reshape(-1)
+    # Stages, masks and flat offsets are float64 too (offsets are cast to
+    # intp for indexing): each numpy kernel a forked census worker runs
+    # for the first time maps more of numpy's code into that worker.
+    lane = np.arange(m, dtype=np.float64)
+    row_lanes = np.arange(w, dtype=np.float64)[:, None] * m + lane  # one row of bt
+    mu_lanes = row_lanes[: n - 1]
+    prev_lane = lane - m
+    prev_rows = row_lanes - w * m
+    low = np.arange(n - 1, dtype=np.float64)[:, None]
+    k = np.ones(m)
+    live = np.full(m, float(n > 1))  # 1.0 while the lattice is being reduced, then 0.0
+    delta = 0.99
+    for _ in range(max_steps):
+        if not np.count_nonzero(live):
+            break
+        kk = np.where(k < n, k, n - 1.0)  # a finished lattice sits at k = n
+        at_k = (kk * (w * m) + row_lanes).astype(np.intp)
+        k_lane = (kk * m + lane).astype(np.intp)
+        p_lane = (kk * m + prev_lane).astype(np.intp)
+        v = btf[at_k]  # row k: coordinates, then transform
+        d = _dot_rows(v[:n], b)  # d[j] = <b_k, b_j>
+        rk = d.reshape(-1)[k_lane]
+        # a[j] = <b_k, b*_j> for j < k, from the stored rows of mu, in place
+        a = d[: n - 1]
+        for j in range(1, n - 1):
+            for l in range(j):
+                a[j] -= mu[j, l] * a[l]
+        # zero for j >= k, and everywhere for a finished lattice
+        a = np.where(low < kk * live, a, 0.0)
+        muk = a / r[: n - 1]
+        for j in range(n - 1):
+            rk = rk - muk[j] * a[j]
+        # size-reduce b_k against b_j, j = k-1 down to 0; r_k does not change
+        for j in range(n - 2, -1, -1):
+            q = np.rint(muk[j])
+            if j:
+                muk[:j] -= q * mu[j, :j]
+            muk[j] -= q
+            v -= q * bt[j]
+        mu2 = muk.reshape(-1)[p_lane]
+        mu2 *= mu2
+        r_p = rf[p_lane]
+        swap = (rk - (delta - mu2) * r_p) * live < 0.0
+        # row k is read only once the lattice has passed stage k, which rewrites it
+        muf[(kk * ((n - 1) * m) + mu_lanes).astype(np.intp)] = muk
+        rf[k_lane] = rk
+        if np.count_nonzero(swap):
+            at_p = (kk * (w * m) + prev_rows).astype(np.intp)
+            vp = btf[at_p]
+            btf[at_k] = np.where(swap, vp, v)
+            btf[at_p] = np.where(swap, v, vp)
+            # after a swap at k = 1 the new b_0 is b_1, and |b_1|^2 = r_1 + mu_10^2 r_0
+            rf[p_lane] = np.where(swap, rk + mu2 * r_p, r_p)
+        else:
+            btf[at_k] = v
+        k = np.where(swap, np.where(1.0 < kk, kk - 1.0, 1.0), k + live)
+        live = np.where(k < n, 1.0, 0.0)
+    # float64 entries of any size convert to Python integers exactly
+    flat = array.array("d", bt[:, n:].transpose(2, 0, 1).tobytes())
+    for at in range(0, len(flat), n * n):
+        entries = flat[at : at + n * n]
+        if not all(map(math.isfinite, entries)):
+            yield None
+            continue
+        tm = tuple(tuple(map(int, entries[i : i + n])) for i in range(0, n * n, n))
+        yield tm if abs(_det(tm)) == 1 else None
+
+
+def _det(t) -> int:
+    """Exact determinant of a square integer matrix: closed form for n = 4."""
+    if len(t) != 4:
+        return det_bareiss(t)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = t
+    # Laplace expansion along the first two rows, over their 2 x 2 minors
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+
+
+def _dot_rows(u, w):
+    """Dot products over the coordinate axis (second to last), in a fixed order."""
+    s = u[0] * w[..., 0, :]
+    for c in range(1, u.shape[0]):
+        s = s + u[c] * w[..., c, :]
+    return s
 
 
 def gram_matrix(rows, form):

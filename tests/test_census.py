@@ -29,7 +29,7 @@ from a4census.census import (
     scan_conductors,
 )
 from a4census.config import Config, golden_rows
-from a4census.fields import ideal_eq, ideal_from_elements, ideal_pow
+from a4census.fields import FieldError, ideal_eq, ideal_from_elements, ideal_pow
 from a4census.stats import census_csv
 
 from conftest import CONDUCTORS
@@ -391,6 +391,55 @@ def test_pickled_datum_classifies_alike(conductor):
     copy = pickle.loads(pickle.dumps(cd))
     for v in sympy.primerange(2, 3000):
         assert fast_classify(copy, v) == fast_classify(cd, v)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [10**6, 10**7])
+def test_dual_paths_agree_through_the_batched_segment(conductor, ell, lo):
+    # the census path (gate, one float LLL over the segment, split from the
+    # reduced bases) against the reference route on the first 20 C3 primes
+    cd = conductor(ell)
+    c3, _, _, _, _, detail, fallbacks = census._count_segment(cd, lo, lo + 2000, True)
+    assert c3 >= 20 and fallbacks == 0
+    for line in detail[:20]:
+        rec = json.loads(line)
+        ref = classify_prime(cd, rec["v"])
+        assert ref.in_C3, rec
+        assert (rec["lambda"], rec["taubar"]) == (ref.in_CLambda, ref.in_Ctaubar), rec
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch, caplog, workers):
+    # one prime whose fast split fails is classified by classify_prime and
+    # counted; the census goes on and its rows stay golden
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    split = census.smooth_split
+
+    def failing_split(cg, A, usable=None, norm=None):
+        return None if norm == bad**3 else split(cg, A, usable=usable, norm=norm)
+
+    monkeypatch.setattr(census, "smooth_split", failing_split)
+    with pytest.raises(FieldError):
+        fast_classify(cd, bad)
+    with caplog.at_level("WARNING", logger="a4census.census"):
+        rows = run_census(cd, 5000, workers=workers)
+    assert census_csv(rows).splitlines() == golden_rows(277)[:3]
+    assert [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()] == [
+        "conductor 277: 1 fallback(s) to classify_prime after the fast route failed"
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_root_failure_still_aborts_the_census(conductor, monkeypatch, workers):
+    # a C3 prime without exactly one root means the gate is wrong
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    kernel = census._quartic_root
+    monkeypatch.setattr(census, "_quartic_root", lambda f, v: None if v == bad else kernel(f, v))
+    with pytest.raises(VerificationError) as exc:
+        run_census(cd, 5000, workers=workers)
+    assert exc.value.check == "root"
 
 
 def test_census_row_ratios():

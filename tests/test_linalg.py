@@ -1,5 +1,6 @@
 """Lattice kernel: HNF/SNF against sympy, LLL against its own definition."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from a4census import linalg
-from a4census.arith import det_bareiss
+from a4census import census, linalg
+from a4census.arith import det_bareiss, primes_in_range
 
+from conftest import CONDUCTORS
 from oracles import fraction_short_vectors
 
 mat3 = st.lists(
@@ -184,6 +186,133 @@ def test_lll_gram_on_census_shaped_lattices(v):
     gram = [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
     t, reduced_gram = linalg.lll_gram(gram)
     _check_reduced(gram, t, reduced_gram)
+
+
+# ---------------------------------------------------------------------------
+# The batched float LLL: certified transforms, independent of the batch.
+
+
+def _apply(t, rows):
+    return [[sum(a * b for a, b in zip(tr, col)) for col in zip(*rows)] for tr in t]
+
+
+def _check_certified(bases, got):
+    """Each T is integral and unimodular, and T y spans the lattice of y."""
+    assert len(got) == len(bases)
+    for rows, t in zip(bases, got):
+        if t is None:
+            continue
+        assert all(type(x) is int for row in t for x in row)
+        assert abs(det_bareiss([list(r) for r in t])) == 1
+        assert linalg.hnf(_apply(t, rows)) == linalg.hnf(rows)
+
+
+def _check_nearly_reduced(bases, got, gram):
+    """T y passes the exact LLL conditions with a little slack (eta 0.51, delta 3/4)."""
+    for rows, t in zip(bases, got):
+        assert t is not None
+        mu, b = _rational_gso(linalg.gram_matrix(_apply(t, rows), gram))
+        n = len(rows)
+        assert all(abs(mu[i][j]) <= Fraction(51, 100) for i in range(n) for j in range(i))
+        assert all(b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1] for k in range(1, n))
+
+
+def _check_batch_independent(bases, frame, got):
+    """Each lattice's T is the same alone, in the batch and in a shuffled batch."""
+    for rows, t in list(zip(bases, got))[:6]:
+        assert list(linalg.lll_float_batch([rows], frame)) == [t]
+    order = random.Random(len(bases)).sample(range(len(bases)), len(bases))
+    shuffled = list(linalg.lll_float_batch([bases[i] for i in order], frame))
+    assert [shuffled[order.index(i)] for i in range(len(bases))] == got
+
+
+def _census_v1(cd, lo, count):
+    """v1 HNFs of the first `count` C3 primes from lo, as the census builds them."""
+    out = []
+    for v in primes_in_range(lo, lo + 10**5):
+        pre = census._c3_setup(cd, v)
+        if not isinstance(pre, census.PrimeClassification):
+            out.append(pre[1])
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("x", [10**6, 10**8, 2 * 10**9])
+def test_lll_float_batch_on_census_lattices(conductor, ell, x):
+    cd = conductor(ell)
+    bases = _census_v1(cd, x, 40)
+    assert len(bases) == 40
+    got = list(linalg.lll_float_batch(bases, cd.frame))
+    _check_certified(bases, got)
+    _check_nearly_reduced(bases, got, cd.F.trace_gram)
+    _check_batch_independent(bases, cd.frame, got)
+
+
+nonsingular4 = st.lists(
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=4, max_size=4),
+    min_size=4,
+    max_size=4,
+).filter(lambda rows: det_bareiss(rows) != 0)
+
+
+@given(st.lists(nonsingular4, min_size=1, max_size=6), nonsingular4)
+@settings(max_examples=60, deadline=None)
+def test_lll_float_batch_on_random_lattices(bases, form):
+    # any positive definite form: the Gram matrix A A^t of a nonsingular A
+    gram = [[sum(a * b for a, b in zip(x, y)) for y in form] for x in form]
+    frame = linalg.cholesky_float(gram)
+    got = list(linalg.lll_float_batch(bases, frame))
+    assert None not in got
+    _check_certified(bases, got)
+    _check_batch_independent(bases, frame, got)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan lanes of near-singular lattices
+@given(
+    st.lists(
+        st.lists(
+            st.lists(st.integers(min_value=-(10**25), max_value=10**25), min_size=4, max_size=4),
+            min_size=4,
+            max_size=4,
+        ).filter(lambda rows: det_bareiss(rows) != 0),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_lll_float_batch_beyond_float_precision(bases):
+    # entries far past 2^53: a transform is either certified or None
+    frame = linalg.cholesky_float([[int(i == j) for j in range(4)] for i in range(4)])
+    _check_certified(bases, list(linalg.lll_float_batch(bases, frame, max_steps=200)))
+
+
+def test_lll_float_batch_rejects_an_inexact_transform():
+    # this lattice drives its float64 transform past 2^53, where the float
+    # arithmetic rounds it to det 64; the exact check must refuse it
+    frame = linalg.cholesky_float([[1, 0], [0, 1]])
+    assert list(linalg.lll_float_batch([[[0, 5], [-5, 930442927859303]]], frame)) == [None]
+
+
+def test_lll_float_batch_edge_sizes():
+    frame = linalg.cholesky_float([[2, 1], [1, 2]])
+    assert list(linalg.lll_float_batch([], frame)) == []
+    assert list(linalg.lll_float_batch([[[5]], [[-3]]], ((1.0,),))) == [((1,),), ((1,),)]
+    (t,) = linalg.lll_float_batch([[[1, 0], [7, 1]]], frame)
+    assert abs(det_bareiss([list(r) for r in t])) == 1
+    assert linalg.hnf(_apply(t, [[1, 0], [7, 1]])) == [(1, 0), (0, 1)]
+
+
+def test_cholesky_float_factors_the_form():
+    gram = [[6, 2, 1], [2, 5, 2], [1, 2, 4]]
+    low = linalg.cholesky_float(gram)
+    for i in range(3):
+        for j in range(3):
+            assert abs(sum(low[i][c] * low[j][c] for c in range(3)) - gram[i][j]) < 1e-12
+            assert j <= i or low[i][j] == 0.0
+    with pytest.raises(ValueError):
+        linalg.cholesky_float([[1, 2], [2, 1]])
 
 
 def test_lll_gram_rejects_indefinite_forms():
