@@ -54,7 +54,6 @@ import contextlib
 import itertools
 import logging
 import math
-import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +63,7 @@ from . import arith, linalg
 from .arith import factorize, primes_in_range
 from .classgroup import (
     ClassGroupData,
+    _combine,
     UnitData,
     class_group,
     ideal_class_coordinates,
@@ -420,15 +420,13 @@ def _c3_setup(cd: ConductorData, v: int):
 
 
 def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
-    """fast_classify from v1 on, given any basis of v1 (N(v1) = v^3)."""
+    """fast_classify from v1 on, given any basis of v1."""
     tame_v = _tame_line(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(
-        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3
-    )
+    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1)
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -628,8 +626,7 @@ def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
     transforms = linalg.lll_float_batch([v1 for *_, v1 in pending], cd.frame)
     for (i, v, r, v1), T in zip(pending, transforms):
         if T is not None:
-            cols = list(zip(*v1))
-            v1 = [tuple(sum(map(operator.mul, t, col)) for col in cols) for t in T]
+            v1 = [_combine(t, v1) for t in T]
         try:
             verdicts[i] = _c3_verdict(cd, v, r, v1)
         except FieldError as exc:

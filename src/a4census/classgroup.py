@@ -68,7 +68,6 @@ from .fields import (
     element_valuation,
     factor_rational_prime,
     ideal_mul,
-    ideal_norm,
     minkowski_bound,
 )
 
@@ -190,20 +189,9 @@ def _combine(coeffs, rows):
 
 
 def _reduced_basis(K: NumberField, rows):
-    """LLL-reduced basis of the lattice `rows` and its trace-form Gram matrix.
-
-    A basis that lll_gram leaves as it is (the census hands in float-
-    reduced ones) is returned without recombining its rows.
-    """
+    """LLL-reduced basis of the lattice `rows` and its trace-form Gram matrix."""
     T, red_gram = linalg.lll_gram(linalg.gram_matrix(rows, K.trace_gram))
-    if tuple(T) == _identity(len(rows)):
-        return list(rows), red_gram
     return [_combine(t, rows) for t in T], red_gram
-
-
-@functools.cache
-def _identity(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _start_bound(K: NumberField, covol_sq) -> int:
@@ -254,7 +242,7 @@ def _coefficient_boxes(n: int):
     return tuple(out), frozenset(seen)
 
 
-def ideal_short_elements(K: NumberField, A, norm=None):
+def ideal_short_elements(K: NumberField, A):
     """Nonzero elements of the ideal A, short ones first, each once up to sign.
 
     The basis is LLL-reduced once.  The stream starts with the small
@@ -265,14 +253,13 @@ def ideal_short_elements(K: NumberField, A, norm=None):
     each of 6 rounds, only values above the previous bound are new, and
     coefficient vectors already yielded from the boxes are skipped.  The
     stream ends early when a round would enumerate more than 20000 vectors.
-    A may be any basis of the ideal when its `norm` is given; without it,
-    A must be the HNF, whose diagonal gives the norm (ideal_norm).
+    A may be any basis of the ideal: N(A) = |det A|.
     """
     red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
     boxes, in_boxes = _coefficient_boxes(K.degree)
     for c in boxes:
         yield _combine(c, red)
-    nA = ideal_norm(A) if norm is None else norm
+    nA = abs(arith.det_bareiss(A))
     for batch in itertools.islice(_rounds(red_gram, _start_bound(K, K.disc * nA * nA)), 6):
         for c in batch:
             if c not in in_boxes:
@@ -411,7 +398,7 @@ def ideal_class_coordinates(A, cg: ClassGroupData):
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def smooth_split(cg: ClassGroupData, A, usable=None, norm=None):
+def smooth_split(cg: ClassGroupData, A, usable=None):
     """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
 
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
@@ -419,14 +406,13 @@ def smooth_split(cg: ClassGroupData, A, usable=None, norm=None):
     (when given) accepts and whose cofactor factors over the base; None
     when every candidate fails.  The cofactor norm N(alpha)/N(A) is taken
     once per candidate, and `usable(alpha, cofactor_norm)` receives it.
-    A is the HNF of the ideal, or any basis of it when `norm` = N(A) is
-    given.
+    A may be any basis of the ideal: N(A) = |det A|.
     """
     K = cg.field
     ctx = cg.fb_ctx
-    nA = ideal_norm(A) if norm is None else norm
+    nA = abs(arith.det_bareiss(A))
     val_A = {}
-    for el in ideal_short_elements(K, A, nA):
+    for el in ideal_short_elements(K, A):
         total, rem = divmod(abs(K.el_norm(el)), nA)
         if rem:
             raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")

@@ -354,6 +354,11 @@ def lll_gram(gram, delta=Fraction(3, 4)):
     return [tuple(r) for r in h], b
 
 
+# lll_float_batch stops after this many passes; each lattice then keeps
+# the transform it has.
+FLOAT_LLL_PASSES = 2000
+
+
 def cholesky_float(gram):
     """Lower-triangular float L with L L^t = gram, for a positive definite form.
 
@@ -375,7 +380,7 @@ def cholesky_float(gram):
     return tuple(tuple(r) for r in low)
 
 
-def lll_float_batch(bases, frame, max_steps=2000):
+def lll_float_batch(bases, frame):
     """LLL transforms of many integer lattices at once, in float64.
 
     `bases` holds m square integer bases (lists of rows) of one dimension
@@ -402,7 +407,7 @@ def lll_float_batch(bases, frame, max_steps=2000):
     finished lattice is frozen.  Only elementwise numpy operations and
     gathers by lattice index run, with no sum across lattices and no
     BLAS call, so a lattice's T is bitwise the same whether it is reduced
-    alone, in any batch or in any order.  After `max_steps` passes each
+    alone, in any batch or in any order.  After FLOAT_LLL_PASSES passes each
     lattice keeps the transform it has.  One pass costs about the same
     for any m, so the batch pays only when it is wide (a hundred
     lattices or more).
@@ -443,7 +448,7 @@ def lll_float_batch(bases, frame, max_steps=2000):
     k = np.ones(m)
     live = np.full(m, float(n > 1))  # 1.0 while the lattice is being reduced, then 0.0
     delta = 0.99
-    for _ in range(max_steps):
+    for _ in range(FLOAT_LLL_PASSES):
         if not np.count_nonzero(live):
             break
         kk = np.where(k < n, k, n - 1.0)  # a finished lattice sits at k = n
@@ -496,23 +501,7 @@ def lll_float_batch(bases, frame, max_steps=2000):
             yield None
             continue
         tm = tuple(tuple(map(int, entries[i : i + n])) for i in range(0, n * n, n))
-        yield tm if abs(_det(tm)) == 1 else None
-
-
-def _det(t) -> int:
-    """Exact determinant of a square integer matrix: closed form for n = 4."""
-    if len(t) != 4:
-        return det_bareiss(t)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = t
-    # Laplace expansion along the first two rows, over their 2 x 2 minors
-    return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
+        yield tm if abs(det_bareiss(tm)) == 1 else None
 
 
 def _dot_rows(u, w):
