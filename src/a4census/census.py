@@ -41,11 +41,15 @@ three stages (_count_segment): fast_classify's gate, root and closed-form
 v1 for every prime; one batched float64 LLL (linalg.lll_float_batch)
 over the v1 lattices of all the segment's C3 primes, whose unimodular
 transforms are certified exactly; then fast_classify's split and
-residuals from each reduced basis.  A lattice's transform does not
-depend on the rest of its batch, so neither the verdicts nor the alpha
-behind them depend on the worker count or on where segments are cut.
-fast_classify itself, and every other caller of smooth_split, starts
-from the HNF and reduces it exactly.
+residuals, the split searching each certified basis as it is, with no
+exact LLL.  A lattice's transform does not depend on the rest of its
+batch, so neither the verdicts nor the alpha behind them depend on the
+worker count or on where segments are cut.  fast_classify itself, and
+every other caller of smooth_split, starts from the HNF and reduces it
+exactly.  The moving quotient's unit rows differ between primes only
+in their tame column, so load_conductor reduces all 3^rank of their
+row spaces once (ConductorData.moving_rref), and both fast_classify and
+the census look theirs up.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from .classgroup import (
     two_rank,
     unit_group,
 )
-from .config import TABLE_CHECKPOINTS, Config, cache_read, cache_write, shipped_config
+from .config import TABLE_CHECKPOINTS, cache_read, cache_write, conductor_config
 from .fields import (
     FieldError,
     NumberField,
@@ -191,6 +195,9 @@ class ConductorData:
     unit_l2: tuple  # ell_2 character of each saturated unit
     fixed_rref: tuple  # unit rows reduced mod 3: the fast fixed functional
     fixed_pivots: tuple
+    # the moving quotient's unit rows are unit_wild[i] + (t_i,), with t the
+    # units' tame column at v_2: t -> (rref, pivots) of those rows mod 3
+    moving_rref: dict
     # _certificate of each cg.factor_base prime, None over 3 and ell
     certs: tuple
     shanks_a: object
@@ -227,10 +234,7 @@ def load_conductor(config) -> ConductorData:
     read.
     """
     if isinstance(config, int):
-        try:
-            config = shipped_config(config)
-        except FileNotFoundError:
-            config = Config(ell=config)
+        config = conductor_config(config)
     ell = config.ell
     if not arith.is_prime(ell) or ell % 3 != 1:
         raise VerificationError("conductor", f"conductor {ell} is not a prime = 1 mod 3")
@@ -315,6 +319,10 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
+    moving_rref = {}
+    for t in itertools.product(range(3), repeat=len(unit_wild)):
+        rref, pivots = linalg.rref_mod_p([list(pw) + [ti] for pw, ti in zip(unit_wild, t)], 4, 3)
+        moving_rref[t] = (tuple(tuple(r) for r in rref), tuple(pivots))
     certs = tuple(
         None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q)
         for Q in cg.factor_base
@@ -338,6 +346,7 @@ def load_conductor(config) -> ConductorData:
         unit_l2=unit_l2,
         fixed_rref=tuple(tuple(r) for r in fixed_rref),
         fixed_pivots=tuple(fixed_pivots),
+        moving_rref=moving_rref,
         certs=certs,
         shanks_a=shanks_param(ell),
         frame=linalg.cholesky_float(F.trace_gram),
@@ -390,11 +399,13 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     (_degree3_prime; g(theta) = 0 mod v raises VerificationError
     ("v1-norm")).  The moving quotient is presented on the four local
     coordinates only (three wild, one tame at v_2), with unit images as
-    relations.  v1 is split by classgroup.smooth_split over the factor
-    base, keeping the first alpha whose cofactor norm N(alpha)/v^3 is
-    prime to 3 * ell * v, and each cofactor prime Q is moved into that
-    presentation through its certificate Q^m = (gamma) from cd.certs,
-    built at load; m is prime to 3 because 3 does not divide h(F).
+    relations; their row space mod 3 is looked up in cd.moving_rref by
+    the units' tame column at v_2.  v1 is split by classgroup.smooth_split
+    over the factor base, keeping the first alpha whose cofactor norm
+    N(alpha)/v^3 is prime to 3 * ell * v, and each cofactor prime Q is
+    moved into that presentation through its certificate Q^m = (gamma)
+    from cd.certs, built at load; m is prime to 3 because 3 does not
+    divide h(F).
     """
     pre = _c3_setup(cd, v)
     if isinstance(pre, PrimeClassification):
@@ -419,14 +430,16 @@ def _c3_setup(cd: ConductorData, v: int):
     return r, _degree3_prime(_poly_at_theta(cd.F, cofactor), v)
 
 
-def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
-    """fast_classify from v1 on, given any basis of v1."""
+def _c3_verdict(cd: ConductorData, v: int, r: int, v1, reduced=False) -> PrimeClassification:
+    """fast_classify from v1 on, given any basis of v1 (`reduced`: see smooth_split)."""
     tame_v = _tame_line(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1)
+    split = smooth_split(
+        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, reduced=reduced
+    )
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -447,10 +460,7 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     )
     in_taubar = not any(fix_res)
 
-    rows = [
-        list(pw) + [tame_v.philog(w)[0]] for pw, w in zip(cd.unit_wild, cd.u.fundamental_units)
-    ]
-    rref, pivots = linalg.rref_mod_p(rows, 4, 3)
+    rref, pivots = cd.moving_rref[tuple(tame_v.philog(w)[0] for w in cd.u.fundamental_units)]
     mov_res = linalg.residual_mod_p(rref, pivots, tuple(wild_net) + (v_net,), 3)
     in_lambda = any(mov_res)
     return PrimeClassification(v, True, in_lambda, in_taubar)
@@ -597,8 +607,11 @@ def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
          returned T is unimodular, checked exactly, and the rows T v1 are
          formed in integers, so they are a basis of v1 whatever the floats
          did (a lattice without a certified T keeps its HNF);
-      3. each C3 prime is classified from its reduced basis (_c3_verdict),
-         whose exact LLL then has little left to do.
+      3. each C3 prime is classified from its basis (_c3_verdict); a
+         certified T v1 is marked reduced, so smooth_split searches it as
+         it is, without an exact LLL, and forms its exact Gram only if
+         the coefficient boxes run out; a lattice without a certified T
+         is reduced exactly from its HNF, as in fast_classify.
     A lattice's T does not depend on the other lattices of the batch, so
     the verdicts and the alpha behind them do not depend on where the
     segments are cut or on the worker count.  A FieldError at one prime
@@ -628,7 +641,7 @@ def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
         if T is not None:
             v1 = [_combine(t, v1) for t in T]
         try:
-            verdicts[i] = _c3_verdict(cd, v, r, v1)
+            verdicts[i] = _c3_verdict(cd, v, r, v1, reduced=T is not None)
         except FieldError as exc:
             verdicts[i] = _fallback(cd, v, exc)
             fallbacks += 1

@@ -14,7 +14,10 @@ basis is LLL-reduced once, and each round doubles the trace-form bound
 and yields only the coefficient vectors above the previous bound.  The
 relation harvest keeps one stream per source lattice, unit_group reads
 one over the maximal order, and ideal_short_elements reads one after
-its coefficient boxes.
+its coefficient boxes.  The census alone hands ideal_short_elements a
+basis that is already reduced (by the certified float LLL of
+linalg.lll_float_batch); that basis is searched as it is, and its exact
+Gram is formed only if the coefficient boxes run out.
 
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
@@ -189,21 +192,9 @@ def _combine(coeffs, rows):
 
 
 def _reduced_basis(K: NumberField, rows):
-    """LLL-reduced basis of the lattice `rows` and its trace-form Gram matrix.
-
-    A basis that lll_gram leaves as it is (the census hands in float-
-    reduced ones) is returned without recombining its rows, which saves
-    about 5% of a census's classification time.
-    """
+    """LLL-reduced basis of the lattice `rows` and its trace-form Gram matrix."""
     T, red_gram = linalg.lll_gram(linalg.gram_matrix(rows, K.trace_gram))
-    if tuple(T) == _identity(len(rows)):
-        return list(rows), red_gram
     return [_combine(t, rows) for t in T], red_gram
-
-
-@functools.cache
-def _identity(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _start_bound(K: NumberField, covol_sq) -> int:
@@ -254,23 +245,33 @@ def _coefficient_boxes(n: int):
     return tuple(out), frozenset(seen)
 
 
-def ideal_short_elements(K: NumberField, A):
+def ideal_short_elements(K: NumberField, A, *, reduced=False):
     """Nonzero elements of the ideal A, short ones first, each once up to sign.
 
-    The basis is LLL-reduced once.  The stream starts with the small
-    combinations of that basis (_coefficient_boxes: radius 1, 2, 4, in
-    (L1, c) order), which is where a smooth cofactor is usually found.
-    It goes on with Fincke-Pohst rounds in trace-form order: the bound
-    starts at the Minkowski estimate from disc * N(A)^2 and doubles after
-    each of 6 rounds, only values above the previous bound are new, and
-    coefficient vectors already yielded from the boxes are skipped.  The
-    stream ends early when a round would enumerate more than 20000 vectors.
-    A may be any basis of the ideal: N(A) = |det A|.
+    The basis is LLL-reduced once, exactly (lll_gram), unless `reduced`
+    says that A is already a reduced basis: the census passes its v1
+    bases reduced by linalg.lll_float_batch, whose transforms are
+    certified unimodular, and the stream then runs over A as it is.  The
+    stream starts with the small combinations of that basis
+    (_coefficient_boxes: radius 1, 2, 4, in (L1, c) order), which is
+    where a smooth cofactor is usually found.  It goes on with
+    Fincke-Pohst rounds in trace-form order over the exact Gram of the
+    same basis (formed only once the boxes run out when A came reduced):
+    the bound starts at the Minkowski estimate from disc * N(A)^2 and
+    doubles after each of 6 rounds, only values above the previous bound
+    are new, and coefficient vectors already yielded from the boxes are
+    skipped.  The stream ends early when a round would enumerate more
+    than 20000 vectors.  A may be any basis of the ideal: N(A) = |det A|.
     """
-    red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
+    if reduced:
+        red, red_gram = [tuple(r) for r in A], None
+    else:
+        red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
     boxes, in_boxes = _coefficient_boxes(K.degree)
     for c in boxes:
         yield _combine(c, red)
+    if red_gram is None:
+        red_gram = linalg.gram_matrix(red, K.trace_gram)
     nA = abs(arith.det_bareiss(A))
     for batch in itertools.islice(_rounds(red_gram, _start_bound(K, K.disc * nA * nA)), 6):
         for c in batch:
@@ -410,7 +411,7 @@ def ideal_class_coordinates(A, cg: ClassGroupData):
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def smooth_split(cg: ClassGroupData, A, usable=None):
+def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False):
     """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
 
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
@@ -418,13 +419,15 @@ def smooth_split(cg: ClassGroupData, A, usable=None):
     (when given) accepts and whose cofactor factors over the base; None
     when every candidate fails.  The cofactor norm N(alpha)/N(A) is taken
     once per candidate, and `usable(alpha, cofactor_norm)` receives it.
-    A may be any basis of the ideal: N(A) = |det A|.
+    A may be any basis of the ideal: N(A) = |det A|.  With `reduced`, A
+    is taken as an already reduced basis and searched as it is
+    (ideal_short_elements); the checks on each candidate are the same.
     """
     K = cg.field
     ctx = cg.fb_ctx
     nA = abs(arith.det_bareiss(A))
     val_A = {}
-    for el in ideal_short_elements(K, A):
+    for el in ideal_short_elements(K, A, reduced=reduced):
         total, rem = divmod(abs(K.el_norm(el)), nA)
         if rem:
             raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")

@@ -21,7 +21,7 @@ from .cohomology import (
     simulate_unramified_probability,
     wiles_difference,
 )
-from .config import Config, golden_rows, parse_ints, read_config
+from .config import conductor_config, golden_rows, parse_ints, read_config
 from .fields import FieldError
 from .stats import (
     census_csv,
@@ -33,14 +33,10 @@ from .stats import (
 
 
 def _load_from_args(args) -> census_mod.ConductorData:
-    if getattr(args, "config", None):
-        cfg = read_config(args.config)
-        if getattr(args, "no_cache", False):
-            cfg.use_cache = False
-        return load_conductor(cfg)
+    cfg = read_config(args.config) if getattr(args, "config", None) else conductor_config(args.ell)
     if getattr(args, "no_cache", False):
-        return load_conductor(Config(ell=args.ell, use_cache=False))
-    return load_conductor(args.ell)
+        cfg.use_cache = False
+    return load_conductor(cfg)
 
 
 def _write_out(text: str, out):
@@ -107,25 +103,30 @@ def _cmd_census(args) -> int:
     if not ells and not configs:
         print("error: census needs --ell or --config", file=sys.stderr)
         return 2
-    jobs = []
-    for path in configs:
-        jobs.append(read_config(path))
-    for ell in ells:
-        jobs.append(Config(ell=ell))
+    jobs = [read_config(path) for path in configs] + [conductor_config(ell) for ell in ells]
     multi = len(jobs) > 1
-    status = 0
+    # Every output target is resolved and its directory checked before the
+    # first conductor loads: a census to 10^8 must not run for hours and
+    # then fail to write.
+    targets = []
     for cfg in jobs:
-        if args.no_cache:
-            cfg.use_cache = False
-        cd = load_conductor(cfg)
-        max_v = args.max_v if args.max_v is not None else cfg.max_v
-        cps = parse_ints(args.checkpoints) if args.checkpoints else cfg.checkpoints
         out = args.out if args.out is not None else cfg.out
         fmt = args.format if args.format is not None else cfg.fmt
         if multi or (out is not None and Path(out).is_dir()):
             base = Path(out) if out is not None else Path(".")
             ext = {"csv": "csv", "text": "txt", "jsonl": "jsonl"}[fmt]
-            out = str(base / f"census_{cd.ell}.{ext}")
+            out = str(base / f"census_{cfg.ell}.{ext}")
+        if out not in (None, "-") and not Path(out).parent.is_dir():
+            print(f"error: output directory {Path(out).parent} does not exist", file=sys.stderr)
+            return 1
+        targets.append((out, fmt))
+    status = 0
+    for cfg, (out, fmt) in zip(jobs, targets):
+        if args.no_cache:
+            cfg.use_cache = False
+        cd = load_conductor(cfg)
+        max_v = args.max_v if args.max_v is not None else cfg.max_v
+        cps = parse_ints(args.checkpoints) if args.checkpoints else cfg.checkpoints
         jsonl_path = (out or "-") if fmt == "jsonl" else None
         workers = args.jobs if args.jobs is not None else cfg.workers
         rows = run_census(cd, max_v, checkpoints=cps, workers=workers, jsonl=jsonl_path)

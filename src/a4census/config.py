@@ -102,6 +102,14 @@ def shipped_config(ell: int) -> Config:
         return read_config(p)
 
 
+def conductor_config(ell: int) -> Config:
+    """The shipped config for ell when there is one, else a bare Config(ell)."""
+    try:
+        return shipped_config(ell)
+    except FileNotFoundError:
+        return Config(ell=ell)
+
+
 def golden_census_path(ell: int):
     return resources.files(__package__) / "data" / f"golden_{ell}.csv"
 

@@ -41,6 +41,7 @@ empirically through the two independent code paths above.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import arith, linalg
@@ -110,9 +111,11 @@ class TameBlock:
         self.exp = (q - 1) // 3
         r = P.theta_root
         den_inv = pow(K.basis_den % q, -1, q)
+        powers = [1]
+        for _ in range(K.degree - 1):
+            powers.append(powers[-1] * r % q)
         self.basis_vals = tuple(
-            sum(K.basis_num[i][j] * pow(r, j, q) for j in range(K.degree)) * den_inv % q
-            for i in range(K.degree)
+            sum(map(operator.mul, row, powers)) * den_inv % q for row in K.basis_num
         )
         # smallest residue generating the 3-part fixes the character base
         for g in range(2, q):

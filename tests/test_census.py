@@ -1,6 +1,7 @@
 """Census classification, drivers, scanner, and diagonal checks."""
 
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import a4census
-from a4census import arith, census, classgroup, fields, rayclass
+from a4census import arith, census, classgroup, fields, linalg, rayclass
 from a4census.census import (
     CensusRow,
     VerificationError,
@@ -408,6 +409,81 @@ def test_dual_paths_agree_through_the_batched_segment(conductor, ell, lo):
         assert (rec["lambda"], rec["taubar"]) == (ref.in_CLambda, ref.in_Ctaubar), rec
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [10**6, 10**7])
+def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, monkeypatch):
+    # The census searches a certified float-reduced v1 as it is.  Where the
+    # exact LLL would have left that basis unchanged, the alpha (and the
+    # cofactor) must be the one the exact path finds.
+    cd = conductor(ell)
+    split = census.smooth_split
+    calls = []
+
+    def recorded(cg, A, usable=None, reduced=False):
+        got = split(cg, A, usable=usable, reduced=reduced)
+        calls.append((A, usable, reduced, got))
+        return got
+
+    monkeypatch.setattr(census, "smooth_split", recorded)
+    census._count_segment(cd, lo, lo + 2000, False)
+    assert len(calls) >= 20
+    unchanged = 0
+    for A, usable, reduced, got in calls[:20]:
+        assert reduced
+        T, _ = linalg.lll_gram(linalg.gram_matrix(A, cd.F.trace_gram))
+        if T == [tuple(int(i == j) for j in range(4)) for i in range(4)]:
+            unchanged += 1
+            assert got == split(cd.cg, A, usable=usable)
+    assert unchanged >= 15
+
+
+def test_an_uncertified_lattice_takes_the_exact_lll(conductor, monkeypatch):
+    # A v1 whose float transform is not certified keeps its HNF and is
+    # reduced exactly; the other C3 primes of the census are searched from
+    # their certified bases with no exact LLL at all.  The rows stay golden.
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    batch = linalg.lll_float_batch
+    split = census.smooth_split
+    lll = linalg.lll_gram
+    reduced_flags = {}
+    exact = []
+
+    def one_uncertified(bases, frame):
+        for A, T in zip(bases, batch(bases, frame)):
+            yield None if abs(arith.det_bareiss(A)) == bad**3 else T
+
+    def recorded(cg, A, usable=None, reduced=False):
+        reduced_flags[abs(arith.det_bareiss(A))] = reduced
+        return split(cg, A, usable=usable, reduced=reduced)
+
+    def counted_lll(gram, *args):
+        exact.append(gram)
+        return lll(gram, *args)
+
+    monkeypatch.setattr(linalg, "lll_float_batch", one_uncertified)
+    monkeypatch.setattr(census, "smooth_split", recorded)
+    monkeypatch.setattr(linalg, "lll_gram", counted_lll)
+    rows = run_census(cd, 5000)
+    assert census_csv(rows).splitlines() == golden_rows(277)[:3]
+    assert len(reduced_flags) == rows[-1].c3
+    assert [n for n, flag in reduced_flags.items() if not flag] == [bad**3]
+    assert len(exact) == 1
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_moving_quotient_table_holds_every_tame_column(conductor, ell):
+    # one entry per tame column t in F_3^rank, each the reduction mod 3 of
+    # the unit rows unit_wild[i] + (t_i,)
+    cd = conductor(ell)
+    assert sorted(cd.moving_rref) == sorted(itertools.product(range(3), repeat=cd.u.rank))
+    assert len(cd.moving_rref) == 27
+    for t, (rref, pivots) in cd.moving_rref.items():
+        rows = [list(pw) + [ti] for pw, ti in zip(cd.unit_wild, t)]
+        want, want_pivots = linalg.rref_mod_p(rows, 4, 3)
+        assert rref == tuple(tuple(r) for r in want) and pivots == tuple(want_pivots)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch, caplog, workers):
     # one prime whose fast split fails is classified by classify_prime and
@@ -416,8 +492,10 @@ def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     split = census.smooth_split
 
-    def failing_split(cg, A, usable=None):
-        return None if abs(arith.det_bareiss(A)) == bad**3 else split(cg, A, usable=usable)
+    def failing_split(cg, A, usable=None, reduced=False):
+        if abs(arith.det_bareiss(A)) == bad**3:
+            return None
+        return split(cg, A, usable=usable, reduced=reduced)
 
     monkeypatch.setattr(census, "smooth_split", failing_split)
     with pytest.raises(FieldError):

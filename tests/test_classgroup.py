@@ -286,17 +286,39 @@ def _primes_above(F, p):
     return factor_rational_prime(F, p)
 
 
+def _certified_basis(cd, A):
+    """T A for the transform T that lll_float_batch certifies for A."""
+    (T,) = linalg.lll_float_batch([A], cd.frame)
+    assert T is not None
+    return [_combine(t, A) for t in T]
+
+
 @pytest.mark.parametrize("ell", [163, 277])
 def test_ideal_short_elements_ordered_and_unique(conductor, ell):
     # The stream is the coefficient boxes of radius 1, 2, 4 over the
     # LLL-reduced basis, each radius in (L1, c) order, then the
     # Fincke-Pohst rounds in trace-form order.
     cd = conductor(ell)
-    F = cd.F
-    (A,) = _degree3_primes(F, 10**6, 1)
+    (A,) = _degree3_primes(cd.F, 10**6, 1)
+    red, _ = _reduced_basis(cd.F, [tuple(r) for r in A.hnf])
+    _check_short_element_stream(cd.F, A.hnf, red, ideal_short_elements(cd.F, A.hnf))
+
+
+@pytest.mark.parametrize("ell", [163, 277])
+def test_ideal_short_elements_over_a_certified_basis(conductor, ell):
+    # A certified float-reduced basis passed as reduced is searched as it
+    # is: the boxes and the rounds are both taken over it, so no box
+    # vector comes back in a round.
+    cd = conductor(ell)
+    (A,) = _degree3_primes(cd.F, 10**6, 1)
+    red = _certified_basis(cd, list(A.hnf))
+    _check_short_element_stream(cd.F, A.hnf, red, ideal_short_elements(cd.F, red, reduced=True))
+
+
+def _check_short_element_stream(F, hnf, red, stream):
+    """The first elements of `stream`, a stream over the basis `red` of hnf."""
     boxes, _ = _coefficient_boxes(F.degree)
-    elements = list(itertools.islice(ideal_short_elements(F, A.hnf), len(boxes) + 500))
-    red, _ = _reduced_basis(F, [tuple(r) for r in A.hnf])
+    elements = list(itertools.islice(stream, len(boxes) + 500))
     coeffs = [tuple(int(x) for x in linalg.solve_rational(red, el)) for el in elements]
 
     prefix = coeffs[: len(boxes)]
@@ -316,11 +338,11 @@ def test_ideal_short_elements_ordered_and_unique(conductor, ell):
         for x in elements[len(boxes):]
     ]
     assert tail and tail == sorted(tail)
-    first_bound = _start_bound(F, F.disc * ideal_norm(A.hnf) ** 2)
+    first_bound = _start_bound(F, F.disc * ideal_norm(hnf) ** 2)
     assert tail[-1] > first_bound  # the stream crossed at least one doubling
     seen = set()
     for el in elements:
-        assert element_in_ideal(A.hnf, el)
+        assert element_in_ideal(hnf, el)
         assert el not in seen and tuple(-x for x in el) not in seen
         seen.add(el)
 
@@ -334,6 +356,29 @@ def test_short_element_stream_ends_at_enumeration_overflow(conductor):
     (v1,) = [P for P in factor_rational_prime(cd.F, 1000003) if P.f == 3]
     assert sum(1 for _ in ideal_short_elements(cd.F, v1.hnf)) == 4005
     assert smooth_split(cd.cg, v1.hnf, usable=lambda el, cofactor_norm: False) is None
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_a_certified_split_goes_on_past_the_boxes(conductor, ell):
+    # Every box candidate rejected: the split of a certified float-reduced
+    # basis goes on into the Fincke-Pohst rounds, which need the exact Gram
+    # of that basis, and still returns an element of v1 with its cofactor.
+    cd = conductor(ell)
+    F = cd.F
+    boxes, _ = _coefficient_boxes(F.degree)
+    for v1 in _degree3_primes(F, 10**6, 2):
+        red = _certified_basis(cd, list(v1.hnf))
+        in_boxes = {_combine(c, red) for c in boxes}
+        alpha, vec = smooth_split(
+            cd.cg, red, usable=lambda el, cofactor_norm: el not in in_boxes, reduced=True
+        )
+        assert alpha not in in_boxes and tuple(-x for x in alpha) not in in_boxes
+        assert element_in_ideal(v1.hnf, alpha)
+        rhs = list(v1.hnf)
+        for P, e in zip(cd.cg.factor_base, vec):
+            if e:
+                rhs = ideal_mul(F, rhs, ideal_pow(F, list(P.hnf), e))
+        assert ideal_eq(ideal_from_elements(F, [alpha]), rhs)
 
 
 def test_smooth_split_rejects_a_non_ideal_under_optimize():

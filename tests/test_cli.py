@@ -9,9 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from a4census import cli
+from a4census import census, cli
 from a4census.cli import main
-from a4census.config import golden_rows
+from a4census.config import CACHE_ENV, golden_rows
 
 
 def run(capsys, *argv):
@@ -77,6 +77,41 @@ def test_census_workers_from_config_and_jobs_flag(capsys, tmp_path, monkeypatch)
     assert run(capsys, "census", "--config", str(ini), "--jobs", "1")[0] == 0
     assert run(capsys, "census", "--ell", "163")[0] == 0
     assert seen == [2, 1, 1]
+
+
+def test_census_checks_the_out_directory_before_any_load(capsys, tmp_path, monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli, "load_conductor", lambda cfg: loads.append(cfg.ell))
+    missing = tmp_path / "missing"
+    rc, out, err = run(capsys, "census", "--ell", "163", "--ell", "277",
+                       "--max-v", "1000", "--out", str(missing))
+    assert rc == 1
+    assert err == f"error: output directory {missing} does not exist\n"
+    assert loads == [] and not missing.exists()
+    rc, out, err = run(capsys, "census", "--ell", "163", "--max-v", "1000",
+                       "--out", str(missing / "rows.csv"))
+    assert rc == 1 and loads == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--ell", "277", "--max-v", "1000"),
+    ("census", "--ell", "277", "--max-v", "1000", "--no-cache"),
+    ("verify-field", "--ell", "277", "--no-cache"),
+])
+def test_ell_loads_the_shipped_polynomials(capsys, tmp_path, monkeypatch, argv):
+    # With an empty cache, --ell must read the shipped INI rather than
+    # search for L and F; --no-cache still keeps the cache untouched.
+    def no_search(ell):
+        raise AssertionError("the load searched for a field the shipped config gives")
+
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(census, "cubic_subfield", no_search)
+    monkeypatch.setattr(census, "quartic_field_search", no_search)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    if argv[0] == "census":
+        assert out.splitlines() == golden_rows(277)[:2]
+    assert any(tmp_path.iterdir()) == ("--no-cache" not in argv)
 
 
 def test_census_rejects_composite_conductor(capsys):
