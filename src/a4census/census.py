@@ -48,8 +48,8 @@ worker count or on where segments are cut.  fast_classify itself, and
 every other caller of smooth_split, starts from the HNF and reduces it
 exactly.  The moving quotient's unit rows differ between primes only
 in their tame column, so load_conductor reduces all 3^rank of their
-row spaces once (ConductorData.moving_rref), and both fast_classify and
-the census look theirs up.
+row spaces once (ConductorData.unit_rref); the fixed quotient reads
+its entry there too, at the units' ell_2 characters.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .classgroup import (
     UnitData,
     class_group,
     ideal_class_coordinates,
-    ideal_short_elements,
     smooth_split,
     two_rank,
     unit_group,
@@ -86,7 +85,6 @@ from .fields import (
     factor_rational_prime,
     field_from_record,
     field_to_record,
-    ideal_norm,
     ideal_pow,
     new_number_field,
     quartic_field_search,
@@ -175,7 +173,10 @@ class ConductorData:
     load_conductor is the only constructor; census pool workers receive
     this object (inherited under fork, pickled under spawn) instead of
     rebuilding it.  No field is filled later: classification only reads
-    the datum, the certificates included.
+    the datum, the certificates included.  In both fast quotients unit
+    i's row is unit_wild[i] + (t_i,), t the units' tame column: unit_l2
+    in the fixed quotient, the characters at v_2 in the moving one.
+    unit_rref holds the row space mod 3 of every t in F_3^rank.
     """
 
     ell: int
@@ -193,11 +194,7 @@ class ConductorData:
     tame_l2: TameBlock
     unit_wild: tuple  # wild philog of each saturated unit
     unit_l2: tuple  # ell_2 character of each saturated unit
-    fixed_rref: tuple  # unit rows reduced mod 3: the fast fixed functional
-    fixed_pivots: tuple
-    # the moving quotient's unit rows are unit_wild[i] + (t_i,), with t the
-    # units' tame column at v_2: t -> (rref, pivots) of those rows mod 3
-    moving_rref: dict
+    unit_rref: dict  # tame column t -> (rref, pivots) of the unit rows mod 3
     # _certificate of each cg.factor_base prime, None over 3 and ell
     certs: tuple
     shanks_a: object
@@ -313,16 +310,14 @@ def load_conductor(config) -> ConductorData:
     _, tame_l2 = fixed_q.blocks
     unit_wild = tuple(wild.philog(w) for w in u.fundamental_units)
     unit_l2 = tuple(tame_l2.philog(w)[0] for w in u.fundamental_units)
-    rows = [list(pw) + [t] for pw, t in zip(unit_wild, unit_l2)]
-    fixed_rref, fixed_pivots = linalg.rref_mod_p(rows, 4, 3)
-    if 4 - len(fixed_pivots) != 1:
+    unit_rref = {}
+    for t in itertools.product(range(3), repeat=len(unit_wild)):
+        rref, pivots = linalg.rref_mod_p([list(pw) + [ti] for pw, ti in zip(unit_wild, t)], 4, 3)
+        unit_rref[t] = (tuple(tuple(r) for r in rref), tuple(pivots))
+    if 4 - len(unit_rref[unit_l2][1]) != 1:
         raise VerificationError(
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
-    moving_rref = {}
-    for t in itertools.product(range(3), repeat=len(unit_wild)):
-        rref, pivots = linalg.rref_mod_p([list(pw) + [ti] for pw, ti in zip(unit_wild, t)], 4, 3)
-        moving_rref[t] = (tuple(tuple(r) for r in rref), tuple(pivots))
     certs = tuple(
         None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q)
         for Q in cg.factor_base
@@ -344,9 +339,7 @@ def load_conductor(config) -> ConductorData:
         tame_l2=tame_l2,
         unit_wild=unit_wild,
         unit_l2=unit_l2,
-        fixed_rref=tuple(tuple(r) for r in fixed_rref),
-        fixed_pivots=tuple(fixed_pivots),
-        moving_rref=moving_rref,
+        unit_rref=unit_rref,
         certs=certs,
         shanks_a=shanks_param(ell),
         frame=linalg.cholesky_float(F.trace_gram),
@@ -399,8 +392,9 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     (_degree3_prime; g(theta) = 0 mod v raises VerificationError
     ("v1-norm")).  The moving quotient is presented on the four local
     coordinates only (three wild, one tame at v_2), with unit images as
-    relations; their row space mod 3 is looked up in cd.moving_rref by
-    the units' tame column at v_2.  v1 is split by classgroup.smooth_split
+    relations; their row space mod 3 is looked up in cd.unit_rref by the
+    units' tame column (at ell_2 for the fixed quotient, at v_2 for the
+    moving one).  v1 is split by classgroup.smooth_split
     over the factor base, keeping the first alpha whose cofactor norm
     N(alpha)/v^3 is prime to 3 * ell * v, and each cofactor prime Q is
     moved into that presentation through its certificate Q^m = (gamma)
@@ -432,7 +426,7 @@ def _c3_setup(cd: ConductorData, v: int):
 
 def _c3_verdict(cd: ConductorData, v: int, r: int, v1, reduced=False) -> PrimeClassification:
     """fast_classify from v1 on, given any basis of v1 (`reduced`: see smooth_split)."""
-    tame_v = _tame_line(cd.F, v, r)
+    tame_v = TameBlock(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
@@ -455,12 +449,11 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1, reduced=False) -> PrimeCl
         l2_net = (l2_net - s * lg) % 3
         v_net = (v_net - s * tame_v.philog(gamma)[0]) % 3
 
-    fix_res = linalg.residual_mod_p(
-        cd.fixed_rref, cd.fixed_pivots, tuple(wild_net) + (l2_net,), 3
-    )
+    rref, pivots = cd.unit_rref[cd.unit_l2]
+    fix_res = linalg.residual_mod_p(rref, pivots, tuple(wild_net) + (l2_net,), 3)
     in_taubar = not any(fix_res)
 
-    rref, pivots = cd.moving_rref[tuple(tame_v.philog(w)[0] for w in cd.u.fundamental_units)]
+    rref, pivots = cd.unit_rref[tuple(tame_v.philog(w)[0] for w in cd.u.fundamental_units)]
     mov_res = linalg.residual_mod_p(rref, pivots, tuple(wild_net) + (v_net,), 3)
     in_lambda = any(mov_res)
     return PrimeClassification(v, True, in_lambda, in_taubar)
@@ -540,18 +533,13 @@ def _degree3_prime(gtheta, v: int):
     return rows
 
 
-def _tame_line(K: NumberField, v: int, r: int) -> TameBlock:
-    """Character block at the degree-1 prime (v, theta - r)."""
-    stub = PrimeIdeal(p=v, e=1, f=1, norm=v, hnf=(), theta_root=r, anti_uniformizer=None)
-    return TameBlock(K, stub)
-
-
 def _certificate(F: NumberField, cg: ClassGroupData, wild: WildBlock, tame_l2: TameBlock, Q):
     """(m, gamma, wild philog, ell_2 char) with Q^m = (gamma), m prime to 3.
 
     m is the order of [Q] in the class group; it is prime to 3 because
     3 does not divide h(F).  Q must lie over neither 3 nor ell, so that
-    gamma is a unit at 3_1 and ell_2.
+    gamma is a unit at 3_1 and ell_2.  gamma comes from the split of Q^m
+    with a cofactor of norm 1 (smooth_split).
     """
     coords = ideal_class_coordinates(list(Q.hnf), cg)
     m = 1
@@ -564,12 +552,12 @@ def _certificate(F: NumberField, cg: ClassGroupData, wild: WildBlock, tame_l2: T
             f"class order {m} at a prime over {Q.p} is divisible by 3, yet 3 does not divide h(F)",
         )
     power = ideal_pow(F, list(Q.hnf), m)
-    target = ideal_norm(power)
-    gamma = next((el for el in ideal_short_elements(F, power) if abs(F.el_norm(el)) == target), None)
-    if gamma is None:
+    split = smooth_split(cg, power, usable=lambda el, cofactor_norm: cofactor_norm == 1)
+    if split is None:
         raise VerificationError(
             "certificate", f"no generator found for the certificate at a prime over {Q.p}"
         )
+    gamma, _ = split
     return m, gamma, wild.philog(gamma), tame_l2.philog(gamma)[0]
 
 

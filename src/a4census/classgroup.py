@@ -37,8 +37,9 @@ N(A).  Only when alpha lies in two or more primes above p, or p divides
 N(A), are the valuations counted out with P's anti-uniformizer
 (element_valuation, one multiplication and one exact division by p per
 unit of valuation), and v_P(A) is the least v_P of its rows.  Whether
-alpha lies in P is the same test, alpha*beta in pO.  The relation
-harvest and smooth_split share this rule (_valuations_above).
+alpha lies in P is the same test, alpha*beta in pO.  One cofactor
+routine (_FBContext.cofactor) serves the relation harvest, with A = O
+and N(A) = 1, and smooth_split; at each p it checks sum f(P) v_P = e_p.
 
 Units come from their own search (unit_group: norm +-1 elements of the
 maximal order in trace-form order, after any seeds from the conductor
@@ -64,6 +65,7 @@ import mpmath
 
 from . import arith, linalg
 from .fields import (
+    EMBEDDING_DIGITS,
     FieldError,
     NumberField,
     PrimeIdeal,
@@ -89,9 +91,8 @@ __all__ = [
 ]
 
 
-# Decimal digits of the real embeddings behind the unit logarithms and
-# the cube roots of the 3-saturation.
-EMBEDDING_DIGITS = 80
+CLASS_GROUP_ROUNDS = 8  # Smith forms class_group takes before it gives up
+UNIT_SEARCH_ROUNDS = 7  # enumeration rounds unit_group reads after its seeds
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,6 @@ class _FBContext:
 
     def __init__(self, K: NumberField, bound: int):
         self.K = K
-        self.bound = bound
         self.rational_primes = arith.primes_upto(bound) if bound >= 2 else []
         self.above = {}
         fb = []
@@ -142,21 +142,38 @@ class _FBContext:
                 n //= p
         return fac if n == 1 else None
 
-    def relation_of(self, alpha):
-        """Valuation vector of (alpha) over the factor base, or None.
+    def cofactor(self, el, total: int, A, nA: int, val_A):
+        """Valuation vector of (el)/A over the factor base, or None.
 
-        None means (alpha) is divisible by a prime outside the base.
+        `total` is the cofactor norm N(el)/N(A), with N(A) = nA.  None
+        means a prime outside the base divides the cofactor.  At a p prime
+        to N(A), A is a unit at every prime above p and the valuations of
+        el come from _valuations_above; elsewhere val_A memoizes v_P(A)
+        across the candidates of one split.  At each p the valuations must
+        add up to p's exponent in `total` (sum f(P) v_P = e_p), else
+        FieldError.  The relation harvest takes A = O and N(A) = 1.
         """
-        K = self.K
-        N = abs(K.el_norm(alpha))
-        fac = self.factor(N) if N else None
+        fac = self.factor(total) if total else None
         if fac is None:
             return None
+        K = self.K
         vec = [0] * len(self.fb)
         for p, ep in fac.items():
-            got = 0
             above = self.above[p]
-            for P, v in zip(above, _valuations_above(K, alpha, above, ep)):
+            if nA % p:
+                vals = _valuations_above(K, el, above, ep)
+            else:
+                vals = []
+                for P in above:
+                    key = P.key()
+                    if key not in val_A:
+                        val_A[key] = _ideal_valuation(K, A, P)
+                    v = element_valuation(K, el, P) - val_A[key]
+                    if v < 0:
+                        raise FieldError("element of the ideal has a smaller valuation than the ideal")
+                    vals.append(v)
+            got = 0
+            for P, v in zip(above, vals):
                 if v:
                     idx = self.index.get(P.key())
                     if idx is None:
@@ -283,7 +300,7 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False):
 # Class group.
 
 
-def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
+def class_group(K: NumberField) -> ClassGroupData:
     """Class group by relation collection and Smith reduction.
 
     Deterministic: enumeration is in trace-form order, ties broken by the
@@ -335,7 +352,7 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
                 if got >= target_new:
                     return got
                 for el in next(stream, ()):  # an ended stream gives nothing
-                    vec = ctx.relation_of(el)
+                    vec = ctx.cofactor(el, abs(K.el_norm(el)), ring_rows, 1, {})
                     if vec is not None and add_relation(el, vec):
                         got += 1
         return got
@@ -343,7 +360,7 @@ def class_group(K: NumberField, max_rounds: int = 8) -> ClassGroupData:
     harvest(max(2 * nfb, nfb + 6))
 
     snapshot = None
-    for _ in range(max_rounds):
+    for _ in range(CLASS_GROUP_ROUNDS):
         mat = [list(vec) for _, vec in relations]
         divisors, V = linalg.smith_normal_form(mat, max(len(mat), nfb), nfb)
         divisors = list(divisors[:nfb])
@@ -419,6 +436,7 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False):
     (when given) accepts and whose cofactor factors over the base; None
     when every candidate fails.  The cofactor norm N(alpha)/N(A) is taken
     once per candidate, and `usable(alpha, cofactor_norm)` receives it.
+    Valuations that do not add up to that norm raise FieldError.
     A may be any basis of the ideal: N(A) = |det A|.  With `reduced`, A
     is taken as an already reduced basis and searched as it is
     (ideal_short_elements); the checks on each candidate are the same.
@@ -433,46 +451,10 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False):
             raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
         if usable is not None and not usable(el, total):
             continue
-        fac = ctx.factor(total)
-        if fac is None:
-            continue
-        vec = _cofactor_vector(ctx, A, nA, el, fac, val_A)
-        if vec is not None and math.prod(P.norm**v for P, v in zip(ctx.fb, vec)) == total:
+        vec = ctx.cofactor(el, total, A, nA, val_A)
+        if vec is not None:
             return el, vec
     return None
-
-
-def _cofactor_vector(ctx: _FBContext, A, nA, el, fac, val_A):
-    """Valuations of (el)/A over the factor base at the primes above `fac`.
-
-    None when a prime outside the base divides the cofactor.  At a p
-    prime to N(A), A is a unit at every prime above p and the valuations
-    of el come from _valuations_above; elsewhere val_A memoizes v_P(A)
-    across the candidates of one split.
-    """
-    K = ctx.K
-    vec = [0] * len(ctx.fb)
-    for p, ep in fac.items():
-        above = ctx.above[p]
-        if nA % p:
-            vals = _valuations_above(K, el, above, ep)
-        else:
-            vals = []
-            for P in above:
-                key = P.key()
-                if key not in val_A:
-                    val_A[key] = _ideal_valuation(K, A, P)
-                v = element_valuation(K, el, P) - val_A[key]
-                if v < 0:
-                    raise FieldError("element of the ideal has a smaller valuation than the ideal")
-                vals.append(v)
-        for P, v in zip(above, vals):
-            if v:
-                idx = ctx.index.get(P.key())
-                if idx is None:
-                    return None
-                vec[idx] = v
-    return vec
 
 
 def _ideal_valuation(K, A, P: PrimeIdeal) -> int:
@@ -495,23 +477,23 @@ def _gram_det(rows):
     return mpmath.det(g)
 
 
-def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitData:
+def unit_group(K: NumberField, seed_candidates=()) -> UnitData:
     """Rank degree-1 independent units by bounded search.
 
     Candidates are the seeds (units from the conductor config), then the
     norm +-1 elements of the maximal order in trace-form order over at
-    most max_rounds rounds of 120000 vectors each; a candidate joins the
+    most UNIT_SEARCH_ROUNDS rounds of 120000 vectors each; a candidate joins the
     basis when it raises the rank of the log-embedding lattice, certified
     by the Gram determinant staying above the numerical noise floor.
-    K's real embeddings are computed once, to EMBEDDING_DIGITS digits,
-    and serve both the logarithms and the 3-saturation.
+    K's real embeddings (K.embeddings) are computed once and serve
+    both the logarithms and the 3-saturation.
     """
     n = K.degree
     rank = n - 1
     found = []
     found_rows = []
     noise = mpmath.mpf(10) ** (-25)
-    roots = K.embeddings(EMBEDDING_DIGITS)
+    roots = K.embeddings()
 
     def consider(u):
         if abs(K.el_norm(u)) != 1:
@@ -529,7 +511,7 @@ def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitD
         consider(u)
     if len(found) < rank:
         red, gram = _reduced_basis(K, [tuple(int(i == j) for j in range(n)) for i in range(n)])
-        rounds = itertools.islice(_rounds(gram, _start_bound(K, K.disc), 120000), max_rounds)
+        rounds = itertools.islice(_rounds(gram, _start_bound(K, K.disc), 120000), UNIT_SEARCH_ROUNDS)
         for c in itertools.chain.from_iterable(rounds):
             consider(_combine(c, red))
             if len(found) >= rank:
@@ -551,7 +533,7 @@ def unit_group(K: NumberField, seed_candidates=(), max_rounds: int = 7) -> UnitD
 def exact_cube_root(K: NumberField, u, roots):
     """y with y^3 = u in the maximal order, or None.  Exactly verified.
 
-    `roots` are K's real embeddings, K.embeddings(EMBEDDING_DIGITS).
+    `roots` are K's real embeddings, K.embeddings().
     """
     with mpmath.workdps(EMBEDDING_DIGITS):
         vals = K.embed_element(u, roots)
@@ -578,7 +560,7 @@ def saturate_units_at_3(K: NumberField, units, roots):
     (exponents in {0,1,2}, leading exponent 1) is a cube in the order,
     swap the cube root in.  Returns (units, number of swaps).
 
-    `roots` are K's real embeddings, K.embeddings(EMBEDDING_DIGITS),
+    `roots` are K's real embeddings, K.embeddings(),
     computed once by the caller and shared by every exact_cube_root.
     """
     units = [tuple(u) for u in units]

@@ -75,6 +75,10 @@ __all__ = [
 ]
 
 
+EMBEDDING_DIGITS = 80  # of NumberField.embeddings: unit logs and cube roots
+QUARTIC_COEFF_BOUND = 20  # coefficient box of quartic_field_search
+
+
 class FieldError(ValueError):
     """Raised when a construction or verification contract fails."""
 
@@ -262,11 +266,11 @@ class NumberField:
             raise FieldError("element is not in the maximal order")
         return c
 
-    def embeddings(self, digits=50):
-        """Real roots of poly, high-precision floats via mpmath."""
+    def embeddings(self):
+        """Real roots of poly, to EMBEDDING_DIGITS digits via mpmath."""
         import mpmath
 
-        with mpmath.workdps(digits):
+        with mpmath.workdps(EMBEDDING_DIGITS):
             roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(self.poly)], maxsteps=200, extraprec=120)
             roots = sorted(mpmath.mpf(r.real) for r in roots)
         return roots
@@ -913,12 +917,12 @@ def _square_in_qsqrt(t, disc):
     return prod > 0 and is_square(prod)
 
 
-def quartic_field_search(ell: int, coeff_bound: int = 20) -> NumberField:
+def quartic_field_search(ell: int) -> NumberField:
     """Exhaustive search for the totally real A4 quartic field of disc ell^2.
 
     Scans monic quartics with the cubic coefficient translation-normalised
-    into {0, 1, -1, -2} and the rest in [-coeff_bound, coeff_bound], in a
-    fixed lexicographic order.  Among hits (irreducible, totally real,
+    into {0, 1, -1, -2} and the rest in [-B, B], B = QUARTIC_COEFF_BOUND,
+    in a fixed lexicographic order.  Among hits (irreducible, totally real,
     A4 tag, field discriminant exactly ell^2) the first one with order
     index 1 wins, falling back to the first hit; either rule makes the
     result deterministic.  The winner's resolvent cubic is verified to
@@ -933,7 +937,7 @@ def quartic_field_search(ell: int, coeff_bound: int = 20) -> NumberField:
 
     def scan():
         first_hit = None
-        rng = range(-coeff_bound, coeff_bound + 1)
+        rng = range(-QUARTIC_COEFF_BOUND, QUARTIC_COEFF_BOUND + 1)
         for a in (0, 1, -1, -2):
             for b in rng:
                 for c in rng:
@@ -969,7 +973,7 @@ def quartic_field_search(ell: int, coeff_bound: int = 20) -> NumberField:
     K = scan()
     if K is None:
         raise FieldError(
-            f"no A4 quartic of discriminant {ell}^2 found with coefficients up to {coeff_bound}; "
+            f"no A4 quartic of discriminant {ell}^2 found with coefficients up to {QUARTIC_COEFF_BOUND}; "
             "supply quartic_poly explicitly in the conductor config"
         )
     R = new_number_field(resolvent_cubic(K.poly))

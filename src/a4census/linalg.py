@@ -274,7 +274,10 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 # Lattice reduction on an exact Gram matrix.
 
 
-def lll_gram(gram, delta=Fraction(3, 4)):
+LLL_DELTA = Fraction(3, 4)  # the Lovasz constant of lll_gram
+
+
+def lll_gram(gram):
     """LLL-reduce a basis known only through its Gram matrix.
 
     Returns (T, B): the unimodular transform rows T, so the reduced
@@ -290,7 +293,7 @@ def lll_gram(gram, delta=Fraction(3, 4)):
     n = len(gram)
     if n == 0:
         return [], []
-    dn, dd = delta.numerator, delta.denominator
+    dn, dd = LLL_DELTA.numerator, LLL_DELTA.denominator
     b = [[int(x) for x in row] for row in gram]  # Gram of the current basis
     h = [[int(i == j) for j in range(n)] for i in range(n)]
     lam = [[0] * n for _ in range(n)]
@@ -394,15 +397,15 @@ def lll_float_batch(bases, frame):
     float64, which is exact for integers below 2^53; a transform that
     outgrew that bound fails the determinant check (or holds a
     non-finite entry) and gives None.  How well T y is reduced is not
-    part of the contract: callers that need an exact reduction run
-    lll_gram on T y.
+    part of the contract, and no caller runs lll_gram on T y: the census
+    searches T y as it is (classgroup.ideal_short_elements, reduced=True).
 
     Schnorr-Euchner LLL (Math. Programming 66, 1994), as in Nguyen and
     Stehle, "Floating-point LLL revisited" (Eurocrypt 2005): at its stage
     k a lattice recomputes row k of its Gram-Schmidt data from the
     current float vectors, size-reduces b_k against b_{k-1}, ..., b_0,
     and takes the Lovasz test with delta = 0.99, above lll_gram's 3/4,
-    so that lll_gram finds the result already reduced.  All m lattices
+    so that lll_gram would find the result already reduced.  All m lattices
     advance one stage per pass, each with its own k and its own mask; a
     finished lattice is frozen.  Only elementwise numpy operations and
     gathers by lattice index run, with no sum across lattices and no

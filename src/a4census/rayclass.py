@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 
+SPAN_NORM_BOUND = 60  # brute_force_spans takes the primes of norm up to this
+
+
 @dataclass(frozen=True)
 class Modulus:
     """Finite modulus: (prime, exponent) pairs, no infinite places.
@@ -96,20 +99,20 @@ class Modulus:
 
 
 class TameBlock:
-    """The F_3 line of (O/p)^* for a degree-1 prime with norm q = 1 mod 3."""
+    """The F_3 line of (O/P)^* at the degree-1 prime P = (q, theta - r).
 
-    def __init__(self, K: NumberField, P: PrimeIdeal):
-        q = P.norm
+    r is P.theta_root: None unless P has degree 1 and lies off the index.
+    """
+
+    def __init__(self, K: NumberField, q: int, r):
         self.K = K
-        self.P = P
         self.q = q
         self.dim = 1 if (q - 1) % 3 == 0 else 0
         if self.dim == 0:
             return
-        if P.f != 1 or P.theta_root is None:
+        if r is None:
             raise FieldError("tame block needs a degree-1 prime away from the index")
         self.exp = (q - 1) // 3
-        r = P.theta_root
         den_inv = pow(K.basis_den % q, -1, q)
         powers = [1]
         for _ in range(K.degree - 1):
@@ -278,7 +281,7 @@ def _build_blocks(K: NumberField, finite, wild):
             shared = wild is not None and wild.P.key() == P.key()
             blocks.append(wild if shared else WildBlock(K, P))
         else:
-            blocks.append(TameBlock(K, P))
+            blocks.append(TameBlock(K, P.norm, P.theta_root))
     if wild is not None and not any(b is wild for b in blocks):
         raise FieldError("wild block is not at the modulus's prime over 3")
     return tuple(b for b in blocks if b.dim > 0)
@@ -495,16 +498,16 @@ def modulus_stability_check(
     return q.dim == _integer_quotient_3rank(K, prime_over_3, cg, u.fundamental_units)
 
 
-def brute_force_spans(q: RayClass3Quotient, norm_bound: int = 60) -> bool:
-    """Independent closure check: Artin images of all small primes
-    coprime to the modulus must span the computed quotient."""
+def brute_force_spans(q: RayClass3Quotient) -> bool:
+    """Independent closure check: Artin images of all primes of norm up to
+    SPAN_NORM_BOUND coprime to the modulus must span the quotient."""
     if q.dim == 0:
         return True
     K = q.cg.field
     seen = []
-    for p in arith.primes_upto(norm_bound):
+    for p in arith.primes_upto(SPAN_NORM_BOUND):
         for P in factor_rational_prime(K, p):
-            if P.norm > norm_bound or q.modulus.contains_prime(P):
+            if P.norm > SPAN_NORM_BOUND or q.modulus.contains_prime(P):
                 continue
             try:
                 seen.append(list(artin_vector(q, list(P.hnf))))

@@ -10,13 +10,18 @@ a test oracle:
   in Fractions (linalg.short_vectors prunes in floats);
 - power_wild_log: the wild log as the layer coordinates of a^(N-1) - 1
   mod P^2 by square and multiply (rayclass.WildBlock reads the
-  Teichmueller inverse from a table instead).
+  Teichmueller inverse from a table instead);
+- norm_scan_certificate: a principality certificate Q^m = (gamma) whose
+  gamma is found by scanning the short elements of Q^m for the norm
+  N(Q^m) by hand (census._certificate takes the split of Q^m with a
+  cofactor of norm 1 instead).
 """
 
 import math
 from fractions import Fraction
 
-from a4census.fields import QuotientRing, element_in_ideal, ideal_mul, ideal_pow
+from a4census.classgroup import ideal_class_coordinates, ideal_short_elements
+from a4census.fields import QuotientRing, element_in_ideal, ideal_mul, ideal_norm, ideal_pow
 from a4census.rayclass import _LatticeQuotientF3
 
 
@@ -43,6 +48,22 @@ def power_wild_log(K, P, a):
     y = QuotientRing(K, p2).pow(a, P.norm - 1)
     layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
     return layer.coords(tuple(b - c for b, c in zip(y, K.one())))
+
+
+def norm_scan_certificate(F, cg, wild, tame_l2, Q):
+    """(m, gamma, wild log, ell_2 char) with Q^m = (gamma), m the order of [Q].
+
+    gamma is the first element of ideal_short_elements(Q^m) whose norm
+    is N(Q^m) in absolute value.
+    """
+    m = 1
+    for c, d in zip(ideal_class_coordinates(list(Q.hnf), cg), cg.divisors):
+        if c % d:
+            m = math.lcm(m, d // math.gcd(d, c))
+    power = ideal_pow(F, list(Q.hnf), m)
+    target = ideal_norm(power)
+    gamma = next(el for el in ideal_short_elements(F, power) if abs(F.el_norm(el)) == target)
+    return m, gamma, wild.philog(gamma), tame_l2.philog(gamma)[0]
 
 
 def fraction_short_vectors(gram, bound, limit=100000):

@@ -34,6 +34,7 @@ from a4census.fields import FieldError, ideal_eq, ideal_from_elements, ideal_pow
 from a4census.stats import census_csv
 
 from conftest import CONDUCTORS
+from oracles import norm_scan_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,20 @@ def test_certificates_generate_the_prime_powers(conductor, ell):
         assert l2_log == cd.tame_l2.philog(gamma)[0]
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_certificates_match_the_norm_scan(conductor, ell):
+    # the split of Q^m with a trivial cofactor finds the gamma that a scan
+    # of the same short-element stream for the norm N(Q^m) finds
+    cd = conductor(ell)
+    want = tuple(
+        None if Q.p in (3, ell) else norm_scan_certificate(cd.F, cd.cg, cd.wild, cd.tame_l2, Q)
+        for Q in cd.cg.factor_base
+    )
+    assert cd.certs == want
+
+
 def test_certificate_without_generator_fails_the_load(monkeypatch):
-    monkeypatch.setattr(census, "ideal_short_elements", lambda K, A: iter(()))
+    monkeypatch.setattr(census, "smooth_split", lambda cg, A, usable=None, reduced=False: None)
     with pytest.raises(VerificationError) as exc:
         load_conductor(163)
     assert exc.value.check == "certificate"
@@ -474,14 +487,48 @@ def test_an_uncertified_lattice_takes_the_exact_lll(conductor, monkeypatch):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_moving_quotient_table_holds_every_tame_column(conductor, ell):
     # one entry per tame column t in F_3^rank, each the reduction mod 3 of
-    # the unit rows unit_wild[i] + (t_i,)
+    # the unit rows unit_wild[i] + (t_i,); the fixed quotient's entry, at
+    # the units' ell_2 characters, leaves one dimension of the four
     cd = conductor(ell)
-    assert sorted(cd.moving_rref) == sorted(itertools.product(range(3), repeat=cd.u.rank))
-    assert len(cd.moving_rref) == 27
-    for t, (rref, pivots) in cd.moving_rref.items():
+    assert sorted(cd.unit_rref) == sorted(itertools.product(range(3), repeat=cd.u.rank))
+    assert len(cd.unit_rref) == 27
+    for t, (rref, pivots) in cd.unit_rref.items():
         rows = [list(pw) + [ti] for pw, ti in zip(cd.unit_wild, t)]
         want, want_pivots = linalg.rref_mod_p(rows, 4, 3)
         assert rref == tuple(tuple(r) for r in want) and pivots == tuple(want_pivots)
+    _, fixed_pivots = cd.unit_rref[cd.unit_l2]
+    assert 4 - len(fixed_pivots) == 1
+
+
+def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
+    # Valuations that do not add up to the cofactor norm are a FieldError
+    # in the split, not a skipped candidate: the census classifies that
+    # prime by classify_prime and counts it as a fallback.
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    want = census._count_segment(cd, 0, 5000, True)
+    valuations = classgroup._valuations_above
+    verdict = census._c3_verdict
+    at_bad = []
+
+    def flagged(cd, v, *args, **kwargs):
+        at_bad.append(v == bad)
+        try:
+            return verdict(cd, v, *args, **kwargs)
+        finally:
+            at_bad.pop()
+
+    def doubled_at_bad(K, el, above, ep):
+        vals = valuations(K, el, above, ep)
+        return [2 * x for x in vals] if at_bad and at_bad[-1] else vals
+
+    monkeypatch.setattr(census, "_c3_verdict", flagged)
+    monkeypatch.setattr(classgroup, "_valuations_above", doubled_at_bad)
+    with pytest.raises(FieldError, match="norm factorization"):
+        fast_classify(cd, bad)
+    got = census._count_segment(cd, 0, 5000, True)
+    assert got[:-1] == want[:-1]
+    assert (want[-1], got[-1]) == (0, 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import a4census
-from a4census import arith, linalg
+from a4census import arith, classgroup, fields, linalg
 from a4census.classgroup import (
     EMBEDDING_DIGITS,
     _coefficient_boxes,
@@ -151,7 +151,7 @@ def test_saturation_removes_injected_cubes():
     units = list(u.fundamental_units)
     # replace one generator by its cube: the lattice index gains a factor 3
     cubed = units[:2] + [F.el_pow(units[2], 3)]
-    roots = F.embeddings(EMBEDDING_DIGITS)
+    roots = F.embeddings()
     restored, swaps = saturate_units_at_3(F, tuple(cubed), roots)
     assert swaps >= 1
     # after saturation no product of generators with exponents in {0,1,2}
@@ -170,7 +170,7 @@ def test_saturation_removes_injected_cubes():
 def test_saturation_is_idempotent():
     F = quartic_field_search(163)
     u = unit_group(F)
-    roots = F.embeddings(EMBEDDING_DIGITS)
+    roots = F.embeddings()
     once, _ = saturate_units_at_3(F, u.fundamental_units, roots)
     twice, swaps = saturate_units_at_3(F, once, roots)
     assert swaps == 0
@@ -193,16 +193,30 @@ def test_unit_group_saturates_a_cubed_seed(conductor):
     F = cd.F
     units = list(cd.u.fundamental_units)
     u = unit_group(F, seed_candidates=tuple(units[:2] + [F.el_pow(units[2], 3)]))
-    _, swaps = saturate_units_at_3(F, u.fundamental_units, F.embeddings(EMBEDDING_DIGITS))
+    _, swaps = saturate_units_at_3(F, u.fundamental_units, F.embeddings())
     assert swaps == 0
     assert u.regulator_estimate == pytest.approx(cd.u.regulator_estimate, rel=1e-9)
+
+
+def test_embeddings_carry_the_digits_of_the_unit_logarithms():
+    # one precision, set in fields and importable from classgroup, for the
+    # unit logarithms and the cube roots of the 3-saturation
+    import mpmath
+
+    assert EMBEDDING_DIGITS == fields.EMBEDDING_DIGITS == 80
+    F = quartic_field_search(163)
+    roots = F.embeddings()
+    assert len(roots) == 4 and roots == sorted(roots)
+    with mpmath.workdps(EMBEDDING_DIGITS):
+        for r in roots:
+            assert abs(sum(c * r**i for i, c in enumerate(F.poly))) < mpmath.mpf(10) ** -70
 
 
 def test_exact_cube_root():
     F = quartic_field_search(163)
     a = (2, 1, 0, 1)
     cube = F.el_pow(a, 3)
-    roots = F.embeddings(EMBEDDING_DIGITS)
+    roots = F.embeddings()
     root = exact_cube_root(F, cube, roots)
     assert root is not None
     assert F.el_pow(root, 3) == tuple(cube)
@@ -379,6 +393,26 @@ def test_a_certified_split_goes_on_past_the_boxes(conductor, ell):
             if e:
                 rhs = ideal_mul(F, rhs, ideal_pow(F, list(P.hnf), e))
         assert ideal_eq(ideal_from_elements(F, [alpha]), rhs)
+
+
+def _doubled(valuations):
+    """_valuations_above with every valuation doubled, so sum f(P) v_P = 2 e_p."""
+    return lambda K, el, above, ep: [2 * v for v in valuations(K, el, above, ep)]
+
+
+def test_inconsistent_valuations_are_a_field_error(conductor, monkeypatch):
+    # The relation harvest and the split share one cofactor routine, which
+    # checks sum f(P) v_P = e_p at every p and raises when it fails.
+    cd = conductor(277)
+    (v1,) = _degree3_primes(cd.F, 10**6, 1)
+    alpha, vec = smooth_split(cd.cg, v1.hnf)
+    assert any(vec)  # the split reaches the check
+    K = cubic_subfield(163)
+    monkeypatch.setattr(classgroup, "_valuations_above", _doubled(classgroup._valuations_above))
+    with pytest.raises(FieldError, match="norm factorization"):
+        class_group(K)
+    with pytest.raises(FieldError, match="norm factorization"):
+        smooth_split(cd.cg, v1.hnf)
 
 
 def test_smooth_split_rejects_a_non_ideal_under_optimize():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import a4census
+from a4census import arith
 from a4census.classgroup import class_group, unit_group
 from a4census.fields import (
     FieldError,
@@ -23,6 +24,7 @@ from a4census.fields import (
 )
 from a4census.rayclass import (
     Modulus,
+    TameBlock,
     artin_vector,
     brute_force_spans,
     frobenius_residue_degree,
@@ -250,6 +252,24 @@ def test_tame_block_philog_multiplicative(conductor):
     ab = F.el_mul(a, b)
     pa, pb, pab = tame.philog(a), tame.philog(b), tame.philog(ab)
     assert pab[0] == (pa[0] + pb[0]) % 3
+
+
+def test_tame_block_takes_a_norm_and_a_root(conductor):
+    # the block at (q, theta - r) built from q and r is the one the fixed
+    # quotient built from ell_2; a degree-3 prime has no root and no block
+    cd = conductor(163)
+    F = cd.F
+    block = TameBlock(F, cd.l2.norm, cd.l2.theta_root)
+    assert (block.basis_vals, block.omega) == (cd.tame_l2.basis_vals, cd.tame_l2.omega)
+    v1 = next(
+        P
+        for v in arith.primes_in_range(5, 10**4)
+        if v % 3 == 1
+        for P in factor_rational_prime(F, v)
+        if P.f == 3
+    )
+    with pytest.raises(FieldError, match="degree-1 prime"):
+        TameBlock(F, v1.norm, v1.theta_root)
 
 
 def test_wild_block_philog_multiplicative(conductor):
