@@ -41,15 +41,21 @@ three stages (_count_segment): fast_classify's gate, root and closed-form
 v1 for every prime; one batched float64 LLL (linalg.lll_float_batch)
 over the v1 lattices of all the segment's C3 primes, whose unimodular
 transforms are certified exactly; then fast_classify's split and
-residuals, the split searching each certified basis as it is, with no
-exact LLL.  A lattice's transform does not depend on the rest of its
-batch, so neither the verdicts nor the alpha behind them depend on the
-worker count or on where segments are cut.  fast_classify itself, and
-every other caller of smooth_split, starts from the HNF and reduces it
-exactly.  The moving quotient's unit rows differ between primes only
-in their tame column, so load_conductor reduces all 3^rank of their
-row spaces once (ConductorData.unit_rref); the fixed quotient reads
-its entry there too, at the units' ell_2 characters.
+residuals (_c3_verdict), the split searching each certified basis as it
+is, with no exact LLL.  A C3 prime takes either that one fast path or
+the reference route: a transform that is not certified, like any other
+FieldError of the fast route, sends that prime to classify_prime, and
+the census counts it as a fallback.  A lattice's transform does not
+depend on the rest of its batch, so neither the verdicts nor the alpha
+behind them depend on the worker count or on where segments are cut.
+Segments return their C3 records; _merge_segments alone counts them and
+writes the JSONL lines.  fast_classify itself reduces the HNF of v1
+exactly (classgroup._reduced_basis) before the same _c3_verdict, and
+every other caller of smooth_split starts from the HNF.  The moving
+quotient's unit rows differ between primes only in their tame column, so
+load_conductor reduces all 3^rank of their row spaces once
+(ConductorData.unit_rref); the fixed quotient reads its entry there too,
+at the units' ell_2 characters.
 """
 
 from __future__ import annotations
@@ -68,9 +74,9 @@ from .arith import factorize, primes_in_range
 from .classgroup import (
     ClassGroupData,
     _combine,
+    _reduced_basis,
     UnitData,
     class_group,
-    ideal_class_coordinates,
     smooth_split,
     two_rank,
     unit_group,
@@ -86,9 +92,9 @@ from .fields import (
     field_from_record,
     field_to_record,
     ideal_pow,
+    is_a4_quartic,
     new_number_field,
     quartic_field_search,
-    quartic_galois_tag,
     shanks_param,
     splitting_pattern,
 )
@@ -174,9 +180,9 @@ class ConductorData:
     this object (inherited under fork, pickled under spawn) instead of
     rebuilding it.  No field is filled later: classification only reads
     the datum, the certificates included.  In both fast quotients unit
-    i's row is unit_wild[i] + (t_i,), t the units' tame column: unit_l2
-    in the fixed quotient, the characters at v_2 in the moving one.
-    unit_rref holds the row space mod 3 of every t in F_3^rank.
+    i's row is its wild philog followed by t_i, t the units' tame column:
+    unit_l2 in the fixed quotient, the characters at v_2 in the moving
+    one.  unit_rref holds the row space mod 3 of every t in F_3^rank.
     """
 
     ell: int
@@ -186,13 +192,10 @@ class ConductorData:
     cg: ClassGroupData
     u: UnitData  # 3-saturated units (unit_group)
     p31: PrimeIdeal  # over 3, residue degree 3
-    p32: PrimeIdeal  # over 3, residue degree 1
-    l1: PrimeIdeal  # over ell, unramified
     l2: PrimeIdeal  # over ell, e = 3
     fixed_q: RayClass3Quotient  # Cl_{3_1^2 ell_2} (x) F_3, reference shape
     wild: WildBlock  # the one block for (O/3_1^2)^* (x) F_3
     tame_l2: TameBlock
-    unit_wild: tuple  # wild philog of each saturated unit
     unit_l2: tuple  # ell_2 character of each saturated unit
     unit_rref: dict  # tame column t -> (rref, pivots) of the unit rows mod 3
     # _certificate of each cg.factor_base prime, None over 3 and ell
@@ -267,7 +270,7 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "quartic-disc", f"quartic field has discriminant {F.disc}, expected {ell}^2"
         )
-    if quartic_galois_tag(F.poly) != "A4":
+    if not is_a4_quartic(F.poly):
         raise VerificationError("galois", "quartic polynomial does not have Galois group A4")
     if splitting_pattern(F, 3) != [(1, 1), (1, 3)]:
         raise VerificationError("splitting-3", "3 does not split as 3_1 * 3_2 in F")
@@ -288,12 +291,8 @@ def load_conductor(config) -> ConductorData:
                 raise VerificationError("units", f"supplied candidate {cand} is not a unit of F")
     u = unit_group(F, seed_candidates=tuple(config.units or ()))
 
-    at3 = factor_rational_prime(F, 3)
-    p31 = next(P for P in at3 if P.f == 3)
-    p32 = next(P for P in at3 if P.f == 1)
-    at_ell = factor_rational_prime(F, ell)
-    l1 = next(P for P in at_ell if P.e == 1)
-    l2 = next(P for P in at_ell if P.e == 3)
+    p31 = next(P for P in factor_rational_prime(F, 3) if P.f == 3)
+    l2 = next(P for P in factor_rational_prime(F, ell) if P.e == 3)
 
     # every ray quotient presents the units and the class-group relations
     wild = WildBlock(F, p31, known=u.fundamental_units + tuple(gen for gen, _ in cg.relations))
@@ -319,8 +318,8 @@ def load_conductor(config) -> ConductorData:
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
     certs = tuple(
-        None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q)
-        for Q in cg.factor_base
+        None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q, coords)
+        for Q, coords in zip(cg.factor_base, cg.coord_rows)
     )
 
     cd = ConductorData(
@@ -331,13 +330,10 @@ def load_conductor(config) -> ConductorData:
         cg=cg,
         u=u,
         p31=p31,
-        p32=p32,
-        l1=l1,
         l2=l2,
         fixed_q=fixed_q,
         wild=wild,
         tame_l2=tame_l2,
-        unit_wild=unit_wild,
         unit_l2=unit_l2,
         unit_rref=unit_rref,
         certs=certs,
@@ -394,7 +390,8 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     coordinates only (three wild, one tame at v_2), with unit images as
     relations; their row space mod 3 is looked up in cd.unit_rref by the
     units' tame column (at ell_2 for the fixed quotient, at v_2 for the
-    moving one).  v1 is split by classgroup.smooth_split
+    moving one).  The HNF of v1 is LLL-reduced exactly
+    (classgroup._reduced_basis) and split by classgroup.smooth_split
     over the factor base, keeping the first alpha whose cofactor norm
     N(alpha)/v^3 is prime to 3 * ell * v, and each cofactor prime Q is
     moved into that presentation through its certificate Q^m = (gamma)
@@ -405,7 +402,7 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     if isinstance(pre, PrimeClassification):
         return pre
     r, v1 = pre
-    return _c3_verdict(cd, v, r, v1)
+    return _c3_verdict(cd, v, r, _reduced_basis(cd.F, v1)[0])
 
 
 def _c3_setup(cd: ConductorData, v: int):
@@ -424,16 +421,19 @@ def _c3_setup(cd: ConductorData, v: int):
     return r, _degree3_prime(_poly_at_theta(cd.F, cofactor), v)
 
 
-def _c3_verdict(cd: ConductorData, v: int, r: int, v1, reduced=False) -> PrimeClassification:
-    """fast_classify from v1 on, given any basis of v1 (`reduced`: see smooth_split)."""
+def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
+    """fast_classify from v1 on, given a reduced basis of v1.
+
+    The split searches that basis as it is (smooth_split with `reduced`),
+    with no exact LLL: fast_classify reduces v1 exactly, the census
+    passes the certified float-reduced basis of its batch.
+    """
     tame_v = TameBlock(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(
-        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, reduced=reduced
-    )
+    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, reduced=True)
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -533,15 +533,17 @@ def _degree3_prime(gtheta, v: int):
     return rows
 
 
-def _certificate(F: NumberField, cg: ClassGroupData, wild: WildBlock, tame_l2: TameBlock, Q):
+def _certificate(
+    F: NumberField, cg: ClassGroupData, wild: WildBlock, tame_l2: TameBlock, Q, coords
+):
     """(m, gamma, wild philog, ell_2 char) with Q^m = (gamma), m prime to 3.
 
-    m is the order of [Q] in the class group; it is prime to 3 because
-    3 does not divide h(F).  Q must lie over neither 3 nor ell, so that
-    gamma is a unit at 3_1 and ell_2.  gamma comes from the split of Q^m
-    with a cofactor of norm 1 (smooth_split).
+    m is the order of [Q] in the class group, read off its class
+    coordinates `coords` (Q's row of cg.coord_rows, from the Smith form);
+    it is prime to 3 because 3 does not divide h(F).  Q must lie over
+    neither 3 nor ell, so that gamma is a unit at 3_1 and ell_2.  gamma
+    comes from the split of Q^m with a cofactor of norm 1 (smooth_split).
     """
-    coords = ideal_class_coordinates(list(Q.hnf), cg)
     m = 1
     for c, d in zip(coords, cg.divisors):
         if c % d:
@@ -584,28 +586,30 @@ def _segments(limit: int, cps) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
-    """Classify the primes in (lo, hi]: counts, optional records, fallbacks.
+def _count_segment(cd: ConductorData, lo: int, hi: int):
+    """Classify the primes in (lo, hi]: C3 records, primes classified, fallbacks.
 
-    Three stages, each verdict equal to fast_classify's:
+    Returns the records (v, in_lambda, in_taubar) of the C3 primes in
+    order, the number of primes classified (skips removed) and the number
+    of fallbacks.  Three stages, each verdict equal to fast_classify's:
       1. every prime goes through the gate, the root and the closed-form
          v1 (_c3_setup);
       2. the v1 bases of the segment's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
          returned T is unimodular, checked exactly, and the rows T v1 are
          formed in integers, so they are a basis of v1 whatever the floats
-         did (a lattice without a certified T keeps its HNF);
-      3. each C3 prime is classified from its basis (_c3_verdict); a
-         certified T v1 is marked reduced, so smooth_split searches it as
-         it is, without an exact LLL, and forms its exact Gram only if
-         the coefficient boxes run out; a lattice without a certified T
-         is reduced exactly from its HNF, as in fast_classify.
+         did;
+      3. each C3 prime is classified from its certified basis T v1
+         (_c3_verdict), which smooth_split searches as it is, without an
+         exact LLL, forming its exact Gram only if the coefficient boxes
+         run out.
     A lattice's T does not depend on the other lattices of the batch, so
     the verdicts and the alpha behind them do not depend on where the
     segments are cut or on the worker count.  A FieldError at one prime
-    (VerificationError "v1-norm" in stage 1, "no smooth split" in stage 3)
-    is contained: that prime is classified by classify_prime and counted
-    as a fallback.  VerificationError("root") means the gate is wrong and
+    (VerificationError "v1-norm" in stage 1, a transform that is not
+    certified in stage 2, "no smooth split" in stage 3) is contained:
+    that prime is classified by classify_prime and counted as a
+    fallback.  VerificationError("root") means the gate is wrong and
     propagates.
     """
     verdicts = []
@@ -626,31 +630,15 @@ def _count_segment(cd: ConductorData, lo: int, hi: int, want_detail: bool):
             verdicts.append(None)
     transforms = linalg.lll_float_batch([v1 for *_, v1 in pending], cd.frame)
     for (i, v, r, v1), T in zip(pending, transforms):
-        if T is not None:
-            v1 = [_combine(t, v1) for t in T]
         try:
-            verdicts[i] = _c3_verdict(cd, v, r, v1, reduced=T is not None)
+            if T is None:
+                raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
+            verdicts[i] = _c3_verdict(cd, v, r, [_combine(t, v1) for t in T])
         except FieldError as exc:
             verdicts[i] = _fallback(cd, v, exc)
             fallbacks += 1
-
-    c3 = cl = ct = cb = done = 0
-    detail = [] if want_detail else None
-    for pc in verdicts:
-        if pc.skipped:
-            continue
-        done += 1
-        if pc.in_C3:
-            c3 += 1
-            cl += pc.in_CLambda
-            ct += pc.in_Ctaubar
-            cb += pc.in_CLambda and pc.in_Ctaubar
-            if want_detail:
-                detail.append(
-                    '{"v": %d, "lambda": %s, "taubar": %s}'
-                    % (pc.v, str(pc.in_CLambda).lower(), str(pc.in_Ctaubar).lower())
-                )
-    return c3, cl, ct, cb, done, detail, fallbacks
+    records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in verdicts if pc.in_C3]
+    return records, sum(not pc.skipped for pc in verdicts), fallbacks
 
 
 def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
@@ -666,9 +654,8 @@ def _worker_init(cd: ConductorData):
     _WORKER_CD = cd
 
 
-def _worker_count(args):
-    lo, hi, want_detail = args
-    return _count_segment(_WORKER_CD, lo, hi, want_detail)
+def _worker_count(seg):
+    return _count_segment(_WORKER_CD, *seg)
 
 
 def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, jsonl=None):
@@ -679,20 +666,21 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     on segment boundaries), so the merged rows do not depend on the worker
     count.  Each segment is classified in three stages (_count_segment):
     the gate, root and v1 of every prime; one batched float LLL over the
-    segment's v1 lattices; the split of each v1 from its reduced basis.
-    A lattice's reduction does not depend on its batch, so the output is
-    the same however the segments fall.  Pool workers receive cd itself,
-    never reload the conductor, and take one segment per task.  With
-    `jsonl` (a path, or "-" for stdout) each C3 prime's record is written
-    in order as its segment is merged, so a census holds one segment's
-    lines at a time.  A prime at which the fast route raises FieldError
-    is classified by classify_prime; the number of such fallbacks is
-    logged at the end.  VerificationError("root") aborts the census.
+    segment's v1 lattices; the split of each v1 from its certified
+    reduced basis.  A lattice's reduction does not depend on its batch,
+    so the output is the same however the segments fall.  Pool workers
+    receive cd itself, never reload the conductor, and take one segment
+    per task.  Each segment returns its C3 records; _merge_segments
+    counts them and, with `jsonl` (a path, or "-" for stdout), writes
+    them in order as the segment is merged, so a census holds one
+    segment's records at a time.  A prime at which the fast route raises
+    FieldError, or whose float reduction is not certified, is classified
+    by classify_prime; the number of such fallbacks is logged at the end.
+    VerificationError("root") aborts the census.
     """
     cps = _checkpoints_for(N, checkpoints)
     limit = cps[-1]
     segs = _segments(limit, cps)
-    want_detail = jsonl is not None
 
     if jsonl is None:
         sink = contextlib.nullcontext(None)
@@ -702,35 +690,40 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
         sink = open(jsonl, "w")
     with sink as out:
         if workers <= 1:
-            results = (_count_segment(cd, lo, hi, want_detail) for lo, hi in segs)
+            results = (_count_segment(cd, lo, hi) for lo, hi in segs)
             return _merge_segments(cd, segs, results, cps, out)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(cd,)
         ) as pool:
-            results = pool.map(_worker_count, [(lo, hi, want_detail) for lo, hi in segs])
+            results = pool.map(_worker_count, segs)
             return _merge_segments(cd, segs, results, cps, out)
 
 
 def _merge_segments(cd, segs, results, cps, out):
     """Fold the segment results in order into checkpoint rows.
 
-    Each segment's detail lines go to `out` (when given) as it is
-    merged, so a long census holds at most one segment's lines.  The
-    segments' fallbacks to classify_prime are summed and logged.
+    The one place where verdicts are counted: each segment's C3 records
+    add to c3, lambda, taubar and both, and go to `out` (when given) as
+    JSONL lines as the segment is merged, so a long census holds at most
+    one segment's records.  The segments' fallbacks to classify_prime
+    are summed and logged.
     """
     rows = []
     c3 = cl = ct = cb = done = fallbacks = 0
     cps_left = list(cps)
-    for (lo, hi), res in zip(segs, results):
-        sc3, scl, sct, scb, sdone, detail, sfall = res
-        c3 += sc3
-        cl += scl
-        ct += sct
-        cb += scb
+    for (lo, hi), (records, sdone, sfall) in zip(segs, results):
+        for _v, in_lambda, in_taubar in records:
+            cl += in_lambda
+            ct += in_taubar
+            cb += in_lambda and in_taubar
+        c3 += len(records)
         done += sdone
         fallbacks += sfall
-        if detail:
-            out.write("".join(line + "\n" for line in detail))
+        if out is not None and records:
+            out.write("".join(
+                '{"v": %d, "lambda": %s, "taubar": %s}\n' % (v, str(lam).lower(), str(tau).lower())
+                for v, lam, tau in records
+            ))
             out.flush()
         if cps_left and hi == cps_left[0]:
             cps_left.pop(0)

@@ -14,10 +14,11 @@ basis is LLL-reduced once, and each round doubles the trace-form bound
 and yields only the coefficient vectors above the previous bound.  The
 relation harvest keeps one stream per source lattice, unit_group reads
 one over the maximal order, and ideal_short_elements reads one after
-its coefficient boxes.  The census alone hands ideal_short_elements a
-basis that is already reduced (by the certified float LLL of
-linalg.lll_float_batch); that basis is searched as it is, and its exact
-Gram is formed only if the coefficient boxes run out.
+its coefficient boxes.  The fast classifier alone (census._c3_verdict)
+hands ideal_short_elements a basis that is already reduced, by the
+certified float LLL of linalg.lll_float_batch in the census and by
+_reduced_basis in census.fast_classify; that basis is searched as it
+is, and its exact Gram is formed only if the coefficient boxes run out.
 
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
@@ -266,12 +267,12 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False):
     """Nonzero elements of the ideal A, short ones first, each once up to sign.
 
     The basis is LLL-reduced once, exactly (lll_gram), unless `reduced`
-    says that A is already a reduced basis: the census passes its v1
-    bases reduced by linalg.lll_float_batch, whose transforms are
-    certified unimodular, and the stream then runs over A as it is.  The
-    stream starts with the small combinations of that basis
-    (_coefficient_boxes: radius 1, 2, 4, in (L1, c) order), which is
-    where a smooth cofactor is usually found.  It goes on with
+    says that A is already a reduced basis: the fast classifier passes
+    v1 bases reduced by linalg.lll_float_batch, whose transforms are
+    certified unimodular, or by _reduced_basis, and the stream then runs
+    over A as it is.  The stream starts with the small combinations of
+    that basis (_coefficient_boxes: radius 1, 2, 4, in (L1, c) order),
+    which is where a smooth cofactor is usually found.  It goes on with
     Fincke-Pohst rounds in trace-form order over the exact Gram of the
     same basis (formed only once the boxes run out when A came reduced):
     the bound starts at the Minkowski estimate from disc * N(A)^2 and

@@ -53,7 +53,7 @@ __all__ = [
     "cubic_subfield",
     "period_cubic",
     "resolvent_cubic",
-    "quartic_galois_tag",
+    "is_a4_quartic",
     "quartic_field_search",
     "factor_rational_prime",
     "splitting_pattern",
@@ -869,30 +869,21 @@ def resolvent_cubic(f):
     return (-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1)
 
 
-def quartic_galois_tag(f) -> str:
-    """Galois group of an irreducible monic quartic: A4, S4, V4, C4 or D4."""
+def is_a4_quartic(f) -> bool:
+    """Whether the monic quartic f is irreducible with Galois group A4.
+
+    That holds exactly when f is irreducible, its discriminant is a
+    square and its resolvent cubic has no rational root (Kappe and
+    Warren, Amer. Math. Monthly 96 (1989)).
+    """
     f = poly_trim(f)
     if poly_deg(f) != 4 or f[-1] != 1:
         raise ValueError("expected a monic quartic")
-    if not is_irreducible(f):
-        raise ValueError("quartic is reducible")
-    disc = poly_discriminant(f)
-    res = resolvent_cubic(f)
-    roots = _rational_roots(res)
-    if not roots:
-        return "A4" if is_square(disc) else "S4"
-    if len(roots) == 3:
-        return "V4"
-    # exactly one rational resolvent root: C4 or D4 (disc is a nonsquare).
-    # Kappe-Warren: C4 iff both x^2 - y0 x + d and x^2 + a x + (b - y0)
-    # split over Q(sqrt(disc)).
-    y0 = roots[0]
-    d0, c0, b0, a0, _ = f
-    t1 = y0 * y0 - 4 * d0
-    t2 = a0 * a0 - 4 * (b0 - y0)
-    if _square_in_qsqrt(t1, disc) and _square_in_qsqrt(t2, disc):
-        return "C4"
-    return "D4"
+    return (
+        is_irreducible(f)
+        and is_square(poly_discriminant(f))
+        and not _rational_roots(resolvent_cubic(f))
+    )
 
 
 def _rational_roots(f):
@@ -907,23 +898,14 @@ def _rational_roots(f):
     return sorted(set(out))
 
 
-def _square_in_qsqrt(t, disc):
-    """t is a square in Q(sqrt(disc)) for integer t and nonsquare disc."""
-    if t == 0:
-        return True
-    if t > 0 and is_square(t):
-        return True
-    prod = t * disc
-    return prod > 0 and is_square(prod)
-
-
 def quartic_field_search(ell: int) -> NumberField:
     """Exhaustive search for the totally real A4 quartic field of disc ell^2.
 
     Scans monic quartics with the cubic coefficient translation-normalised
     into {0, 1, -1, -2} and the rest in [-B, B], B = QUARTIC_COEFF_BOUND,
     in a fixed lexicographic order.  Among hits (irreducible, totally real,
-    A4 tag, field discriminant exactly ell^2) the first one with order
+    Galois group A4 by a square discriminant and an irreducible resolvent
+    cubic, field discriminant exactly ell^2) the first one with order
     index 1 wins, falling back to the first hit; either rule makes the
     result deterministic.  The winner's resolvent cubic is verified to
     define a cubic field of discriminant ell^2 as well.
@@ -959,8 +941,6 @@ def quartic_field_search(ell: int) -> NumberField:
                             continue
                         if _rational_roots((r0, r1, r2, 1)):
                             continue  # resolvent reducible: not A4
-                        if quartic_galois_tag(f) != "A4":
-                            continue
                         K = new_number_field(f)
                         if K.disc != ell2:
                             continue

@@ -30,7 +30,13 @@ from a4census.census import (
     scan_conductors,
 )
 from a4census.config import Config, golden_rows
-from a4census.fields import FieldError, ideal_eq, ideal_from_elements, ideal_pow
+from a4census.fields import (
+    FieldError,
+    factor_rational_prime,
+    ideal_eq,
+    ideal_from_elements,
+    ideal_pow,
+)
 from a4census.stats import census_csv
 
 from conftest import CONDUCTORS
@@ -106,9 +112,13 @@ def test_loaded_prime_labels(conductor):
     # this backwards silently degenerates one census column
     for ell in CONDUCTORS:
         cd = conductor(ell)
-        assert cd.l1.e == 1 and cd.l2.e == 3
+        at_ell = factor_rational_prime(cd.F, ell)
+        assert sorted(P.e for P in at_ell) == [1, 3] and cd.l2.e == 3
+        assert cd.l2.key() in [P.key() for P in at_ell]
         assert cd.l2.norm == ell
-        assert cd.p31.f == 3 and cd.p32.f == 1
+        at3 = factor_rational_prime(cd.F, 3)
+        assert sorted(P.f for P in at3) == [1, 3] and cd.p31.f == 3
+        assert cd.p31.key() in [P.key() for P in at3]
         assert cd.fixed_q.dim == 1
 
 
@@ -160,7 +170,6 @@ def test_classification_only_reads_the_datum(conductor, monkeypatch):
         raise AssertionError("classification did certificate work")
 
     monkeypatch.setattr(census, "_certificate", no_certificate_work)
-    monkeypatch.setattr(census, "ideal_class_coordinates", no_certificate_work)
     monkeypatch.setattr(classgroup, "ideal_class_coordinates", no_certificate_work)
     for workers in (1, 2):
         rendered = census_csv(run_census(cd, 5000, workers=workers)).splitlines()
@@ -413,13 +422,12 @@ def test_dual_paths_agree_through_the_batched_segment(conductor, ell, lo):
     # the census path (gate, one float LLL over the segment, split from the
     # reduced bases) against the reference route on the first 20 C3 primes
     cd = conductor(ell)
-    c3, _, _, _, _, detail, fallbacks = census._count_segment(cd, lo, lo + 2000, True)
-    assert c3 >= 20 and fallbacks == 0
-    for line in detail[:20]:
-        rec = json.loads(line)
-        ref = classify_prime(cd, rec["v"])
-        assert ref.in_C3, rec
-        assert (rec["lambda"], rec["taubar"]) == (ref.in_CLambda, ref.in_Ctaubar), rec
+    records, _, fallbacks = census._count_segment(cd, lo, lo + 2000)
+    assert len(records) >= 20 and fallbacks == 0
+    for v, in_lambda, in_taubar in records[:20]:
+        ref = classify_prime(cd, v)
+        assert ref.in_C3, v
+        assert (in_lambda, in_taubar) == (ref.in_CLambda, ref.in_Ctaubar), v
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -438,7 +446,7 @@ def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, 
         return got
 
     monkeypatch.setattr(census, "smooth_split", recorded)
-    census._count_segment(cd, lo, lo + 2000, False)
+    census._count_segment(cd, lo, lo + 2000)
     assert len(calls) >= 20
     unchanged = 0
     for A, usable, reduced, got in calls[:20]:
@@ -450,50 +458,61 @@ def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, 
     assert unchanged >= 15
 
 
-def test_an_uncertified_lattice_takes_the_exact_lll(conductor, monkeypatch):
-    # A v1 whose float transform is not certified keeps its HNF and is
-    # reduced exactly; the other C3 primes of the census are searched from
-    # their certified bases with no exact LLL at all.  The rows stay golden.
+def test_an_uncertified_lattice_falls_back_to_the_reference_route(conductor, monkeypatch, caplog):
+    # A v1 whose float transform is not certified is not reduced exactly:
+    # that prime is classified by classify_prime and counted as a
+    # fallback, and no other C3 prime of the census reaches lll_gram.
+    # The rows stay golden.
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     batch = linalg.lll_float_batch
-    split = census.smooth_split
+    classify = census.classify_prime
     lll = linalg.lll_gram
-    reduced_flags = {}
     exact = []
+    in_reference = []
 
     def one_uncertified(bases, frame):
         for A, T in zip(bases, batch(bases, frame)):
             yield None if abs(arith.det_bareiss(A)) == bad**3 else T
 
-    def recorded(cg, A, usable=None, reduced=False):
-        reduced_flags[abs(arith.det_bareiss(A))] = reduced
-        return split(cg, A, usable=usable, reduced=reduced)
+    def reference(cd_, v):
+        in_reference.append(v)
+        try:
+            return classify(cd_, v)
+        finally:
+            in_reference.pop()
 
     def counted_lll(gram, *args):
-        exact.append(gram)
+        exact.append(in_reference[-1] if in_reference else None)
         return lll(gram, *args)
 
     monkeypatch.setattr(linalg, "lll_float_batch", one_uncertified)
-    monkeypatch.setattr(census, "smooth_split", recorded)
+    monkeypatch.setattr(census, "classify_prime", reference)
     monkeypatch.setattr(linalg, "lll_gram", counted_lll)
-    rows = run_census(cd, 5000)
+    with caplog.at_level("INFO", logger="a4census.census"):
+        rows = run_census(cd, 5000)
     assert census_csv(rows).splitlines() == golden_rows(277)[:3]
-    assert len(reduced_flags) == rows[-1].c3
-    assert [n for n, flag in reduced_flags.items() if not flag] == [bad**3]
-    assert len(exact) == 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if "fast route failed at" in m] == [
+        f"conductor 277: fast route failed at {bad} "
+        f"(no certified float reduction of the degree-3 prime over {bad}); using classify_prime"
+    ]
+    assert [m for m in messages if "fallback" in m] == [
+        "conductor 277: 1 fallback(s) to classify_prime after the fast route failed"
+    ]
+    assert set(exact) <= {bad}
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_moving_quotient_table_holds_every_tame_column(conductor, ell):
     # one entry per tame column t in F_3^rank, each the reduction mod 3 of
-    # the unit rows unit_wild[i] + (t_i,); the fixed quotient's entry, at
-    # the units' ell_2 characters, leaves one dimension of the four
+    # the unit rows (wild philog of unit i) + (t_i,); the fixed quotient's
+    # entry, at the units' ell_2 characters, leaves one dimension of the four
     cd = conductor(ell)
     assert sorted(cd.unit_rref) == sorted(itertools.product(range(3), repeat=cd.u.rank))
     assert len(cd.unit_rref) == 27
     for t, (rref, pivots) in cd.unit_rref.items():
-        rows = [list(pw) + [ti] for pw, ti in zip(cd.unit_wild, t)]
+        rows = [list(cd.wild.philog(w)) + [ti] for w, ti in zip(cd.u.fundamental_units, t)]
         want, want_pivots = linalg.rref_mod_p(rows, 4, 3)
         assert rref == tuple(tuple(r) for r in want) and pivots == tuple(want_pivots)
     _, fixed_pivots = cd.unit_rref[cd.unit_l2]
@@ -506,7 +525,7 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
     # prime by classify_prime and counts it as a fallback.
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
-    want = census._count_segment(cd, 0, 5000, True)
+    want = census._count_segment(cd, 0, 5000)
     valuations = classgroup._valuations_above
     verdict = census._c3_verdict
     at_bad = []
@@ -526,7 +545,7 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
     monkeypatch.setattr(classgroup, "_valuations_above", doubled_at_bad)
     with pytest.raises(FieldError, match="norm factorization"):
         fast_classify(cd, bad)
-    got = census._count_segment(cd, 0, 5000, True)
+    got = census._count_segment(cd, 0, 5000)
     assert got[:-1] == want[:-1]
     assert (want[-1], got[-1]) == (0, 1)
 
@@ -639,10 +658,10 @@ def test_jsonl_lines_reach_disk_before_the_last_segment(conductor, tmp_path, mon
     count = census._count_segment
     seen = {}
 
-    def spy(cd_, lo, hi, want_detail):
+    def spy(cd_, lo, hi):
         if hi == 3000:
             seen["lines"] = out.read_text().splitlines()
-        return count(cd_, lo, hi, want_detail)
+        return count(cd_, lo, hi)
 
     monkeypatch.setattr(census, "_count_segment", spy)
     rows = run_census(cd, 3000, checkpoints=(2000, 3000), jsonl=str(out))

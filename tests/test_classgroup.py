@@ -97,6 +97,16 @@ def test_class_coordinates_are_homomorphic():
     )
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_smith_rows_are_the_class_coordinates_of_the_base(conductor, ell):
+    # the certificates read a factor-base prime's class off its Smith row;
+    # a split of the prime itself must give the same coordinates
+    cg = conductor(ell).cg
+    assert len(cg.coord_rows) == len(cg.factor_base)
+    for Q, row in zip(cg.factor_base, cg.coord_rows):
+        assert ideal_class_coordinates(Q.hnf, cg) == row, Q.key()
+
+
 def test_principal_ideal_has_trivial_class():
     L = cubic_subfield(163)
     cg = class_group(L)

@@ -158,6 +158,23 @@ def test_known_quartic_polynomials():
     assert tuple(quartic_field_search(349).poly) == (15, -11, -13, 0, 1)
 
 
+_GALOIS_QUARTICS = [
+    *((f"A4-{ell}", tuple(shipped_config(ell).quartic_poly)) for ell in (163, 277, 349)),
+    ("S4", (1, 1, 0, 0, 1)),  # x^4 + x + 1
+    ("V4", (1, 0, -10, 0, 1)),  # x^4 - 10x^2 + 1, the field Q(sqrt 2, sqrt 3)
+    ("C4", (5, 0, -5, 0, 1)),  # x^4 - 5x^2 + 5, inside Q(zeta_5)
+    ("D4", (-2, 0, 0, 0, 1)),  # x^4 - 2
+]
+
+
+@pytest.mark.parametrize("name, f", _GALOIS_QUARTICS)
+def test_is_a4_quartic_against_sympy_galois_group(name, f):
+    G, alt = galois_group(_sym_poly(f))
+    shape = {"S4": (24, False), "V4": (4, False), "C4": (4, True), "D4": (8, False)}
+    assert (G.order(), G.is_cyclic) == shape.get(name, (12, False))
+    assert fields.is_a4_quartic(f) == (G.order() == 12 and alt) == name.startswith("A4")
+
+
 def test_quartic_search_builds_no_class_group(monkeypatch):
     # the 4 | h(L) screen belongs to load_conductor; the search is pure
     from a4census import classgroup
