@@ -21,11 +21,9 @@ __all__ = [
     "is_prime",
     "primes_upto",
     "primes_in_range",
-    "valuation",
     "factorize",
-    "primitive_root",
     "is_square",
-    "cornacchia_4l",
+    "cubic_reps",
     "poly_trim",
     "poly_deg",
     "poly_add",
@@ -122,18 +120,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return out
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n nonzero)."""
-    if n == 0:
-        raise ValueError("valuation of zero")
-    e = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def factorize(n: int, bound: int = 10**6) -> dict[int, int]:
     """Factor |n| by trial division up to `bound`, then primality checks.
 
@@ -170,17 +156,6 @@ def factorize(n: int, bound: int = 10**6) -> dict[int, int]:
     return out
 
 
-def primitive_root(q: int) -> int:
-    """The smallest generator of (Z/q)^* for a prime q."""
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    parts = [(q - 1) // p for p in factorize(q - 1)]
-    for g in range(1, q):
-        if all(pow(g, e, q) != 1 for e in parts):
-            return g
-    raise ArithmeticError(f"no primitive root mod {q}")
-
-
 def is_square(n: int) -> bool:
     if n < 0:
         return False
@@ -188,28 +163,27 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def cornacchia_4l(ell: int) -> tuple[int, int]:
-    """The representation 4*ell = a**2 + 27*b**2 with a = 1 mod 3, b > 0.
+def cubic_reps(m: int) -> list[tuple[int, int]]:
+    """Every (a, b) with 4*m = a**2 + 27*b**2, a = 1 mod 3 and b > 0, by increasing b.
 
-    Exists and is unique for primes ell = 1 mod 3; the congruence on a
-    fixes its sign (a is never divisible by 3 here).  Desk scale keeps
-    ell small, so an exhaustive search over b is the whole algorithm.
+    For m a product of k distinct primes = 1 mod 3 these index the 2^(k-1)
+    cyclic cubic fields of conductor m (Cohen, GTM 138, 6.4.2): one for a
+    prime, two for a product of two.  The congruence fixes the sign of a;
+    a pair with 3 | a has neither sign and is left out.  Desk scale keeps
+    m small, so an exhaustive search over b, O(sqrt(m)), is the whole
+    algorithm.
     """
-    if ell % 3 != 1 or not is_prime(ell):
-        raise ValueError(f"{ell} is not a prime congruent to 1 mod 3")
-    target = 4 * ell
+    if m < 1:
+        raise ValueError(f"{m} is not a positive integer")
+    reps = []
     b = 1
-    while 27 * b * b < target:
-        t = target - 27 * b * b
+    while 27 * b * b < 4 * m:
+        t = 4 * m - 27 * b * b
         a = math.isqrt(t)
-        if a * a == t:
-            if a % 3 != 1:
-                a = -a
-            if a % 3 != 1:
-                raise ArithmeticError(f"4*{ell} = a^2 + 27 b^2 with a divisible by 3")
-            return a, b
+        if a * a == t and a % 3:
+            reps.append((a if a % 3 == 1 else -a, b))
         b += 1
-    raise ValueError(f"no representation 4*{ell} = a^2 + 27 b^2")
+    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, linalg
-from .arith import factorize, primes_in_range
+from .arith import primes_in_range
 from .classgroup import (
     ClassGroupData,
     _combine,
@@ -782,20 +782,22 @@ class DiagonalField:
 class DiagonalReport:
     ell1: int
     ell2: int
-    fields: tuple  # the two diagonal cubic fields
+    fields: tuple  # the two diagonal cubic fields, by increasing b
     rank_obstructed: bool  # both 2-ranks below 2
 
 
 def diagonal_check(ell1: int, ell2: int) -> DiagonalReport:
-    """Class data of the two diagonal cubics of conductor ell1 * ell2.
+    """Class data of the two diagonal cubics of conductor m = ell1 * ell2.
 
-    (Z/ell1 ell2)^* has four index-3 subgroups; the two whose fixed
-    cubics have full conductor are the diagonal ones.  Their defining
-    polynomials are recovered exactly from Gauss periods: coefficients
-    are sums of roots of unity, grouped into Galois orbits where the
-    orbit sum is mu(order), so every power sum is an exact integer.
-    Failure of that grouping, or a field discriminant other than
-    (ell1 * ell2)^2, raises a VerificationError.
+    Of the four cyclic cubic fields in Q(zeta_m), the two of full
+    conductor m are the diagonal ones.  They correspond to the
+    representations 4m = a^2 + 27 b^2 with a = 1 mod 3 and b > 0 (Cohen,
+    GTM 138, 6.4.2), found by the search that fields.period_cubic also
+    reads (arith.cubic_reps), and are listed by increasing b.  Each (a, b)
+    gives x^3 - x^2 + ((1 - m)/3) x + (m (a + 3) - 1)/27, whose roots are
+    the field's Gaussian periods.  A representation count other than
+    two, a constant term not divisible by 27 or a field
+    discriminant other than m^2 raises a VerificationError.
     """
     for ell in (ell1, ell2):
         if not arith.is_prime(ell) or ell % 3 != 1:
@@ -803,96 +805,27 @@ def diagonal_check(ell1: int, ell2: int) -> DiagonalReport:
     if ell1 == ell2:
         raise VerificationError("conductor", "diagonal check needs distinct conductors")
     m = ell1 * ell2
-    chi1 = _dlog3_table(ell1)
-    chi2 = _dlog3_table(ell2)
+    reps = arith.cubic_reps(m)
+    if len(reps) != 2:
+        raise VerificationError(
+            "diagonal-reps", f"{len(reps)} representations 4*{m} = a^2 + 27 b^2, expected two"
+        )
     fields = []
-    for twist in (1, 2):
-        cosets = ([], [], [])
-        for t in range(1, m):
-            if t % ell1 == 0 or t % ell2 == 0:
-                continue
-            cosets[(chi1[t % ell1] + twist * chi2[t % ell2]) % 3].append(t)
-        e2 = _orbit_sum(_pair_counts(cosets, m), m)
-        e3 = _orbit_sum(_triple_counts(cosets, m), m)
-        K = new_number_field((-e3, e2, -1, 1))
+    for a, b in reps:
+        c0, rem = divmod(m * (a + 3) - 1, 27)
+        if rem:
+            raise VerificationError(
+                "diagonal-poly", f"constant term of the cubic for b = {b} is not integral"
+            )
+        K = new_number_field((c0, (1 - m) // 3, -1, 1))
         if K.disc != m * m:
             raise VerificationError(
                 "diagonal-disc",
-                f"period cubic for twist {twist} has field discriminant {K.disc}, "
-                f"expected {m}^2",
+                f"cubic for b = {b} has field discriminant {K.disc}, expected {m}^2",
             )
         cg = class_group(K)
         fields.append(DiagonalField(K.poly, K.disc, cg.h, two_rank(cg)))
     return DiagonalReport(ell1, ell2, tuple(fields), all(f.two_rank < 2 for f in fields))
-
-
-def _dlog3_table(ell: int):
-    """table[x] = discrete log of x mod ell, reduced mod 3."""
-    g = arith.primitive_root(ell)
-    table = [0] * ell
-    acc = 1
-    for k in range(ell - 1):
-        table[acc] = k % 3
-        acc = acc * g % ell
-    return table
-
-
-def _pair_counts(cosets, m: int):
-    cnt = [0] * m
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for s in cosets[i]:
-            for t in cosets[j]:
-                cnt[(s + t) % m] += 1
-    return cnt
-
-
-def _triple_counts(cosets, m: int):
-    pair = [0] * m
-    for s in cosets[1]:
-        for t in cosets[2]:
-            pair[(s + t) % m] += 1
-    cnt = [0] * m
-    for s in cosets[0]:
-        for k in range(m):
-            if pair[k]:
-                cnt[(s + k) % m] += pair[k]
-    return cnt
-
-
-def _orbit_sum(cnt, m: int) -> int:
-    """Exact value of sum cnt[k] * zeta_m^k, which must be rational.
-
-    zeta_m^k only depends on k through its order m/gcd(k, m); the count
-    vector must be constant on each orbit {k : gcd(k, m) = d} (this is
-    Galois stability of the symmetric function being evaluated), and
-    the orbit then contributes count * mu(order).
-    """
-    reps = {}
-    for k in range(m):
-        d = math.gcd(k, m)
-        if d in reps:
-            if cnt[k] != reps[d]:
-                raise VerificationError(
-                    "diagonal-orbits", "period power sum is not Galois stable"
-                )
-        else:
-            reps[d] = cnt[k]
-    total = 0
-    for d, c in reps.items():
-        if c:
-            total += c * _moebius(m // d)
-    return total
-
-
-def _moebius(t: int) -> int:
-    if t == 1:
-        return 1
-    mu = 1
-    for _p, e in factorize(t).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .cohomology import (
     simulate_unramified_probability,
     wiles_difference,
 )
-from .config import conductor_config, golden_rows, parse_ints, read_config
+from .config import FORMATS, conductor_config, golden_rows, parse_ints, read_config
 from .fields import FieldError
 from .stats import (
     census_csv,
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint bounds")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: config workers, 1)")
     p.add_argument("--out", default=None, help="output path, or a directory for multiple conductors")
-    p.add_argument("--format", choices=("csv", "text", "jsonl"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--check-golden", action="store_true", help="diff rows against the shipped table")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=_cmd_census)

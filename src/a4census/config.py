@@ -52,6 +52,7 @@ _KNOWN_KEYS = {
     "census": {"max_v", "checkpoints", "workers"},
     "output": {"path", "format"},
 }
+FORMATS = ("csv", "text", "jsonl")
 
 
 def parse_ints(text: str) -> tuple:
@@ -73,6 +74,8 @@ def read_config(path) -> Config:
             if key not in _KNOWN_KEYS[name]:
                 raise ValueError(f"{path}: unknown key '{key}' in section [{name}]")
     sec = cp["conductor"]
+    if "ell" not in sec:
+        raise ValueError(f"{path}: missing key 'ell' in section [conductor]")
     cfg = Config(ell=sec.getint("ell"))
     if "cubic_poly" in sec:
         cfg.cubic_poly = parse_ints(sec["cubic_poly"])
@@ -90,6 +93,11 @@ def read_config(path) -> Config:
         o = cp["output"]
         cfg.out = o.get("path", cfg.out)
         cfg.fmt = o.get("format", cfg.fmt)
+        if cfg.fmt not in FORMATS:
+            raise ValueError(
+                f"{path}: key 'format' in section [output] is {cfg.fmt!r}, "
+                f"expected one of {', '.join(FORMATS)}"
+            )
     return cfg
 
 

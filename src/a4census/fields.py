@@ -60,13 +60,9 @@ __all__ = [
     "sturm_real_roots",
     "is_irreducible",
     "is_totally_real",
-    "element_ideal",
     "ideal_from_elements",
     "ideal_mul",
     "ideal_pow",
-    "ideal_norm",
-    "ideal_eq",
-    "element_in_ideal",
     "element_valuation",
     "element_in_prime",
     "minkowski_bound",
@@ -475,10 +471,6 @@ class PrimeIdeal:
         return (self.p, self.f, self.e, self.hnf)
 
 
-def element_ideal(K: NumberField, a):
-    return linalg.hnf(K.mul_matrix(a), K.degree)
-
-
 def ideal_from_elements(K: NumberField, gens, rational=0):
     rows = []
     if rational:
@@ -508,18 +500,6 @@ def ideal_pow(K: NumberField, A, k: int):
         base = ideal_mul(K, base, base)
         k >>= 1
     return result
-
-
-def ideal_norm(A) -> int:
-    return linalg.lattice_index(A)
-
-
-def ideal_eq(A, B) -> bool:
-    return linalg.lattice_eq(A, B)
-
-
-def element_in_ideal(A, a) -> bool:
-    return linalg.hnf_solve(A, a) is not None
 
 
 def element_valuation(K: NumberField, a, P: PrimeIdeal) -> int:
@@ -827,13 +807,20 @@ def shanks_param(ell: int):
 
 
 def period_cubic(ell: int):
-    """x^3 - 3*ell*x - ell*a for 4*ell = a^2 + 27 b^2, a = 1 mod 3.
+    """x^3 - 3*ell*x - ell*a for the one representation 4*ell = a^2 + 27 b^2.
 
-    Its roots are the Gaussian periods of the index-3 subgroup of
-    (Z/ell)^*, so the splitting field is the cubic subfield of the
-    ell-th cyclotomic field; poly disc is (27*ell*b)^2.
+    (a, b) is the single entry of arith.cubic_reps(ell), the search that
+    census.diagonal_check reads for conductor ell1 * ell2.  The roots are
+    3*eta + 1 for the Gaussian periods eta of the index-3 subgroup of
+    (Z/ell)^*, so the splitting field is the cubic subfield of the ell-th
+    cyclotomic field; poly disc is (27*ell*b)^2.
     """
-    a, b = arith.cornacchia_4l(ell)
+    if ell % 3 != 1 or not is_prime(ell):
+        raise ValueError(f"{ell} is not a prime congruent to 1 mod 3")
+    reps = arith.cubic_reps(ell)
+    if len(reps) != 1:
+        raise FieldError(f"{len(reps)} representations 4*{ell} = a^2 + 27 b^2, expected one")
+    (a, b), = reps
     f = (-ell * a, -3 * ell, 0, 1)
     if poly_discriminant(f) != (27 * ell * b) ** 2:
         raise FieldError(f"period cubic of {ell} has the wrong discriminant")

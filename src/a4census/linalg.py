@@ -19,10 +19,7 @@ from .arith import det_bareiss
 __all__ = [
     "hnf",
     "hnf_solve",
-    "lattice_eq",
     "lattice_index",
-    "inverse_rational",
-    "solve_rational",
     "kernel_mod_p",
     "rref_mod_p",
     "residual_mod_p",
@@ -103,40 +100,12 @@ def hnf_solve(h, target):
     return coeffs
 
 
-def lattice_eq(h1, h2) -> bool:
-    return [tuple(r) for r in h1] == [tuple(r) for r in h2]
-
-
 def lattice_index(h) -> int:
     """Index [Z^n : L] for a square full-rank HNF basis of L."""
     out = 1
     for i, row in enumerate(h):
         out *= row[i]
     return out
-
-
-def inverse_rational(mat):
-    """Exact inverse of a square matrix with int or Fraction entries."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def solve_rational(mat, rhs):
-    """Solve mat^T-free row convention: x * mat = rhs, both rows of rationals."""
-    inv = inverse_rational(mat)
-    return [sum(Fraction(rhs[k]) * inv[k][j] for k in range(len(rhs))) for j in range(len(rhs))]
 
 
 def kernel_mod_p(rows, ncols, p):

@@ -64,7 +64,6 @@ __all__ = [
     "RayClass3Quotient",
     "ray_class_3_quotient",
     "artin_vector",
-    "frobenius_residue_degree",
     "modulus_stability_check",
     "brute_force_spans",
 ]
@@ -90,9 +89,6 @@ class Modulus:
                 raise ValueError("tame primes carry exponent 1")
             if a < 1:
                 raise ValueError("exponents are at least 1")
-
-    def primes(self):
-        return [P for P, _ in self.finite]
 
     def contains_prime(self, P: PrimeIdeal) -> bool:
         return any(Q.key() == P.key() for Q, _ in self.finite)
@@ -272,30 +268,27 @@ def _coprime_to_modulus(m: Modulus, el) -> bool:
     return all(not element_in_prime(P, el) for P, _ in m.finite)
 
 
-def _build_blocks(K: NumberField, finite, wild):
-    blocks = []
-    for P, a in finite:
-        if P.p == 3 and a >= 2:
-            if a != 2:
-                raise FieldError("wild exponents above 2 are handled by the stability path only")
-            shared = wild is not None and wild.P.key() == P.key()
-            blocks.append(wild if shared else WildBlock(K, P))
-        else:
-            blocks.append(TameBlock(K, P.norm, P.theta_root))
-    if wild is not None and not any(b is wild for b in blocks):
+def _build_blocks(K: NumberField, finite, wild: WildBlock):
+    wild_part = [(P, a) for P, a in finite if P.p == 3 and a >= 2]
+    if any(a != 2 for _, a in wild_part):
+        raise FieldError("wild exponents above 2 are handled by the stability path only")
+    if [P.key() for P, _ in wild_part] != [wild.P.key()]:
         raise FieldError("wild block is not at the modulus's prime over 3")
+    blocks = (
+        wild if P.p == 3 and a >= 2 else TameBlock(K, P.norm, P.theta_root) for P, a in finite
+    )
     return tuple(b for b in blocks if b.dim > 0)
 
 
 def ray_class_3_quotient(
-    m: Modulus, cg: ClassGroupData, u: UnitData, wild: WildBlock = None
+    m: Modulus, cg: ClassGroupData, u: UnitData, wild: WildBlock
 ) -> RayClass3Quotient:
     """Cl_m tensor F_3 with Artin data, from class-group and unit data.
 
     u must hold 3-saturated units, as unit_group returns them.  `wild`
-    is the block for the modulus's prime over 3 (exponent 2); callers
-    that classify many primes pass one block that already knows the logs
-    of the units and relation generators, otherwise a fresh block is built.
+    is the block for the modulus's one prime over 3 at exponent 2; the
+    census passes the one block, built at load, that already knows the
+    logs of the units and relation generators.
     """
     K = m.field
     blocks = _build_blocks(K, m.finite, wild)
@@ -375,12 +368,6 @@ def artin_vector(q: RayClass3Quotient, A):
     vec = _local_row(q.blocks, alpha, q.local_dim)
     vec.extend((-cof_vec[j]) % 3 for j in q.fb_positions)
     return q.reduce_to_quotient(vec)
-
-
-def frobenius_residue_degree(q: RayClass3Quotient, P: PrimeIdeal) -> int:
-    """1 when the Artin image of P vanishes (split), else 3."""
-    v = artin_vector(q, list(P.hnf))
-    return 1 if not any(v) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +472,12 @@ def modulus_stability_check(
     prime_over_3: PrimeIdeal,
     cg: ClassGroupData,
     u: UnitData,
-    wild: WildBlock = None,
+    wild: WildBlock,
 ) -> bool:
     """True iff the quotient dimension is the same at wild exponents 2 and 3.
 
     The modulus is prime_over_3^a.  Exponent 2 runs the F_3 presentation
-    (on the block `wild`, when given); exponent 3 runs the independent
+    (on the block `wild`, at prime_over_3); exponent 3 runs the independent
     integer-Smith path, so agreement genuinely checks that depth-2
     1-units already carry the whole 3-elementary quotient.
     """

@@ -20,8 +20,9 @@ a test oracle:
 import math
 from fractions import Fraction
 
+from a4census import linalg
 from a4census.classgroup import ideal_class_coordinates, ideal_short_elements
-from a4census.fields import QuotientRing, element_in_ideal, ideal_mul, ideal_norm, ideal_pow
+from a4census.fields import QuotientRing, ideal_mul, ideal_pow
 from a4census.rayclass import _LatticeQuotientF3
 
 
@@ -32,7 +33,7 @@ def powering_valuation(K, a, P, cap=64) -> int:
     v = 0
     power = P.hnf
     while v < cap:
-        if not element_in_ideal(power, a):
+        if linalg.hnf_solve(power, a) is None:
             return v
         v += 1
         power = ideal_mul(K, power, P.hnf)
@@ -61,7 +62,7 @@ def norm_scan_certificate(F, cg, wild, tame_l2, Q):
         if c % d:
             m = math.lcm(m, d // math.gcd(d, c))
     power = ideal_pow(F, list(Q.hnf), m)
-    target = ideal_norm(power)
+    target = linalg.lattice_index(power)
     gamma = next(el for el in ideal_short_elements(F, power) if abs(F.el_norm(el)) == target)
     return m, gamma, wild.philog(gamma), tame_l2.philog(gamma)[0]
 

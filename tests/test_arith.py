@@ -1,5 +1,7 @@
 """Integer and polynomial arithmetic against sympy oracles."""
 
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,13 +12,6 @@ from a4census import arith
 
 def test_primes_upto_matches_sympy():
     assert arith.primes_upto(10**4) == list(sympy.primerange(2, 10**4 + 1))
-
-
-def test_primitive_root_matches_sympy():
-    for q in arith.primes_upto(2000):
-        assert arith.primitive_root(q) == sympy.primitive_root(q), q
-    with pytest.raises(ValueError):
-        arith.primitive_root(9)
 
 
 def test_primes_upto_is_inclusive():
@@ -65,16 +60,32 @@ def test_factorize_rejects_hard_composites():
         arith.factorize(n, bound=10**5)
 
 
-def test_valuation():
-    assert arith.valuation(2**5 * 9, 2) == 5
-    assert arith.valuation(7, 5) == 0
+def _reps_by_a(m):
+    """The representations 4m = a^2 + 27 b^2, a = 1 mod 3, b > 0, found by a."""
+    reps = []
+    for a in range(-math.isqrt(4 * m), math.isqrt(4 * m) + 1):
+        b2, r = divmod(4 * m - a * a, 27)
+        if a % 3 == 1 and not r and b2 and math.isqrt(b2) ** 2 == b2:
+            reps.append((a, math.isqrt(b2)))
+    return sorted(reps, key=lambda ab: ab[1])
 
 
-def test_cornacchia_representation():
-    for ell in (7, 13, 163, 277, 349, 547, 607):
-        a, b = arith.cornacchia_4l(ell)
-        assert a * a + 27 * b * b == 4 * ell
-        assert a % 3 == 1
+def test_cubic_reps_of_primes_and_pairs():
+    # one representation for each prime = 1 mod 3, two for each product of
+    # two of them: the cyclic cubic fields of those conductors
+    ells = [p for p in arith.primes_upto(1000) if p % 3 == 1]
+    for ell in ells:
+        reps = arith.cubic_reps(ell)
+        assert len(reps) == 1 and reps == _reps_by_a(ell), ell
+    small = [p for p in ells if p < 110]
+    pairs = [(l1, l2) for i, l1 in enumerate(small) for l2 in small[i + 1 :]]
+    assert len(pairs) == 78
+    for l1, l2 in pairs:
+        reps = arith.cubic_reps(l1 * l2)
+        assert len(reps) == 2 and reps == _reps_by_a(l1 * l2), (l1, l2)
+    assert arith.cubic_reps(9) == []  # 36 = 3^2 + 27 * 1^2, and 3 | a
+    with pytest.raises(ValueError):
+        arith.cubic_reps(0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from a4census.config import Config, golden_rows
 from a4census.fields import (
     FieldError,
     factor_rational_prime,
-    ideal_eq,
     ideal_from_elements,
     ideal_pow,
 )
@@ -136,7 +136,7 @@ def test_certificates_generate_the_prime_powers(conductor, ell):
             continue
         m, gamma, wild_log, l2_log = cert
         assert m % 3
-        assert ideal_eq(ideal_pow(F, list(Q.hnf), m), ideal_from_elements(F, [gamma]))
+        assert ideal_pow(F, list(Q.hnf), m) == ideal_from_elements(F, [gamma])
         assert wild_log == cd.wild.philog(gamma)
         assert l2_log == cd.tame_l2.philog(gamma)[0]
 
@@ -694,6 +694,8 @@ def test_scan_conductors_bound():
 def test_diagonal_check_values():
     rep = diagonal_check(7, 13)
     assert rep.rank_obstructed
+    # 4 * 91 = 16^2 + 27 * 2^2 = (-11)^2 + 27 * 3^2
+    assert [f.poly for f in rep.fields] == [(64, -30, -1, 1), (-27, -30, -1, 1)]
     assert [f.h for f in rep.fields] == [3, 3]
     assert all(f.disc == (7 * 13) ** 2 for f in rep.fields)
     assert all(f.two_rank == 0 for f in rep.fields)
@@ -702,7 +704,7 @@ def test_diagonal_check_values():
 def test_diagonal_check_is_symmetric():
     a = diagonal_check(7, 13)
     b = diagonal_check(13, 7)
-    assert {f.poly for f in a.fields} == {f.poly for f in b.fields}
+    assert a.fields == b.fields
 
 
 def test_diagonal_check_errors():
@@ -712,6 +714,50 @@ def test_diagonal_check_errors():
         diagonal_check(7, 11)  # 11 = 2 mod 3
     with pytest.raises(VerificationError):
         diagonal_check(7, 15)
+
+
+def _recorded_period_cubics():
+    """{(l1, l2): set of period cubics} from tests/data/diagonal_period_cubics.csv."""
+    path = Path(__file__).parent / "data" / "diagonal_period_cubics.csv"
+    table = {}
+    for line in path.read_text().splitlines():
+        if line.startswith(("#", "l1,")):
+            continue
+        l1, l2, *poly = map(int, line.split(","))
+        table.setdefault((l1, l2), set()).add(tuple(poly))
+    return table
+
+
+def test_diagonal_cubics_match_the_recorded_period_cubics(monkeypatch):
+    # every pair of primes = 1 mod 3 below 110: the fields built from the
+    # representations 4m = a^2 + 27 b^2 are the ones the Gauss-period power
+    # sums gave; class groups are stubbed out, the field and its
+    # discriminant check still run
+    table = _recorded_period_cubics()
+    assert len(table) == 78
+    monkeypatch.setattr(census, "class_group", lambda K: types.SimpleNamespace(h=1))
+    monkeypatch.setattr(census, "two_rank", lambda cg: 0)
+    for (l1, l2), polys in table.items():
+        rep = diagonal_check(l1, l2)
+        assert {f.poly for f in rep.fields} == polys, (l1, l2)
+        # listed by increasing b
+        m = l1 * l2
+        reps = arith.cubic_reps(m)
+        assert [b for _, b in reps] == sorted(b for _, b in reps)
+        assert [f.poly[0] for f in rep.fields] == [(m * (a + 3) - 1) // 27 for a, _ in reps]
+
+
+def test_diagonal_check_rejects_a_wrong_representation_count(monkeypatch):
+    (a, b), _ = arith.cubic_reps(7 * 13)
+    monkeypatch.setattr(arith, "cubic_reps", lambda m: [(a, b)])
+    with pytest.raises(VerificationError) as err:
+        diagonal_check(7, 13)
+    assert err.value.check == "diagonal-reps"
+    # a shifted a breaks 27 | m (a + 3) - 1, the constant term's denominator
+    monkeypatch.setattr(arith, "cubic_reps", lambda m: [(a + 3, b), (a, b)])
+    with pytest.raises(VerificationError) as err:
+        diagonal_check(7, 13)
+    assert err.value.check == "diagonal-poly"
 
 
 # ---------------------------------------------------------------------------

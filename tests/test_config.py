@@ -78,6 +78,22 @@ def test_read_config_rejects_unknown_keys(tmp_path, text, section, key):
         read_config(path)
 
 
+def test_read_config_rejects_an_unknown_format(tmp_path):
+    # an unknown format used to print the text table, or fail with a KeyError
+    # once an output directory named the file by its format
+    path = tmp_path / "f.ini"
+    path.write_text("[conductor]\nell = 163\n[output]\nformat = tsv\n")
+    with pytest.raises(ValueError, match=r"f\.ini: key 'format' in section \[output\].*csv, text, jsonl"):
+        read_config(path)
+
+
+def test_read_config_requires_ell(tmp_path):
+    path = tmp_path / "e.ini"
+    path.write_text("[conductor]\ncubic_poly = -1 -14 -11 1\n")
+    with pytest.raises(ValueError, match=r"e\.ini: missing key 'ell'"):
+        read_config(path)
+
+
 def test_read_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "s.ini"
     path.write_text("[conductor]\nell = 163\n[run]\nworkers = 2\n")

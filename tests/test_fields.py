@@ -19,7 +19,6 @@ from a4census.fields import (
     factor_rational_prime,
     field_from_record,
     field_to_record,
-    ideal_norm,
     new_number_field,
     quartic_field_search,
     shanks_param,
@@ -82,6 +81,14 @@ def test_cubic_subfield_shanks_form():
     assert tuple(L.poly) == (-1, -(a + 3), -a, 1)
 
 
+def test_period_cubic_of_277_is_the_shipped_cubic():
+    # 277 is not of Shanks form: its L comes from 4 * 277 = 26^2 + 27 * 4^2
+    assert arith.cubic_reps(277) == [(-26, 4)]
+    assert fields.period_cubic(277) == tuple(shipped_config(277).cubic_poly)
+    with pytest.raises(ValueError):
+        fields.period_cubic(7 * 13)
+
+
 def test_cubic_subfield_rejects_bad_conductor():
     with pytest.raises(FieldError):
         cubic_subfield(11)  # 11 = 2 mod 3
@@ -106,7 +113,7 @@ def _round_two_fields():
     polys = []
     for ell in arith.primes_upto(1000):
         if ell % 3 == 1 and shanks_param(ell) is None:
-            _, b = arith.cornacchia_4l(ell)
+            ((_, b),) = arith.cubic_reps(ell)
             if max(arith.factorize(abs(b)), default=1) > 3:
                 polys.append(fields.period_cubic(ell))
     assert len(polys) == 25
@@ -223,7 +230,7 @@ def test_factor_rational_prime_norms():
         assert sorted(pr.norm for pr in primes) == sorted(p**pr.f for pr in primes)
         assert sum(pr.e * pr.f for pr in primes) == 4
         for pr in primes:
-            assert ideal_norm(pr.hnf) == pr.norm
+            assert linalg.lattice_index(pr.hnf) == pr.norm
 
 
 def test_element_valuation_sums_to_norm_valuation():

@@ -17,17 +17,17 @@ from a4census.classgroup import class_group, unit_group
 from a4census.fields import (
     FieldError,
     cubic_subfield,
-    element_ideal,
     element_in_prime,
     factor_rational_prime,
+    ideal_from_elements,
     ideal_mul,
 )
 from a4census.rayclass import (
     Modulus,
     TameBlock,
+    WildBlock,
     artin_vector,
     brute_force_spans,
-    frobenius_residue_degree,
     modulus_stability_check,
     ray_class_3_quotient,
 )
@@ -45,7 +45,7 @@ def test_fixed_modulus_dimension_is_one(ell, conductor):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_modulus_stability(ell, conductor):
     cd = conductor(ell)
-    assert modulus_stability_check(cd.F, cd.p31, cd.cg, cd.u)
+    assert modulus_stability_check(cd.F, cd.p31, cd.cg, cd.u, WildBlock(cd.F, cd.p31))
 
 
 def test_artin_map_kills_ray_principal_ideals(conductor):
@@ -57,7 +57,7 @@ def test_artin_map_kills_ray_principal_ideals(conductor):
     scale = 9 * 163
     for x in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1), (0, 2, 1, 0)]:
         el = tuple(o + scale * c for o, c in zip(one, x))
-        vec = artin_vector(cd.fixed_q, element_ideal(F, el))
+        vec = artin_vector(cd.fixed_q, ideal_from_elements(F, [el]))
         assert not any(vec)
 
 
@@ -70,7 +70,7 @@ def test_artin_map_sees_generic_principal_ideals(conductor):
     for el in [(1, 1, 0, 0), (2, 0, 1, 0), (1, 0, 0, 1)]:
         nm = F.el_norm(el)
         assert nm != 0 and nm % 3 != 0 and nm % 163 != 0
-        hits.append(any(artin_vector(cd.fixed_q, element_ideal(F, el))))
+        hits.append(any(artin_vector(cd.fixed_q, ideal_from_elements(F, [el]))))
     assert any(hits)
 
 
@@ -83,17 +83,6 @@ def test_artin_map_is_multiplicative(conductor):
     vq = artin_vector(cd.fixed_q, Q.hnf)
     vpq = artin_vector(cd.fixed_q, ideal_mul(F, P.hnf, Q.hnf))
     assert vpq == tuple((a + b) % 3 for a, b in zip(vp, vq))
-
-
-def test_frobenius_residue_degree_values(conductor):
-    cd = conductor(163)
-    # in a Z/3 quotient the residue degree is 1 or 3 and detects whether
-    # the Artin class vanishes
-    for p in (7, 13, 31, 61):
-        for P in factor_rational_prime(cd.F, p):
-            f = frobenius_residue_degree(cd.fixed_q, P)
-            vec = artin_vector(cd.fixed_q, P.hnf)
-            assert f == (1 if not any(vec) else 3)
 
 
 def test_brute_force_span_on_fixed_modulus(conductor):
@@ -134,7 +123,7 @@ def test_relation_rows_cover_a_cubed_unit(conductor):
     cubed = tuple(units[:2] + [F.el_pow(units[2], 3)])
     u_bad = dataclasses.replace(cd.u, fundamental_units=cubed)
     m = Modulus(F, ((cd.p31, 2), (cd.l2, 1)))
-    assert ray_class_3_quotient(m, cd.cg, u_bad).dim == cd.fixed_q.dim
+    assert ray_class_3_quotient(m, cd.cg, u_bad, WildBlock(F, cd.p31)).dim == cd.fixed_q.dim
 
 
 def test_ray_quotient_rejects_a_wild_block_at_another_prime(conductor):
@@ -234,14 +223,16 @@ def test_moving_modulus_classification_spot_check(conductor):
 
 
 def test_small_cubic_ray_quotient_brute_force():
-    # an independent small case: modulus (7) in the cubic field of
-    # conductor 7 with trivial class group
+    # an independent small case: modulus 3^2 * P7 in the cubic field of
+    # conductor 7 with trivial class group, where 3 is inert
     L = cubic_subfield(7)
     cg = class_group(L)
     u = unit_group(L)
+    (P3,) = factor_rational_prime(L, 3)
     (P7,) = factor_rational_prime(L, 7)
-    m = Modulus(L, ((P7, 1),))
-    q = ray_class_3_quotient(m, cg, u)
+    q = ray_class_3_quotient(Modulus(L, ((P3, 2), (P7, 1))), cg, u, WildBlock(L, P3))
+    # F_3^3 from the 1-units at 3 and F_3 from (O/P7)^*, less two unit rows
+    assert (q.local_dim, q.dim) == (4, 2)
     assert brute_force_spans(q)
 
 
