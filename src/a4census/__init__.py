@@ -16,7 +16,6 @@ from .census import (
     PrimeClassification,
     ScanRow,
     VerificationError,
-    a4_order3_density,
     classify_prime,
     diagonal_check,
     fast_classify,
@@ -28,7 +27,6 @@ from .cohomology import (
     LineModel,
     LocalDatum,
     balanced_preset,
-    empirical_line_test,
     local_dims_preset,
     simulate_line_model,
     simulate_unramified_probability,
@@ -67,7 +65,6 @@ __all__ = [
     "PrimeIdeal",
     "ScanRow",
     "VerificationError",
-    "a4_order3_density",
     "artin_vector",
     "balanced_preset",
     "binomial_z",
@@ -77,7 +74,6 @@ __all__ = [
     "density_report",
     "deviation_metric",
     "diagonal_check",
-    "empirical_line_test",
     "fast_classify",
     "format_ratio",
     "golden_rows",

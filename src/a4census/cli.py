@@ -39,6 +39,13 @@ def _load_from_args(args) -> census_mod.ConductorData:
     return load_conductor(cfg)
 
 
+def _job_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} workers requested, expected at least 1")
+    return n
+
+
 def _write_out(text: str, out):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -226,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", action="append", help="INI config path (repeatable)")
     p.add_argument("--max-v", type=int, default=None)
     p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint bounds")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: config workers, 1)")
+    p.add_argument(
+        "--jobs", type=_job_count, default=None, help="worker processes (default: config workers, 1)"
+    )
     p.add_argument("--out", default=None, help="output path, or a directory for multiple conductors")
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--check-golden", action="store_true", help="diff rows against the shipped table")

@@ -24,7 +24,6 @@ from math import sqrt
 import numpy as np
 
 from .arith import is_prime
-from .stats import binomial_z
 
 CHUNK = 1 << 16
 
@@ -155,19 +154,3 @@ def simulate_unramified_probability(n_levels: int, trials: int, seed: int = 0):
             zeros += int(size - np.count_nonzero(draws))
         freqs.append(zeros / trials)
     return freqs
-
-
-def empirical_line_test(rows) -> float:
-    """z-score of the census Lambda-density against the p = 3 line model.
-
-    Only membership in the distinguished line is observable in the
-    census (the two other ramified lines are indistinguishable), so the
-    test is binomial: |C_Lambda| successes in |C3| trials against 2/3.
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no census rows")
-    last = rows[-1]
-    if last.c3 <= 0:
-        raise ValueError("empty C3 in the final census row")
-    return binomial_z(last.c_lambda, last.c3, Fraction(2, 3))

@@ -89,6 +89,10 @@ def read_config(path) -> Config:
         if "checkpoints" in c:
             cfg.checkpoints = parse_ints(c["checkpoints"])
         cfg.workers = c.getint("workers", cfg.workers)
+        if cfg.workers < 1:
+            raise ValueError(
+                f"{path}: key 'workers' in section [census] is {cfg.workers}, expected at least 1"
+            )
     if "output" in cp:
         o = cp["output"]
         cfg.out = o.get("path", cfg.out)

@@ -22,11 +22,11 @@ Local blocks:
     layer p/p^2, of F_3-dimension f; the log of x is the coordinate
     vector of x^(norm-1) - 1.  Raising to norm-1 kills the tame part and
     acts invertibly (norm-1 = 2 mod 3) on the 1-units, and is a
-    homomorphism into p/p^2 exactly, not just up to higher terms.  No
-    power is taken: (O/p^2)^* is the Teichmueller representatives times
-    the 1-units, w(x) = x^norm mod p^2 depends only on x mod p, and
-    x^(norm-1) - 1 = 1 - x * w(x)^-1 mod p^2, with w^-1 read from a table
-    of the norm-1 unit residues mod p (WildBlock).
+    homomorphism into p/p^2 exactly, not just up to higher terms.  The
+    log depends only on x mod p^2, so WildBlock tables it for every unit
+    class: (O/p^2)^* is the Teichmueller representatives w times the
+    1-units 1 + z, and the class of w(1 + z) has log the coordinates of
+    -z, because w^(norm-1) = 1 and (1 + z)^(norm-1) = 1 - z mod p^2.
   * exponent 3 keeps the 9-torsion honest: see the integer-Smith path in
     modulus_stability_check, which presents (O/p^3)^* on order-9
     generators with explicit cube relations and never reduces mod 3
@@ -44,7 +44,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from . import arith, linalg
+from . import linalg
 from .classgroup import ClassGroupData, UnitData, smooth_split
 from .fields import (
     FieldError,
@@ -52,7 +52,6 @@ from .fields import (
     PrimeIdeal,
     QuotientRing,
     element_in_prime,
-    factor_rational_prime,
     ideal_mul,
     ideal_pow,
 )
@@ -65,11 +64,7 @@ __all__ = [
     "ray_class_3_quotient",
     "artin_vector",
     "modulus_stability_check",
-    "brute_force_spans",
 ]
-
-
-SPAN_NORM_BOUND = 60  # brute_force_spans takes the primes of norm up to this
 
 
 @dataclass(frozen=True)
@@ -198,53 +193,66 @@ def _solve_f3(rows, target):
 
 
 class WildBlock:
-    """(O/p^2)^* tensor F_3 for a prime over 3, via the 1-unit layer.
+    """(O/p^2)^* tensor F_3 for a prime over 3, as one table of residues.
 
-    The log of x is the layer coordinate vector of x^(N-1) - 1, N = N(p),
-    computed without powering.  3p lies in p^2, so x^3 mod p^2 depends
-    only on x mod p; hence so does the Teichmueller representative
-    w(x) = x^N mod p^2, and w^(N-1) = 1.  Then x^(N-1) = w(x)/x, and
-    x^(N-1) - 1 = 1 - x * w(x)^-1 mod p^2 because x * w(x)^-1 is a 1-unit.
-    The N - 1 values w^-1 = x^(N(N-2)) mod p^2 are tabled here by the
-    residue of x mod p (Cohen, GTM 193, ch. 4).
-
-    The logs of `known` elements (those coprime to p) are computed here
-    once and looked up afterwards; the block is not changed after
-    construction.
+    The log of x is the layer coordinate vector of x^(N-1) - 1, N = N(p).
+    It depends only on x mod p^2, so every unit class mod p^2 is tabled
+    here, keyed by its canonical QuotientRing representative, and philog
+    is one reduction and one lookup.  The table is built from the
+    structure (O/p^2)^* = mu_(N-1) x (1 + p)/(1 + p^2) (Cohen, GTM 193, ch. 4),
+    not by powering: the Teichmueller representatives are w = r^N for the
+    N - 1 nonzero residues r mod p (3p lies in p^2, so w depends only on
+    r mod p, and w^(N-1) = 1), and the 1-units are 1 + z with
+    z = sum c_i z_i over the layer preimages z_i.  Since 3z and z^2 lie
+    in p^2, (1 + z)^(N-1) = 1 + (N-1)z = 1 - z mod p^2, so the class of
+    w(1 + z) has log -c mod 3, exactly.  The N(N-1) products are checked
+    to be distinct, so the table holds every unit class once.
     """
 
-    def __init__(self, K: NumberField, P: PrimeIdeal, known=()):
+    def __init__(self, K: NumberField, P: PrimeIdeal):
         if P.p != 3:
             raise FieldError("wild block needs a prime over 3")
-        self.K = K
         self.P = P
         p2 = ideal_pow(K, list(P.hnf), 2)
-        self.ring = QuotientRing(K, p2)
-        self.layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
-        self.dim = self.layer.dim
+        self.ring = ring = QuotientRing(K, p2)
+        layer = _LatticeQuotientF3(list(P.hnf), p2, K.degree)
+        self.dim = layer.dim
         if self.dim != P.f:
             raise FieldError(f"1-unit layer has F_3-dimension {self.dim}, expected {P.f}")
         # 3O lies in p, so the vectors with coordinates 0, 1, 2 meet every residue
         N = P.norm
-        self.residues = QuotientRing(K, P.hnf)
-        reps = {self.residues.reduce(x) for x in itertools.product(range(3), repeat=K.degree)}
+        residues = QuotientRing(K, P.hnf)
+        reps = {residues.reduce(x) for x in itertools.product(range(3), repeat=K.degree)}
         if len(reps) != N:
             raise FieldError(f"{len(reps)} residues mod the wild prime, expected {N}")
-        self._teich_inv = {r: self.ring.pow(r, N * (N - 2)) for r in reps if any(r)}
-        self._known = {tuple(el): self._log(el) for el in known if self.is_coprime(el)}
+        zs = layer.preimages()
+        self._table = {}
+        for r in reps:
+            if not any(r):
+                continue
+            # w(1 + z) = w + sum c_i w z_i, one layer coordinate at a time
+            w = ring.pow(r, N)
+            classes = [(w, ())]
+            for z in zs:
+                wz = K.el_mul(w, z)
+                classes = [
+                    (tuple(a + k * b for a, b in zip(x, wz)), log + (-k % 3,))
+                    for x, log in classes
+                    for k in range(3)
+                ]
+            for x, log in classes:
+                self._table[ring.reduce(x)] = log
+        if len(self._table) != N * (N - 1):
+            raise FieldError(
+                f"{len(self._table)} unit classes mod the wild prime squared, "
+                f"expected {N * (N - 1)}"
+            )
 
     def philog(self, el):
-        hit = self._known.get(tuple(el))
-        return hit if hit is not None else self._log(el)
-
-    def _log(self, el):
-        inv = self._teich_inv.get(self.residues.reduce(el))
-        if inv is None:
+        log = self._table.get(self.ring.reduce(el))
+        if log is None:
             raise FieldError("element is not coprime to the wild prime")
-        return self.layer.coords(tuple(a - b for a, b in zip(self.K.one(), self.ring.mul(el, inv))))
-
-    def is_coprime(self, el) -> bool:
-        return not element_in_prime(self.P, el)
+        return log
 
 
 @dataclass
@@ -287,8 +295,7 @@ def ray_class_3_quotient(
 
     u must hold 3-saturated units, as unit_group returns them.  `wild`
     is the block for the modulus's one prime over 3 at exponent 2; the
-    census passes the one block, built at load, that already knows the
-    logs of the units and relation generators.
+    census passes the one block it builds at load.
     """
     K = m.field
     blocks = _build_blocks(K, m.finite, wild)
@@ -483,22 +490,3 @@ def modulus_stability_check(
     """
     q = ray_class_3_quotient(Modulus(K, ((prime_over_3, 2),)), cg, u, wild)
     return q.dim == _integer_quotient_3rank(K, prime_over_3, cg, u.fundamental_units)
-
-
-def brute_force_spans(q: RayClass3Quotient) -> bool:
-    """Independent closure check: Artin images of all primes of norm up to
-    SPAN_NORM_BOUND coprime to the modulus must span the quotient."""
-    if q.dim == 0:
-        return True
-    K = q.cg.field
-    seen = []
-    for p in arith.primes_upto(SPAN_NORM_BOUND):
-        for P in factor_rational_prime(K, p):
-            if P.norm > SPAN_NORM_BOUND or q.modulus.contains_prime(P):
-                continue
-            try:
-                seen.append(list(artin_vector(q, list(P.hnf))))
-            except FieldError:
-                continue
-    red, _ = linalg.rref_mod_p(seen, q.dim, 3)
-    return len(red) == q.dim

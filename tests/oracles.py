@@ -9,21 +9,30 @@ a test oracle:
 - fraction_short_vectors: Fincke-Pohst enumeration carried out entirely
   in Fractions (linalg.short_vectors prunes in floats);
 - power_wild_log: the wild log as the layer coordinates of a^(N-1) - 1
-  mod P^2 by square and multiply (rayclass.WildBlock reads the
-  Teichmueller inverse from a table instead);
+  mod P^2 by square and multiply (rayclass.WildBlock looks the residue
+  mod P^2 up in a table built from the Teichmueller representatives and
+  the 1-units instead);
 - norm_scan_certificate: a principality certificate Q^m = (gamma) whose
   gamma is found by scanning the short elements of Q^m for the norm
   N(Q^m) by hand (census._certificate takes the split of Q^m with a
-  cofactor of norm 1 instead).
+  cofactor of norm 1 instead);
+- brute_force_spans: the Artin images of every prime of norm up to
+  SPAN_NORM_BOUND must span a ray quotient (its dimension comes from the
+  presentation instead);
+- a4_order3_density: the density 1/3 of C3 from the conjugacy classes of
+  A4 built as permutations (the census counts it).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from a4census import linalg
+from a4census import arith, linalg
 from a4census.classgroup import ideal_class_coordinates, ideal_short_elements
-from a4census.fields import QuotientRing, ideal_mul, ideal_pow
-from a4census.rayclass import _LatticeQuotientF3
+from a4census.fields import FieldError, QuotientRing, factor_rational_prime, ideal_mul, ideal_pow
+from a4census.rayclass import _LatticeQuotientF3, artin_vector
+
+SPAN_NORM_BOUND = 60  # brute_force_spans takes the primes of norm up to this
 
 
 def powering_valuation(K, a, P, cap=64) -> int:
@@ -143,3 +152,74 @@ def _frac_sqrt_ceil(fr: Fraction) -> Fraction:
     if r * r < num * den:
         r += 1
     return Fraction(r, den)
+
+
+def brute_force_spans(q) -> bool:
+    """Independent closure check: Artin images of all primes of norm up to
+    SPAN_NORM_BOUND coprime to the modulus must span the quotient."""
+    if q.dim == 0:
+        return True
+    K = q.cg.field
+    seen = []
+    for p in arith.primes_upto(SPAN_NORM_BOUND):
+        for P in factor_rational_prime(K, p):
+            if P.norm > SPAN_NORM_BOUND or q.modulus.contains_prime(P):
+                continue
+            try:
+                seen.append(list(artin_vector(q, list(P.hnf))))
+            except FieldError:
+                continue
+    red, _ = linalg.rref_mod_p(seen, q.dim, 3)
+    return len(red) == q.dim
+
+
+def a4_order3_density() -> Fraction:
+    """Density of C^(3), derived from the conjugacy classes of A4.
+
+    Builds A4 as the even permutations of four letters, splits it into
+    conjugacy classes (sizes 1, 3, 4, 4), and combines the two classes
+    of 3-cycles with the index-2 condition v = 1 mod 3:
+    (1/2) * (4/12 + 4/12) = 1/3.
+    """
+    perms = [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
+    if len(perms) != 12:
+        raise ValueError(f"A4 built with {len(perms)} elements, expected 12")
+    classes = []
+    seen = set()
+    for p in perms:
+        if p in seen:
+            continue
+        orbit = {_conj(g, p) for g in perms}
+        seen |= orbit
+        classes.append(orbit)
+    sizes = sorted(len(c) for c in classes)
+    if sizes != [1, 3, 4, 4]:
+        raise ValueError(f"A4 class sizes {sizes}, expected [1, 3, 4, 4]")
+    order3 = [c for c in classes if _perm_order(next(iter(c))) == 3]
+    if len(order3) != 2:
+        raise ValueError(f"{len(order3)} classes of order 3 in A4, expected 2")
+    return Fraction(1, 2) * sum(Fraction(len(c), len(perms)) for c in order3)
+
+
+def _parity(p) -> int:
+    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    return inv % 2
+
+
+def _compose(a, b):
+    return tuple(a[b[i]] for i in range(len(b)))
+
+
+def _conj(g, p):
+    gi = tuple(sorted(range(len(g)), key=g.__getitem__))
+    return _compose(_compose(g, p), gi)
+
+
+def _perm_order(p) -> int:
+    acc = p
+    n = 1
+    ident = tuple(range(len(p)))
+    while acc != ident:
+        acc = _compose(acc, p)
+        n += 1
+    return n

@@ -22,7 +22,6 @@ from a4census import arith, census, classgroup, fields, linalg, rayclass
 from a4census.census import (
     CensusRow,
     VerificationError,
-    a4_order3_density,
     classify_prime,
     diagonal_check,
     fast_classify,
@@ -40,7 +39,7 @@ from a4census.fields import (
 from a4census.stats import census_csv
 
 from conftest import CONDUCTORS
-from oracles import norm_scan_certificate
+from oracles import a4_order3_density, norm_scan_certificate
 
 
 # ---------------------------------------------------------------------------

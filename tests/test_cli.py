@@ -79,6 +79,23 @@ def test_census_workers_from_config_and_jobs_flag(capsys, tmp_path, monkeypatch)
     assert seen == [2, 1, 1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_rejects_a_worker_count_below_one(capsys, tmp_path, monkeypatch, jobs):
+    # --jobs 0 and workers = -3 used to run the census serially and exit 0
+    loads = []
+    monkeypatch.setattr(cli, "load_conductor", lambda cfg: loads.append(cfg.ell))
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--ell", "163", "--max-v", "1000", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+    ini = tmp_path / "w.ini"
+    ini.write_text(f"[conductor]\nell = 163\n[census]\nworkers = {jobs}\n")
+    rc, out, err = run(capsys, "census", "--config", str(ini))
+    assert rc == 1
+    assert "key 'workers' in section [census]" in err
+    assert loads == [] and out == ""
+
+
 def test_census_checks_the_out_directory_before_any_load(capsys, tmp_path, monkeypatch):
     loads = []
     monkeypatch.setattr(cli, "load_conductor", lambda cfg: loads.append(cfg.ell))

@@ -12,13 +12,12 @@ from a4census.cohomology import (
     LineModel,
     LocalDatum,
     balanced_preset,
-    empirical_line_test,
     local_dims_preset,
     simulate_line_model,
     simulate_unramified_probability,
     wiles_difference,
 )
-from a4census.stats import CountRow
+from a4census.stats import CountRow, density_report
 
 
 def test_preset_constants():
@@ -154,24 +153,28 @@ def test_unramified_probability_errors():
 # The census-facing observable.
 
 
-def test_empirical_line_test_synthetic():
+def test_line_density_z_synthetic():
     perfect = CountRow(n=100, c3=60, c_lambda=40, c_taubar=20, c_both=13)
-    assert empirical_line_test([perfect]) == 0.0
-    blocked = CountRow(n=100, c3=60, c_lambda=0, c_taubar=20, c_both=0)
-    assert empirical_line_test([blocked]) < -10
+    assert density_report(perfect).z_lambda == 0.0
+    # one prime in Lambda: with none, the 2x2 independence table has an
+    # empty margin and density_report rejects the row
+    blocked = CountRow(n=100, c3=60, c_lambda=1, c_taubar=20, c_both=0)
+    assert density_report(blocked).z_lambda < -10
+    with pytest.raises(ValueError, match="degenerate margins"):
+        density_report(CountRow(n=100, c3=60, c_lambda=0, c_taubar=20, c_both=0))
 
 
-def test_empirical_line_test_on_published_final_row():
+def test_line_density_z_on_published_final_row():
     # |C3| and the Lambda-ratio of the largest published census row;
-    # the count is recovered from the printed 5-decimal ratio
+    # the count is recovered from the printed 5-decimal ratio.  z_lambda
+    # reads only c3 and c_lambda; the model's 1/3 and 2/9 counts fill the
+    # rest of the independence table so that it has no empty margin
     c3 = 1920314
     count = round(0.66622 * c3)
-    row = CountRow(n=10**8, c3=c3, c_lambda=count, c_taubar=0, c_both=0)
-    assert abs(empirical_line_test([row])) < 1.5
+    row = CountRow(n=10**8, c3=c3, c_lambda=count, c_taubar=c3 // 3, c_both=2 * c3 // 9)
+    assert abs(density_report(row).z_lambda) < 1.5
 
 
-def test_empirical_line_test_errors():
+def test_line_density_z_errors():
     with pytest.raises(ValueError):
-        empirical_line_test([])
-    with pytest.raises(ValueError):
-        empirical_line_test([CountRow(n=10, c3=0, c_lambda=0, c_taubar=0, c_both=0)])
+        density_report(CountRow(n=10, c3=0, c_lambda=0, c_taubar=0, c_both=0))

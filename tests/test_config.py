@@ -87,6 +87,15 @@ def test_read_config_rejects_an_unknown_format(tmp_path):
         read_config(path)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_read_config_rejects_a_worker_count_below_one(tmp_path, workers):
+    # a worker count below 1 used to run the census serially
+    path = tmp_path / "w.ini"
+    path.write_text(f"[conductor]\nell = 163\n[census]\nworkers = {workers}\n")
+    with pytest.raises(ValueError, match=rf"w\.ini: key 'workers' in section \[census\] is {workers}"):
+        read_config(path)
+
+
 def test_read_config_requires_ell(tmp_path):
     path = tmp_path / "e.ini"
     path.write_text("[conductor]\ncubic_poly = -1 -14 -11 1\n")

@@ -1,6 +1,7 @@
 """Ray class 3-quotients: dimensions, Artin map, stability."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -16,24 +17,25 @@ from a4census import arith
 from a4census.classgroup import class_group, unit_group
 from a4census.fields import (
     FieldError,
+    QuotientRing,
     cubic_subfield,
     element_in_prime,
     factor_rational_prime,
     ideal_from_elements,
     ideal_mul,
+    ideal_pow,
 )
 from a4census.rayclass import (
     Modulus,
     TameBlock,
     WildBlock,
     artin_vector,
-    brute_force_spans,
     modulus_stability_check,
     ray_class_3_quotient,
 )
 
 from conftest import CONDUCTORS
-from oracles import power_wild_log
+from oracles import brute_force_spans, power_wild_log
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -283,8 +285,9 @@ big_element = st.tuples(*[st.integers(min_value=-(10**12), max_value=10**12)] * 
 @given(a=big_element, b=big_element)
 @settings(max_examples=30, deadline=None)
 def test_wild_log_matches_the_powering_oracle(conductor, ell, a, b):
-    # the Teichmueller table against a^(N-1) - 1 by square and multiply,
-    # on elements coprime to 3_1 and their products (277 has index 4)
+    # the table of unit classes mod 3_1^2 against a^(N-1) - 1 by square
+    # and multiply, on large elements coprime to 3_1 and their products
+    # (277 has index 4)
     cd = conductor(ell)
     F, P = cd.F, cd.p31
     assume(not element_in_prime(P, a) and not element_in_prime(P, b))
@@ -299,7 +302,8 @@ def test_wild_log_matches_the_powering_oracle(conductor, ell, a, b):
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_wild_logs_of_the_load_match_the_powering_oracle(conductor, ell):
-    # the looked-up logs: units, certificates and relation generators
+    # the logs the quotients and certificates present: units,
+    # certificates and relation generators
     cd = conductor(ell)
     F, P = cd.F, cd.p31
     for w in cd.u.fundamental_units:
@@ -312,3 +316,29 @@ def test_wild_logs_of_the_load_match_the_powering_oracle(conductor, ell):
     assert len(gens) > 50
     for gen in gens:
         assert cd.wild.philog(gen) == power_wild_log(F, P, gen)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS + (7,))
+def test_wild_table_covers_every_unit_class(conductor, ell):
+    # every residue mod P^2 (9O lies in P^2, so coordinates 0..8 meet each
+    # class) against the powering oracle; 7 is the cubic field of
+    # conductor 7, where 3 is inert
+    if ell == 7:
+        K = cubic_subfield(7)
+        (P,) = factor_rational_prime(K, 3)
+        wild = WildBlock(K, P)
+    else:
+        cd = conductor(ell)
+        K, P, wild = cd.F, cd.p31, cd.wild
+    ring = QuotientRing(K, ideal_pow(K, list(P.hnf), 2))
+    classes = {ring.reduce(x) for x in itertools.product(range(9), repeat=K.degree)}
+    assert len(classes) == P.norm**2
+    units = 0
+    for x in classes:
+        if element_in_prime(P, x):
+            with pytest.raises(FieldError, match="not coprime"):
+                wild.philog(x)
+        else:
+            units += 1
+            assert wild.philog(x) == power_wild_log(K, P, x)
+    assert units == P.norm * (P.norm - 1)
