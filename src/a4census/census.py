@@ -38,7 +38,9 @@ order.
 
 The census (run_census) classifies a segment of up to CHUNK integers in
 three stages (_count_segment): fast_classify's gate, root and closed-form
-v1 for every prime; one batched float64 LLL (linalg.lll_float_batch)
+v1 for all the segment's primes at once, in numpy int64 lanes
+(_c3_setup_lanes), each prime the lanes do not certify going through
+_c3_setup itself; one batched float64 LLL (linalg.lll_float_batch)
 over the v1 lattices of all the segment's C3 primes, whose unimodular
 transforms are certified exactly; then fast_classify's split and
 residuals (_c3_verdict), the split searching each certified basis as it
@@ -60,6 +62,7 @@ at the units' ell_2 characters.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import logging
@@ -513,6 +516,133 @@ def _quartic_root(f, v: int):
     return r, tuple(out)
 
 
+LANE_BOUND = 2**29  # v below it keeps every sum of seven residue products under 2^61
+
+
+def _c3_setup_lanes(cd: ConductorData, primes) -> list:
+    """_c3_setup over ascending primes at once, in numpy int64 lanes.
+
+    One entry per prime: what _c3_setup returns (the verdict of a prime
+    outside C^(3), else (r, v1 HNF)), or None where the prime must go
+    through _c3_setup itself, so that its verdict, log line or exception
+    is exactly that route's.  None is returned for the primes up to
+    max(3, ell, index), which hold every excluded prime; for v at or
+    above LANE_BOUND, or above the bound where g(theta)'s adjugate
+    product could leave int64; and for every C3 lane the lanes do not
+    certify (below).  The gate is _c3_setup's, read from a table of
+    v^((ell-1)/3) mod ell over the residues mod ell.  On the C3 lanes
+    x^v mod (f, v) is built by square and multiply as in _quartic_root,
+    the bit of each lane's own v picking the multiplication by x, with
+    one reduction mod v per coefficient.  gcd(x^v - x, f) follows by
+    pseudo-remainders, which need no inverses (Cohen, GTM 138, 3.1):
+    the degrees 4, 3, 2, 1 with nonzero leading coefficients and a zero
+    last remainder certify that the gcd has degree 1, so f has exactly
+    one root r mod v; any other lane is sent to _c3_setup.  The cubic
+    cofactor comes from synthetic division, whose remainder f(r) must
+    vanish mod v, and g(theta) from F's adjugate with an exact division
+    by its determinant, as in _poly_at_theta; v1 is _degree3_prime's
+    closed form.  A lane where f(r) != 0, the division is not exact or
+    g(theta) = 0 mod v is sent to _c3_setup as well.
+    """
+    # Imported here, as in linalg.lll_float_batch, so that the package
+    # goes on importing numpy last.
+    import numpy as np
+
+    out = [None] * len(primes)
+    F, ell = cd.F, cd.ell
+    adj, det = F._adjugate
+    # g(theta) * det = sum_i c_i adj[i] basis_den, with 0 <= c_i < v and c_3 = 1
+    scale = [[a * F.basis_den for a in row] for row in adj]
+    width = max(sum(abs(row[k]) for row in scale) for k in range(4))
+    start = bisect.bisect_right(primes, max(3, ell, F.index))
+    stop = bisect.bisect_left(primes, min(LANE_BOUND, 2**63 // width), start)
+    if start == stop or max(map(abs, F.poly)) >= 2**63:
+        return out
+    v = np.array(primes[start:stop], dtype=np.int64)
+    e = (ell - 1) // 3
+    cube = np.array([pow(a, e, ell) == 1 for a in range(ell)])
+    gate = (v % 3 == 1) & ~cube[v % ell]
+    for i in np.flatnonzero(~gate).tolist():
+        out[start + i] = PrimeClassification(primes[start + i], False)
+    lanes = np.flatnonzero(gate).tolist()
+    if not lanes:
+        return out
+    v = v[lanes]
+    f = [c % v for c in F.poly[:4]]
+    e0, e1, ok = _linear_gcd_lanes(f, v)
+    roots = [
+        -a * pow(b, -1, p) % p if good else 0
+        for a, b, p, good in zip(e0.tolist(), e1.tolist(), v.tolist(), ok.tolist())
+    ]
+    # synthetic division of f by (x - r) mod v
+    r = np.array(roots, dtype=np.int64)
+    c2 = (r + f[3]) % v
+    c1 = (c2 * r + f[2]) % v
+    c0 = (c1 * r + f[1]) % v
+    ok &= (c0 * r + f[0]) % v == 0
+    num = np.array(scale, dtype=np.int64).T @ np.stack([c0, c1, c2, np.ones_like(v)])
+    gtheta = (num // det % v).T
+    ok &= (num % det == 0).all(axis=0) & gtheta.any(axis=1)
+    for j, v1 in zip(np.flatnonzero(ok).tolist(), _degree3_prime_lanes(gtheta[ok], v[ok])):
+        out[start + lanes[j]] = (roots[j], v1)
+    return out
+
+
+def _linear_gcd_lanes(f, v):
+    """gcd(x^v - x, f) mod v on lanes: (e0, e1, regular).
+
+    f holds the four low coefficients of the monic quartic reduced mod
+    v.  Where `regular`, the pseudo-remainders of f, x^v - x mod f and
+    onward have the degrees 4, 3, 2, 1, each divisor's leading
+    coefficient is nonzero and the last remainder is zero, so the gcd is
+    e1 x + e0.
+    """
+    import numpy as np
+
+    n = np.stack([-c % v for c in f])  # x^4 = n0 + n1 x + n2 x^2 + n3 x^3
+    a = np.zeros_like(n)
+    a[0] = 1
+    for shift in range(int(v.max()).bit_length() - 1, -1, -1):
+        c = np.zeros((7, len(v)), dtype=np.int64)
+        for i in range(4):
+            c[i : i + 4] += a[i] * a
+        for d in (6, 5, 4):  # x^d = x^(d-4) (n0 + n1 x + n2 x^2 + n3 x^3)
+            c[d - 4 : d] += c[d] % v * n
+        a = c[:4] % v
+        ax = a[3] * n  # times x
+        ax[1:] += a[:3]
+        a = np.where((v >> shift) & 1, ax % v, a)
+    b = [a[0], (a[1] - 1) % v, a[2], a[3]]
+    r = _pseudo_remainder(list(f) + [1], b, v)
+    e = _pseudo_remainder(b, r, v)
+    (z,) = _pseudo_remainder(r, e, v)
+    return e[0], e[1], (b[3] != 0) & (r[2] != 0) & (e[1] != 0) & (z == 0)
+
+
+def _degree3_prime_lanes(g, v):
+    """_degree3_prime on lanes: g holds g(theta) mod v, one nonzero row per lane.
+
+    v I with row k replaced by g / g_k mod v, k the first nonzero
+    coordinate; one modular inverse per lane.
+    """
+    import numpy as np
+
+    at = np.arange(len(v))
+    k = (g != 0).argmax(axis=1)
+    inv = [pow(a, -1, p) for a, p in zip(g[at, k].tolist(), v.tolist())]
+    v1 = np.zeros((len(v), 4, 4), dtype=np.int64)
+    v1[:, range(4), range(4)] = v[:, None]
+    v1[at, k] = g * np.array(inv, dtype=np.int64)[:, None] % v[:, None]
+    return [list(map(tuple, rows)) for rows in v1.tolist()]
+
+
+def _pseudo_remainder(a, b, v):
+    """lc(b)^2 a mod b on lanes, a one coefficient longer than b (constant first)."""
+    lb, top = b[-1], a[-1]
+    t = [lb * a[0] % v] + [(lb * a[k] - top * b[k - 1]) % v for k in range(1, len(b))]
+    return [(lb * t[k] - t[-1] * b[k]) % v for k in range(len(b) - 1)]
+
+
 def _degree3_prime(gtheta, v: int):
     """HNF of v1 = vO + Z g(theta), the degree-3 prime over v.
 
@@ -591,8 +721,11 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
     Returns the records (v, in_lambda, in_taubar) of the C3 primes in
     order, the number of primes classified (skips removed) and the number
     of fallbacks.  Three stages, each verdict equal to fast_classify's:
-      1. every prime goes through the gate, the root and the closed-form
-         v1 (_c3_setup);
+      1. the segment's primes go through the gate, the root and the
+         closed-form v1 together, in numpy int64 lanes (_c3_setup_lanes);
+         a prime the lanes do not certify (an excluded prime, v at or
+         above LANE_BOUND, an irregular Euclid sequence, a failed root or
+         integrality check) goes through _c3_setup itself;
       2. the v1 bases of the segment's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
          returned T is unimodular, checked exactly, and the rows T v1 are
@@ -614,14 +747,16 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
     verdicts = []
     pending = []  # (index in verdicts, v, r, v1 HNF) of each C3 prime
     fallbacks = 0
-    for v in primes_in_range(lo + 1, hi + 1):
-        try:
-            pre = _c3_setup(cd, v)
-        except VerificationError as exc:
-            if exc.check == "root":
-                raise
-            pre = _fallback(cd, v, exc)
-            fallbacks += 1
+    primes = primes_in_range(lo + 1, hi + 1)
+    for v, pre in zip(primes, _c3_setup_lanes(cd, primes)):
+        if pre is None:
+            try:
+                pre = _c3_setup(cd, v)
+            except VerificationError as exc:
+                if exc.check == "root":
+                    raise
+                pre = _fallback(cd, v, exc)
+                fallbacks += 1
         if isinstance(pre, PrimeClassification):
             verdicts.append(pre)
         else:
@@ -664,10 +799,11 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     into fixed segments of CHUNK = 8000 integers (checkpoints always land
     on segment boundaries), so the merged rows do not depend on the worker
     count.  Each segment is classified in three stages (_count_segment):
-    the gate, root and v1 of every prime; one batched float LLL over the
-    segment's v1 lattices; the split of each v1 from its certified
-    reduced basis.  A lattice's reduction does not depend on its batch,
-    so the output is the same however the segments fall.  Pool workers
+    the gate, root and v1 of all its primes in numpy lanes, with a
+    per-prime route for any the lanes do not certify; one batched float
+    LLL over the segment's v1 lattices; the split of each v1 from its
+    certified reduced basis.  A lattice's reduction does not depend on
+    its batch, so the output is the same however the segments fall.  Pool workers
     receive cd itself, never reload the conductor, and take one segment
     per task.  Each segment returns its C3 records; _merge_segments
     counts them and, with `jsonl` (a path, or "-" for stdout), writes

@@ -159,16 +159,23 @@ class DensityReport:
     z_taubar: float  # |Ctau|/|C3| against 1/3
     z_both: float  # intersection against 2/9
     deviation: float  # unnormalized metric, shown verbatim
-    chi2: float  # independence of the two conditions
+    chi2: float  # independence of the two conditions; None for degenerate margins
 
 
 def density_report(row) -> DensityReport:
+    """z-scores, deviation and chi2 of one row with nonempty C3.
+
+    When one condition holds for none or for all of C3 (c_lambda or
+    c_taubar is 0 or c3) the independence table has an empty margin:
+    the z-scores and the deviation are still reported and chi2 is None.
+    """
     if row.c3 <= 0:
         raise ValueError("density report needs a row with nonempty C3")
     n11 = row.c_both
     n10 = row.c_lambda - row.c_both
     n01 = row.c_taubar - row.c_both
     n00 = row.c3 - row.c_lambda - row.c_taubar + row.c_both
+    degenerate = row.c_lambda in (0, row.c3) or row.c_taubar in (0, row.c3)
     return DensityReport(
         n=row.n,
         c3=row.c3,
@@ -176,11 +183,12 @@ def density_report(row) -> DensityReport:
         z_taubar=binomial_z(row.c_taubar, row.c3, Fraction(1, 3)),
         z_both=binomial_z(row.c_both, row.c3, Fraction(2, 9)),
         deviation=deviation_metric(row.c3, row.c_lambda),
-        chi2=independence_chi2(n11, n10, n01, n00),
+        chi2=None if degenerate else independence_chi2(n11, n10, n01, n00),
     )
 
 
 def render_report(rep: DensityReport) -> str:
+    chi2 = "undefined (degenerate margins)" if rep.chi2 is None else f"{rep.chi2:.4f}"
     lines = [
         f"n = {rep.n:,}, |C3| = {rep.c3}",
         f"lambda density vs 2/3:  z = {rep.z_lambda:+.3f}  (conventional z-score)",
@@ -188,6 +196,6 @@ def render_report(rep: DensityReport) -> str:
         f"joint density vs 2/9:   z = {rep.z_both:+.3f}",
         f"table deviation metric: {rep.deviation:+.5f}"
         "  (((2/3)|C3| - |CL|)/sqrt(|C3|), not a z-score)",
-        f"independence chi2 (1 dof, no continuity correction): {rep.chi2:.4f}",
+        f"independence chi2 (1 dof, no continuity correction): {chi2}",
     ]
     return "\n".join(lines) + "\n"

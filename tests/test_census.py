@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ import a4census
 from a4census import arith, census, classgroup, fields, linalg, rayclass
 from a4census.census import (
     CensusRow,
+    PrimeClassification,
     VerificationError,
     classify_prime,
     diagonal_check,
@@ -327,6 +330,40 @@ def test_quartic_root_matches_distinct_roots(f, v):
     assert arith.pm_mul((-r, 1), cofactor, v) == arith.pm_reduce(f, v)
 
 
+def test_linear_gcd_lanes_agree_with_the_quartic_root():
+    # random monic quartics against _quartic_root, lanes of every bit length
+    # in one call: a regular lane has exactly one root, the one the
+    # per-prime kernel finds; at small primes many lanes are irregular, and
+    # those are the per-prime route's alone
+    rng = random.Random(17)
+    primes = [5, 7, 13, 31, 163, 10007, 1000003, sympy.prevprime(census.LANE_BOUND)]
+    ps = [p for p in primes for _ in range(200)]
+    polys = [tuple(rng.randrange(-(10**6), 10**6) for _ in range(4)) + (1,) for _ in ps]
+    v = np.array(ps, dtype=np.int64)
+    f = [np.array([q[i] for q in polys], dtype=np.int64) % v for i in range(4)]
+    e0, e1, regular = census._linear_gcd_lanes(f, v)
+    for q, p, a, b, ok in zip(polys, ps, e0.tolist(), e1.tolist(), regular.tolist()):
+        if ok:
+            got = census._quartic_root(q, p)
+            assert got is not None and got[0] == -a * pow(b, -1, p) % p, (q, p)
+    assert sum(regular.tolist()) > 400
+
+
+def test_closed_form_v1_lanes_match_degree3_prime():
+    # the first nonzero coordinate of g(theta) picks the row, leading zeros
+    # included; the rows are tuples of Python integers
+    rng = random.Random(5)
+    rows, vs = [], []
+    for p in (7, 10007, sympy.prevprime(census.LANE_BOUND)):
+        for zeros in range(4):
+            for _ in range(10):
+                rows.append([0] * zeros + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(3 - zeros)])
+                vs.append(p)
+    got = census._degree3_prime_lanes(np.array(rows, dtype=np.int64), np.array(vs, dtype=np.int64))
+    assert got == [census._degree3_prime(g, p) for g, p in zip(rows, vs)]
+    assert all(type(c) is int for v1 in got for row in v1 for c in row)
+
+
 def test_excluded_primes_are_skipped(conductor):
     cd277 = conductor(277)
     assert cd277.F.index == 4
@@ -573,16 +610,112 @@ def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch
     ]
 
 
+def _mark_lane_irregular(monkeypatch, bad):
+    # the lanes' Euclid reports an irregular degree sequence at v = bad,
+    # which sends that prime through census._c3_setup
+    kernel = census._linear_gcd_lanes
+
+    def marked(f, v):
+        e0, e1, regular = kernel(f, v)
+        return e0, e1, regular & (v != bad)
+
+    monkeypatch.setattr(census, "_linear_gcd_lanes", marked)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_root_failure_still_aborts_the_census(conductor, monkeypatch, workers):
-    # a C3 prime without exactly one root means the gate is wrong
+    # a C3 prime without exactly one root means the gate is wrong; the
+    # census meets the per-prime kernel at the primes its lanes send on
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     kernel = census._quartic_root
     monkeypatch.setattr(census, "_quartic_root", lambda f, v: None if v == bad else kernel(f, v))
+    _mark_lane_irregular(monkeypatch, bad)
     with pytest.raises(VerificationError) as exc:
         run_census(cd, 5000, workers=workers)
     assert exc.value.check == "root"
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [0, 10**6, 10**7, 10**8])
+def test_lanes_match_the_per_prime_setup(conductor, ell, lo):
+    # every prime of (lo, lo + 8000]: the lanes give _c3_setup's value, or
+    # None for the primes up to max(3, ell, index), which hold the excluded
+    # ones (2 divides 277's index 4, 3 and ell); values are Python integers
+    cd = conductor(ell)
+    primes = arith.primes_in_range(lo + 1, lo + 8001)
+    got = census._c3_setup_lanes(cd, primes)
+    assert len(got) == len(primes)
+    small = max(3, ell, cd.F.index)
+    c3 = 0
+    for v, pre in zip(primes, got):
+        if v <= small:
+            assert pre is None, v
+            continue
+        assert pre == census._c3_setup(cd, v), v
+        if not isinstance(pre, PrimeClassification):
+            c3 += 1
+            r, v1 = pre
+            assert type(r) is int and all(type(c) is int for row in v1 for c in row), v
+            assert all(type(row) is tuple for row in v1), v
+    assert c3 > 100
+    if lo == 0:
+        excluded = {v for v in primes if cd.excluded(v)}
+        assert {3, ell} <= excluded and (ell != 277 or 2 in excluded)
+        assert max(excluded) <= small
+
+
+def test_lanes_stop_at_the_int64_guard(conductor):
+    # a segment that straddles LANE_BOUND: the primes above it go through
+    # _c3_setup, and the segment equals fast_classify prime by prime
+    cd = conductor(277)
+    lo, hi = census.LANE_BOUND - 4000, census.LANE_BOUND + 4000
+    primes = arith.primes_in_range(lo + 1, hi + 1)
+    got = census._c3_setup_lanes(cd, primes)
+    assert [pre is None for pre in got] == [v >= census.LANE_BOUND for v in primes]
+    assert any(v >= census.LANE_BOUND for v in primes) and primes[0] < census.LANE_BOUND
+    want = [fast_classify(cd, v) for v in primes]
+    records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in want if pc.in_C3]
+    assert census._count_segment(cd, lo, hi) == (records, len(primes), 0)
+
+
+def test_an_irregular_lane_goes_through_the_per_prime_setup(conductor, monkeypatch):
+    # a lane marked irregular is set up by _c3_setup itself, with the same
+    # records, counts and no fallback
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    want = census._count_segment(cd, 0, 8000)
+    setup = census._c3_setup
+    seen = []
+    monkeypatch.setattr(census, "_c3_setup", lambda cd_, v: seen.append(v) or setup(cd_, v))
+    _mark_lane_irregular(monkeypatch, bad)
+    assert census._count_segment(cd, 0, 8000) == want
+    assert want[2] == 0
+    assert [v for v in seen if v > 277] == [bad]
+
+
+@pytest.mark.parametrize("check", ["v1-norm", "root"])
+def test_a_lane_routed_failure_is_one_fallback_or_aborts(conductor, monkeypatch, check):
+    # _c3_setup failing at one routed lane: "v1-norm" is one fallback to
+    # classify_prime with the same records, "root" propagates
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    records, done, fallbacks = census._count_segment(cd, 0, 8000)
+    setup = census._c3_setup
+
+    def failing(cd_, v):
+        if v == bad:
+            raise VerificationError(check, f"stubbed failure at {v}")
+        return setup(cd_, v)
+
+    monkeypatch.setattr(census, "_c3_setup", failing)
+    _mark_lane_irregular(monkeypatch, bad)
+    if check == "root":
+        with pytest.raises(VerificationError) as exc:
+            census._count_segment(cd, 0, 8000)
+        assert exc.value.check == "root"
+    else:
+        assert census._count_segment(cd, 0, 8000) == (records, done, fallbacks + 1)
 
 
 def test_census_row_ratios():

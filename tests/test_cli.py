@@ -191,6 +191,19 @@ def test_stats_from_csv(capsys, tmp_path):
     assert "0.69091" in out
 
 
+def test_stats_degenerate_row_reports_z_scores(capsys, tmp_path):
+    # no prime in Lambda: the independence table has an empty margin, yet
+    # the z-scores are defined and printed
+    p = tmp_path / "rows.csv"
+    p.write_text("n,c3,c_lambda,c_taubar,c_both\n1000,55,0,15,0\n")
+    rc, out, err = run(capsys, "stats", "--csv", str(p))
+    assert rc == 0, err
+    assert "lambda density vs 2/3:  z = -" in out
+    assert "taubar density vs 1/3:  z = " in out
+    assert "joint density vs 2/9:   z = " in out
+    assert "independence chi2 (1 dof, no continuity correction): undefined (degenerate margins)" in out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

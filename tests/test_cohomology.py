@@ -17,7 +17,14 @@ from a4census.cohomology import (
     simulate_unramified_probability,
     wiles_difference,
 )
-from a4census.stats import CountRow, density_report
+from a4census.stats import (
+    CountRow,
+    binomial_z,
+    density_report,
+    deviation_metric,
+    independence_chi2,
+    render_report,
+)
 
 
 def test_preset_constants():
@@ -156,12 +163,20 @@ def test_unramified_probability_errors():
 def test_line_density_z_synthetic():
     perfect = CountRow(n=100, c3=60, c_lambda=40, c_taubar=20, c_both=13)
     assert density_report(perfect).z_lambda == 0.0
-    # one prime in Lambda: with none, the 2x2 independence table has an
-    # empty margin and density_report rejects the row
     blocked = CountRow(n=100, c3=60, c_lambda=1, c_taubar=20, c_both=0)
     assert density_report(blocked).z_lambda < -10
+    # with no prime in Lambda (or all of C3 in one condition) the 2x2
+    # independence table has an empty margin: the z-scores stand, chi2 is None
+    for c_lambda, c_taubar, c_both in ((0, 20, 0), (60, 20, 20), (40, 0, 0), (40, 60, 40)):
+        row = CountRow(n=100, c3=60, c_lambda=c_lambda, c_taubar=c_taubar, c_both=c_both)
+        rep = density_report(row)
+        assert rep.chi2 is None
+        assert rep.z_lambda == binomial_z(c_lambda, 60, Fraction(2, 3))
+        assert rep.z_taubar == binomial_z(c_taubar, 60, Fraction(1, 3))
+        assert rep.deviation == deviation_metric(60, c_lambda)
+        assert "undefined (degenerate margins)" in render_report(rep)
     with pytest.raises(ValueError, match="degenerate margins"):
-        density_report(CountRow(n=100, c3=60, c_lambda=0, c_taubar=20, c_both=0))
+        independence_chi2(0, 0, 20, 40)
 
 
 def test_line_density_z_on_published_final_row():
