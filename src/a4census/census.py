@@ -528,8 +528,9 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     is exactly that route's.  None is returned for the primes up to
     max(3, ell, index), which hold every excluded prime; for v at or
     above LANE_BOUND, or above the bound where g(theta)'s adjugate
-    product could leave int64; and for every C3 lane the lanes do not
-    certify (below).  The gate is _c3_setup's, read from a table of
+    product could leave int64; for every prime when f or the basis
+    determinant does not fit in int64; and for every C3 lane the lanes
+    do not certify (below).  The gate is _c3_setup's, read from a table of
     v^((ell-1)/3) mod ell over the residues mod ell.  On the C3 lanes
     x^v mod (f, v) is built by square and multiply as in _quartic_root,
     the bit of each lane's own v picking the multiplication by x, with
@@ -556,7 +557,7 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     width = max(sum(abs(row[k]) for row in scale) for k in range(4))
     start = bisect.bisect_right(primes, max(3, ell, F.index))
     stop = bisect.bisect_left(primes, min(LANE_BOUND, 2**63 // width), start)
-    if start == stop or max(map(abs, F.poly)) >= 2**63:
+    if start == stop or max(abs(det), *map(abs, F.poly)) >= 2**63:
         return out
     v = np.array(primes[start:stop], dtype=np.int64)
     e = (ell - 1) // 3
