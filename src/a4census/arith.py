@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -115,7 +116,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
             if first >= end:
                 continue
             seg[first - start :: p] = bytearray(len(seg[first - start :: p]))
-        out.extend(start + i for i, b in enumerate(seg) if b)
+        out.extend(itertools.compress(range(start, end), seg))
         start = end
     return out
 

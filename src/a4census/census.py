@@ -70,7 +70,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith, linalg
 from .arith import primes_in_range
@@ -159,20 +158,6 @@ class CensusRow:
     c_taubar: int
     c_both: int
     n_classified: int  # primes <= n actually classified (skips removed)
-
-    def ratio_lambda(self):
-        return Fraction(self.c_lambda, self.c3) if self.c3 else None
-
-    def ratio_taubar(self):
-        return Fraction(self.c_taubar, self.c3) if self.c3 else None
-
-    def ratio_product(self):
-        if not self.c3:
-            return None
-        return Fraction(self.c_lambda * self.c_taubar, self.c3 * self.c3)
-
-    def ratio_both(self):
-        return Fraction(self.c_both, self.c3) if self.c3 else None
 
 
 @dataclass(frozen=True, eq=False)

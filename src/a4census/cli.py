@@ -21,7 +21,7 @@ from .cohomology import (
     simulate_unramified_probability,
     wiles_difference,
 )
-from .config import FORMATS, conductor_config, golden_rows, parse_ints, read_config
+from .config import conductor_config, golden_rows, parse_ints, read_config
 from .fields import FieldError
 from .stats import (
     census_csv,
@@ -30,6 +30,8 @@ from .stats import (
     render_report,
     render_table,
 )
+
+FORMATS = {"csv": "csv", "text": "txt", "jsonl": "jsonl"}  # census --format: file extension
 
 
 def _load_from_args(args) -> census_mod.ConductorData:
@@ -111,34 +113,28 @@ def _cmd_census(args) -> int:
         print("error: census needs --ell or --config", file=sys.stderr)
         return 2
     jobs = [read_config(path) for path in configs] + [conductor_config(ell) for ell in ells]
-    multi = len(jobs) > 1
     # Every output target is resolved and its directory checked before the
     # first conductor loads: a census to 10^8 must not run for hours and
     # then fail to write.
-    targets = []
+    outs = []
     for cfg in jobs:
-        out = args.out if args.out is not None else cfg.out
-        fmt = args.format if args.format is not None else cfg.fmt
-        if multi or (out is not None and Path(out).is_dir()):
-            base = Path(out) if out is not None else Path(".")
-            ext = {"csv": "csv", "text": "txt", "jsonl": "jsonl"}[fmt]
-            out = str(base / f"census_{cfg.ell}.{ext}")
+        out = args.out
+        if len(jobs) > 1 or (out is not None and Path(out).is_dir()):
+            out = str(Path(out or ".") / f"census_{cfg.ell}.{FORMATS[args.format]}")
         if out not in (None, "-") and not Path(out).parent.is_dir():
             print(f"error: output directory {Path(out).parent} does not exist", file=sys.stderr)
             return 1
-        targets.append((out, fmt))
+        outs.append(out)
+    cps = parse_ints(args.checkpoints) if args.checkpoints else None
     status = 0
-    for cfg, (out, fmt) in zip(jobs, targets):
+    for cfg, out in zip(jobs, outs):
         if args.no_cache:
             cfg.use_cache = False
         cd = load_conductor(cfg)
-        max_v = args.max_v if args.max_v is not None else cfg.max_v
-        cps = parse_ints(args.checkpoints) if args.checkpoints else cfg.checkpoints
-        jsonl_path = (out or "-") if fmt == "jsonl" else None
-        workers = args.jobs if args.jobs is not None else cfg.workers
-        rows = run_census(cd, max_v, checkpoints=cps, workers=workers, jsonl=jsonl_path)
-        if fmt != "jsonl":
-            text = census_csv(rows) if fmt == "csv" else render_table(rows)
+        jsonl_path = (out or "-") if args.format == "jsonl" else None
+        rows = run_census(cd, args.max_v, checkpoints=cps, workers=args.jobs, jsonl=jsonl_path)
+        if args.format != "jsonl":
+            text = census_csv(rows) if args.format == "csv" else render_table(rows)
             _write_out(text, out)
         if args.check_golden:
             status = max(status, _check_golden(cd.ell, census_csv(rows)))
@@ -231,13 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="classify auxiliary primes and emit checkpoint rows")
     p.add_argument("--ell", type=int, action="append", help="conductor (repeatable)")
     p.add_argument("--config", action="append", help="INI config path (repeatable)")
-    p.add_argument("--max-v", type=int, default=None)
+    p.add_argument("--max-v", type=int, default=10**3, help="census bound (default: 1000)")
     p.add_argument("--checkpoints", default=None, help="comma-separated checkpoint bounds")
-    p.add_argument(
-        "--jobs", type=_job_count, default=None, help="worker processes (default: config workers, 1)"
-    )
+    p.add_argument("--jobs", type=_job_count, default=1, help="worker processes (default: 1)")
     p.add_argument("--out", default=None, help="output path, or a directory for multiple conductors")
-    p.add_argument("--format", choices=FORMATS, default=None)
+    p.add_argument("--format", choices=tuple(FORMATS), default="csv")
     p.add_argument("--check-golden", action="store_true", help="diff rows against the shipped table")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=_cmd_census)

@@ -91,8 +91,6 @@ class LineModel:
     def __post_init__(self):
         if not is_prime(self.p) or self.p < 3:
             raise ValueError("the line model needs an odd prime p")
-        if (self.p**2 - 1) // (self.p - 1) != self.p + 1:
-            raise ValueError(f"P^1(F_{self.p}) does not have {self.p + 1} points")
 
     @property
     def lines(self) -> int:

@@ -1,9 +1,11 @@
-"""Run configuration, the field-data cache, and golden table access.
+"""Conductor configuration, the field-data cache, and golden table access.
 
-Configs are INI files.  Only the conductor is required; polynomial or
-unit overrides are re-verified on load, never trusted.  Cached field
-records are JSON, versioned, and re-checked on read, so a stale or
-edited cache can slow a run down but never corrupt it.
+A config is an INI file with one section, [conductor], which describes
+the conductor only: ell is required, and polynomial or unit overrides
+are re-verified on load, never trusted.  How far a census runs, on how
+many workers and where it writes are set on the command line alone.
+Cached field records are JSON, versioned, and re-checked on read, so a
+stale or edited cache can slow a run down but never corrupt it.
 """
 
 from __future__ import annotations
@@ -38,21 +40,11 @@ class Config:
     cubic_poly: tuple = None
     quartic_poly: tuple = None
     units: tuple = None  # tuple of coordinate tuples over the integral basis of F
-    max_v: int = 10**3
-    checkpoints: tuple = None  # None: table checkpoints up to max_v
-    workers: int = 1
-    out: str = None
-    fmt: str = "csv"
     use_cache: bool = True
 
 
 # Every key read_config understands; anything else is rejected, not ignored.
-_KNOWN_KEYS = {
-    "conductor": {"ell", "cubic_poly", "quartic_poly", "units"},
-    "census": {"max_v", "checkpoints", "workers"},
-    "output": {"path", "format"},
-}
-FORMATS = ("csv", "text", "jsonl")
+_KNOWN_KEYS = {"ell", "cubic_poly", "quartic_poly", "units"}
 
 
 def parse_ints(text: str) -> tuple:
@@ -68,12 +60,12 @@ def read_config(path) -> Config:
     if "conductor" not in cp:
         raise ValueError(f"{path}: missing [conductor] section")
     for name in cp.sections():
-        if name not in _KNOWN_KEYS:
+        if name != "conductor":
             raise ValueError(f"{path}: unknown section [{name}]")
-        for key in cp[name]:
-            if key not in _KNOWN_KEYS[name]:
-                raise ValueError(f"{path}: unknown key '{key}' in section [{name}]")
     sec = cp["conductor"]
+    for key in sec:
+        if key not in _KNOWN_KEYS:
+            raise ValueError(f"{path}: unknown key '{key}' in section [conductor]")
     if "ell" not in sec:
         raise ValueError(f"{path}: missing key 'ell' in section [conductor]")
     cfg = Config(ell=sec.getint("ell"))
@@ -83,25 +75,6 @@ def read_config(path) -> Config:
         cfg.quartic_poly = parse_ints(sec["quartic_poly"])
     if "units" in sec:
         cfg.units = tuple(parse_ints(part) for part in sec["units"].split(";") if part.strip())
-    if "census" in cp:
-        c = cp["census"]
-        cfg.max_v = c.getint("max_v", cfg.max_v)
-        if "checkpoints" in c:
-            cfg.checkpoints = parse_ints(c["checkpoints"])
-        cfg.workers = c.getint("workers", cfg.workers)
-        if cfg.workers < 1:
-            raise ValueError(
-                f"{path}: key 'workers' in section [census] is {cfg.workers}, expected at least 1"
-            )
-    if "output" in cp:
-        o = cp["output"]
-        cfg.out = o.get("path", cfg.out)
-        cfg.fmt = o.get("format", cfg.fmt)
-        if cfg.fmt not in FORMATS:
-            raise ValueError(
-                f"{path}: key 'format' in section [output] is {cfg.fmt!r}, "
-                f"expected one of {', '.join(FORMATS)}"
-            )
     return cfg
 
 

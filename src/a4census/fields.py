@@ -26,7 +26,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith, linalg
 from .arith import (
@@ -35,7 +34,6 @@ from .arith import (
     is_prime,
     is_square,
     poly_deg,
-    poly_derivative,
     poly_discriminant,
     poly_divmod_monic,
     poly_eval,
@@ -57,7 +55,6 @@ __all__ = [
     "quartic_field_search",
     "factor_rational_prime",
     "splitting_pattern",
-    "sturm_real_roots",
     "is_irreducible",
     "is_totally_real",
     "ideal_from_elements",
@@ -83,48 +80,23 @@ class FieldError(ValueError):
 # Polynomial predicates.
 
 
-def sturm_real_roots(f) -> int:
-    """Number of distinct real roots of a squarefree integer polynomial."""
-    chain = [tuple(Fraction(c) for c in poly_trim(f))]
-    chain.append(tuple(Fraction(c) for c in poly_derivative(f)))
-    while poly_deg(chain[-1]) > 0:
-        rem = _frac_rem(chain[-2], chain[-1])
-        if not rem:
-            raise ValueError("polynomial is not squarefree")
-        chain.append(tuple(-c for c in rem))
-    if chain[-1] == ():
-        chain.pop()
-
-    def changes(signs):
-        signs = [s for s in signs if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    at_plus = [1 if g[-1] > 0 else -1 for g in chain]
-    at_minus = [s if (len(g) - 1) % 2 == 0 else -s for s, g in zip(at_plus, chain)]
-    return changes(at_minus) - changes(at_plus)
-
-
-def _frac_rem(f, g):
-    f = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    while len(f) - 1 >= dg and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = f[-1] / lead
-        shift = len(f) - len(g)
-        for j, b in enumerate(g):
-            f[shift + j] -= c * b
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
 def is_totally_real(f) -> bool:
+    """Whether the monic squarefree cubic or quartic f has only real roots.
+
+    A cubic does exactly when disc(f) > 0.  The quartic x^4 + b x^3 +
+    c x^2 + d x + e does exactly when disc(f) > 0, 8c - 3b^2 < 0 and
+    64e - 16c^2 + 16b^2 c - 16bd - 3b^4 < 0 (Rees, Amer. Math. Monthly
+    29 (1922); Lazard, J. Symb. Comp. 5 (1988)).
+    """
     f = poly_trim(f)
-    return sturm_real_roots(f) == poly_deg(f)
+    if len(f) not in (4, 5) or f[-1] != 1:
+        raise ValueError("expected a monic cubic or quartic")
+    if poly_discriminant(f) <= 0:
+        return False
+    if len(f) == 4:
+        return True
+    e, d, c, b, _ = f
+    return 8 * c - 3 * b * b < 0 and 64 * e - 16 * c * c + 16 * b * b * c - 16 * b * d - 3 * b**4 < 0
 
 
 def _divisors(n: int) -> list[int]:
@@ -143,11 +115,8 @@ def is_irreducible(f) -> bool:
         raise ValueError("expected a monic polynomial of positive degree")
     if n == 1:
         return True
-    if f[0] == 0:
+    if _rational_roots(f):
         return False
-    for d in _divisors(f[0]):
-        if poly_eval(f, d) == 0 or poly_eval(f, -d) == 0:
-            return False
     if n <= 3:
         return True
     # quartic: rule out integer quadratic factorizations (Gauss lemma)
@@ -924,7 +893,7 @@ def quartic_field_search(ell: int) -> NumberField:
                         f = (d, c, b, a, 1)
                         if not is_irreducible(f):
                             continue
-                        if sturm_real_roots(f) != 4:
+                        if not is_totally_real(f):
                             continue
                         if _rational_roots((r0, r1, r2, 1)):
                             continue  # resolvent reducible: not A4

@@ -719,13 +719,14 @@ def test_a_lane_routed_failure_is_one_fallback_or_aborts(conductor, monkeypatch,
 
 
 def test_census_row_ratios():
+    # the ratio cells are rendered from a row's counts, the product from
+    # the exact fraction 38*15 / 55^2; a row with c3 = 0 has none
     row = CensusRow(n=1000, c3=55, c_lambda=38, c_taubar=15, c_both=9, n_classified=167)
-    assert row.ratio_lambda() == Fraction(38, 55)
-    assert row.ratio_taubar() == Fraction(15, 55)
-    assert row.ratio_product() == Fraction(38 * 15, 55 * 55)
-    assert row.ratio_both() == Fraction(9, 55)
     empty = CensusRow(n=10, c3=0, c_lambda=0, c_taubar=0, c_both=0, n_classified=2)
-    assert empty.ratio_lambda() is None
+    assert census_csv([row, empty]).splitlines()[1:] == [
+        "1000,55,38,15,9,0.69091,0.27273,0.18843,0.16364",
+        "10,0,0,0,0,,,,",
+    ]
 
 
 # ---------------------------------------------------------------------------

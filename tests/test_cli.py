@@ -62,37 +62,49 @@ def test_census_jsonl_to_file(capsys, tmp_path):
     assert sum(1 for r in recs if r["lambda"]) == 38
 
 
-def test_census_workers_from_config_and_jobs_flag(capsys, tmp_path, monkeypatch):
+def test_census_jobs_flag_sets_the_worker_count(capsys, monkeypatch):
     seen = []
 
     def fake_run_census(cd, N, checkpoints=None, workers=1, jsonl=None):
-        seen.append(workers)
+        seen.append((N, workers))
         return []
 
     monkeypatch.setattr(cli, "load_conductor", lambda cfg: SimpleNamespace(ell=cfg.ell))
     monkeypatch.setattr(cli, "run_census", fake_run_census)
-    ini = tmp_path / "w.ini"
-    ini.write_text("[conductor]\nell = 163\n[census]\nworkers = 2\n")
-    assert run(capsys, "census", "--config", str(ini))[0] == 0
-    assert run(capsys, "census", "--config", str(ini), "--jobs", "1")[0] == 0
     assert run(capsys, "census", "--ell", "163")[0] == 0
-    assert seen == [2, 1, 1]
+    assert run(capsys, "census", "--ell", "163", "--jobs", "2")[0] == 0
+    assert seen == [(10**3, 1), (10**3, 2)]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_census_rejects_a_worker_count_below_one(capsys, tmp_path, monkeypatch, jobs):
-    # --jobs 0 and workers = -3 used to run the census serially and exit 0
+def test_census_rejects_a_worker_count_below_one(capsys, monkeypatch, jobs):
+    # --jobs 0 used to run the census serially and exit 0
     loads = []
     monkeypatch.setattr(cli, "load_conductor", lambda cfg: loads.append(cfg.ell))
     with pytest.raises(SystemExit) as exc:
         main(["census", "--ell", "163", "--max-v", "1000", "--jobs", jobs])
     assert exc.value.code == 2
     assert "at least 1" in capsys.readouterr().err
-    ini = tmp_path / "w.ini"
-    ini.write_text(f"[conductor]\nell = 163\n[census]\nworkers = {jobs}\n")
-    rc, out, err = run(capsys, "census", "--config", str(ini))
+    assert loads == []
+
+
+def test_census_rejects_an_unknown_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--ell", "163", "--format", "tsv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tsv'" in capsys.readouterr().err
+
+
+def test_census_rejects_run_settings_in_the_config(capsys, tmp_path, monkeypatch):
+    # the INI describes the conductor only; a [census] section is an error,
+    # reported before any conductor loads
+    loads = []
+    monkeypatch.setattr(cli, "load_conductor", lambda cfg: loads.append(cfg.ell))
+    ini = tmp_path / "c.ini"
+    ini.write_text("[conductor]\nell = 163\n[census]\nmax_v = 5000\n")
+    rc, out, err = run(capsys, "census", "--config", str(ini), "--ell", "277")
     assert rc == 1
-    assert "key 'workers' in section [census]" in err
+    assert "unknown section [census]" in err
     assert loads == [] and out == ""
 
 

@@ -1,5 +1,6 @@
 """Config files, shipped data, and the field cache."""
 
+import dataclasses
 import json
 
 import pytest
@@ -24,24 +25,12 @@ def test_read_config_full(tmp_path):
         "cubic_poly = -1 -14 -11 1\n"
         "quartic_poly = 9, -2, -7, 1, 1\n"
         "units = 1 0 0 0; 0 1 0 0\n"
-        "[census]\n"
-        "max_v = 5000\n"
-        "checkpoints = 1000, 5000\n"
-        "workers = 2\n"
-        "[output]\n"
-        "path = out.csv\n"
-        "format = text\n"
     )
     cfg = read_config(path)
     assert cfg.ell == 163
     assert cfg.cubic_poly == (-1, -14, -11, 1)
     assert cfg.quartic_poly == (9, -2, -7, 1, 1)
     assert cfg.units == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert cfg.max_v == 5000
-    assert cfg.checkpoints == (1000, 5000)
-    assert cfg.workers == 2
-    assert cfg.out == "out.csv"
-    assert cfg.fmt == "text"
 
 
 def test_read_config_minimal(tmp_path):
@@ -50,7 +39,6 @@ def test_read_config_minimal(tmp_path):
     cfg = read_config(path)
     assert cfg.ell == 349
     assert cfg.cubic_poly is None
-    assert cfg.max_v == 10**3
 
 
 def test_read_config_errors(tmp_path):
@@ -65,34 +53,14 @@ def test_read_config_errors(tmp_path):
 @pytest.mark.parametrize(
     "text, section, key",
     [
-        ("[conductor]\nell = 163\n[census]\nseed = 9\n", "census", "seed"),
         ("[conductor]\nell = 163\nquartic = 9 -2 -7 1 1\n", "conductor", "quartic"),
         ("[conductor]\nell = 163\ncondition3 = true\n", "conductor", "condition3"),
-        ("[conductor]\nell = 163\n[output]\nfmt = csv\n", "output", "fmt"),
     ],
 )
 def test_read_config_rejects_unknown_keys(tmp_path, text, section, key):
     path = tmp_path / "u.ini"
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"'{key}' in section \[{section}\]"):
-        read_config(path)
-
-
-def test_read_config_rejects_an_unknown_format(tmp_path):
-    # an unknown format used to print the text table, or fail with a KeyError
-    # once an output directory named the file by its format
-    path = tmp_path / "f.ini"
-    path.write_text("[conductor]\nell = 163\n[output]\nformat = tsv\n")
-    with pytest.raises(ValueError, match=r"f\.ini: key 'format' in section \[output\].*csv, text, jsonl"):
-        read_config(path)
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_read_config_rejects_a_worker_count_below_one(tmp_path, workers):
-    # a worker count below 1 used to run the census serially
-    path = tmp_path / "w.ini"
-    path.write_text(f"[conductor]\nell = 163\n[census]\nworkers = {workers}\n")
-    with pytest.raises(ValueError, match=rf"w\.ini: key 'workers' in section \[census\] is {workers}"):
         read_config(path)
 
 
@@ -103,10 +71,17 @@ def test_read_config_requires_ell(tmp_path):
         read_config(path)
 
 
-def test_read_config_rejects_unknown_section(tmp_path):
+@pytest.mark.parametrize(
+    "section, body",
+    [("census", "seed = 9\n"), ("output", "fmt = csv\n"), ("run", "workers = 2\n")],
+    ids=["census", "output", "run"],
+)
+def test_read_config_rejects_unknown_section(tmp_path, section, body):
+    # a conductor INI describes the conductor only; the census run is set
+    # on the command line
     path = tmp_path / "s.ini"
-    path.write_text("[conductor]\nell = 163\n[run]\nworkers = 2\n")
-    with pytest.raises(ValueError, match=r"\[run\]"):
+    path.write_text(f"[conductor]\nell = 163\n[{section}]\n{body}")
+    with pytest.raises(ValueError, match=rf"s\.ini: unknown section \[{section}\]"):
         read_config(path)
 
 
@@ -162,6 +137,6 @@ def test_cache_roundtrip_and_version_guard(tmp_path, monkeypatch):
 def test_config_defaults():
     cfg = Config(ell=163)
     assert cfg.use_cache is True
-    assert cfg.workers == 1
-    assert cfg.fmt == "csv"
-    assert cfg.checkpoints is None
+    assert [f.name for f in dataclasses.fields(Config)] == [
+        "ell", "cubic_poly", "quartic_poly", "units", "use_cache"
+    ]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.galoisgroups import galois_group
@@ -344,6 +344,35 @@ def test_field_record_rejects_tampering():
 def test_new_number_field_rejects_reducible():
     with pytest.raises(FieldError):
         new_number_field((1, 2, 1))  # (x + 1)^2
+
+
+@pytest.mark.parametrize("f", [(1, 0, 0, 0, 1), (-2, 0, 0, 1)], ids=["x^4+1", "x^3-2"])
+def test_new_number_field_rejects_complex_roots(f):
+    with pytest.raises(FieldError, match="not totally real"):
+        new_number_field(f)
+
+
+@given(st.lists(st.integers(-1000, 1000), min_size=3, max_size=4))
+@example([1, -3, 0])  # x^3 - 3x + 1, totally real
+@example([1, 0, -10, 0])  # x^4 - 10x^2 + 1, totally real
+@example([4, 0, 5, 0])  # (x^2 + 1)(x^2 + 4): disc > 0, no real root
+@example([2, 0, -2, 0])  # x^4 - 2x^2 + 2: disc > 0 and 8c - 3b^2 < 0, no real root
+@settings(max_examples=300, deadline=None)
+def test_is_totally_real_matches_sympy(low):
+    # squarefree monic cubics and quartics; the examples alone give both verdicts
+    f = tuple(low) + (1,)
+    assume(arith.poly_discriminant(f) != 0)
+    assert fields.is_totally_real(f) == (_sym_poly(f).count_roots() == len(low))
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=4))
+@example([0, 1, 0])  # x^3 + x
+@example([4, 0, 0, 0])  # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+@example([-1, 0, 0])  # x^3 - 1 = (x - 1)(x^2 + x + 1)
+@settings(max_examples=300, deadline=None)
+def test_is_irreducible_matches_sympy(low):
+    f = tuple(low) + (1,)
+    assert fields.is_irreducible(f) == _sym_poly(f).is_irreducible
 
 
 def test_element_arithmetic_consistency():
