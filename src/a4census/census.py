@@ -42,22 +42,28 @@ v1 for all the segment's primes at once, in numpy int64 lanes
 (_c3_setup_lanes), each prime the lanes do not certify going through
 _c3_setup itself; one batched float64 LLL (linalg.lll_float_batch)
 over the v1 lattices of all the segment's C3 primes, whose unimodular
-transforms are certified exactly; then fast_classify's split and
-residuals (_c3_verdict), the split searching each certified basis as it
-is, with no exact LLL.  A C3 prime takes either that one fast path or
-the reference route: a transform that is not certified, like any other
-FieldError of the fast route, sends that prime to classify_prime, and
-the census counts it as a fallback.  A lattice's transform does not
-depend on the rest of its batch, so neither the verdicts nor the alpha
-behind them depend on the worker count or on where segments are cut.
-Segments return their C3 records; _merge_segments alone counts them and
-writes the JSONL lines.  fast_classify itself reduces the HNF of v1
-exactly (classgroup._reduced_basis) before the same _c3_verdict, and
-every other caller of smooth_split starts from the HNF.  The moving
-quotient's unit rows differ between primes only in their tame column, so
-load_conductor reduces all 3^rank of their row spaces once
-(ConductorData.unit_rref); the fixed quotient reads its entry there too,
-at the units' ell_2 characters.
+transforms T are certified exactly and applied in one int64 product
+(_transformed); then fast_classify's split and residuals (_c3_verdict),
+the split searching each certified basis as it is, with no exact LLL.
+_c3_verdict, shared by both, does only alpha's work per prime: it hands
+the split N(v1) = v^3, takes the raw cube characters at v_2 of the units,
+of alpha and of the certificates it uses from one residue map, and
+labels them once (_cube_logs).  A C3 prime takes either that one fast
+path or the reference route: a transform that is not certified, like
+any other FieldError of the fast route, sends that prime to
+classify_prime, and the census counts it as a fallback.  A lattice's
+transform does not depend on the rest of its batch, so neither the
+verdicts nor the alpha behind them depend on the worker count or on
+where segments are cut.  Segments return their C3 records;
+_merge_segments alone counts them and writes the JSONL lines.
+fast_classify itself reduces the HNF of v1 exactly
+(classgroup._reduced_basis) before the same _c3_verdict, and every other
+caller of smooth_split starts from the HNF.  The moving quotient's unit
+rows differ between primes only in their tame column, so load_conductor
+enumerates the span mod 3 of the unit rows for all 3^rank columns once
+(ConductorData.unit_spans); the fixed quotient reads its entry there
+too, at the units' ell_2 characters, and each membership is one set
+lookup.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ import contextlib
 import itertools
 import logging
 import math
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -169,8 +176,10 @@ class ConductorData:
     rebuilding it.  No field is filled later: classification only reads
     the datum, the certificates included.  In both fast quotients unit
     i's row is its wild philog followed by t_i, t the units' tame column:
-    unit_l2 in the fixed quotient, the characters at v_2 in the moving
-    one.  unit_rref holds the row space mod 3 of every t in F_3^rank.
+    unit_l2 in the fixed quotient, the logs of their characters at v_2 in
+    the moving one.  unit_spans[t] is the set of all vectors in the span
+    mod 3 of those rows, for every t in F_3^rank, so that membership in
+    either quotient's unit image is one set lookup.
     """
 
     ell: int
@@ -185,7 +194,7 @@ class ConductorData:
     wild: WildBlock  # the one block for (O/3_1^2)^* (x) F_3
     tame_l2: TameBlock
     unit_l2: tuple  # ell_2 character of each saturated unit
-    unit_rref: dict  # tame column t -> (rref, pivots) of the unit rows mod 3
+    unit_spans: dict  # tame column t -> frozenset of the unit rows' span mod 3
     # _certificate of each cg.factor_base prime, None over 3 and ell
     certs: tuple
     shanks_a: object
@@ -294,13 +303,20 @@ def load_conductor(config) -> ConductorData:
             "fixed-dim", f"fixed quotient has F_3-dimension {fixed_q.dim}, expected 1"
         )
     _, tame_l2 = fixed_q.blocks
-    unit_wild = tuple(wild.philog(w) for w in u.fundamental_units)
     unit_l2 = tuple(tame_l2.philog(w)[0] for w in u.fundamental_units)
-    unit_rref = {}
-    for t in itertools.product(range(3), repeat=len(unit_wild)):
-        rref, pivots = linalg.rref_mod_p([list(pw) + [ti] for pw, ti in zip(unit_wild, t)], 4, 3)
-        unit_rref[t] = (tuple(tuple(r) for r in rref), tuple(pivots))
-    if 4 - len(unit_rref[unit_l2][1]) != 1:
+    # unit i's row is (wild philog, t_i): every combination's wild part once,
+    # then its tame coordinate for each column t
+    unit_wild = [wild.philog(w) for w in u.fundamental_units]
+    combos = [
+        (tuple(sum(map(operator.mul, cs, col)) % 3 for col in zip(*unit_wild)), cs)
+        for cs in itertools.product(range(3), repeat=u.rank)
+    ]
+    unit_spans = {
+        t: frozenset(w + (sum(map(operator.mul, cs, t)) % 3,) for w, cs in combos)
+        for t in itertools.product(range(3), repeat=u.rank)
+    }
+    # four coordinates, of which a span of dimension wild.dim leaves one
+    if len(unit_spans[unit_l2]) != 3**wild.dim:
         raise VerificationError(
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
@@ -322,7 +338,7 @@ def load_conductor(config) -> ConductorData:
         wild=wild,
         tame_l2=tame_l2,
         unit_l2=unit_l2,
-        unit_rref=unit_rref,
+        unit_spans=unit_spans,
         certs=certs,
         shanks_a=shanks_param(ell),
         frame=linalg.cholesky_float(F.trace_gram),
@@ -375,15 +391,15 @@ def fast_classify(cd: ConductorData, v: int) -> PrimeClassification:
     (_degree3_prime; g(theta) = 0 mod v raises VerificationError
     ("v1-norm")).  The moving quotient is presented on the four local
     coordinates only (three wild, one tame at v_2), with unit images as
-    relations; their row space mod 3 is looked up in cd.unit_rref by the
-    units' tame column (at ell_2 for the fixed quotient, at v_2 for the
-    moving one).  The HNF of v1 is LLL-reduced exactly
-    (classgroup._reduced_basis) and split by classgroup.smooth_split
-    over the factor base, keeping the first alpha whose cofactor norm
-    N(alpha)/v^3 is prime to 3 * ell * v, and each cofactor prime Q is
-    moved into that presentation through its certificate Q^m = (gamma)
-    from cd.certs, built at load; m is prime to 3 because 3 does not
-    divide h(F).
+    relations; the span mod 3 of the unit rows is looked up in
+    cd.unit_spans by the units' tame column (at ell_2 for the fixed
+    quotient, at v_2 for the moving one).  The HNF of v1 is LLL-reduced
+    exactly (classgroup._reduced_basis) and split by _c3_verdict through
+    classgroup.smooth_split over the factor base, with N(v1) = v^3,
+    keeping the first alpha whose cofactor norm N(alpha)/v^3 is prime to
+    3 * ell * v, and each cofactor prime Q is moved into that
+    presentation through its certificate Q^m = (gamma) from cd.certs,
+    built at load; m is prime to 3 because 3 does not divide h(F).
     """
     pre = _c3_setup(cd, v)
     if isinstance(pre, PrimeClassification):
@@ -409,41 +425,63 @@ def _c3_setup(cd: ConductorData, v: int):
 
 
 def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
-    """fast_classify from v1 on, given a reduced basis of v1.
+    """fast_classify from v1 on, given a basis of v1 that is its HNF times a unimodular T.
 
-    The split searches that basis as it is (smooth_split with `reduced`),
-    with no exact LLL: fast_classify reduces v1 exactly, the census
-    passes the certified float-reduced basis of its batch.
+    Only alpha's work is done here.  The split searches that basis as it
+    is (smooth_split with `reduced`), with no exact LLL, and takes
+    N(v1) = v^3 as given: fast_classify passes the exactly reduced HNF,
+    the census the HNF times a certified float transform.  The residues
+    at v_2 = (v, theta - r) of the units, of alpha and of each
+    certificate gamma it uses come from one residue map (TameBlock); the
+    units' raw cube characters are powers of theirs, and alpha's net
+    residue (alpha over the gamma^s) is one product raised once.  The
+    characters are labelled by _cube_logs, and the memberships are two
+    set lookups in cd.unit_spans.
     """
     tame_v = TameBlock(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, reduced=True)
+    split = smooth_split(
+        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, reduced=True, norm=v**3
+    )
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
-    wild_net = list(cd.wild.philog(alpha))
+    wild_net = cd.wild.philog(alpha)
     l2_net = cd.tame_l2.philog(alpha)[0]
-    v_net = tame_v.philog(alpha)[0]
+    v_res = tame_v.residue(alpha)
     for vq, cert in zip(vec, cd.certs):
         if not vq:
             continue
         m, gamma, wg, lg = cert
         s = vq * pow(m, -1, 3)
-        wild_net = [(a - s * b) % 3 for a, b in zip(wild_net, wg)]
+        wild_net = tuple((a - s * b) % 3 for a, b in zip(wild_net, wg))
         l2_net = (l2_net - s * lg) % 3
-        v_net = (v_net - s * tame_v.philog(gamma)[0]) % 3
+        v_res = v_res * pow(tame_v.residue(gamma), -s % 3, v) % v
 
-    rref, pivots = cd.unit_rref[cd.unit_l2]
-    fix_res = linalg.residual_mod_p(rref, pivots, tuple(wild_net) + (l2_net,), 3)
-    in_taubar = not any(fix_res)
-
-    rref, pivots = cd.unit_rref[tuple(tame_v.philog(w)[0] for w in cd.u.fundamental_units)]
-    mov_res = linalg.residual_mod_p(rref, pivots, tuple(wild_net) + (v_net,), 3)
-    in_lambda = any(mov_res)
+    # the character is multiplicative, so the net one is one power
+    chars = [tame_v.character(w) for w in cd.u.fundamental_units] + [pow(v_res, tame_v.exp, v)]
+    *unit_v, v_net = _cube_logs(chars, v)
+    in_taubar = wild_net + (l2_net,) in cd.unit_spans[cd.unit_l2]
+    in_lambda = wild_net + (v_net,) not in cd.unit_spans[tuple(unit_v)]
     return PrimeClassification(v, True, in_lambda, in_taubar)
+
+
+def _cube_logs(chars, q: int) -> list:
+    """Cube characters mod the prime q as logs mod 3, to the base omega, the first one != 1.
+
+    Any other base omega^2 negates every log at once, the tame coordinate
+    of every vector in the moving quotient, which changes neither span
+    membership.  A zero character (an element not prime to the tame
+    prime) raises FieldError.
+    """
+    if 0 in chars:
+        raise FieldError("element is not coprime to the tame prime")
+    omega = next((c for c in chars if c != 1), 1)
+    logs = {omega * omega % q: 2, omega: 1, 1: 0}
+    return [logs[c] for c in chars]
 
 
 def _quartic_root(f, v: int):
@@ -683,8 +721,9 @@ def _certificate(
 
 
 def _checkpoints_for(N: int, checkpoints) -> tuple:
+    """The census checkpoints: `checkpoints` as given, else the table ones below N, then N."""
     if checkpoints is None:
-        cps = tuple(c for c in TABLE_CHECKPOINTS if c <= N)
+        cps = tuple(c for c in TABLE_CHECKPOINTS if c < N) + (N,)
     else:
         cps = tuple(checkpoints)
         if list(cps) != sorted(set(cps)):
@@ -693,6 +732,9 @@ def _checkpoints_for(N: int, checkpoints) -> tuple:
             raise ValueError("checkpoints must not exceed the census bound")
     if not cps:
         raise ValueError(f"no checkpoints at or below {N}")
+    if cps[0] < 1:
+        # no segment ends at or below 0, so that row would never be written
+        raise ValueError(f"checkpoint {cps[0]} is not positive")
     return cps
 
 
@@ -715,12 +757,15 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
       2. the v1 bases of the segment's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
          returned T is unimodular, checked exactly, and the rows T v1 are
-         formed in integers, so they are a basis of v1 whatever the floats
-         did;
+         formed in integers (_transformed: one int64 product for every
+         lattice within PRODUCT_BOUND, _combine for any other), so they
+         are a basis of v1 whatever the floats did, of norm v^3;
       3. each C3 prime is classified from its certified basis T v1
-         (_c3_verdict), which smooth_split searches as it is, without an
-         exact LLL, forming its exact Gram only if the coefficient boxes
-         run out.
+         (_c3_verdict), which does only alpha's work: the split
+         searches the basis as it is, without an exact LLL, forming its
+         exact Gram only if the coefficient boxes run out; the tame
+         characters at v_2 are raw powers labelled once, and the
+         memberships are lookups in cd.unit_spans.
     A lattice's T does not depend on the other lattices of the batch, so
     the verdicts and the alpha behind them do not depend on where the
     segments are cut or on the worker count.  A FieldError at one prime
@@ -748,17 +793,59 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
         else:
             pending.append((len(verdicts), v, *pre))
             verdicts.append(None)
-    transforms = linalg.lll_float_batch([v1 for *_, v1 in pending], cd.frame)
-    for (i, v, r, v1), T in zip(pending, transforms):
+    hnfs = [v1 for *_, v1 in pending]
+    bases = _transformed(hnfs, list(linalg.lll_float_batch(hnfs, cd.frame)))
+    for (i, v, r, _), basis in zip(pending, bases):
         try:
-            if T is None:
+            if basis is None:
                 raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
-            verdicts[i] = _c3_verdict(cd, v, r, [_combine(t, v1) for t in T])
+            verdicts[i] = _c3_verdict(cd, v, r, basis)
         except FieldError as exc:
             verdicts[i] = _fallback(cd, v, exc)
             fallbacks += 1
     records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in verdicts if pc.in_C3]
     return records, sum(not pc.skipped for pc in verdicts), fallbacks
+
+
+PRODUCT_BOUND = 2**63  # T y is formed in int64 where max|T| * n * max|y| stays below it
+
+
+def _transformed(bases, transforms):
+    """Yield T y for each n x n basis y and its certified transform T; None where T is None.
+
+    Each entry of T y is a sum of n products T_ik y_kj, so every lattice
+    with max|T| * n * max|y| < PRODUCT_BOUND, max|y| taken over the whole
+    batch, has each partial sum in int64; those lattices are formed in
+    one numpy product, and any other (entries beyond int64 included) with
+    _combine.  The bases come one at a time, as tuples of Python
+    integers, so that a segment holds only its int64 products at once.
+    """
+    import numpy as np
+
+    lanes = [i for i, T in enumerate(transforms) if T is not None]
+    inside = [False] * len(bases)
+    if lanes:
+        n = len(bases[lanes[0]])
+        flat = itertools.chain.from_iterable
+        shape = (len(lanes), n, n)
+        try:
+            t = np.fromiter(flat(flat(transforms[i] for i in lanes)), np.int64).reshape(shape)
+            y = np.fromiter(flat(flat(bases[i] for i in lanes)), np.int64).reshape(shape)
+        except OverflowError:  # an entry beyond int64: every lattice through _combine
+            pass
+        else:
+            limit = (PRODUCT_BOUND - 1) // (n * max(int(y.max()), -int(y.min()), 1))
+            ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
+            products = iter(t[ok] @ y[ok])
+            for i, good in zip(lanes, ok.tolist()):
+                inside[i] = good
+    for y, T, good in zip(bases, transforms, inside):
+        if T is None:
+            yield None
+        elif good:
+            yield list(map(tuple, next(products).tolist()))
+        else:
+            yield [_combine(r, y) for r in T]
 
 
 def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
@@ -781,23 +868,26 @@ def _worker_count(seg):
 def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, jsonl=None):
     """Cumulative census rows at each checkpoint up to N.
 
-    Primes beyond the last checkpoint are never classified.  Work is cut
-    into fixed segments of CHUNK = 8000 integers (checkpoints always land
-    on segment boundaries), so the merged rows do not depend on the worker
-    count.  Each segment is classified in three stages (_count_segment):
-    the gate, root and v1 of all its primes in numpy lanes, with a
-    per-prime route for any the lanes do not certify; one batched float
-    LLL over the segment's v1 lattices; the split of each v1 from its
-    certified reduced basis.  A lattice's reduction does not depend on
-    its batch, so the output is the same however the segments fall.  Pool workers
-    receive cd itself, never reload the conductor, and take one segment
-    per task.  Each segment returns its C3 records; _merge_segments
-    counts them and, with `jsonl` (a path, or "-" for stdout), writes
-    them in order as the segment is merged, so a census holds one
-    segment's records at a time.  A prime at which the fast route raises
-    FieldError, or whose float reduction is not certified, is classified
-    by classify_prime; the number of such fallbacks is logged at the end.
-    VerificationError("root") aborts the census.
+    The checkpoints are `checkpoints` when given (strictly ascending,
+    positive, none above N), else the table checkpoints below N followed
+    by N itself.  Primes beyond the last checkpoint are never classified.
+    Work is cut into fixed segments of CHUNK = 8000 integers (checkpoints
+    always land on segment boundaries), so the merged rows do not depend
+    on the worker count.  Each segment is classified in three stages
+    (_count_segment): the gate, root and v1 of all its primes in numpy
+    lanes, with a per-prime route for any the lanes do not certify; one
+    batched float LLL over the segment's v1 lattices, with T v1 formed in
+    one int64 product; the split of each v1 from its certified reduced
+    basis, and alpha's local logs.  A lattice's reduction does not depend
+    on its batch, so the output is the same however the segments fall.
+    Pool workers receive cd itself, never reload the conductor, and take
+    one segment per task.  Each segment returns its C3 records;
+    _merge_segments counts them and, with `jsonl` (a path, or "-" for
+    stdout), writes them in order as the segment is merged, so a census
+    holds one segment's records at a time.  A prime at which the fast
+    route raises FieldError, or whose float reduction is not certified,
+    is classified by classify_prime; the number of such fallbacks is
+    logged at the end.  VerificationError("root") aborts the census.
     """
     cps = _checkpoints_for(N, checkpoints)
     limit = cps[-1]

@@ -19,6 +19,8 @@ hands ideal_short_elements a basis that is already reduced, by the
 certified float LLL of linalg.lll_float_batch in the census and by
 _reduced_basis in census.fast_classify; that basis is searched as it
 is, and its exact Gram is formed only if the coefficient boxes run out.
+It also hands over the norm N(v1) = v^3, which every such basis keeps
+(the HNF times a unimodular transform), in place of a determinant.
 
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
@@ -263,7 +265,7 @@ def _coefficient_boxes(n: int):
     return tuple(out), frozenset(seen)
 
 
-def ideal_short_elements(K: NumberField, A, *, reduced=False):
+def ideal_short_elements(K: NumberField, A, *, reduced=False, norm=None):
     """Nonzero elements of the ideal A, short ones first, each once up to sign.
 
     The basis is LLL-reduced once, exactly (lll_gram), unless `reduced`
@@ -279,7 +281,8 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False):
     doubles after each of 6 rounds, only values above the previous bound
     are new, and coefficient vectors already yielded from the boxes are
     skipped.  The stream ends early when a round would enumerate more
-    than 20000 vectors.  A may be any basis of the ideal: N(A) = |det A|.
+    than 20000 vectors.  A may be any basis of the ideal: N(A) = |det A|,
+    unless the caller gives it as `norm`.
     """
     if reduced:
         red, red_gram = [tuple(r) for r in A], None
@@ -290,7 +293,7 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False):
         yield _combine(c, red)
     if red_gram is None:
         red_gram = linalg.gram_matrix(red, K.trace_gram)
-    nA = abs(arith.det_bareiss(A))
+    nA = abs(arith.det_bareiss(A)) if norm is None else norm
     for batch in itertools.islice(_rounds(red_gram, _start_bound(K, K.disc * nA * nA)), 6):
         for c in batch:
             if c not in in_boxes:
@@ -429,7 +432,7 @@ def ideal_class_coordinates(A, cg: ClassGroupData):
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False):
+def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False, norm=None):
     """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
 
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
@@ -438,15 +441,17 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False):
     when every candidate fails.  The cofactor norm N(alpha)/N(A) is taken
     once per candidate, and `usable(alpha, cofactor_norm)` receives it.
     Valuations that do not add up to that norm raise FieldError.
-    A may be any basis of the ideal: N(A) = |det A|.  With `reduced`, A
-    is taken as an already reduced basis and searched as it is
+    A may be any basis of the ideal: N(A) = |det A|, unless the caller
+    gives it as `norm` (census._c3_verdict: N(v1) = v^3 for a basis that
+    is v1's HNF times a unimodular transform).  With `reduced`, A is
+    taken as an already reduced basis and searched as it is
     (ideal_short_elements); the checks on each candidate are the same.
     """
     K = cg.field
     ctx = cg.fb_ctx
-    nA = abs(arith.det_bareiss(A))
+    nA = abs(arith.det_bareiss(A)) if norm is None else norm
     val_A = {}
-    for el in ideal_short_elements(K, A, reduced=reduced):
+    for el in ideal_short_elements(K, A, reduced=reduced, norm=nA):
         total, rem = divmod(abs(K.el_norm(el)), nA)
         if rem:
             raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")

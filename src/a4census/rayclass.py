@@ -40,6 +40,7 @@ empirically through the two independent code paths above.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -93,6 +94,11 @@ class TameBlock:
     """The F_3 line of (O/P)^* at the degree-1 prime P = (q, theta - r).
 
     r is P.theta_root: None unless P has degree 1 and lies off the index.
+    The residue map O -> O/P = F_q sends theta to r.  `character` is the
+    raw cube character x -> x^((q-1)/3) of an element's residue, a cube
+    root of unity (0 for an element of P); `philog` writes it to the base omega,
+    the character of the smallest residue outside the cubes, which is
+    searched for only when philog first needs it.
     """
 
     def __init__(self, K: NumberField, q: int, r):
@@ -111,26 +117,27 @@ class TameBlock:
         self.basis_vals = tuple(
             sum(map(operator.mul, row, powers)) * den_inv % q for row in K.basis_num
         )
+
+    @functools.cached_property
+    def omega(self) -> int:
         # smallest residue generating the 3-part fixes the character base
-        for g in range(2, q):
-            w = pow(g, self.exp, q)
-            if w != 1:
-                self.omega = w
-                self.omega2 = w * w % q
-                break
+        return next(w for w in (pow(g, self.exp, self.q) for g in range(2, self.q)) if w != 1)
 
     def residue(self, el) -> int:
-        return sum(a * b for a, b in zip(el, self.basis_vals)) % self.q
+        return sum(map(operator.mul, el, self.basis_vals)) % self.q
+
+    def character(self, el) -> int:
+        return pow(self.residue(el), self.exp, self.q)
 
     def philog(self, el):
         if self.dim == 0:
             return ()
-        t = pow(self.residue(el), self.exp, self.q)
+        t = self.character(el)
         if t == 1:
             return (0,)
         if t == self.omega:
             return (1,)
-        if t == self.omega2:
+        if t == self.omega * self.omega % self.q:
             return (2,)
         raise FieldError("element is not coprime to the tame prime")
 

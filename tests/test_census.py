@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import a4census
 from a4census import arith, census, classgroup, fields, linalg, rayclass
+from a4census import census as census_mod
 from a4census.census import (
     CensusRow,
     PrimeClassification,
@@ -476,8 +477,8 @@ def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, 
     split = census.smooth_split
     calls = []
 
-    def recorded(cg, A, usable=None, reduced=False):
-        got = split(cg, A, usable=usable, reduced=reduced)
+    def recorded(cg, A, usable=None, reduced=False, norm=None):
+        got = split(cg, A, usable=usable, reduced=reduced, norm=norm)
         calls.append((A, usable, reduced, got))
         return got
 
@@ -540,19 +541,130 @@ def test_an_uncertified_lattice_falls_back_to_the_reference_route(conductor, mon
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
-def test_moving_quotient_table_holds_every_tame_column(conductor, ell):
-    # one entry per tame column t in F_3^rank, each the reduction mod 3 of
-    # the unit rows (wild philog of unit i) + (t_i,); the fixed quotient's
-    # entry, at the units' ell_2 characters, leaves one dimension of the four
+def test_verdict_spans_hold_every_tame_column(conductor, ell):
+    # one entry per tame column t in F_3^rank: the set of all vectors in the
+    # span mod 3 of the unit rows (wild philog of unit i) + (t_i,), against
+    # every combination of the rows of their echelon form; the fixed
+    # quotient's entry, at the units' ell_2 characters, leaves one
+    # dimension of the four
     cd = conductor(ell)
-    assert sorted(cd.unit_rref) == sorted(itertools.product(range(3), repeat=cd.u.rank))
-    assert len(cd.unit_rref) == 27
-    for t, (rref, pivots) in cd.unit_rref.items():
+    assert sorted(cd.unit_spans) == sorted(itertools.product(range(3), repeat=cd.u.rank))
+    assert len(cd.unit_spans) == 27
+    for t, span in cd.unit_spans.items():
         rows = [list(cd.wild.philog(w)) + [ti] for w, ti in zip(cd.u.fundamental_units, t)]
-        want, want_pivots = linalg.rref_mod_p(rows, 4, 3)
-        assert rref == tuple(tuple(r) for r in want) and pivots == tuple(want_pivots)
-    _, fixed_pivots = cd.unit_rref[cd.unit_l2]
-    assert 4 - len(fixed_pivots) == 1
+        rref, _ = linalg.rref_mod_p(rows, 4, 3)
+        want = {
+            tuple(sum(c * x for c, x in zip(cs, col)) % 3 for col in zip(*rref))
+            for cs in itertools.product(range(3), repeat=len(rref))
+        }
+        assert span == frozenset(want), t
+    assert len(cd.unit_spans[cd.unit_l2]) == 3**3
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [10**6, 10**7, 10**8])
+def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell, lo, monkeypatch):
+    # _c3_verdict hands smooth_split N(v1) = v^3 without a determinant: each
+    # basis the census certifies is v1's HNF times a unimodular T, so its
+    # determinant, taken here with det_bareiss, is +-v^3
+    cd = conductor(ell)
+    verdict, split = census._c3_verdict, census.smooth_split
+    seen, norms = [], []
+
+    def recorded_verdict(cd_, v, r, v1):
+        seen.append(v)
+        assert abs(arith.det_bareiss(v1)) == v**3, v
+        return verdict(cd_, v, r, v1)
+
+    def recorded_split(cg, A, usable=None, reduced=False, norm=None):
+        norms.append(norm)
+        return split(cg, A, usable=usable, reduced=reduced, norm=norm)
+
+    monkeypatch.setattr(census, "_c3_verdict", recorded_verdict)
+    monkeypatch.setattr(census, "smooth_split", recorded_split)
+    records, _, fallbacks = census._count_segment(cd, lo, lo + 4000)
+    assert fallbacks == 0 and len(records) > 50
+    assert seen == [v for v, *_ in records]
+    assert norms == [v**3 for v in seen]
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_verdict_alike_with_omega_squared(conductor, ell, monkeypatch):
+    # labelling the tame characters with omega^2 in place of omega negates
+    # every tame coordinate at once, which changes neither membership
+    cd = conductor(ell)
+    want = census._count_segment(cd, 10**6, 10**6 + 4000)
+    logs = census._cube_logs
+    labelled = []
+
+    def squared(chars, q):
+        got = [-x % 3 for x in logs(chars, q)]
+        labelled.append(any(got))
+        return got
+
+    monkeypatch.setattr(census, "_cube_logs", squared)
+    assert census._count_segment(cd, 10**6, 10**6 + 4000) == want
+    assert want[2] == 0 and sum(labelled) > 0.9 * len(labelled) > 50
+
+
+def test_verdict_cube_logs_take_the_first_character_not_one_as_omega():
+    # 7: the cube roots of unity are 1, 2 and 4
+    assert census._cube_logs([1, 4, 2, 1, 4], 7) == [0, 1, 2, 0, 1]
+    assert census._cube_logs([2, 4, 1], 7) == [1, 2, 0]
+    assert census._cube_logs([1, 1, 1, 1], 7) == [0, 0, 0, 0]
+    with pytest.raises(FieldError, match="not coprime"):
+        census._cube_logs([1, 2, 0, 4], 7)
+
+
+def _segment_lattices(cd, lo, hi):
+    # the v1 HNFs of the C3 primes of (lo, hi] and their float transforms
+    primes = arith.primes_in_range(lo + 1, hi + 1)
+    hnfs = [pre[1] for pre in census._c3_setup_lanes(cd, primes) if isinstance(pre, tuple)]
+    return hnfs, list(linalg.lll_float_batch(hnfs, cd.frame))
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [10**6, 10**8])
+def test_lane_products_match_combine(conductor, ell, lo):
+    # T v1 in one int64 product against _combine on every lattice of a
+    # window, as tuples of Python integers
+    cd = conductor(ell)
+    hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
+    assert len(hnfs) > 100 and None not in transforms
+    got = list(census._transformed(hnfs, transforms))
+    assert got == [[classgroup._combine(t, y) for t in T] for y, T in zip(hnfs, transforms)]
+    assert all(type(c) is int for basis in got for row in basis for c in row)
+    assert all(type(row) is tuple for basis in got for row in basis)
+    assert next(census._transformed(hnfs, [None] + transforms[1:])) is None
+
+
+def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch):
+    # lattices whose max|T| * 4 * max|v1| (the largest v1 entry of the
+    # segment) reaches a lowered bound are formed with _combine, the rest in
+    # int64, and the records are the same; so is a transform beyond int64
+    cd = conductor(277)
+    lo, hi = 10**6, 10**6 + 8000
+    want = census._count_segment(cd, lo, hi)
+    hnfs, transforms = _segment_lattices(cd, lo, hi)
+    top = max(c for y in hnfs for row in y for c in row)
+    sizes = sorted(max(abs(x) for row in T for x in row) * 4 * top for T in transforms)
+    bound = sizes[len(sizes) // 2]
+    past = sum(size >= bound for size in sizes)
+    combine = census._combine
+    combined = []
+
+    def counted(t, rows):
+        combined.append(rows)
+        return combine(t, rows)
+
+    monkeypatch.setattr(census, "PRODUCT_BOUND", bound)
+    monkeypatch.setattr(census, "_combine", counted)
+    assert census._count_segment(cd, lo, hi) == want
+    assert 0 < past < len(sizes)
+    assert len(combined) == 4 * past
+    huge = ((2**63, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    got = list(census._transformed(hnfs[:2], [huge, transforms[1]]))
+    assert got == [[combine(t, y) for t in T] for y, T in zip(hnfs[:2], [huge, transforms[1]])]
 
 
 def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
@@ -594,10 +706,10 @@ def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     split = census.smooth_split
 
-    def failing_split(cg, A, usable=None, reduced=False):
-        if abs(arith.det_bareiss(A)) == bad**3:
+    def failing_split(cg, A, usable=None, reduced=False, norm=None):
+        if norm == bad**3:
             return None
-        return split(cg, A, usable=usable, reduced=reduced)
+        return split(cg, A, usable=usable, reduced=reduced, norm=norm)
 
     monkeypatch.setattr(census, "smooth_split", failing_split)
     with pytest.raises(FieldError):
@@ -750,6 +862,30 @@ def test_checkpoint_validation(conductor):
         run_census(cd, 1000, checkpoints=(2000,))
     with pytest.raises(ValueError):
         run_census(cd, 1000, checkpoints=())
+    # no segment ends at or below 0: such a checkpoint would empty the table
+    for cps in [(0, 1000), (-5, 1000)]:
+        with pytest.raises(ValueError, match=f"checkpoint {cps[0]} is not positive"):
+            run_census(cd, 1000, checkpoints=cps)
+    with pytest.raises(ValueError, match="checkpoint 0 is not positive"):
+        run_census(cd, 0)
+
+
+def test_default_checkpoints_end_at_the_bound(conductor, census):
+    # without explicit checkpoints a census reports the table checkpoints
+    # below its bound and then the bound itself
+    cd = conductor(163)
+    assert census_mod._checkpoints_for(3000, None) == (1000, 3000)
+    assert census_mod._checkpoints_for(999, None) == (999,)
+    assert run_census(cd, 3000) == run_census(cd, 3000, checkpoints=(1000, 3000))
+    assert [r.n for r in run_census(cd, 999)] == [999]
+    # the table bounds keep their golden rows
+    for ell in CONDUCTORS:
+        golden = golden_rows(ell)
+        assert census_mod._checkpoints_for(10**6, None) == tuple(
+            int(line.split(",")[0]) for line in golden[1:]
+        )
+        rows, _ = census(ell, 5 * 10**4)
+        assert census_csv(rows).splitlines() == golden[:4]
 
 
 def test_non_checkpoint_bound_counts_only_to_last(conductor):

@@ -330,11 +330,16 @@ def test_ideal_short_elements_ordered_and_unique(conductor, ell):
 def test_ideal_short_elements_over_a_certified_basis(conductor, ell):
     # A certified float-reduced basis passed as reduced is searched as it
     # is: the boxes and the rounds are both taken over it, so no box
-    # vector comes back in a round.
+    # vector comes back in a round.  Its norm handed over as `norm` gives
+    # the same stream as the one taken from its determinant.
     cd = conductor(ell)
     (A,) = _degree3_primes(cd.F, 10**6, 1)
     red = _certified_basis(cd, list(A.hnf))
     _check_short_element_stream(cd.F, A.hnf, red, ideal_short_elements(cd.F, red, reduced=True))
+    count = len(_coefficient_boxes(cd.F.degree)[0]) + 500
+    given = ideal_short_elements(cd.F, red, reduced=True, norm=A.norm)
+    taken = ideal_short_elements(cd.F, red, reduced=True)
+    assert list(itertools.islice(given, count)) == list(itertools.islice(taken, count))
 
 
 def _check_short_element_stream(F, hnf, red, stream):

@@ -41,6 +41,28 @@ def test_census_check_golden_passes(capsys):
     assert "match" in out
 
 
+@pytest.mark.parametrize("bad", ["0", "-5"])
+def test_census_rejects_a_checkpoint_at_or_below_zero(capsys, bad):
+    # no segment ends there, so the table would hold only its header
+    rc, out, err = run(capsys, "census", "--ell", "163", "--max-v", "1000",
+                       f"--checkpoints={bad},1000")
+    assert rc == 1
+    assert err == f"error: checkpoint {bad} is not positive\n"
+    assert out == ""
+
+
+def test_census_max_v_is_the_last_checkpoint(capsys):
+    rc, out, err = run(capsys, "census", "--ell", "163", "--max-v", "3000")
+    assert rc == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1000", "3000"]
+    rc, explicit, err = run(capsys, "census", "--ell", "163", "--max-v", "3000",
+                            "--checkpoints", "1000,3000")
+    assert rc == 0 and explicit == out
+    rc, out, err = run(capsys, "census", "--ell", "163", "--max-v", "999")
+    assert rc == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["999"]
+
+
 def test_census_multi_conductor_writes_files(capsys, tmp_path):
     rc, out, err = run(capsys, "census", "--ell", "163", "--ell", "277",
                        "--max-v", "1000", "--out", str(tmp_path))
