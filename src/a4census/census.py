@@ -427,25 +427,23 @@ def _c3_setup(cd: ConductorData, v: int):
 def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     """fast_classify from v1 on, given a basis of v1 that is its HNF times a unimodular T.
 
-    Only alpha's work is done here.  The split searches that basis as it
-    is (smooth_split with `reduced`), with no exact LLL, and takes
-    N(v1) = v^3 as given: fast_classify passes the exactly reduced HNF,
-    the census the HNF times a certified float transform.  The residues
-    at v_2 = (v, theta - r) of the units, of alpha and of each
-    certificate gamma it uses come from one residue map (TameBlock); the
-    units' raw cube characters are powers of theirs, and alpha's net
-    residue (alpha over the gamma^s) is one product raised once.  The
-    characters are labelled by _cube_logs, and the memberships are two
-    set lookups in cd.unit_spans.
+    Only alpha's work is done here.  The split is handed N(v1) = v^3
+    (smooth_split with `norm`), so it searches that basis as it is, with
+    no exact LLL and no determinant: fast_classify passes the exactly
+    reduced HNF, the census the HNF times a certified float transform.
+    The residues at v_2 = (v, theta - r) of the units, of alpha and of
+    each certificate gamma it uses come from one residue map
+    (TameBlock); the units' raw cube characters are powers of theirs,
+    and alpha's net residue (alpha over the gamma^s) is one product
+    raised once.  The characters are labelled by _cube_logs, and the
+    memberships are two set lookups in cd.unit_spans.
     """
     tame_v = TameBlock(cd.F, v, r)
 
     # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
     # ell_2 and v_2, and puts a certificate behind every cofactor prime.
     avoid = 3 * cd.ell * v
-    split = smooth_split(
-        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, reduced=True, norm=v**3
-    )
+    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3)
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split

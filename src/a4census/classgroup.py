@@ -15,12 +15,12 @@ and yields only the coefficient vectors above the previous bound.  The
 relation harvest keeps one stream per source lattice, unit_group reads
 one over the maximal order, and ideal_short_elements reads one after
 its coefficient boxes.  The fast classifier alone (census._c3_verdict)
-hands ideal_short_elements a basis that is already reduced, by the
-certified float LLL of linalg.lll_float_batch in the census and by
-_reduced_basis in census.fast_classify; that basis is searched as it
-is, and its exact Gram is formed only if the coefficient boxes run out.
-It also hands over the norm N(v1) = v^3, which every such basis keeps
-(the HNF times a unimodular transform), in place of a determinant.
+hands smooth_split a basis that is already reduced, by the certified
+float LLL of linalg.lll_float_batch in the census and by _reduced_basis
+in census.fast_classify, together with its norm N(v1) = v^3, which
+every such basis keeps (the HNF times a unimodular transform).  That
+basis is searched as it is, and its exact Gram and determinant are
+formed only if the coefficient boxes run out.
 
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
@@ -265,7 +265,7 @@ def _coefficient_boxes(n: int):
     return tuple(out), frozenset(seen)
 
 
-def ideal_short_elements(K: NumberField, A, *, reduced=False, norm=None):
+def ideal_short_elements(K: NumberField, A, *, reduced=False):
     """Nonzero elements of the ideal A, short ones first, each once up to sign.
 
     The basis is LLL-reduced once, exactly (lll_gram), unless `reduced`
@@ -281,8 +281,7 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False, norm=None):
     doubles after each of 6 rounds, only values above the previous bound
     are new, and coefficient vectors already yielded from the boxes are
     skipped.  The stream ends early when a round would enumerate more
-    than 20000 vectors.  A may be any basis of the ideal: N(A) = |det A|,
-    unless the caller gives it as `norm`.
+    than 20000 vectors.  A may be any basis of the ideal: N(A) = |det A|.
     """
     if reduced:
         red, red_gram = [tuple(r) for r in A], None
@@ -293,7 +292,7 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False, norm=None):
         yield _combine(c, red)
     if red_gram is None:
         red_gram = linalg.gram_matrix(red, K.trace_gram)
-    nA = abs(arith.det_bareiss(A)) if norm is None else norm
+    nA = abs(arith.det_bareiss(A))
     for batch in itertools.islice(_rounds(red_gram, _start_bound(K, K.disc * nA * nA)), 6):
         for c in batch:
             if c not in in_boxes:
@@ -432,7 +431,7 @@ def ideal_class_coordinates(A, cg: ClassGroupData):
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False, norm=None):
+def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None):
     """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
 
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
@@ -441,17 +440,18 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, reduced=False, norm=None
     when every candidate fails.  The cofactor norm N(alpha)/N(A) is taken
     once per candidate, and `usable(alpha, cofactor_norm)` receives it.
     Valuations that do not add up to that norm raise FieldError.
-    A may be any basis of the ideal: N(A) = |det A|, unless the caller
-    gives it as `norm` (census._c3_verdict: N(v1) = v^3 for a basis that
-    is v1's HNF times a unimodular transform).  With `reduced`, A is
-    taken as an already reduced basis and searched as it is
-    (ideal_short_elements); the checks on each candidate are the same.
+    A may be any basis of the ideal: N(A) = |det A|.  A caller that
+    gives `norm` states that A is an already reduced basis of an ideal
+    of that norm, which is then searched as it is (ideal_short_elements
+    with `reduced`): census._c3_verdict, with N(v1) = v^3 for a basis
+    that is v1's HNF times a unimodular transform.  The checks on each
+    candidate are the same either way.
     """
     K = cg.field
     ctx = cg.fb_ctx
     nA = abs(arith.det_bareiss(A)) if norm is None else norm
     val_A = {}
-    for el in ideal_short_elements(K, A, reduced=reduced, norm=nA):
+    for el in ideal_short_elements(K, A, reduced=norm is not None):
         total, rem = divmod(abs(K.el_norm(el)), nA)
         if rem:
             raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")

@@ -126,6 +126,9 @@ def _cmd_census(args) -> int:
             return 1
         outs.append(out)
     cps = parse_ints(args.checkpoints) if args.checkpoints else None
+    # Bad checkpoints fail here too, before any conductor loads;
+    # run_census checks them again for library callers.
+    census_mod._checkpoints_for(args.max_v, cps)
     status = 0
     for cfg, out in zip(jobs, outs):
         if args.no_cache:

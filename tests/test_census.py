@@ -157,7 +157,7 @@ def test_certificates_match_the_norm_scan(conductor, ell):
 
 
 def test_certificate_without_generator_fails_the_load(monkeypatch):
-    monkeypatch.setattr(census, "smooth_split", lambda cg, A, usable=None, reduced=False: None)
+    monkeypatch.setattr(census, "smooth_split", lambda cg, A, usable=None: None)
     with pytest.raises(VerificationError) as exc:
         load_conductor(163)
     assert exc.value.check == "certificate"
@@ -477,17 +477,17 @@ def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, 
     split = census.smooth_split
     calls = []
 
-    def recorded(cg, A, usable=None, reduced=False, norm=None):
-        got = split(cg, A, usable=usable, reduced=reduced, norm=norm)
-        calls.append((A, usable, reduced, got))
+    def recorded(cg, A, usable=None, norm=None):
+        got = split(cg, A, usable=usable, norm=norm)
+        calls.append((A, usable, norm, got))
         return got
 
     monkeypatch.setattr(census, "smooth_split", recorded)
     census._count_segment(cd, lo, lo + 2000)
     assert len(calls) >= 20
     unchanged = 0
-    for A, usable, reduced, got in calls[:20]:
-        assert reduced
+    for A, usable, norm, got in calls[:20]:
+        assert norm is not None
         T, _ = linalg.lll_gram(linalg.gram_matrix(A, cd.F.trace_gram))
         if T == [tuple(int(i == j) for j in range(4)) for i in range(4)]:
             unchanged += 1
@@ -576,9 +576,9 @@ def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell,
         assert abs(arith.det_bareiss(v1)) == v**3, v
         return verdict(cd_, v, r, v1)
 
-    def recorded_split(cg, A, usable=None, reduced=False, norm=None):
+    def recorded_split(cg, A, usable=None, norm=None):
         norms.append(norm)
-        return split(cg, A, usable=usable, reduced=reduced, norm=norm)
+        return split(cg, A, usable=usable, norm=norm)
 
     monkeypatch.setattr(census, "_c3_verdict", recorded_verdict)
     monkeypatch.setattr(census, "smooth_split", recorded_split)
@@ -706,10 +706,10 @@ def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     split = census.smooth_split
 
-    def failing_split(cg, A, usable=None, reduced=False, norm=None):
+    def failing_split(cg, A, usable=None, norm=None):
         if norm == bad**3:
             return None
-        return split(cg, A, usable=usable, reduced=reduced, norm=norm)
+        return split(cg, A, usable=usable, norm=norm)
 
     monkeypatch.setattr(census, "smooth_split", failing_split)
     with pytest.raises(FieldError):

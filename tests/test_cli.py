@@ -42,13 +42,16 @@ def test_census_check_golden_passes(capsys):
 
 
 @pytest.mark.parametrize("bad", ["0", "-5"])
-def test_census_rejects_a_checkpoint_at_or_below_zero(capsys, bad):
-    # no segment ends there, so the table would hold only its header
+def test_census_rejects_a_checkpoint_at_or_below_zero(capsys, monkeypatch, bad):
+    # no segment ends there, so the table would hold only its header; the
+    # error comes before any conductor loads
+    loads = []
+    monkeypatch.setattr(cli, "load_conductor", lambda cfg: loads.append(cfg.ell))
     rc, out, err = run(capsys, "census", "--ell", "163", "--max-v", "1000",
                        f"--checkpoints={bad},1000")
     assert rc == 1
     assert err == f"error: checkpoint {bad} is not positive\n"
-    assert out == ""
+    assert out == "" and loads == []
 
 
 def test_census_max_v_is_the_last_checkpoint(capsys):
