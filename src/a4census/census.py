@@ -37,27 +37,32 @@ worker count because work is split into fixed segments and merged in
 order.
 
 The census (run_census) classifies a segment of up to CHUNK integers in
-three stages (_count_segment): fast_classify's gate, root and closed-form
-v1 for all the segment's primes at once, in numpy int64 lanes
+three stages (_count_segment), each run once over the segment rather
+than once per prime: fast_classify's gate, root and closed-form v1 for
+all the segment's primes at once, in numpy int64 lanes
 (_c3_setup_lanes), each prime the lanes do not certify going through
-_c3_setup itself; one batched float64 LLL (linalg.lll_float_batch)
-over the v1 lattices of all the segment's C3 primes, whose unimodular
-transforms T are certified exactly and applied in one int64 product
-(_transformed); then fast_classify's split and residuals (_c3_verdict),
-the split searching each certified basis as it is, with no exact LLL.
-_c3_verdict, shared by both, does only alpha's work per prime: it hands
-the split N(v1) = v^3, takes the raw cube characters at v_2 of the units,
-of alpha and of the certificates it uses from one residue map, and
-labels them once (_cube_logs).  A C3 prime takes either that one fast
-path or the reference route: a transform that is not certified, like
-any other FieldError of the fast route, sends that prime to
-classify_prime, and the census counts it as a fallback.  A lattice's
-transform does not depend on the rest of its batch, so neither the
-verdicts nor the alpha behind them depend on the worker count or on
-where segments are cut.  Segments return their C3 records;
-_merge_segments alone counts them and writes the JSONL lines.
+_c3_setup itself; one batched float64 LLL (linalg.lll_float_batch) over
+the v1 lattices of all the segment's C3 primes, which drops finished
+lattices from its working arrays as it goes and returns each certified
+transform T as an int64 array, applied in one int64 product
+(_transformed); then fast_classify's split and residuals, the split
+searching each certified basis as it is, with no exact LLL.  The split
+and alpha's logs come per prime (_c3_split, which _c3_verdict shares),
+and the raw cube characters at v_2 of the units and of alpha's net
+residue for all the segment's split primes at once, in int64 lanes
+(_c3_characters_lanes); each prime's characters are labelled once
+(_cube_logs) and its memberships looked up (_c3_labels).  _c3_verdict,
+fast_classify's route, takes v at or above LANE_BOUND and is the lanes'
+oracle.  A C3 prime takes either that fast path or the reference route:
+a transform that is not certified, a zero character, like any other
+FieldError of the fast route, sends that prime to classify_prime, and
+the census counts it as a fallback.  A lattice's transform does not
+depend on the rest of its batch, so neither the verdicts nor the alpha
+behind them depend on the worker count or on where segments are cut.
+Segments return their C3 records; _merge_segments alone counts them and
+writes the JSONL lines.
 fast_classify itself reduces the HNF of v1 exactly
-(classgroup._reduced_basis) before the same _c3_verdict, and every other
+(classgroup._reduced_basis) before _c3_verdict, and every other
 caller of smooth_split starts from the HNF.  The moving quotient's unit
 rows differ between primes only in their tame column, so load_conductor
 enumerates the span mod 3 of the unit rows for all 3^rank columns once
@@ -427,21 +432,40 @@ def _c3_setup(cd: ConductorData, v: int):
 def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     """fast_classify from v1 on, given a basis of v1 that is its HNF times a unimodular T.
 
-    Only alpha's work is done here.  The split is handed N(v1) = v^3
-    (smooth_split with `norm`), so it searches that basis as it is, with
-    no exact LLL and no determinant: fast_classify passes the exactly
-    reduced HNF, the census the HNF times a certified float transform.
-    The residues at v_2 = (v, theta - r) of the units, of alpha and of
-    each certificate gamma it uses come from one residue map
-    (TameBlock); the units' raw cube characters are powers of theirs,
-    and alpha's net residue (alpha over the gamma^s) is one product
-    raised once.  The characters are labelled by _cube_logs, and the
-    memberships are two set lookups in cd.unit_spans.
+    Only alpha's work is done here.  The split (_c3_split) is handed
+    N(v1) = v^3, so it searches that basis as it is, with no exact LLL
+    and no determinant: fast_classify passes the exactly reduced HNF, the
+    census the HNF times a certified float transform.  The residues at
+    v_2 = (v, theta - r) of the units, of alpha and of each certificate
+    gamma it uses come from one residue map (TameBlock); the units' raw
+    cube characters are powers of theirs, and alpha's net residue (alpha
+    over the gamma^s) is one product raised once.  _c3_labels labels the
+    characters and looks the memberships up.  The census takes the same
+    characters for a whole segment in int64 lanes
+    (_c3_characters_lanes), and comes here only for v at or above
+    LANE_BOUND; this route stays the lanes' oracle.
     """
+    alpha, wild_net, l2_net, powers = _c3_split(cd, v, v1)
     tame_v = TameBlock(cd.F, v, r)
+    net = tame_v.residue(alpha)
+    for q, e in powers:
+        net = net * pow(tame_v.residue(cd.certs[q][1]), e, v) % v
+    # the character is multiplicative, so the net one is one power
+    chars = [tame_v.character(w) for w in cd.u.fundamental_units] + [pow(net, tame_v.exp, v)]
+    return _c3_labels(cd, v, wild_net, l2_net, chars)
 
-    # A cofactor norm prime to 3 * ell * v leaves alpha a unit at 3_1,
-    # ell_2 and v_2, and puts a certificate behind every cofactor prime.
+
+def _c3_split(cd: ConductorData, v: int, v1):
+    """alpha's split of v1 and its logs: (alpha, wild_net, l2_net, powers).
+
+    smooth_split, with N(v1) = v^3, keeps the first alpha of v1 whose
+    cofactor norm is prime to 3 * ell * v; that leaves alpha a unit at
+    3_1, ell_2 and v_2, and puts a certificate Q^m = (gamma) behind every
+    cofactor prime Q.  wild_net and l2_net are alpha's wild and ell_2 logs
+    net of gamma^s, s = v_Q / m mod 3, over those primes, and `powers`
+    lists (index in cd.certs, -s mod 3) where that exponent is not zero,
+    so that alpha times the gamma^e has alpha's net character at v_2.
+    """
     avoid = 3 * cd.ell * v
     split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3)
     if split is None:
@@ -449,22 +473,100 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     alpha, vec = split
     wild_net = cd.wild.philog(alpha)
     l2_net = cd.tame_l2.philog(alpha)[0]
-    v_res = tame_v.residue(alpha)
-    for vq, cert in zip(vec, cd.certs):
+    powers = []
+    for q, (vq, cert) in enumerate(zip(vec, cd.certs)):
         if not vq:
             continue
-        m, gamma, wg, lg = cert
+        m, _, wg, lg = cert
         s = vq * pow(m, -1, 3)
         wild_net = tuple((a - s * b) % 3 for a, b in zip(wild_net, wg))
         l2_net = (l2_net - s * lg) % 3
-        v_res = v_res * pow(tame_v.residue(gamma), -s % 3, v) % v
+        if s % 3:
+            powers.append((q, -s % 3))
+    return alpha, wild_net, l2_net, powers
 
-    # the character is multiplicative, so the net one is one power
-    chars = [tame_v.character(w) for w in cd.u.fundamental_units] + [pow(v_res, tame_v.exp, v)]
+
+def _c3_labels(cd: ConductorData, v: int, wild_net, l2_net, chars) -> PrimeClassification:
+    """The verdict from alpha's net logs and the cube characters at v_2 (units', then alpha's)."""
     *unit_v, v_net = _cube_logs(chars, v)
     in_taubar = wild_net + (l2_net,) in cd.unit_spans[cd.unit_l2]
     in_lambda = wild_net + (v_net,) not in cd.unit_spans[tuple(unit_v)]
     return PrimeClassification(v, True, in_lambda, in_taubar)
+
+
+def _c3_characters_lanes(cd: ConductorData, primes, roots, alphas, powers) -> list:
+    """_c3_verdict's cube characters at v_2 for many primes at once, in numpy int64 lanes.
+
+    One lane per prime v (below LANE_BOUND), with its root r and alpha
+    and powers from _c3_split; one list per lane is returned: the
+    characters of the units, then that of alpha's net residue, as
+    _c3_verdict takes them.  The residue map at v_2 = (v, theta - r)
+    sends basis element i to sum_j basis_num[i][j] r^j / basis_den mod v;
+    the lanes multiply by basis_den^2 in place of dividing, which scales
+    every residue by the cube basis_den^3 and so changes no character.
+    The coordinates of the units, of the certificates gamma and of alpha
+    (in Python, so of any size) are reduced mod v first, so every product
+    of two residues stays below 2^58 and a sum of four below 2^60.
+    alpha's net residue takes the product of each gamma^e, and the four
+    characters are raised to (v - 1)/3 by square and multiply, each
+    lane's own bits picking the multiplications.
+    """
+    import numpy as np
+
+    F = cd.F
+    deg = F.degree
+    v = np.array(primes, dtype=np.int64)
+    r = np.array(roots, dtype=np.int64)
+    r_pow = [_mod_lanes([F.basis_den**2], v)[0]]
+    for _ in range(deg - 1):
+        r_pow.append(r_pow[-1] * r % v)
+    # basis element i at v_2, times den^3
+    vals = sum(_mod_lanes(col, v) * rj for col, rj in zip(zip(*F.basis_num), r_pow)) % v
+
+    def residues(coords):  # rows of element coordinates, Python integers of any size
+        return sum(_mod_lanes(col, v) * vi for col, vi in zip(zip(*coords), vals)) % v
+
+    a = np.array([[c % q for c in alpha] for q, alpha in zip(primes, alphas)], dtype=np.int64)
+    net = (a.T * vals).sum(axis=0) % v
+    used = sorted({q for pw in powers for q, _ in pw})
+    if used:
+        at = {q: i for i, q in enumerate(used)}
+        rows, cols, es = zip(*((at[q], j, e) for j, pw in enumerate(powers) for q, e in pw))
+        exps = np.zeros((len(used), len(primes)), dtype=np.int64)
+        exps[rows, cols] = es
+        g = residues([cd.certs[q][1] for q in used])
+        for factor in np.where(exps == 2, g * g % v, np.where(exps == 1, g, 1)):
+            net = net * factor % v
+    x = np.vstack([residues(cd.u.fundamental_units), net[None]])
+    e = (v - 1) // 3
+    chars = np.ones_like(x)
+    for bit in (e >> np.arange(int(e.max()).bit_length())[::-1, None]) & 1:  # high bits first
+        chars = chars * chars % v * np.where(bit, x, 1) % v
+    return chars.T.tolist()
+
+
+def _mod_lanes(values, v):
+    """Python integers of any size mod each lane's v (below 2^31): one int64 row per value.
+
+    Horner's rule in base 2^31 on |c|, then the sign: with v below 2^31
+    every partial sum stays below 2^63.
+    """
+    import numpy as np
+
+    size = max((abs(c).bit_length() + 30) // 31 for c in values) or 1
+    digits = np.array(
+        [[abs(c) >> (31 * i) & (2**31 - 1) for i in range(size - 1, -1, -1)] for c in values],
+        dtype=np.int64,
+    )
+    acc = digits[:, 0, None] % v
+    for i in range(1, size):  # in place: the rows span every lane
+        acc *= 2**31
+        acc += digits[:, i, None]
+        acc %= v
+    negative = [i for i, c in enumerate(values) if c < 0]
+    if negative:
+        acc[negative] = (v - acc[negative]) % v
+    return acc
 
 
 def _cube_logs(chars, q: int) -> list:
@@ -537,7 +639,9 @@ def _quartic_root(f, v: int):
     return r, tuple(out)
 
 
-LANE_BOUND = 2**29  # v below it keeps every sum of seven residue products under 2^61
+# v below it keeps every product of two residues under 2^58, every sum of
+# seven under 2^61: the bound of both stages' int64 lanes
+LANE_BOUND = 2**29
 
 
 def _c3_setup_lanes(cd: ConductorData, primes) -> list:
@@ -754,24 +858,26 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
          integrality check) goes through _c3_setup itself;
       2. the v1 bases of the segment's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
-         returned T is unimodular, checked exactly, and the rows T v1 are
-         formed in integers (_transformed: one int64 product for every
-         lattice within PRODUCT_BOUND, _combine for any other), so they
-         are a basis of v1 whatever the floats did, of norm v^3;
-      3. each C3 prime is classified from its certified basis T v1
-         (_c3_verdict), which does only alpha's work: the split
-         searches the basis as it is, without an exact LLL, forming its
-         exact Gram only if the coefficient boxes run out; the tame
-         characters at v_2 are raw powers labelled once, and the
-         memberships are lookups in cd.unit_spans.
+         returned T is an int64 array, unimodular, checked exactly, and
+         the rows T v1 are formed in integers (_transformed: one int64
+         product for every lattice within PRODUCT_BOUND, _combine for any
+         other), so they are a basis of v1 whatever the floats did, of
+         norm v^3;
+      3. each C3 prime below LANE_BOUND is split alone from its certified
+         basis (_c3_split: the split searches the basis as it is, without
+         an exact LLL, and alpha's wild and ell_2 logs follow), then the
+         segment's split primes take their cube characters at v_2
+         together in int64 lanes (_c3_characters_lanes), and each is
+         labelled and looked up in cd.unit_spans (_c3_labels); a prime at
+         or above LANE_BOUND goes through _c3_verdict.
     A lattice's T does not depend on the other lattices of the batch, so
     the verdicts and the alpha behind them do not depend on where the
     segments are cut or on the worker count.  A FieldError at one prime
     (VerificationError "v1-norm" in stage 1, a transform that is not
-    certified in stage 2, "no smooth split" in stage 3) is contained:
-    that prime is classified by classify_prime and counted as a
-    fallback.  VerificationError("root") means the gate is wrong and
-    propagates.
+    certified in stage 2, "no smooth split" or a zero character in stage
+    3) is contained: that prime is classified by classify_prime and
+    counted as a fallback.  VerificationError("root") means the gate is
+    wrong and propagates.
     """
     verdicts = []
     pending = []  # (index in verdicts, v, r, v1 HNF) of each C3 prime
@@ -792,15 +898,30 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
             pending.append((len(verdicts), v, *pre))
             verdicts.append(None)
     hnfs = [v1 for *_, v1 in pending]
-    bases = _transformed(hnfs, list(linalg.lll_float_batch(hnfs, cd.frame)))
+    bases = _transformed(hnfs, linalg.lll_float_batch(hnfs, cd.frame))
+    c3 = []  # (index in verdicts, v, r, _c3_split's value) of each C3 prime below LANE_BOUND
     for (i, v, r, _), basis in zip(pending, bases):
         try:
             if basis is None:
                 raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
-            verdicts[i] = _c3_verdict(cd, v, r, basis)
+            if v < LANE_BOUND:
+                c3.append((i, v, r, _c3_split(cd, v, basis)))
+            else:
+                verdicts[i] = _c3_verdict(cd, v, r, basis)
         except FieldError as exc:
             verdicts[i] = _fallback(cd, v, exc)
             fallbacks += 1
+    del pending, hnfs  # the v1 HNFs are done with; the lanes need only the splits
+    if c3:
+        index, lane_v, roots, splits = zip(*c3)
+        alphas, powers = [s[0] for s in splits], [s[3] for s in splits]
+        chars_of = _c3_characters_lanes(cd, lane_v, roots, alphas, powers)
+        for i, v, (_, wild_net, l2_net, _), chars in zip(index, lane_v, splits, chars_of):
+            try:
+                verdicts[i] = _c3_labels(cd, v, wild_net, l2_net, chars)
+            except FieldError as exc:  # a zero character
+                verdicts[i] = _fallback(cd, v, exc)
+                fallbacks += 1
     records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in verdicts if pc.in_C3]
     return records, sum(not pc.skipped for pc in verdicts), fallbacks
 
@@ -809,14 +930,15 @@ PRODUCT_BOUND = 2**63  # T y is formed in int64 where max|T| * n * max|y| stays 
 
 
 def _transformed(bases, transforms):
-    """Yield T y for each n x n basis y and its certified transform T; None where T is None.
+    """Yield T y for each n x n basis y and its certified int64 transform T; None where T is None.
 
     Each entry of T y is a sum of n products T_ik y_kj, so every lattice
     with max|T| * n * max|y| < PRODUCT_BOUND, max|y| taken over the whole
     batch, has each partial sum in int64; those lattices are formed in
-    one numpy product, and any other (entries beyond int64 included) with
-    _combine.  The bases come one at a time, as tuples of Python
-    integers, so that a segment holds only its int64 products at once.
+    one numpy product, and any other (a basis entry beyond int64
+    included) with _combine.  The bases come one at a time, as tuples of
+    Python integers, so that a segment holds only its int64 products at
+    once.
     """
     import numpy as np
 
@@ -825,13 +947,12 @@ def _transformed(bases, transforms):
     if lanes:
         n = len(bases[lanes[0]])
         flat = itertools.chain.from_iterable
-        shape = (len(lanes), n, n)
         try:
-            t = np.fromiter(flat(flat(transforms[i] for i in lanes)), np.int64).reshape(shape)
-            y = np.fromiter(flat(flat(bases[i] for i in lanes)), np.int64).reshape(shape)
+            y = np.fromiter(flat(flat(bases[i] for i in lanes)), np.int64).reshape(len(lanes), n, n)
         except OverflowError:  # an entry beyond int64: every lattice through _combine
             pass
         else:
+            t = np.stack([transforms[i] for i in lanes])
             limit = (PRODUCT_BOUND - 1) // (n * max(int(y.max()), -int(y.min()), 1))
             ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
             products = iter(t[ok] @ y[ok])
@@ -843,7 +964,7 @@ def _transformed(bases, transforms):
         elif good:
             yield list(map(tuple, next(products).tolist()))
         else:
-            yield [_combine(r, y) for r in T]
+            yield [_combine(r, y) for r in T.tolist()]
 
 
 def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
@@ -872,20 +993,24 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     Work is cut into fixed segments of CHUNK = 8000 integers (checkpoints
     always land on segment boundaries), so the merged rows do not depend
     on the worker count.  Each segment is classified in three stages
-    (_count_segment): the gate, root and v1 of all its primes in numpy
-    lanes, with a per-prime route for any the lanes do not certify; one
-    batched float LLL over the segment's v1 lattices, with T v1 formed in
-    one int64 product; the split of each v1 from its certified reduced
-    basis, and alpha's local logs.  A lattice's reduction does not depend
-    on its batch, so the output is the same however the segments fall.
+    (_count_segment), each run once over the segment: the gate, root and
+    v1 of all its primes in numpy lanes, with a per-prime route for any
+    the lanes do not certify; one batched float LLL over the segment's v1
+    lattices, which hands its certified transforms on as int64 arrays,
+    with T v1 formed in one int64 product; the split of each v1 from its
+    certified reduced basis with alpha's wild and ell_2 logs, then the
+    cube characters at v_2 of all the segment's split primes in int64
+    lanes.  A lattice's reduction does not depend on its batch, so the
+    output is the same however the segments fall.
     Pool workers receive cd itself, never reload the conductor, and take
     one segment per task.  Each segment returns its C3 records;
     _merge_segments counts them and, with `jsonl` (a path, or "-" for
     stdout), writes them in order as the segment is merged, so a census
     holds one segment's records at a time.  A prime at which the fast
-    route raises FieldError, or whose float reduction is not certified,
-    is classified by classify_prime; the number of such fallbacks is
-    logged at the end.  VerificationError("root") aborts the census.
+    route raises FieldError (a zero character at v_2 included), or whose
+    float reduction is not certified, is classified by classify_prime;
+    the number of such fallbacks is logged at the end.
+    VerificationError("root") aborts the census.
     """
     cps = _checkpoints_for(N, checkpoints)
     limit = cps[-1]

@@ -14,7 +14,7 @@ basis is LLL-reduced once, and each round doubles the trace-form bound
 and yields only the coefficient vectors above the previous bound.  The
 relation harvest keeps one stream per source lattice, unit_group reads
 one over the maximal order, and ideal_short_elements reads one after
-its coefficient boxes.  The fast classifier alone (census._c3_verdict)
+its coefficient boxes.  The fast classifier alone (census._c3_split)
 hands smooth_split a basis that is already reduced, by the certified
 float LLL of linalg.lll_float_batch in the census and by _reduced_basis
 in census.fast_classify, together with its norm N(v1) = v^3, which
@@ -443,7 +443,7 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None):
     A may be any basis of the ideal: N(A) = |det A|.  A caller that
     gives `norm` states that A is an already reduced basis of an ideal
     of that norm, which is then searched as it is (ideal_short_elements
-    with `reduced`): census._c3_verdict, with N(v1) = v^3 for a basis
+    with `reduced`): census._c3_split, with N(v1) = v^3 for a basis
     that is v1's HNF times a unimodular transform.  The checks on each
     candidate are the same either way.
     """

@@ -81,7 +81,11 @@ def _cmd_scan(args) -> int:
 
 
 def _check_golden(ell: int, produced: str) -> int:
-    """Diff produced CSV rows against the shipped golden rows by n."""
+    """Diff produced CSV rows against the shipped golden rows by n.
+
+    Rows whose n has no golden row are named on stderr as not checked;
+    they do not change the exit status.
+    """
     try:
         golden = golden_rows(ell)
     except FileNotFoundError:
@@ -90,6 +94,13 @@ def _check_golden(ell: int, produced: str) -> int:
     gold = {ln.split(",")[0]: ln for ln in golden[1:]}
     mine = {ln.split(",")[0]: ln for ln in produced.strip().splitlines()[1:]}
     shared = [n for n in mine if n in gold]
+    unchecked = [n for n in mine if n not in gold]
+    if unchecked:
+        print(
+            f"golden check: no golden row for ell = {ell} at n = {', '.join(unchecked)};"
+            " not checked",
+            file=sys.stderr,
+        )
     if not shared:
         print("error: census rows share no checkpoint with the golden table", file=sys.stderr)
         return 1

@@ -4,12 +4,11 @@ Matrices are lists (or tuples) of rows.  Everything is sized for number
 fields of degree <= 4 and factor bases of a few dozen primes, so the
 algorithms favour exactness and clarity over asymptotics.  The one
 float routine, lll_float_batch, reduces many lattices at once in numpy
-and hands back exact integer transforms that it has certified.
+and hands back exact int64 transforms that it has certified.
 """
 
 from __future__ import annotations
 
-import array
 import math
 import operator
 from fractions import Fraction
@@ -358,31 +357,32 @@ def lll_float_batch(bases, frame):
     `bases` holds m square integer bases (lists of rows) of one dimension
     n, and `frame` a float n x n matrix L (cholesky_float) with L L^t the
     form, so that each lattice is reduced in the real coordinates y L of
-    its rows y.  Yields one entry per lattice, in order: the transform T
-    as a tuple of rows of Python integers, so that T y is the reduced
-    basis, or None where T cannot be certified.  Each T is certified
-    exactly: its entries are integers and |det T| = 1, so T y is a basis
-    of the same lattice whatever the floats did.  T is tracked in
-    float64, which is exact for integers below 2^53; a transform that
-    outgrew that bound fails the determinant check (or holds a
-    non-finite entry) and gives None.  How well T y is reduced is not
-    part of the contract, and no caller runs lll_gram on T y: the census
-    searches T y as it is (classgroup.ideal_short_elements, reduced=True).
+    its rows y.  Returns one entry per lattice, in order: the transform T
+    as an n x n int64 array, so that T y is the reduced basis, or None
+    where T cannot be certified.  Each T is certified exactly: its float
+    entries are finite and below 2^53 in absolute value, hence integers
+    that float64 holds exactly, and |det T| = 1 (det_bareiss on the int64
+    rows), so T y is a basis of the same lattice whatever the floats did.
+    A transform that outgrew 2^53 gives None.  How well T y is reduced is
+    not part of the contract, and no caller runs lll_gram on T y: the
+    census searches T y as it is (classgroup.smooth_split with `norm`).
 
     Schnorr-Euchner LLL (Math. Programming 66, 1994), as in Nguyen and
     Stehle, "Floating-point LLL revisited" (Eurocrypt 2005): at its stage
     k a lattice recomputes row k of its Gram-Schmidt data from the
     current float vectors, size-reduces b_k against b_{k-1}, ..., b_0,
     and takes the Lovasz test with delta = 0.99, above lll_gram's 3/4,
-    so that lll_gram would find the result already reduced.  All m lattices
+    so that lll_gram would find the result already reduced.  All lattices
     advance one stage per pass, each with its own k and its own mask; a
-    finished lattice is frozen.  Only elementwise numpy operations and
-    gathers by lattice index run, with no sum across lattices and no
-    BLAS call, so a lattice's T is bitwise the same whether it is reduced
-    alone, in any batch or in any order.  After FLOAT_LLL_PASSES passes each
-    lattice keeps the transform it has.  One pass costs about the same
-    for any m, so the batch pays only when it is wide (a hundred
-    lattices or more).
+    finished lattice is frozen, and each time the number of lattices
+    still being reduced falls to half the width of the working arrays,
+    the finished ones are copied out and dropped from them.  Only
+    elementwise numpy operations and gathers by lattice index run, with
+    no sum across lattices and no BLAS call, so a lattice's T is bitwise
+    the same whether it is reduced alone, in any batch or in any order.
+    After FLOAT_LLL_PASSES passes each lattice keeps the transform it
+    has.  One pass costs about the same for any width, so the batch pays
+    only when it is wide (a hundred lattices or more).
     """
     # Imported here rather than at module load, so that the package goes
     # on importing numpy last (through cohomology): with numpy imported
@@ -391,42 +391,49 @@ def lll_float_batch(bases, frame):
 
     m = len(bases)
     if m == 0:
-        return
+        return []
     n = len(frame)
     w = 2 * n
     # Lattice index last, one lane per lattice: bt[i, :n] are the real
     # coordinates of row i, bt[i, n:] its row of T.
     fr = np.array(frame, dtype=np.float64)
-    y = np.array([[[e[i][c] for e in bases] for c in range(n)] for i in range(n)], dtype=np.float64)
+    y = np.array(bases, dtype=np.float64).transpose(1, 2, 0)  # y[i, c] holds entry (i, c) of each
     bt = np.zeros((n, w, m))
     for c in range(n):
         bt[:, :n] += y[:, c, None, :] * fr[c, None, :, None]
     for i in range(n):
         bt[i, n + i] = 1.0
-    b = bt[:, :n]
     mu = np.zeros((n, n - 1, m))  # row j: mu_jl, l < j, stored when the lattice passes stage j
     r = np.ones((n, m))  # squared Gram-Schmidt norms, valid below the stage
-    r[0] = _dot_rows(b[0], b[0])
-    btf, muf, rf = bt.reshape(-1), mu.reshape(-1), r.reshape(-1)
-    # Stages, masks and flat offsets are float64 too (offsets are cast to
-    # intp for indexing): each numpy kernel a forked census worker runs
-    # for the first time maps more of numpy's code into that worker.
-    lane = np.arange(m, dtype=np.float64)
-    row_lanes = np.arange(w, dtype=np.float64)[:, None] * m + lane  # one row of bt
-    mu_lanes = row_lanes[: n - 1]
-    prev_lane = lane - m
-    prev_rows = row_lanes - w * m
-    low = np.arange(n - 1, dtype=np.float64)[:, None]
-    k = np.ones(m)
-    live = np.full(m, float(n > 1))  # 1.0 while the lattice is being reduced, then 0.0
+    r[0] = _dot_rows(bt[0, :n], bt[0, :n])
+    k = np.ones(m, dtype=np.intp)
+    live = np.full(m, n > 1)  # True while the lattice is being reduced
+    lattice = np.arange(m)  # the input index of each lane
+    found = np.empty((m, n, n))  # each lattice's float T, once it leaves the working arrays
+    low = np.arange(n - 1)[:, None]
     delta = 0.99
+    width = 0  # the working arrays are laid out for this many lanes
     for _ in range(FLOAT_LLL_PASSES):
-        if not np.count_nonzero(live):
-            break
-        kk = np.where(k < n, k, n - 1.0)  # a finished lattice sits at k = n
-        at_k = (kk * (w * m) + row_lanes).astype(np.intp)
-        k_lane = (kk * m + lane).astype(np.intp)
-        p_lane = (kk * m + prev_lane).astype(np.intp)
+        count = np.count_nonzero(live)
+        if 2 * count <= width or not width:
+            done = ~live
+            found[lattice[done]] = bt[:, n:, done].transpose(2, 0, 1)
+            if not count:
+                break
+            if count < len(live):
+                # compress copies into C order, so the flat views below write through
+                bt, mu, r, k, lattice = (x.compress(live, axis=-1) for x in (bt, mu, r, k, lattice))
+                live = live[live]
+            width = count
+            b = bt[:, :n]
+            btf, muf, rf = bt.reshape(-1), mu.reshape(-1), r.reshape(-1)
+            lane = np.arange(width)
+            row_lanes = np.arange(w)[:, None] * width + lane  # one row of bt
+            mu_lanes = row_lanes[: n - 1]
+        kk = np.where(k < n, k, n - 1)  # a finished lattice sits at k = n
+        at_k = kk * (w * width) + row_lanes
+        k_lane = kk * width + lane
+        p_lane = k_lane - width
         v = btf[at_k]  # row k: coordinates, then transform
         d = _dot_rows(v[:n], b)  # d[j] = <b_k, b_j>
         rk = d.reshape(-1)[k_lane]
@@ -436,7 +443,7 @@ def lll_float_batch(bases, frame):
             for l in range(j):
                 a[j] -= mu[j, l] * a[l]
         # zero for j >= k, and everywhere for a finished lattice
-        a = np.where(low < kk * live, a, 0.0)
+        a = np.where((low < kk) & live, a, 0.0)
         muk = a / r[: n - 1]
         for j in range(n - 1):
             rk = rk - muk[j] * a[j]
@@ -450,12 +457,12 @@ def lll_float_batch(bases, frame):
         mu2 = muk.reshape(-1)[p_lane]
         mu2 *= mu2
         r_p = rf[p_lane]
-        swap = (rk - (delta - mu2) * r_p) * live < 0.0
+        swap = live & (rk - (delta - mu2) * r_p < 0.0)
         # row k is read only once the lattice has passed stage k, which rewrites it
-        muf[(kk * ((n - 1) * m) + mu_lanes).astype(np.intp)] = muk
+        muf[kk * ((n - 1) * width) + mu_lanes] = muk
         rf[k_lane] = rk
         if np.count_nonzero(swap):
-            at_p = (kk * (w * m) + prev_rows).astype(np.intp)
+            at_p = at_k - w * width
             vp = btf[at_p]
             btf[at_k] = np.where(swap, vp, v)
             btf[at_p] = np.where(swap, v, vp)
@@ -463,17 +470,18 @@ def lll_float_batch(bases, frame):
             rf[p_lane] = np.where(swap, rk + mu2 * r_p, r_p)
         else:
             btf[at_k] = v
-        k = np.where(swap, np.where(1.0 < kk, kk - 1.0, 1.0), k + live)
-        live = np.where(k < n, 1.0, 0.0)
-    # float64 entries of any size convert to Python integers exactly
-    flat = array.array("d", bt[:, n:].transpose(2, 0, 1).tobytes())
-    for at in range(0, len(flat), n * n):
-        entries = flat[at : at + n * n]
-        if not all(map(math.isfinite, entries)):
-            yield None
-            continue
-        tm = tuple(tuple(map(int, entries[i : i + n])) for i in range(0, n * n, n))
-        yield tm if abs(det_bareiss(tm)) == 1 else None
+        k = np.where(swap, np.maximum(kk - 1, 1), np.minimum(k + 1, n))  # k + 1 where live
+        live = k < n
+    else:
+        found[lattice] = bt[:, n:].transpose(2, 0, 1)
+    # finite entries below 2^53 are integers, each held exactly
+    exact = (np.abs(found) < 2.0**53).all(axis=(1, 2))
+    found[~exact] = 0.0
+    ts = found.astype(np.int64)
+    return [
+        t if good and abs(det_bareiss(t.tolist())) == 1 else None
+        for t, good in zip(ts, exact.tolist())
+    ]
 
 
 def _dot_rows(u, w):

@@ -509,8 +509,10 @@ def test_an_uncertified_lattice_falls_back_to_the_reference_route(conductor, mon
     in_reference = []
 
     def one_uncertified(bases, frame):
-        for A, T in zip(bases, batch(bases, frame)):
-            yield None if abs(arith.det_bareiss(A)) == bad**3 else T
+        return [
+            None if abs(arith.det_bareiss(A)) == bad**3 else T
+            for A, T in zip(bases, batch(bases, frame))
+        ]
 
     def reference(cd_, v):
         in_reference.append(v)
@@ -564,23 +566,24 @@ def test_verdict_spans_hold_every_tame_column(conductor, ell):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 @pytest.mark.parametrize("lo", [10**6, 10**7, 10**8])
 def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell, lo, monkeypatch):
-    # _c3_verdict hands smooth_split N(v1) = v^3 without a determinant: each
-    # basis the census certifies is v1's HNF times a unimodular T, so its
-    # determinant, taken here with det_bareiss, is +-v^3
+    # the verdict's split (_c3_split, which the census lanes and
+    # _c3_verdict share) hands smooth_split N(v1) = v^3 without a
+    # determinant: each basis the census certifies is v1's HNF times a
+    # unimodular T, so its determinant, taken here with det_bareiss, is +-v^3
     cd = conductor(ell)
-    verdict, split = census._c3_verdict, census.smooth_split
+    c3_split, split = census._c3_split, census.smooth_split
     seen, norms = [], []
 
-    def recorded_verdict(cd_, v, r, v1):
+    def recorded_c3_split(cd_, v, v1):
         seen.append(v)
         assert abs(arith.det_bareiss(v1)) == v**3, v
-        return verdict(cd_, v, r, v1)
+        return c3_split(cd_, v, v1)
 
     def recorded_split(cg, A, usable=None, norm=None):
         norms.append(norm)
         return split(cg, A, usable=usable, norm=norm)
 
-    monkeypatch.setattr(census, "_c3_verdict", recorded_verdict)
+    monkeypatch.setattr(census, "_c3_split", recorded_c3_split)
     monkeypatch.setattr(census, "smooth_split", recorded_split)
     records, _, fallbacks = census._count_segment(cd, lo, lo + 4000)
     assert fallbacks == 0 and len(records) > 50
@@ -630,9 +633,10 @@ def test_lane_products_match_combine(conductor, ell, lo):
     # window, as tuples of Python integers
     cd = conductor(ell)
     hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
-    assert len(hnfs) > 100 and None not in transforms
+    assert len(hnfs) > 100 and all(T is not None for T in transforms)
     got = list(census._transformed(hnfs, transforms))
-    assert got == [[classgroup._combine(t, y) for t in T] for y, T in zip(hnfs, transforms)]
+    want = [[classgroup._combine(t, y) for t in T.tolist()] for y, T in zip(hnfs, transforms)]
+    assert got == want
     assert all(type(c) is int for basis in got for row in basis for c in row)
     assert all(type(row) is tuple for basis in got for row in basis)
     assert next(census._transformed(hnfs, [None] + transforms[1:])) is None
@@ -641,13 +645,14 @@ def test_lane_products_match_combine(conductor, ell, lo):
 def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch):
     # lattices whose max|T| * 4 * max|v1| (the largest v1 entry of the
     # segment) reaches a lowered bound are formed with _combine, the rest in
-    # int64, and the records are the same; so is a transform beyond int64
+    # int64, and the records are the same; so is a batch with a basis entry
+    # beyond int64
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
     want = census._count_segment(cd, lo, hi)
     hnfs, transforms = _segment_lattices(cd, lo, hi)
     top = max(c for y in hnfs for row in y for c in row)
-    sizes = sorted(max(abs(x) for row in T for x in row) * 4 * top for T in transforms)
+    sizes = sorted(int(abs(T).max()) * 4 * top for T in transforms)
     bound = sizes[len(sizes) // 2]
     past = sum(size >= bound for size in sizes)
     combine = census._combine
@@ -663,8 +668,8 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
     assert 0 < past < len(sizes)
     assert len(combined) == 4 * past
     huge = ((2**63, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    got = list(census._transformed(hnfs[:2], [huge, transforms[1]]))
-    assert got == [[combine(t, y) for t in T] for y, T in zip(hnfs[:2], [huge, transforms[1]])]
+    got = list(census._transformed([huge, hnfs[1]], transforms[:2]))
+    assert got == [[combine(t, y) for t in T.tolist()] for y, T in zip([huge, hnfs[1]], transforms)]
 
 
 def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
@@ -675,13 +680,13 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     want = census._count_segment(cd, 0, 5000)
     valuations = classgroup._valuations_above
-    verdict = census._c3_verdict
+    c3_split = census._c3_split
     at_bad = []
 
     def flagged(cd, v, *args, **kwargs):
         at_bad.append(v == bad)
         try:
-            return verdict(cd, v, *args, **kwargs)
+            return c3_split(cd, v, *args, **kwargs)
         finally:
             at_bad.pop()
 
@@ -689,7 +694,7 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
         vals = valuations(K, el, above, ep)
         return [2 * x for x in vals] if at_bad and at_bad[-1] else vals
 
-    monkeypatch.setattr(census, "_c3_verdict", flagged)
+    monkeypatch.setattr(census, "_c3_split", flagged)
     monkeypatch.setattr(classgroup, "_valuations_above", doubled_at_bad)
     with pytest.raises(FieldError, match="norm factorization"):
         fast_classify(cd, bad)
@@ -828,6 +833,114 @@ def test_a_lane_routed_failure_is_one_fallback_or_aborts(conductor, monkeypatch,
         assert exc.value.check == "root"
     else:
         assert census._count_segment(cd, 0, 8000) == (records, done, fallbacks + 1)
+
+
+def _stage3(cd, lo, hi):
+    """(v, r, certified basis T v1) of each C3 prime of (lo, hi], as stage 3 gets them."""
+    primes = arith.primes_in_range(lo + 1, hi + 1)
+    setup = census._c3_setup_lanes(cd, primes)
+    pending = [(v, *pre) for v, pre in zip(primes, setup) if isinstance(pre, tuple)]
+    hnfs = [v1 for *_, v1 in pending]
+    bases = census._transformed(hnfs, linalg.lll_float_batch(hnfs, cd.frame))
+    return [(v, r, basis) for (v, r, _), basis in zip(pending, bases)]
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [8000, 10**6, 10**8, census.LANE_BOUND - 8000])
+def test_verdict_lanes_match_the_scalar_verdict(conductor, ell, lo):
+    # every C3 prime of (lo, lo + 8000]: the stage-3 lanes give the raw
+    # characters TameBlock gives and _c3_verdict's PrimeClassification
+    cd = conductor(ell)
+    primes = _stage3(cd, lo, lo + 8000)
+    assert len(primes) > 100 and primes[-1][0] < census.LANE_BOUND
+    splits = [census._c3_split(cd, v, basis) for v, _, basis in primes]
+    got = census._c3_characters_lanes(
+        cd,
+        [v for v, *_ in primes],
+        [r for _, r, _ in primes],
+        [alpha for alpha, *_ in splits],
+        [powers for *_, powers in splits],
+    )
+    for (v, r, basis), (alpha, wild_net, l2_net, powers), chars in zip(primes, splits, got):
+        tame = rayclass.TameBlock(cd.F, v, r)
+        net = tame.residue(alpha)
+        for q, e in powers:
+            net = net * pow(tame.residue(cd.certs[q][1]), e, v) % v
+        want = [tame.character(w) for w in cd.u.fundamental_units] + [pow(net, tame.exp, v)]
+        assert chars == want, v
+        assert all(type(c) is int for c in chars)
+        verdict = census._c3_labels(cd, v, wild_net, l2_net, chars)
+        assert verdict == census._c3_verdict(cd, v, r, basis), v
+
+
+def test_verdict_lanes_take_an_alpha_beyond_int64(conductor):
+    # alpha + v 2^70 has alpha's residue at v_2, so the same characters,
+    # though its coordinates do not fit in int64
+    cd = conductor(277)
+    primes = _stage3(cd, 10**6, 10**6 + 8000)
+    splits = [census._c3_split(cd, v, basis) for v, _, basis in primes]
+    vs, roots = [v for v, *_ in primes], [r for _, r, _ in primes]
+    powers = [pw for *_, pw in splits]
+    alphas = [alpha for alpha, *_ in splits]
+    big = [(a[0] + v * 2**70, *a[1:]) for a, v in zip(alphas, vs)]
+    want = census._c3_characters_lanes(cd, vs, roots, alphas, powers)
+    assert census._c3_characters_lanes(cd, vs, roots, big, powers) == want
+
+
+def test_mod_lanes_reduce_integers_of_any_size():
+    # unit and certificate coordinates reach the lanes as Python integers
+    # of any sign and size; each row is that integer mod every lane's v
+    v = np.array([7, 10007, 1000003, census.LANE_BOUND - 3], dtype=np.int64)
+    values = [0, 1, -1, 2**31, -(2**31) - 5, 2**62 + 11, 3**100, -(7**90)]
+    got = census._mod_lanes(values, v)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[c % q for q in v.tolist()] for c in values]
+
+
+def test_verdict_lanes_stop_at_the_lane_bound(conductor, monkeypatch):
+    # with LANE_BOUND lowered into a window, exactly its C3 primes at or
+    # past the bound go through _c3_verdict, the rest through the lanes,
+    # and the records are the same
+    cd = conductor(277)
+    lo, hi = 10**6, 10**6 + 8000
+    want = census._count_segment(cd, lo, hi)
+    bound = lo + 4000
+    verdict = census._c3_verdict
+    scalar = []
+
+    def recorded(cd_, v, r, v1):
+        scalar.append(v)
+        return verdict(cd_, v, r, v1)
+
+    monkeypatch.setattr(census, "LANE_BOUND", bound)
+    monkeypatch.setattr(census, "_c3_verdict", recorded)
+    assert census._count_segment(cd, lo, hi) == want
+    c3 = [v for v, *_ in want[0]]
+    assert scalar == [v for v in c3 if v >= bound]
+    assert 0 < len(scalar) < len(c3)
+
+
+def test_a_zero_character_in_the_verdict_lanes_is_one_fallback(conductor, monkeypatch, caplog):
+    # an alpha in v_2 has character 0 at v_2: that prime is classified by
+    # classify_prime and counted as one fallback, with the same records
+    cd = conductor(277)
+    bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
+    want = census._count_segment(cd, 0, 5000)
+    c3_split = census._c3_split
+
+    def in_v2_at_bad(cd_, v, v1):
+        alpha, *rest = c3_split(cd_, v, v1)
+        return ((v, 0, 0, 0) if v == bad else alpha, *rest)
+
+    monkeypatch.setattr(census, "_c3_split", in_v2_at_bad)
+    with caplog.at_level("INFO", logger="a4census.census"):
+        got = census._count_segment(cd, 0, 5000)
+    assert got[:-1] == want[:-1]
+    assert (want[-1], got[-1]) == (0, 1)
+    assert [r.getMessage() for r in caplog.records if "fast route failed" in r.getMessage()] == [
+        f"conductor 277: fast route failed at {bad} "
+        "(element is not coprime to the tame prime); using classify_prime"
+    ]
 
 
 def test_census_row_ratios():

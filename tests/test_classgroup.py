@@ -312,7 +312,7 @@ def _certified_basis(cd, A):
     """T A for the transform T that lll_float_batch certifies for A."""
     (T,) = linalg.lll_float_batch([A], cd.frame)
     assert T is not None
-    return [_combine(t, A) for t in T]
+    return [_combine(t, A) for t in T.tolist()]
 
 
 @pytest.mark.parametrize("ell", [163, 277])

@@ -41,6 +41,27 @@ def test_census_check_golden_passes(capsys):
     assert "match" in out
 
 
+def test_census_check_golden_names_the_rows_it_cannot_check(capsys):
+    # --max-v 2000 ends at a row the golden table does not hold: the row at
+    # 1000 is checked, the one at 2000 is named on stderr, and the exit
+    # code is the checked rows' 0
+    rc, out, err = run(capsys, "census", "--ell", "277", "--max-v", "2000",
+                       "--check-golden")
+    assert rc == 0
+    assert out.splitlines()[-1] == "golden check: 1 checkpoint rows match for ell = 277"
+    assert err == "golden check: no golden row for ell = 277 at n = 2000; not checked\n"
+    rc, out, err = run(capsys, "census", "--ell", "277", "--max-v", "3000",
+                       "--checkpoints", "1500,2000,3000", "--check-golden")
+    assert rc == 1
+    assert err == (
+        "golden check: no golden row for ell = 277 at n = 1500, 2000, 3000; not checked\n"
+        "error: census rows share no checkpoint with the golden table\n"
+    )
+    rc, out, err = run(capsys, "census", "--ell", "277", "--max-v", "1000",
+                       "--check-golden")
+    assert rc == 0 and err == ""
+
+
 @pytest.mark.parametrize("bad", ["0", "-5"])
 def test_census_rejects_a_checkpoint_at_or_below_zero(capsys, monkeypatch, bad):
     # no segment ends there, so the table would hold only its header; the

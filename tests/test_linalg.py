@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -196,22 +197,27 @@ def _apply(t, rows):
     return [[sum(a * b for a, b in zip(tr, col)) for col in zip(*rows)] for tr in t]
 
 
+def _lists(got):
+    """The transforms as nested lists of Python integers, None kept."""
+    return [None if t is None else t.tolist() for t in got]
+
+
 def _check_certified(bases, got):
-    """Each T is integral and unimodular, and T y spans the lattice of y."""
+    """Each T is an n x n int64 array, unimodular, and T y spans the lattice of y."""
     assert len(got) == len(bases)
     for rows, t in zip(bases, got):
         if t is None:
             continue
-        assert all(type(x) is int for row in t for x in row)
-        assert abs(det_bareiss([list(r) for r in t])) == 1
-        assert linalg.hnf(_apply(t, rows)) == linalg.hnf(rows)
+        assert t.dtype == np.int64 and t.shape == (len(rows), len(rows))
+        assert abs(det_bareiss(t.tolist())) == 1
+        assert linalg.hnf(_apply(t.tolist(), rows)) == linalg.hnf(rows)
 
 
 def _check_nearly_reduced(bases, got, gram):
     """T y passes the exact LLL conditions with a little slack (eta 0.51, delta 3/4)."""
     for rows, t in zip(bases, got):
         assert t is not None
-        mu, b = _rational_gso(linalg.gram_matrix(_apply(t, rows), gram))
+        mu, b = _rational_gso(linalg.gram_matrix(_apply(t.tolist(), rows), gram))
         n = len(rows)
         assert all(abs(mu[i][j]) <= Fraction(51, 100) for i in range(n) for j in range(i))
         assert all(b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1] for k in range(1, n))
@@ -219,10 +225,11 @@ def _check_nearly_reduced(bases, got, gram):
 
 def _check_batch_independent(bases, frame, got):
     """Each lattice's T is the same alone, in the batch and in a shuffled batch."""
+    got = _lists(got)
     for rows, t in list(zip(bases, got))[:6]:
-        assert list(linalg.lll_float_batch([rows], frame)) == [t]
+        assert _lists(linalg.lll_float_batch([rows], frame)) == [t]
     order = random.Random(len(bases)).sample(range(len(bases)), len(bases))
-    shuffled = list(linalg.lll_float_batch([bases[i] for i in order], frame))
+    shuffled = _lists(linalg.lll_float_batch([bases[i] for i in order], frame))
     assert [shuffled[order.index(i)] for i in range(len(bases))] == got
 
 
@@ -285,7 +292,7 @@ def test_lll_float_batch_on_random_lattices(bases, form):
     gram = [[sum(a * b for a, b in zip(x, y)) for y in form] for x in form]
     frame = linalg.cholesky_float(gram)
     got = list(linalg.lll_float_batch(bases, frame))
-    assert None not in got
+    assert all(t is not None for t in got)
     _check_certified(bases, got)
     _check_batch_independent(bases, frame, got)
 
@@ -309,6 +316,42 @@ def test_lll_float_batch_beyond_float_precision(bases):
     _check_certified(bases, list(linalg.lll_float_batch(bases, frame)))
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_lll_float_batch_compaction_keeps_each_transform(conductor, ell):
+    # Already reduced lattices finish within a few passes and raw HNFs
+    # take dozens, so with 20 of the one and 10 of the other the live
+    # count falls to a third while the raw ones go on, and the batch drops
+    # the finished lattices from its working arrays; each lattice still
+    # gets the T it gets alone, in either order of the mix.
+    cd = conductor(ell)
+    raw = _census_v1(cd, 10**7, 30)
+    done = []
+    for rows, t in zip(raw[:20], linalg.lll_float_batch(raw[:20], cd.frame)):
+        done.append(_apply(t.tolist(), rows))
+    for mix in (done + raw[20:], raw[20:] + done):
+        got = list(linalg.lll_float_batch(mix, cd.frame))
+        _check_certified(mix, got)
+        alone = [linalg.lll_float_batch([rows], cd.frame)[0] for rows in mix]
+        assert _lists(got) == _lists(alone)
+    # a reduced lattice keeps its basis
+    again = linalg.lll_float_batch(done, cd.frame)
+    assert all(t.tolist() == np.eye(4, dtype=np.int64).tolist() for t in again)
+
+
+def test_lll_float_batch_certifies_int64_transforms(conductor):
+    # each certified T is an n x n int64 array of Python-integer rows with
+    # |det_bareiss| = 1, and T y spans the lattice of y
+    cd = conductor(277)
+    bases = _census_v1(cd, 10**8, 20)
+    got = linalg.lll_float_batch(bases, cd.frame)
+    assert isinstance(got, list) and len(got) == 20
+    for rows, t in zip(bases, got):
+        assert t.dtype == np.int64 and t.shape == (4, 4)
+        assert all(type(x) is int for row in t.tolist() for x in row)
+        assert abs(det_bareiss(t.tolist())) == 1
+    _check_certified(bases, got)
+
+
 def test_lll_float_batch_rejects_an_inexact_transform():
     # this lattice drives its float64 transform past 2^53, where the float
     # arithmetic rounds it to det 64; the exact check must refuse it
@@ -319,10 +362,10 @@ def test_lll_float_batch_rejects_an_inexact_transform():
 def test_lll_float_batch_edge_sizes():
     frame = linalg.cholesky_float([[2, 1], [1, 2]])
     assert list(linalg.lll_float_batch([], frame)) == []
-    assert list(linalg.lll_float_batch([[[5]], [[-3]]], ((1.0,),))) == [((1,),), ((1,),)]
+    assert _lists(linalg.lll_float_batch([[[5]], [[-3]]], ((1.0,),))) == [[[1]], [[1]]]
     (t,) = linalg.lll_float_batch([[[1, 0], [7, 1]]], frame)
-    assert abs(det_bareiss([list(r) for r in t])) == 1
-    assert linalg.hnf(_apply(t, [[1, 0], [7, 1]])) == [(1, 0), (0, 1)]
+    _check_certified([[[1, 0], [7, 1]]], [t])
+    assert linalg.hnf(_apply(t.tolist(), [[1, 0], [7, 1]])) == [(1, 0), (0, 1)]
 
 
 def test_cholesky_float_factors_the_form():
