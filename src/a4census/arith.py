@@ -312,14 +312,39 @@ def pm_gcd(f, g, p):
 
 
 def pm_pow(f, e, mod, p):
-    """f**e mod (mod, p) by square and multiply."""
-    result = (1,)
+    """f**e mod (mod, p) by square and multiply, for e >= 0.
+
+    The modulus is made monic once, as x^d = sum_i n_i x^i with d its
+    degree.  Each product is then one fused step: the schoolbook product
+    of two residues, folded from the top down by that identity, with one
+    reduction mod p per coefficient.  f**0 is (1,) whatever the modulus,
+    and a modulus that vanishes mod p raises ZeroDivisionError.
+    """
     f = pm_divmod(f, mod, p)[1]
-    while e:
-        if e & 1:
-            result = pm_divmod(pm_mul(result, f, p), mod, p)[1]
-        f = pm_divmod(pm_mul(f, f, p), mod, p)[1]
-        e >>= 1
+    if not e:
+        return (1,)
+    mod = _pm_monic(pm_reduce(mod, p), p)
+    d = len(mod) - 1
+    fold = [(-c) % p for c in mod[:d]]  # x^d = sum_i fold[i] x^i
+
+    def mulmod(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i, n in enumerate(fold, k - d):
+                    prod[i] += c * n
+        return poly_trim(x % p for x in prod[:d])
+
+    result = f
+    for bit in bin(e)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, f)
     return result
 
 

@@ -125,26 +125,47 @@ def kernel_mod_p(rows, ncols, p):
 
 
 def rref_mod_p(rows, ncols, p):
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    work = [[x % p for x in r] for r in rows]
+    """Reduced row echelon form over F_p; returns (rows, pivot columns).
+
+    Pivots are sought in the first ncols columns only; columns beyond
+    them, if the rows are wider, are carried along by every row
+    operation.  The rows are reduced mod p in Python and eliminated as
+    one numpy array: int64 when p < 2^31, so that each product of two
+    residues stays below 2^62, and Python ints (dtype=object) otherwise.
+    Each pivot takes the first row at or below the rank with a nonzero
+    entry, so when the rows are no wider than ncols the result is the
+    unique reduced row echelon form of their span.  The rows come back
+    as tuples of Python ints; rows of unequal length raise ValueError.
+    """
+    # Imported here for the reason given in lll_float_batch.
+    import numpy as np
+
+    if not rows:
+        return [], []
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows of unequal length")
+    flat = [x % p for r in rows for x in r]
+    a = np.array(flat, dtype=np.int64 if p < 2**31 else object).reshape(len(rows), width)
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        piv = rank + int(nonzero[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        update = np.multiply.outer(a[:, col], a[rank])
+        update[rank] = 0
+        a -= update
+        a %= p
         pivots.append(col)
         rank += 1
-        if rank == len(work):
+        if rank == len(a):
             break
-    return [tuple(r) for r in work[:rank]], pivots
+    return [tuple(r) for r in a[:rank].tolist()], pivots
 
 
 def residual_mod_p(rref_rows, pivots, vec, p):

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
-from . import linalg
+from . import arith, linalg
 from .classgroup import ClassGroupData, UnitData, smooth_split
 from .fields import (
     FieldError,
@@ -361,15 +362,22 @@ def _local_row(blocks, el, D):
 def artin_vector(q: RayClass3Quotient, A):
     """Image of the class of the ideal A in the F_3 quotient.
 
-    A must be coprime to the modulus.  The class is smoothed by
-    classgroup.smooth_split on the class group's own factor-base context:
-    a short alpha in A, coprime to the modulus, whose cofactor (alpha)/A
-    factors over the factor base; the vector pairs the local log of alpha
-    against the cofactor valuations at the primes coprime to the modulus.
+    A, a square basis of an integral ideal, must be coprime to the
+    modulus, else FieldError.  For a modulus prime P with N(P) prime to
+    N(A) = |det A| this holds without a test, because N(P) lies in P and
+    N(A) in A, so P + A contains 1; every other P is tested by the HNF of
+    P + A.  The class is smoothed by classgroup.smooth_split on the class
+    group's own factor-base context: a short alpha in A, coprime to the
+    modulus, whose cofactor (alpha)/A factors over the factor base; the
+    vector pairs the local log of alpha against the cofactor valuations
+    at the primes coprime to the modulus.
     """
     K = q.cg.field
     m = q.modulus
+    nA = abs(arith.det_bareiss(A))
     for P, _ in m.finite:
+        if math.gcd(P.norm, nA) == 1:
+            continue
         rows = list(P.hnf) + [tuple(r) for r in A]
         if linalg.lattice_index(linalg.hnf(rows, K.degree)) != 1:
             raise FieldError("ideal is not coprime to the modulus")

@@ -20,7 +20,13 @@ a test oracle:
   SPAN_NORM_BOUND must span a ray quotient (its dimension comes from the
   presentation instead);
 - a4_order3_density: the density 1/3 of C3 from the conjugacy classes of
-  A4 built as permutations (the census counts it).
+  A4 built as permutations (the census counts it);
+- loop_rref_mod_p: Gauss-Jordan elimination over F_p on Python lists, one
+  row at a time (linalg.rref_mod_p eliminates a whole numpy array per
+  pivot);
+- divmod_pm_pow: f^e mod (mod, p) by square and multiply through the
+  generic pm_mul and pm_divmod (arith.pm_pow makes the modulus monic once
+  and folds each product by it).
 """
 
 import itertools
@@ -223,3 +229,38 @@ def _perm_order(p) -> int:
         acc = _compose(acc, p)
         n += 1
     return n
+
+
+def loop_rref_mod_p(rows, ncols, p):
+    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
+    work = [[x % p for x in r] for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [x * inv % p for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return [tuple(r) for r in work[:rank]], pivots
+
+
+def divmod_pm_pow(f, e, mod, p):
+    """f**e mod (mod, p) by square and multiply."""
+    result = (1,)
+    f = arith.pm_divmod(f, mod, p)[1]
+    while e:
+        if e & 1:
+            result = arith.pm_divmod(arith.pm_mul(result, f, p), mod, p)[1]
+        f = arith.pm_divmod(arith.pm_mul(f, f, p), mod, p)[1]
+        e >>= 1
+    return result

@@ -1,6 +1,7 @@
 """Integer and polynomial arithmetic against sympy oracles."""
 
 import math
+import random
 
 import pytest
 import sympy
@@ -8,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a4census import arith
+from a4census.config import shipped_config
+
+from conftest import CONDUCTORS
+from oracles import divmod_pm_pow
 
 
 def test_primes_upto_matches_sympy():
@@ -135,6 +140,43 @@ def test_factor_poly_mod_p_recombines(f, p):
             prod = arith.pm_mul(prod, g, p)
     lead = arith.pm_reduce(f, p)[-1]
     assert _sym_poly(arith.pm_mul(prod, (lead,), p), p) == _sym_poly(f, p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 163, 10**6 + 3])
+def test_pm_pow_matches_the_divmod_oracle(p):
+    # moduli of degree 0 to 5, monic and not (a leading coefficient that
+    # vanishes mod p lowers the degree, and a modulus that vanishes mod p
+    # must raise as before), against f of degree up to 7 and the zero f
+    rng = random.Random(p)
+    for deg in range(6):
+        for monic in (True, False):
+            for _ in range(6):
+                lead = 1 if monic else rng.randrange(2, p + 2)
+                mod = tuple(rng.randrange(-p, p) for _ in range(deg)) + (lead,)
+                f = tuple(rng.randrange(-p, p) for _ in range(rng.randrange(0, 8)))
+                for e in (0, 1, 2, p, (p**3 - 1) // 2):
+                    want = _outcome(divmod_pm_pow, f, e, mod, p)
+                    assert _outcome(arith.pm_pow, f, e, mod, p) == want, (f, e, mod, p)
+    assert arith.pm_pow((5,), 0, (3,), 7) == (1,)
+    assert arith.pm_pow((5,), 1, (3,), 7) == ()
+    with pytest.raises(ZeroDivisionError):
+        arith.pm_pow((1, 1), 3, (7, 14), 7)
+
+
+def test_pm_pow_leaves_the_shipped_quartic_factorisations_unchanged(monkeypatch):
+    primes = arith.primes_in_range(10**6, 10**6 + 3200)[:200]
+    assert len(primes) == 200
+    quartics = [tuple(shipped_config(ell).quartic_poly) for ell in CONDUCTORS]
+    got = [[arith.factor_poly_mod_p(f, v) for v in primes] for f in quartics]
+    monkeypatch.setattr(arith, "pm_pow", divmod_pm_pow)
+    assert got == [[arith.factor_poly_mod_p(f, v) for v in primes] for f in quartics]
 
 
 def test_distinct_roots_mod_p():

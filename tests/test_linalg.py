@@ -15,7 +15,7 @@ from a4census import census, linalg
 from a4census.arith import det_bareiss, primes_in_range
 
 from conftest import CONDUCTORS
-from oracles import fraction_short_vectors
+from oracles import fraction_short_vectors, loop_rref_mod_p
 
 mat3 = st.lists(
     st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3),
@@ -508,3 +508,56 @@ def test_kernel_mod_p():
     for k in basis:
         for r in rows:
             assert sum(a * b for a, b in zip(k, r)) % 3 == 0
+
+
+# int64 elimination below 2^31 (2^31 - 1 at its bound), Python ints above
+# (2^61 - 1 would overflow int64 products)
+_RREF_PRIMES = (2, 3, 5, 163, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+
+
+def _rref_cases(p):
+    """Seeded row lists: wider than ncols, with zero and repeated rows,
+    more rows than columns, and residues near p besides small ones."""
+    rng = random.Random(p)
+    for _ in range(40):
+        ncols = rng.randrange(1, 9)
+        width = ncols + rng.choice((0, 0, 1, 3))
+        rows = []
+        for _ in range(rng.randrange(1, 2 * ncols + 3)):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append([0] * width)
+            elif kind < 0.2 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                rows.append([rng.randrange(-2 * p, 2 * p) if rng.random() < 0.6 else 0 for _ in range(width)])
+        yield rows, ncols
+
+
+@pytest.mark.parametrize("p", _RREF_PRIMES)
+def test_rref_mod_p_matches_the_loop_oracle(p):
+    for rows, ncols in _rref_cases(p):
+        red, pivots = linalg.rref_mod_p(rows, ncols, p)
+        assert (red, pivots) == loop_rref_mod_p(rows, ncols, p), (rows, ncols)
+        assert all(type(x) is int for r in red for x in r)
+
+
+@pytest.mark.parametrize("p", _RREF_PRIMES)
+def test_kernel_mod_p_on_the_rref_cases(p):
+    for rows, ncols in _rref_cases(p):
+        rows = [r[:ncols] for r in rows]
+        basis = linalg.kernel_mod_p(rows, ncols, p)
+        assert len(basis) == ncols - len(loop_rref_mod_p(rows, ncols, p)[1])
+        for k in basis:
+            for r in rows:
+                assert sum(a * b for a, b in zip(r, k)) % p == 0
+        assert len(loop_rref_mod_p(basis, ncols, p)[0]) == len(basis)
+
+
+@pytest.mark.parametrize("p", (3, 2**61 - 1))
+def test_rref_mod_p_of_no_rows_and_zero_rows(p):
+    assert linalg.rref_mod_p([], 3, p) == ([], [])
+    assert linalg.rref_mod_p([[0, p, -p], [0, 0, 0]], 3, p) == ([], [])
+    assert linalg.kernel_mod_p([], 3, p) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(ValueError):
+        linalg.rref_mod_p([[1, 2], [1, 2, 0]], 2, p)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import a4census
-from a4census import arith
+from a4census import arith, linalg
 from a4census.classgroup import class_group, unit_group
 from a4census.fields import (
     FieldError,
@@ -85,6 +85,60 @@ def test_artin_map_is_multiplicative(conductor):
     vq = artin_vector(cd.fixed_q, Q.hnf)
     vpq = artin_vector(cd.fixed_q, ideal_mul(F, P.hnf, Q.hnf))
     assert vpq == tuple((a + b) % 3 for a, b in zip(vp, vq))
+
+
+def _c3_primes_over(F, v):
+    """v1 (degree 3) and v2 (degree 1) over the first prime v' >= v split as 1 + 3."""
+    for w in arith.primes_in_range(v, v + 10**4):
+        primes = factor_rational_prime(F, w)
+        if sorted(P.f for P in primes) == [1, 3]:
+            return next(P for P in primes if P.f == 3), next(P for P in primes if P.f == 1)
+    raise AssertionError("no prime split as 1 + 3")
+
+
+def test_artin_vector_refuses_an_ideal_that_meets_the_modulus(conductor):
+    cd = conductor(163)
+    v1, v2 = _c3_primes_over(cd.F, 1000)
+    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
+    artin_vector(moving, list(v1.hnf))
+    with pytest.raises(FieldError, match="ideal is not coprime to the modulus"):
+        artin_vector(moving, list(v2.hnf))
+    with pytest.raises(FieldError, match="ideal is not coprime to the modulus"):
+        artin_vector(cd.fixed_q, list(cd.p31.hnf))
+    with pytest.raises(FieldError, match="ideal is not coprime to the modulus"):
+        artin_vector(cd.fixed_q, ideal_mul(cd.F, v1.hnf, cd.l2.hnf))
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_artin_vector_takes_the_hnf_test_only_where_the_norms_meet(ell, conductor, monkeypatch):
+    # N(P) prime to N(A) puts 1 in P + A, so only a modulus prime whose
+    # norm shares a factor with N(A) has its P + A put in HNF
+    cd = conductor(ell)
+    F = cd.F
+    v1, v2 = _c3_primes_over(F, 1000)
+    p3 = next(P for P in factor_rational_prime(F, 3) if P.f == 1)
+    l1 = next(P for P in factor_rational_prime(F, ell) if P.e == 1)
+    moving = ray_class_3_quotient(Modulus(F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
+    tested = []
+    real_hnf = linalg.hnf
+
+    def hnf(rows, *args, **kwargs):
+        for P, _ in (*cd.fixed_q.modulus.finite, *moving.modulus.finite):
+            if len(rows) == 2 * F.degree and [tuple(r) for r in rows[: F.degree]] == list(P.hnf):
+                tested.append(P.norm)
+                break
+        return real_hnf(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hnf", hnf)
+    for q, A, norms in [
+        (cd.fixed_q, v1.hnf, []),
+        (moving, v1.hnf, [v1.p]),
+        (cd.fixed_q, p3.hnf, [27]),
+        (cd.fixed_q, l1.hnf, [ell]),
+    ]:
+        tested.clear()
+        artin_vector(q, list(A))
+        assert sorted(tested) == norms
 
 
 def test_brute_force_span_on_fixed_modulus(conductor):
