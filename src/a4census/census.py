@@ -36,31 +36,29 @@ routes are deterministic; the census output is byte-identical for any
 worker count because work is split into fixed segments and merged in
 order.
 
-The census (run_census) classifies a segment of up to CHUNK integers in
-three stages (_count_segment), each run once over the segment rather
-than once per prime: fast_classify's gate, root and closed-form v1 for
-all the segment's primes at once, in numpy int64 lanes
-(_c3_setup_lanes), each prime the lanes do not certify going through
-_c3_setup itself; one batched float64 LLL (linalg.lll_float_batch) over
-the v1 lattices of all the segment's C3 primes, which drops finished
-lattices from its working arrays as it goes and returns each certified
-transform T as an int64 array, applied in one int64 product
-(_transformed); then fast_classify's split and residuals, the split
-searching each certified basis as it is, with no exact LLL.  The split
-and alpha's logs come per prime (_c3_split, which _c3_verdict shares),
-and the raw cube characters at v_2 of the units and of alpha's net
-residue for all the segment's split primes at once, in int64 lanes
+The census (run_census) classifies a segment of up to CHUNK integers
+(_count_segment) on two routes.  Its primes below LANE_BOUND = 2^30,
+the excluded ones aside, go through three stages, each run once over
+the segment: fast_classify's gate, root and closed-form v1 in numpy
+int64 lanes (_c3_setup_lanes); one batched float64 LLL
+(linalg.lll_float_batch) over the v1 lattices of their C3 primes, which
+drops finished lattices from its working arrays as it goes and returns
+each certified transform T as an int64 array, applied in one int64
+product (_transformed); then fast_classify's split and residuals, the
+split searching each certified basis as it is, with no exact LLL.  The
+split and alpha's logs come per prime (_c3_split, which _c3_verdict
+shares), and the raw cube characters at v_2 of the units and of alpha's
+net residue for all the split primes at once, in int64 lanes
 (_c3_characters_lanes); each prime's characters are labelled once
-(_cube_logs) and its memberships looked up (_c3_labels).  _c3_verdict,
-fast_classify's route, takes v at or above LANE_BOUND and is the lanes'
-oracle.  A C3 prime takes either that fast path or the reference route:
-a transform that is not certified, a zero character, like any other
-FieldError of the fast route, sends that prime to classify_prime, and
-the census counts it as a fallback.  A lattice's transform does not
-depend on the rest of its batch, so neither the verdicts nor the alpha
-behind them depend on the worker count or on where segments are cut.
-Segments return their C3 records; _merge_segments alone counts them and
-writes the JSONL lines.
+(_cube_logs) and its memberships looked up (_c3_labels).  Every other
+prime goes whole through fast_classify, whose _c3_setup and _c3_verdict
+are also the lanes' oracles.  A transform that is not certified, a zero
+character, like any other FieldError of either fast route, sends that
+prime to classify_prime, the reference route, and the census counts it
+as a fallback.  A lattice's transform does not depend on the rest of
+its batch, so neither the verdicts nor the alpha behind them depend on
+the worker count or on where segments are cut.  Segments return their
+C3 records; _merge_segments alone counts them and writes the JSONL lines.
 fast_classify itself reduces the HNF of v1 exactly
 (classgroup._reduced_basis) before _c3_verdict, and every other
 caller of smooth_split starts from the HNF.  The moving quotient's unit
@@ -440,10 +438,10 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     gamma it uses come from one residue map (TameBlock); the units' raw
     cube characters are powers of theirs, and alpha's net residue (alpha
     over the gamma^s) is one product raised once.  _c3_labels labels the
-    characters and looks the memberships up.  The census takes the same
-    characters for a whole segment in int64 lanes
-    (_c3_characters_lanes), and comes here only for v at or above
-    LANE_BOUND; this route stays the lanes' oracle.
+    characters and looks the memberships up.  The census comes here only
+    through fast_classify, for the primes its stage-1 lanes do not take;
+    for every other prime it takes the same characters for a whole
+    segment in int64 lanes (_c3_characters_lanes), whose oracle this is.
     """
     alpha, wild_net, l2_net, powers = _c3_split(cd, v, v1)
     tame_v = TameBlock(cd.F, v, r)
@@ -497,7 +495,7 @@ def _c3_labels(cd: ConductorData, v: int, wild_net, l2_net, chars) -> PrimeClass
 def _c3_characters_lanes(cd: ConductorData, primes, roots, alphas, powers) -> list:
     """_c3_verdict's cube characters at v_2 for many primes at once, in numpy int64 lanes.
 
-    One lane per prime v (below LANE_BOUND), with its root r and alpha
+    One lane per prime v (below LANE_BOUND = 2^30), with its root r and alpha
     and powers from _c3_split; one list per lane is returned: the
     characters of the units, then that of alpha's net residue, as
     _c3_verdict takes them.  The residue map at v_2 = (v, theta - r)
@@ -506,7 +504,7 @@ def _c3_characters_lanes(cd: ConductorData, primes, roots, alphas, powers) -> li
     every residue by the cube basis_den^3 and so changes no character.
     The coordinates of the units, of the certificates gamma and of alpha
     (in Python, so of any size) are reduced mod v first, so every product
-    of two residues stays below 2^58 and a sum of four below 2^60.
+    of two residues stays below 2^60 and a sum of four below 2^62.
     alpha's net residue takes the product of each gamma^e, and the four
     characters are raised to (v - 1)/3 by square and multiply, each
     lane's own bits picking the multiplications.
@@ -639,22 +637,23 @@ def _quartic_root(f, v: int):
     return r, tuple(out)
 
 
-# v below it keeps every product of two residues under 2^58, every sum of
-# seven under 2^61: the bound of both stages' int64 lanes
-LANE_BOUND = 2**29
+# v below it keeps every product of two residues under 2^60: stage 1's sums
+# of at most seven products stay under 7 * 2^60 < 2^63, stage 3's sums of
+# four under 2^62, and _mod_lanes needs v under 2^31
+LANE_BOUND = 2**30
 
 
 def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     """_c3_setup over ascending primes at once, in numpy int64 lanes.
 
-    One entry per prime: what _c3_setup returns (the verdict of a prime
-    outside C^(3), else (r, v1 HNF)), or None where the prime must go
-    through _c3_setup itself, so that its verdict, log line or exception
-    is exactly that route's.  None is returned for the primes up to
-    max(3, ell, index), which hold every excluded prime; for v at or
-    above LANE_BOUND, or above the bound where g(theta)'s adjugate
-    product could leave int64; for every prime when f or the basis
-    determinant does not fit in int64; and for every C3 lane the lanes
+    One entry per prime: the verdict of a prime outside C^(3), (r, v1)
+    with v1 _degree3_prime's HNF as a 4 x 4 int64 array, or None where
+    the prime must go whole through fast_classify, so that its verdict,
+    log line or exception is exactly that route's.  None is returned for
+    the excluded primes (3, ell and the primes dividing F.index); for v
+    at or above LANE_BOUND, or above the bound where g(theta)'s adjugate
+    product could leave int64; for every prime when f, the index or the
+    basis determinant does not fit in int64; and for every C3 lane the lanes
     do not certify (below).  The gate is _c3_setup's, read from a table of
     v^((ell-1)/3) mod ell over the residues mod ell.  On the C3 lanes
     x^v mod (f, v) is built by square and multiply as in _quartic_root,
@@ -663,12 +662,12 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     pseudo-remainders, which need no inverses (Cohen, GTM 138, 3.1):
     the degrees 4, 3, 2, 1 with nonzero leading coefficients and a zero
     last remainder certify that the gcd has degree 1, so f has exactly
-    one root r mod v; any other lane is sent to _c3_setup.  The cubic
+    one root r mod v; any other lane is sent to fast_classify.  The cubic
     cofactor comes from synthetic division, whose remainder f(r) must
     vanish mod v, and g(theta) from F's adjugate with an exact division
     by its determinant, as in _poly_at_theta; v1 is _degree3_prime's
     closed form.  A lane where f(r) != 0, the division is not exact or
-    g(theta) = 0 mod v is sent to _c3_setup as well.
+    g(theta) = 0 mod v is sent to fast_classify as well.
     """
     # Imported here, as in linalg.lll_float_batch, so that the package
     # goes on importing numpy last.
@@ -680,16 +679,16 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     # g(theta) * det = sum_i c_i adj[i] basis_den, with 0 <= c_i < v and c_3 = 1
     scale = [[a * F.basis_den for a in row] for row in adj]
     width = max(sum(abs(row[k]) for row in scale) for k in range(4))
-    start = bisect.bisect_right(primes, max(3, ell, F.index))
-    stop = bisect.bisect_left(primes, min(LANE_BOUND, 2**63 // width), start)
-    if start == stop or max(abs(det), *map(abs, F.poly)) >= 2**63:
+    stop = bisect.bisect_left(primes, min(LANE_BOUND, 2**63 // width))
+    if not stop or max(abs(det), F.index, *map(abs, F.poly)) >= 2**63:
         return out
-    v = np.array(primes[start:stop], dtype=np.int64)
+    v = np.array(primes[:stop], dtype=np.int64)
+    taken = (v != 3) & (v != ell) & (F.index % v != 0)  # not cd.excluded(v)
     e = (ell - 1) // 3
     cube = np.array([pow(a, e, ell) == 1 for a in range(ell)])
-    gate = (v % 3 == 1) & ~cube[v % ell]
-    for i in np.flatnonzero(~gate).tolist():
-        out[start + i] = PrimeClassification(primes[start + i], False)
+    gate = taken & (v % 3 == 1) & ~cube[v % ell]
+    for i in np.flatnonzero(taken & ~gate).tolist():
+        out[i] = PrimeClassification(primes[i], False)
     lanes = np.flatnonzero(gate).tolist()
     if not lanes:
         return out
@@ -710,7 +709,7 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     gtheta = (num // det % v).T
     ok &= (num % det == 0).all(axis=0) & gtheta.any(axis=1)
     for j, v1 in zip(np.flatnonzero(ok).tolist(), _degree3_prime_lanes(gtheta[ok], v[ok])):
-        out[start + lanes[j]] = (roots[j], v1)
+        out[lanes[j]] = (roots[j], v1)
     return out
 
 
@@ -749,7 +748,8 @@ def _degree3_prime_lanes(g, v):
     """_degree3_prime on lanes: g holds g(theta) mod v, one nonzero row per lane.
 
     v I with row k replaced by g / g_k mod v, k the first nonzero
-    coordinate; one modular inverse per lane.
+    coordinate; one modular inverse per lane.  Returns the HNFs as one
+    int64 array of shape (lanes, 4, 4).
     """
     import numpy as np
 
@@ -759,7 +759,7 @@ def _degree3_prime_lanes(g, v):
     v1 = np.zeros((len(v), 4, 4), dtype=np.int64)
     v1[:, range(4), range(4)] = v[:, None]
     v1[at, k] = g * np.array(inv, dtype=np.int64)[:, None] % v[:, None]
-    return [list(map(tuple, rows)) for rows in v1.tolist()]
+    return v1
 
 
 def _pseudo_remainder(a, b, v):
@@ -850,12 +850,14 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
 
     Returns the records (v, in_lambda, in_taubar) of the C3 primes in
     order, the number of primes classified (skips removed) and the number
-    of fallbacks.  Three stages, each verdict equal to fast_classify's:
-      1. the segment's primes go through the gate, the root and the
-         closed-form v1 together, in numpy int64 lanes (_c3_setup_lanes);
-         a prime the lanes do not certify (an excluded prime, v at or
-         above LANE_BOUND, an irregular Euclid sequence, a failed root or
-         integrality check) goes through _c3_setup itself;
+    of fallbacks.  A prime takes one of two routes, each verdict equal to
+    fast_classify's.  Every prime the stage-1 lanes do not take (an
+    excluded prime, v at or above LANE_BOUND, an int64 guard, an
+    irregular Euclid sequence, a failed root or integrality check) goes
+    whole through fast_classify.  Every other prime goes through three
+    stages, each run once over the segment:
+      1. the gate, the root and the closed-form v1 together, in numpy
+         int64 lanes (_c3_setup_lanes);
       2. the v1 bases of the segment's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
          returned T is an int64 array, unimodular, checked exactly, and
@@ -863,32 +865,30 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
          product for every lattice within PRODUCT_BOUND, _combine for any
          other), so they are a basis of v1 whatever the floats did, of
          norm v^3;
-      3. each C3 prime below LANE_BOUND is split alone from its certified
-         basis (_c3_split: the split searches the basis as it is, without
-         an exact LLL, and alpha's wild and ell_2 logs follow), then the
+      3. each C3 prime is split alone from its certified basis
+         (_c3_split: the split searches the basis as it is, without an
+         exact LLL, and alpha's wild and ell_2 logs follow), then the
          segment's split primes take their cube characters at v_2
          together in int64 lanes (_c3_characters_lanes), and each is
-         labelled and looked up in cd.unit_spans (_c3_labels); a prime at
-         or above LANE_BOUND goes through _c3_verdict.
+         labelled and looked up in cd.unit_spans (_c3_labels).
     A lattice's T does not depend on the other lattices of the batch, so
     the verdicts and the alpha behind them do not depend on where the
     segments are cut or on the worker count.  A FieldError at one prime
-    (VerificationError "v1-norm" in stage 1, a transform that is not
-    certified in stage 2, "no smooth split" or a zero character in stage
-    3) is contained: that prime is classified by classify_prime and
-    counted as a fallback.  VerificationError("root") means the gate is
-    wrong and propagates.
+    (any in fast_classify, a transform that is not certified in stage 2,
+    "no smooth split" or a zero character in stage 3) is contained: that
+    prime is classified by classify_prime and counted as a fallback.
+    VerificationError("root") means the gate is wrong and propagates.
     """
     verdicts = []
-    pending = []  # (index in verdicts, v, r, v1 HNF) of each C3 prime
+    pending = []  # (index in verdicts, v, r, v1 HNF) of each C3 prime in the lanes
     fallbacks = 0
     primes = primes_in_range(lo + 1, hi + 1)
     for v, pre in zip(primes, _c3_setup_lanes(cd, primes)):
         if pre is None:
             try:
-                pre = _c3_setup(cd, v)
-            except VerificationError as exc:
-                if exc.check == "root":
+                pre = fast_classify(cd, v)
+            except FieldError as exc:
+                if isinstance(exc, VerificationError) and exc.check == "root":
                     raise
                 pre = _fallback(cd, v, exc)
                 fallbacks += 1
@@ -899,15 +899,12 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
             verdicts.append(None)
     hnfs = [v1 for *_, v1 in pending]
     bases = _transformed(hnfs, linalg.lll_float_batch(hnfs, cd.frame))
-    c3 = []  # (index in verdicts, v, r, _c3_split's value) of each C3 prime below LANE_BOUND
+    c3 = []  # (index in verdicts, v, r, _c3_split's value) of each split C3 prime
     for (i, v, r, _), basis in zip(pending, bases):
         try:
             if basis is None:
                 raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
-            if v < LANE_BOUND:
-                c3.append((i, v, r, _c3_split(cd, v, basis)))
-            else:
-                verdicts[i] = _c3_verdict(cd, v, r, basis)
+            c3.append((i, v, r, _c3_split(cd, v, basis)))
         except FieldError as exc:
             verdicts[i] = _fallback(cd, v, exc)
             fallbacks += 1
@@ -930,41 +927,34 @@ PRODUCT_BOUND = 2**63  # T y is formed in int64 where max|T| * n * max|y| stays 
 
 
 def _transformed(bases, transforms):
-    """Yield T y for each n x n basis y and its certified int64 transform T; None where T is None.
+    """Yield T y for each n x n int64 basis y and its certified transform T; None where T is None.
 
     Each entry of T y is a sum of n products T_ik y_kj, so every lattice
     with max|T| * n * max|y| < PRODUCT_BOUND, max|y| taken over the whole
     batch, has each partial sum in int64; those lattices are formed in
-    one numpy product, and any other (a basis entry beyond int64
-    included) with _combine.  The bases come one at a time, as tuples of
-    Python integers, so that a segment holds only its int64 products at
-    once.
+    one numpy product, and any other with _combine.  The reduced bases
+    come one at a time, as tuples of Python integers, so that a segment
+    holds only its int64 products at once.
     """
     import numpy as np
 
     lanes = [i for i, T in enumerate(transforms) if T is not None]
     inside = [False] * len(bases)
     if lanes:
-        n = len(bases[lanes[0]])
-        flat = itertools.chain.from_iterable
-        try:
-            y = np.fromiter(flat(flat(bases[i] for i in lanes)), np.int64).reshape(len(lanes), n, n)
-        except OverflowError:  # an entry beyond int64: every lattice through _combine
-            pass
-        else:
-            t = np.stack([transforms[i] for i in lanes])
-            limit = (PRODUCT_BOUND - 1) // (n * max(int(y.max()), -int(y.min()), 1))
-            ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
-            products = iter(t[ok] @ y[ok])
-            for i, good in zip(lanes, ok.tolist()):
-                inside[i] = good
+        y = np.stack([bases[i] for i in lanes])
+        t = np.stack([transforms[i] for i in lanes])
+        limit = (PRODUCT_BOUND - 1) // (y.shape[1] * max(int(y.max()), -int(y.min()), 1))
+        ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
+        products = iter(t[ok] @ y[ok])
+        for i, good in zip(lanes, ok.tolist()):
+            inside[i] = good
     for y, T, good in zip(bases, transforms, inside):
         if T is None:
             yield None
         elif good:
             yield list(map(tuple, next(products).tolist()))
         else:
-            yield [_combine(r, y) for r in T.tolist()]
+            yield [_combine(r, y.tolist()) for r in T.tolist()]
 
 
 def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
@@ -992,21 +982,23 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     by N itself.  Primes beyond the last checkpoint are never classified.
     Work is cut into fixed segments of CHUNK = 8000 integers (checkpoints
     always land on segment boundaries), so the merged rows do not depend
-    on the worker count.  Each segment is classified in three stages
-    (_count_segment), each run once over the segment: the gate, root and
-    v1 of all its primes in numpy lanes, with a per-prime route for any
-    the lanes do not certify; one batched float LLL over the segment's v1
-    lattices, which hands its certified transforms on as int64 arrays,
-    with T v1 formed in one int64 product; the split of each v1 from its
-    certified reduced basis with alpha's wild and ell_2 logs, then the
-    cube characters at v_2 of all the segment's split primes in int64
-    lanes.  A lattice's reduction does not depend on its batch, so the
-    output is the same however the segments fall.
+    on the worker count.  Each segment is classified by _count_segment
+    on two routes.  Its primes below LANE_BOUND = 2^30, the excluded ones
+    aside, go through three stages, each run once over the segment: the
+    gate, root and v1 of all of them in numpy lanes; one batched float
+    LLL over the segment's v1 lattices, which hands its certified
+    transforms on as int64 arrays, with T v1 formed in one int64 product;
+    the split of each v1 from its certified reduced basis with alpha's
+    wild and ell_2 logs, then the cube characters at v_2 of all the
+    segment's split primes in int64 lanes.  Every prime the lanes do not
+    take goes whole through fast_classify.  A lattice's reduction does
+    not depend on its batch, so the output is the same however the
+    segments fall.
     Pool workers receive cd itself, never reload the conductor, and take
     one segment per task.  Each segment returns its C3 records;
     _merge_segments counts them and, with `jsonl` (a path, or "-" for
     stdout), writes them in order as the segment is merged, so a census
-    holds one segment's records at a time.  A prime at which the fast
+    holds one segment's records at a time.  A prime at which either fast
     route raises FieldError (a zero character at v_2 included), or whose
     float reduction is not certified, is classified by classify_prime;
     the number of such fallbacks is logged at the end.

@@ -308,11 +308,12 @@ def ray_class_3_quotient(
     K = m.field
     blocks = _build_blocks(K, m.finite, wild)
     D = sum(b.dim for b in blocks)
-    fb_positions = tuple(j for j, P in enumerate(cg.factor_base) if not m.contains_prime(P))
+    in_modulus = [m.contains_prime(P) for P in cg.factor_base]
+    fb_positions = tuple(j for j, inside in enumerate(in_modulus) if not inside)
     ncols = D + len(fb_positions)
+    cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
 
     if cg.h % 3 == 0:
-        cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
         covered, _ = linalg.rref_mod_p(
             [[x % 3 for x in cg.coord_rows[j]] for j in fb_positions], len(cg.divisors), 3
         )
@@ -325,7 +326,8 @@ def ray_class_3_quotient(
             raise FieldError("unit not coprime to the modulus")
         rows.append(_local_row(blocks, unit, D) + [0] * len(fb_positions))
     for gen, vec in cg.relations:
-        if not _coprime_to_modulus(m, gen):
+        # (gen) = prod fb^vec exactly, so gen lies in a modulus prime only at a base prime
+        if any(e > 0 and inside for e, inside in zip(vec, in_modulus)):
             continue
         row = _local_row(blocks, gen, D)
         row.extend((-vec[j]) % 3 for j in fb_positions)
@@ -334,8 +336,7 @@ def ray_class_3_quotient(
     rref, pivots = linalg.rref_mod_p(rows, ncols, 3)
     free_cols = tuple(c for c in range(ncols) if c not in pivots)
     dim = len(free_cols)
-    cl3_bound = sum(1 for d in cg.divisors if d % 3 == 0)
-    if dim > D + cl3_bound:
+    if dim > D + cl3:
         raise FieldError("exact-sequence dimension bound violated")
     return RayClass3Quotient(
         modulus=m,

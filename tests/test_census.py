@@ -33,7 +33,7 @@ from a4census.census import (
     run_census,
     scan_conductors,
 )
-from a4census.config import Config, golden_rows
+from a4census.config import CACHE_ENV, Config, golden_rows, read_config, shipped_config
 from a4census.fields import (
     FieldError,
     factor_rational_prime,
@@ -352,7 +352,7 @@ def test_linear_gcd_lanes_agree_with_the_quartic_root():
 
 def test_closed_form_v1_lanes_match_degree3_prime():
     # the first nonzero coordinate of g(theta) picks the row, leading zeros
-    # included; the rows are tuples of Python integers
+    # included; the HNFs come as one int64 array
     rng = random.Random(5)
     rows, vs = [], []
     for p in (7, 10007, sympy.prevprime(census.LANE_BOUND)):
@@ -361,8 +361,8 @@ def test_closed_form_v1_lanes_match_degree3_prime():
                 rows.append([0] * zeros + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(3 - zeros)])
                 vs.append(p)
     got = census._degree3_prime_lanes(np.array(rows, dtype=np.int64), np.array(vs, dtype=np.int64))
-    assert got == [census._degree3_prime(g, p) for g, p in zip(rows, vs)]
-    assert all(type(c) is int for v1 in got for row in v1 for c in row)
+    assert got.dtype == np.int64 and got.shape == (len(rows), 4, 4)
+    assert got.tolist() == [list(map(list, census._degree3_prime(g, p))) for g, p in zip(rows, vs)]
 
 
 def test_excluded_primes_are_skipped(conductor):
@@ -635,7 +635,9 @@ def test_lane_products_match_combine(conductor, ell, lo):
     hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
     assert len(hnfs) > 100 and all(T is not None for T in transforms)
     got = list(census._transformed(hnfs, transforms))
-    want = [[classgroup._combine(t, y) for t in T.tolist()] for y, T in zip(hnfs, transforms)]
+    want = [
+        [classgroup._combine(t, y.tolist()) for t in T.tolist()] for y, T in zip(hnfs, transforms)
+    ]
     assert got == want
     assert all(type(c) is int for basis in got for row in basis for c in row)
     assert all(type(row) is tuple for basis in got for row in basis)
@@ -645,13 +647,12 @@ def test_lane_products_match_combine(conductor, ell, lo):
 def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch):
     # lattices whose max|T| * 4 * max|v1| (the largest v1 entry of the
     # segment) reaches a lowered bound are formed with _combine, the rest in
-    # int64, and the records are the same; so is a batch with a basis entry
-    # beyond int64
+    # int64, and the records are the same
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
     want = census._count_segment(cd, lo, hi)
     hnfs, transforms = _segment_lattices(cd, lo, hi)
-    top = max(c for y in hnfs for row in y for c in row)
+    top = max(int(y.max()) for y in hnfs)
     sizes = sorted(int(abs(T).max()) * 4 * top for T in transforms)
     bound = sizes[len(sizes) // 2]
     past = sum(size >= bound for size in sizes)
@@ -667,9 +668,6 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
     assert census._count_segment(cd, lo, hi) == want
     assert 0 < past < len(sizes)
     assert len(combined) == 4 * past
-    huge = ((2**63, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    got = list(census._transformed([huge, hnfs[1]], transforms[:2]))
-    assert got == [[combine(t, y) for t in T.tolist()] for y, T in zip([huge, hnfs[1]], transforms)]
 
 
 def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
@@ -753,39 +751,97 @@ def test_a_root_failure_still_aborts_the_census(conductor, monkeypatch, workers)
     assert exc.value.check == "root"
 
 
+def _irregular(cd, v):
+    # the lanes' Euclid on v alone: True where its degree sequence is not 4, 3, 2, 1
+    lane = np.array([v], dtype=np.int64)
+    return not census._linear_gcd_lanes([c % lane for c in cd.F.poly[:4]], lane)[2][0]
+
+
+def _whole(monkeypatch):
+    # the primes that go whole through fast_classify, in order
+    seen = []
+
+    def recorded(cd_, v):
+        seen.append(v)
+        return fast_classify(cd_, v)
+
+    monkeypatch.setattr(census, "fast_classify", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("ell", CONDUCTORS)
 @pytest.mark.parametrize("lo", [0, 10**6, 10**7, 10**8])
 def test_lanes_match_the_per_prime_setup(conductor, ell, lo):
-    # every prime of (lo, lo + 8000]: the lanes give _c3_setup's value, or
-    # None for the primes up to max(3, ell, index), which hold the excluded
-    # ones (2 divides 277's index 4, 3 and ell); values are Python integers
+    # every prime of (lo, lo + 8000]: the lanes give _c3_setup's value, v1
+    # as a 4 x 4 int64 array, or None for an excluded prime (2 divides
+    # 277's index 4, 3 and ell) and for a C3 prime whose Euclid sequence is
+    # irregular, which happens here only at small primes (19 for 163, 7
+    # and 241 for 349)
     cd = conductor(ell)
     primes = arith.primes_in_range(lo + 1, lo + 8001)
     got = census._c3_setup_lanes(cd, primes)
     assert len(got) == len(primes)
-    small = max(3, ell, cd.F.index)
+    refused = []
     c3 = 0
     for v, pre in zip(primes, got):
-        if v <= small:
+        if pre is None or cd.excluded(v):
             assert pre is None, v
+            assert cd.excluded(v) or (fast_classify(cd, v).in_C3 and _irregular(cd, v)), v
+            refused.append(v)
             continue
-        assert pre == census._c3_setup(cd, v), v
-        if not isinstance(pre, PrimeClassification):
-            c3 += 1
-            r, v1 = pre
-            assert type(r) is int and all(type(c) is int for row in v1 for c in row), v
-            assert all(type(row) is tuple for row in v1), v
+        want = census._c3_setup(cd, v)
+        if isinstance(pre, PrimeClassification):
+            assert pre == want, v
+            continue
+        c3 += 1
+        r, v1 = pre
+        assert (r, v1.tolist()) == (want[0], list(map(list, want[1]))), v
+        assert type(r) is int and v1.dtype == np.int64 and v1.shape == (4, 4), v
     assert c3 > 100
-    if lo == 0:
-        excluded = {v for v in primes if cd.excluded(v)}
-        assert {3, ell} <= excluded and (ell != 277 or 2 in excluded)
-        assert max(excluded) <= small
+    if lo:
+        assert refused == []
+    else:
+        assert {3, ell} <= set(refused) and (ell != 277 or 2 in refused)
+        assert len(refused) <= 4
 
 
-def test_lanes_stop_at_the_int64_guard(conductor):
-    # a segment that straddles LANE_BOUND: the primes above it go through
-    # _c3_setup, and the segment equals fast_classify prime by prime
+def test_lanes_take_every_prime_of_the_first_segment_but_2_3_and_ell(conductor, monkeypatch):
+    # (0, 8000] for 277, whose F has index 4: exactly 2, 3 and 277 go whole
+    # through fast_classify, which skips them, and the lanes take the rest
     cd = conductor(277)
+    assert cd.F.index == 4
+    want = census._count_segment(cd, 0, 8000)
+    whole = _whole(monkeypatch)
+    assert census._count_segment(cd, 0, 8000) == want
+    assert whole == [2, 3, 277]
+    assert want[1] == len(arith.primes_in_range(1, 8001)) - 3 and want[2] == 0
+
+
+def test_lanes_of_an_index_64_quartic_refuse_its_excluded_and_irregular_primes(tmp_path, monkeypatch):
+    # 163 loaded from an INI whose quartic is f(x/2) * 16, the same F on
+    # Z[2 theta] of index 64: the lanes refuse 2, 3 and 163, and besides
+    # them only the C3 primes whose Euclid sequence is irregular (19 and
+    # 23689 below 5*10^4); the golden rows to 5*10^4 are unchanged
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    scaled = [c * 2 ** (4 - i) for i, c in enumerate(shipped_config(163).quartic_poly)]
+    ini = tmp_path / "index64.ini"
+    ini.write_text(f"[conductor]\nell = 163\nquartic_poly = {' '.join(map(str, scaled))}\n")
+    cd = load_conductor(read_config(ini))
+    assert cd.F.index == 64 and tuple(cd.F.poly) == tuple(scaled)
+    primes = arith.primes_in_range(1, 50001)
+    refused = [v for v, pre in zip(primes, census._c3_setup_lanes(cd, primes)) if pre is None]
+    assert [v for v in primes if cd.excluded(v)] == [2, 3, 163]
+    assert refused == [2, 3, 19, 163, 23689]
+    assert all(fast_classify(cd, v).in_C3 and _irregular(cd, v) for v in (19, 23689))
+    assert census_csv(run_census(cd, 50000)).splitlines() == golden_rows(163)[:4]
+
+
+def test_lanes_stop_at_the_int64_guard(conductor, monkeypatch):
+    # a segment that straddles LANE_BOUND = 2^30: exactly the primes past it
+    # go whole through fast_classify, and the segment equals fast_classify
+    # prime by prime
+    cd = conductor(277)
+    assert census.LANE_BOUND == 2**30
     lo, hi = census.LANE_BOUND - 4000, census.LANE_BOUND + 4000
     primes = arith.primes_in_range(lo + 1, hi + 1)
     got = census._c3_setup_lanes(cd, primes)
@@ -793,12 +849,14 @@ def test_lanes_stop_at_the_int64_guard(conductor):
     assert any(v >= census.LANE_BOUND for v in primes) and primes[0] < census.LANE_BOUND
     want = [fast_classify(cd, v) for v in primes]
     records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in want if pc.in_C3]
+    whole = _whole(monkeypatch)
     assert census._count_segment(cd, lo, hi) == (records, len(primes), 0)
+    assert whole == [v for v in primes if v >= census.LANE_BOUND]
 
 
 def test_an_irregular_lane_goes_through_the_per_prime_setup(conductor, monkeypatch):
-    # a lane marked irregular is set up by _c3_setup itself, with the same
-    # records, counts and no fallback
+    # a lane marked irregular goes whole through fast_classify, which sets it
+    # up with _c3_setup, with the same records, counts and no fallback
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     want = census._count_segment(cd, 0, 8000)
@@ -808,7 +866,7 @@ def test_an_irregular_lane_goes_through_the_per_prime_setup(conductor, monkeypat
     _mark_lane_irregular(monkeypatch, bad)
     assert census._count_segment(cd, 0, 8000) == want
     assert want[2] == 0
-    assert [v for v in seen if v > 277] == [bad]
+    assert seen == [2, 3, 277, bad]
 
 
 @pytest.mark.parametrize("check", ["v1-norm", "root"])
@@ -898,9 +956,10 @@ def test_mod_lanes_reduce_integers_of_any_size():
 
 
 def test_verdict_lanes_stop_at_the_lane_bound(conductor, monkeypatch):
-    # with LANE_BOUND lowered into a window, exactly its C3 primes at or
-    # past the bound go through _c3_verdict, the rest through the lanes,
-    # and the records are the same
+    # with LANE_BOUND lowered into a window, exactly its primes at or past
+    # the bound go whole through fast_classify, and its C3 primes among them
+    # through _c3_verdict; the rest go through the lanes, and the records
+    # are the same
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
     want = census._count_segment(cd, lo, hi)
@@ -914,8 +973,10 @@ def test_verdict_lanes_stop_at_the_lane_bound(conductor, monkeypatch):
 
     monkeypatch.setattr(census, "LANE_BOUND", bound)
     monkeypatch.setattr(census, "_c3_verdict", recorded)
+    whole = _whole(monkeypatch)
     assert census._count_segment(cd, lo, hi) == want
     c3 = [v for v, *_ in want[0]]
+    assert whole == [v for v in arith.primes_in_range(lo + 1, hi + 1) if v >= bound]
     assert scalar == [v for v in c3 if v >= bound]
     assert 0 < len(scalar) < len(c3)
 

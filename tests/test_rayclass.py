@@ -141,6 +141,49 @@ def test_artin_vector_takes_the_hnf_test_only_where_the_norms_meet(ell, conducto
         assert sorted(tested) == norms
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_relations_prime_to_the_modulus_are_read_off_their_valuations(ell, conductor):
+    # a relation generator lies in a modulus prime exactly when that prime
+    # is in the factor base with a positive entry in the generator's
+    # valuation vector, as ray_class_3_quotient reads it; the fixed
+    # quotient and the moving quotients of 20 C3 primes above 10^6 equal
+    # those built from the relations that element_in_prime finds prime to
+    # the modulus
+    cd = conductor(ell)
+    F, cg = cd.F, cd.cg
+    moduli = [cd.fixed_q.modulus]
+    for v in arith.primes_in_range(10**6, 10**6 + 10**4):
+        primes = factor_rational_prime(F, v)
+        if sorted(P.f for P in primes) == [1, 3]:
+            v2 = next(P for P in primes if P.f == 1)
+            moduli.append(Modulus(F, ((cd.p31, 2), (v2, 1))))
+        if len(moduli) == 21:
+            break
+    assert len(moduli) == 21
+    keys = [P.key() for P in cg.factor_base]
+    skipped = 0
+    for m in moduli:
+        kept = []
+        for gen, vec in cg.relations:
+            inside = [element_in_prime(P, gen) for P, _ in m.finite]
+            assert inside == [
+                P.key() in keys and vec[keys.index(P.key())] > 0 for P, _ in m.finite
+            ]
+            if not any(inside):
+                kept.append((gen, vec))
+        skipped += len(cg.relations) - len(kept)
+        filtered = dataclasses.replace(cg, relations=tuple(kept))
+        want = ray_class_3_quotient(m, filtered, cd.u, cd.wild)
+        got = ray_class_3_quotient(m, cg, cd.u, cd.wild)
+        shape = (want.rel_rref, want.rel_pivots, want.free_cols, want.dim)
+        assert (got.rel_rref, got.rel_pivots, got.free_cols, got.dim) == shape
+        if m is cd.fixed_q.modulus:  # the load's own
+            q = cd.fixed_q
+            assert (q.rel_rref, q.rel_pivots, q.free_cols, q.dim) == shape
+    # 3_1 (norm 27) is in the factor base of 349 only
+    assert (skipped > 0) == (cd.p31.key() in keys) == (ell == 349)
+
+
 def test_brute_force_span_on_fixed_modulus(conductor):
     cd = conductor(163)
     assert brute_force_spans(cd.fixed_q)
