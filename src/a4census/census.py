@@ -356,7 +356,11 @@ def load_conductor(config) -> ConductorData:
 
 
 def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
-    """Classify one auxiliary prime through the full ray-class machinery."""
+    """Classify one auxiliary prime through the full ray-class machinery.
+
+    The HNF of v1 is LLL-reduced once, exactly (classgroup._reduced_basis),
+    and both Artin vectors search that basis of norm v^3 as it is.
+    """
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
         return PrimeClassification(v, False, skipped=True)
@@ -369,8 +373,9 @@ def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
     v2 = next(P for P in primes if P.f == 1)
 
     moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
-    in_lambda = any(artin_vector(moving, list(v1.hnf)))
-    in_taubar = not any(artin_vector(cd.fixed_q, list(v1.hnf)))
+    red = _reduced_basis(cd.F, list(v1.hnf))[0]
+    in_lambda = any(artin_vector(moving, red, norm=v1.norm))
+    in_taubar = not any(artin_vector(cd.fixed_q, red, norm=v1.norm))
     return PrimeClassification(v, True, in_lambda, in_taubar)
 
 

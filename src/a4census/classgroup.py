@@ -14,13 +14,14 @@ basis is LLL-reduced once, and each round doubles the trace-form bound
 and yields only the coefficient vectors above the previous bound.  The
 relation harvest keeps one stream per source lattice, unit_group reads
 one over the maximal order, and ideal_short_elements reads one after
-its coefficient boxes.  The fast classifier alone (census._c3_split)
-hands smooth_split a basis that is already reduced, by the certified
-float LLL of linalg.lll_float_batch in the census and by _reduced_basis
-in census.fast_classify, together with its norm N(v1) = v^3, which
-every such basis keeps (the HNF times a unimodular transform).  That
-basis is searched as it is, and its exact Gram and determinant are
-formed only if the coefficient boxes run out.
+its coefficient boxes.  Both classifiers hand smooth_split a basis of
+v1 that is already reduced, together with its norm N(v1) = v^3, which
+every such basis keeps (the HNF times a unimodular transform): the
+census by the certified float LLL of linalg.lll_float_batch,
+census.fast_classify and census.classify_prime (through
+rayclass.artin_vector) by one _reduced_basis.  That basis is searched as
+it is, and its exact Gram and determinant are formed only if the
+coefficient boxes run out.
 
 ClassGroupData carries the factor-base context it was built on, so an
 ideal class is read off without refactoring the rational primes below
@@ -444,7 +445,8 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None):
     gives `norm` states that A is an already reduced basis of an ideal
     of that norm, which is then searched as it is (ideal_short_elements
     with `reduced`): census._c3_split, with N(v1) = v^3 for a basis
-    that is v1's HNF times a unimodular transform.  The checks on each
+    that is v1's HNF times a unimodular transform, and
+    rayclass.artin_vector for census.classify_prime.  The checks on each
     candidate are the same either way.
     """
     K = cg.field

@@ -857,53 +857,69 @@ def _rational_roots(f):
 def quartic_field_search(ell: int) -> NumberField:
     """Exhaustive search for the totally real A4 quartic field of disc ell^2.
 
-    Scans monic quartics with the cubic coefficient translation-normalised
-    into {0, 1, -1, -2} and the rest in [-B, B], B = QUARTIC_COEFF_BOUND,
-    in a fixed lexicographic order.  Among hits (irreducible, totally real,
-    Galois group A4 by a square discriminant and an irreducible resolvent
-    cubic, field discriminant exactly ell^2) the first one with order
-    index 1 wins, falling back to the first hit; either rule makes the
-    result deterministic.  The winner's resolvent cubic is verified to
-    define a cubic field of discriminant ell^2 as well.
+    Scans monic quartics x^4 + a x^3 + b x^2 + c x + d with the cubic
+    coefficient a translation-normalised into {0, 1, -1, -2} and the rest
+    in [-B, B], B = QUARTIC_COEFF_BOUND, in the fixed order (a, b, c, d).
+    The polynomial discriminant D, taken from the resolvent cubic
+    y^3 + r2 y^2 + r1 y + r0, is screened in numpy int64 planes: r1 and
+    4 r1^3 once per a over the 41 x 41 grid of (c, d), then D for each b
+    on that plane (test_fields checks that |D| stays below 2^63 at B).
+    The survivors D > 0 with ell^2 | D come in the loop's (c, d) order
+    and meet the exact checks: D = s^2 with ell | s, irreducible, totally
+    real, resolvent cubic without a rational root (so A4), and field
+    discriminant exactly ell^2.  The first hit of order index 1 wins,
+    falling back to the first hit; either rule makes the result
+    deterministic.  A field of discriminant ell^2 has D = index^2 ell^2,
+    so once a first hit is held only D = ell^2 can still win, and no
+    other candidate is built.  The winner's resolvent cubic is verified
+    to define a cubic field of discriminant ell^2 as well.
 
     This is a pure coefficient search: the caller screens the
     class-number condition (4 divides h of the cubic subfield) first,
     because without it no such field exists and the scan finds nothing
     (census.load_conductor, tag `class-number`).
     """
+    # Imported here for the reason given in linalg.lll_float_batch.
+    import numpy as np
+
     ell2 = ell * ell
+    bound = QUARTIC_COEFF_BOUND
+    coeffs = range(-bound, bound + 1)
+    grid = np.arange(-bound, bound + 1, dtype=np.int64)
+    c_plane, d_plane = grid[:, None], grid[None, :]
 
     def scan():
         first_hit = None
-        rng = range(-QUARTIC_COEFF_BOUND, QUARTIC_COEFF_BOUND + 1)
         for a in (0, 1, -1, -2):
-            for b in rng:
-                for c in rng:
-                    for d in rng:
-                        # poly disc via the resolvent cubic y^3 + r2 y^2 + r1 y + r0
-                        r2 = -b
-                        r1 = a * c - 4 * d
-                        r0 = -(a * a * d - 4 * b * d + c * c)
-                        disc = 18 * r2 * r1 * r0 - 4 * r2**3 * r0 + r2 * r2 * r1 * r1 - 4 * r1**3 - 27 * r0 * r0
-                        if disc <= 0 or disc % ell2:
-                            continue
-                        s = math.isqrt(disc)
-                        if s * s != disc or s % ell:
-                            continue
-                        f = (d, c, b, a, 1)
-                        if not is_irreducible(f):
-                            continue
-                        if not is_totally_real(f):
-                            continue
-                        if _rational_roots((r0, r1, r2, 1)):
-                            continue  # resolvent reducible: not A4
-                        K = new_number_field(f)
-                        if K.disc != ell2:
-                            continue
-                        if K.index == 1:
-                            return K
-                        if first_hit is None:
-                            first_hit = K
+            r1 = a * c_plane - 4 * d_plane
+            r1_sq = r1 * r1
+            r1_cube4 = 4 * r1_sq * r1
+            for b in coeffs:
+                r2 = -b
+                r0 = (4 * b - a * a) * d_plane - c_plane * c_plane
+                disc = (18 * r2 * r1 - 4 * r2**3 - 27 * r0) * r0 + r2 * r2 * r1_sq - r1_cube4
+                for k in np.flatnonzero((disc > 0) & (disc % ell2 == 0)).tolist():
+                    D = int(disc.flat[k])
+                    if first_hit is not None and D != ell2:
+                        continue  # index > 1: cannot beat the first hit
+                    s = math.isqrt(D)
+                    if s * s != D or s % ell:
+                        continue
+                    c, d = coeffs[k // len(coeffs)], coeffs[k % len(coeffs)]
+                    f = (d, c, b, a, 1)
+                    if not is_irreducible(f):
+                        continue
+                    if not is_totally_real(f):
+                        continue
+                    if _rational_roots(resolvent_cubic(f)):
+                        continue  # resolvent reducible: not A4
+                    K = new_number_field(f)
+                    if K.disc != ell2:
+                        continue
+                    if K.index == 1:
+                        return K
+                    if first_hit is None:
+                        first_hit = K
         return first_hit
 
     K = scan()

@@ -360,7 +360,7 @@ def _local_row(blocks, el, D):
     return row
 
 
-def artin_vector(q: RayClass3Quotient, A):
+def artin_vector(q: RayClass3Quotient, A, *, norm=None):
     """Image of the class of the ideal A in the F_3 quotient.
 
     A, a square basis of an integral ideal, must be coprime to the
@@ -371,11 +371,14 @@ def artin_vector(q: RayClass3Quotient, A):
     group's own factor-base context: a short alpha in A, coprime to the
     modulus, whose cofactor (alpha)/A factors over the factor base; the
     vector pairs the local log of alpha against the cofactor valuations
-    at the primes coprime to the modulus.
+    at the primes coprime to the modulus.  A caller that gives `norm`
+    states that A is an already reduced basis of an ideal of that norm,
+    as for smooth_split, which then searches it as it is; no determinant
+    is taken (census.classify_prime, with N(v1) = v^3).
     """
     K = q.cg.field
     m = q.modulus
-    nA = abs(arith.det_bareiss(A))
+    nA = abs(arith.det_bareiss(A)) if norm is None else norm
     for P, _ in m.finite:
         if math.gcd(P.norm, nA) == 1:
             continue
@@ -384,7 +387,7 @@ def artin_vector(q: RayClass3Quotient, A):
             raise FieldError("ideal is not coprime to the modulus")
     if q.dim == 0:
         return ()
-    split = smooth_split(q.cg, A, usable=lambda el, _cofactor_norm: _coprime_to_modulus(m, el))
+    split = smooth_split(q.cg, A, usable=lambda el, _cofactor_norm: _coprime_to_modulus(m, el), norm=norm)
     if split is None:
         raise FieldError("no smooth coprime representative found for the Artin input")
     alpha, cof_vec = split

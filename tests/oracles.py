@@ -24,6 +24,10 @@ a test oracle:
 - loop_rref_mod_p: Gauss-Jordan elimination over F_p on Python lists, one
   row at a time (linalg.rref_mod_p eliminates a whole numpy array per
   pivot);
+- loop_quartic_field_search: the coefficient search over all 4 * 41^3
+  quartics one at a time in Python, each discriminant from the resolvent
+  cubic (fields.quartic_field_search screens them in numpy int64 planes
+  and builds no field that cannot beat its first hit);
 - divmod_pm_pow: f^e mod (mod, p) by square and multiply through the
   generic pm_mul and pm_divmod (arith.pm_pow makes the modulus monic once
   and folds each product by it).
@@ -33,7 +37,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from a4census import arith, linalg
+from a4census import arith, fields, linalg
 from a4census.classgroup import ideal_class_coordinates, ideal_short_elements
 from a4census.fields import FieldError, QuotientRing, factor_rational_prime, ideal_mul, ideal_pow
 from a4census.rayclass import _LatticeQuotientF3, artin_vector
@@ -264,3 +268,43 @@ def divmod_pm_pow(f, e, mod, p):
         f = arith.pm_divmod(arith.pm_mul(f, f, p), mod, p)[1]
         e >>= 1
     return result
+
+
+def loop_quartic_field_search(ell):
+    """First totally real A4 quartic of field disc ell^2 in the search box.
+
+    Same box and order as fields.quartic_field_search (bound read from
+    fields.QUARTIC_COEFF_BOUND at call time): the first hit of index 1,
+    else the first hit, else FieldError.
+    """
+    ell2 = ell * ell
+    first_hit = None
+    rng = range(-fields.QUARTIC_COEFF_BOUND, fields.QUARTIC_COEFF_BOUND + 1)
+    for a in (0, 1, -1, -2):
+        for b in rng:
+            for c in rng:
+                for d in rng:
+                    r2 = -b
+                    r1 = a * c - 4 * d
+                    r0 = -(a * a * d - 4 * b * d + c * c)
+                    disc = 18 * r2 * r1 * r0 - 4 * r2**3 * r0 + r2 * r2 * r1 * r1 - 4 * r1**3 - 27 * r0 * r0
+                    if disc <= 0 or disc % ell2:
+                        continue
+                    s = math.isqrt(disc)
+                    if s * s != disc or s % ell:
+                        continue
+                    f = (d, c, b, a, 1)
+                    if not fields.is_irreducible(f) or not fields.is_totally_real(f):
+                        continue
+                    if fields._rational_roots((r0, r1, r2, 1)):
+                        continue
+                    K = fields.new_number_field(f)
+                    if K.disc != ell2:
+                        continue
+                    if K.index == 1:
+                        return K
+                    if first_hit is None:
+                        first_hit = K
+    if first_hit is None:
+        raise FieldError(f"no A4 quartic of discriminant {ell}^2 in the search box")
+    return first_hit

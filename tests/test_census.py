@@ -426,6 +426,41 @@ def test_classify_prime_builds_no_wild_block(conductor, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_classify_prime_reduces_v1_once(conductor, ell, monkeypatch):
+    # one exact LLL of v1's HNF serves both Artin vectors
+    cd = conductor(ell)
+    calls = []
+    lll_gram = linalg.lll_gram
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lll_gram(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lll_gram", counting)
+    for v in _c3_primes(cd, 10**6, 10**6 + 10**4, count=5):
+        del calls[:]
+        assert classify_prime(cd, v).in_C3
+        assert len(calls) == 1, v
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_artin_vector_of_a_reduced_basis_with_its_norm(conductor, ell):
+    # given norm=, artin_vector searches the basis as it is: the same
+    # vectors as from the HNF, which it reduces itself
+    cd = conductor(ell)
+    for v in _c3_primes(cd, 10**6, 10**6 + 10**4, count=5):
+        primes = factor_rational_prime(cd.F, v)
+        v1 = next(P for P in primes if P.f == 3)
+        v2 = next(P for P in primes if P.f == 1)
+        moving = rayclass.ray_class_3_quotient(
+            rayclass.Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild
+        )
+        red = classgroup._reduced_basis(cd.F, list(v1.hnf))[0]
+        for q in (moving, cd.fixed_q):
+            assert rayclass.artin_vector(q, red, norm=v**3) == rayclass.artin_vector(q, list(v1.hnf)), v
+
+
 def test_each_load_builds_its_own_wild_block(conductor):
     cd = conductor(163)
     again = load_conductor(163)

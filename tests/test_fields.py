@@ -25,7 +25,7 @@ from a4census.fields import (
     splitting_pattern,
 )
 
-from oracles import powering_valuation
+from oracles import loop_quartic_field_search, powering_valuation
 
 X = sympy.symbols("x")
 
@@ -197,6 +197,56 @@ def test_quartic_277_has_nontrivial_index():
     F = quartic_field_search(277)
     assert F.index == 4
     assert F.index % 2 == 0  # v = 2 must be excluded from its census
+
+
+def _search_outcome(search, ell):
+    try:
+        return tuple(search(ell).poly)
+    except FieldError:
+        return "FieldError"
+
+
+# the conductors below 1000 whose scan row passes 4 | h(L)
+_SCAN_CONDUCTORS = (163, 277, 349, 397, 547, 607, 709, 853, 937)
+
+
+@pytest.mark.parametrize("ell", _SCAN_CONDUCTORS)
+def test_quartic_search_matches_the_loop_oracle(ell, monkeypatch):
+    # bound 8 gives 163 another index-1 field, 12 gives 277 and 16 gives
+    # 397 an index-4 field under another polynomial than at 20; at 20,
+    # 163's first hit has index > 1 and a later one of index 1 wins, and
+    # 607 to 937 fail
+    for bound in (8, 12, 16, 20):
+        monkeypatch.setattr(fields, "QUARTIC_COEFF_BOUND", bound)
+        outcome = _search_outcome(quartic_field_search, ell)
+        assert outcome == _search_outcome(loop_quartic_field_search, ell), (ell, bound)
+
+
+@pytest.mark.parametrize("ell, quartics", [(163, 2), (277, 1), (397, 1), (547, 1)])
+def test_quartic_search_builds_no_field_that_cannot_beat_its_first_hit(ell, quartics, monkeypatch):
+    # once a hit is held only D = ell^2 (index 1) can still win; the loop
+    # built 5 quartic fields for 277 and 4 for 397
+    degrees = []
+    build = fields.new_number_field
+
+    def counting(f):
+        degrees.append(len(f) - 1)
+        return build(f)
+
+    monkeypatch.setattr(fields, "new_number_field", counting)
+    quartic_field_search(ell)
+    assert degrees.count(4) == quartics
+    assert degrees.count(3) == 1  # the winner's resolvent cubic
+
+
+def test_quartic_search_discriminants_fit_int64():
+    # |r2| <= B, |r1| = |a c - 4 d| <= 6B and |r0| = |(4b - a^2) d - c^2|
+    # <= 5B^2 + 4B bound every term of the screen's
+    # (18 r2 r1 - 4 r2^3 - 27 r0) r0 + r2^2 r1^2 - 4 r1^3
+    B = fields.QUARTIC_COEFF_BOUND
+    r2, r1, r0 = B, 6 * B, 5 * B * B + 4 * B
+    largest = (18 * r2 * r1 + 4 * r2**3 + 27 * r0) * r0 + r2 * r2 * r1 * r1 + 4 * r1**3
+    assert largest < 2**63
 
 
 # ---------------------------------------------------------------------------
