@@ -318,8 +318,11 @@ def pm_pow(f, e, mod, p):
     degree.  Each product is then one fused step: the schoolbook product
     of two residues, folded from the top down by that identity, with one
     reduction mod p per coefficient.  f**0 is (1,) whatever the modulus,
-    and a modulus that vanishes mod p raises ZeroDivisionError.
+    and a modulus that vanishes mod p raises ZeroDivisionError.  A
+    negative e raises ValueError.
     """
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     f = pm_divmod(f, mod, p)[1]
     if not e:
         return (1,)

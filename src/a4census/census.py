@@ -78,6 +78,7 @@ import logging
 import math
 import operator
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -202,6 +203,8 @@ class ConductorData:
     certs: tuple
     shanks_a: object
     frame: tuple  # float Cholesky factor of F.trace_gram: real coordinates for the census LLL
+    # (stage, wall seconds) of this load, in order; reported, never cached or written out
+    stage_seconds: tuple
 
     @property
     def is_shanks(self) -> bool:
@@ -232,12 +235,28 @@ def load_conductor(config) -> ConductorData:
     group of its own, and the searched F is used as returned.  A cold
     load writes the record {L, F}; the fields are re-verified on every
     read.
+
+    The wall seconds of each stage are kept in `stage_seconds`, in load
+    order: h(L) (the cache read, L and its class group), F (the search or
+    read and its checks), h(F), saturated units (search and 3-saturation),
+    stability (3_1, ell_2, the wild block and modulus_stability_check),
+    fixed quotient (with the unit spans) and certificates.  The cache
+    write after them is not timed.
     """
     if isinstance(config, int):
         config = conductor_config(config)
     ell = config.ell
     if not arith.is_prime(ell) or ell % 3 != 1:
         raise VerificationError("conductor", f"conductor {ell} is not a prime = 1 mod 3")
+
+    stages = []
+    clock = time.perf_counter()
+
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        stages.append((stage, now - clock))
+        clock = now
 
     cached = cache_read(ell) if config.use_cache else None
 
@@ -259,6 +278,7 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "class-number", f"h(L) = {cg_L.h} is not divisible by 4 for ell = {ell}"
         )
+    lap("h(L)")
 
     if config.quartic_poly is not None:
         F = new_number_field(tuple(config.quartic_poly))
@@ -278,18 +298,21 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "splitting-ell", f"{ell} does not factor as ell_1 * ell_2^3 in F"
         )
+    lap("F")
 
     cg = class_group(F)
     if cg.h % 3 == 0:
         raise VerificationError(
             "class-3part", f"h(F) = {cg.h} is divisible by 3; certificates need 3 invertible"
         )
+    lap("h(F)")
 
     if config.units is not None:
         for cand in config.units:
             if len(cand) != F.degree or abs(F.el_norm(tuple(cand))) != 1:
                 raise VerificationError("units", f"supplied candidate {cand} is not a unit of F")
     u = unit_group(F, seed_candidates=tuple(config.units or ()))
+    lap("saturated units")
 
     p31 = next(P for P in factor_rational_prime(F, 3) if P.f == 3)
     l2 = next(P for P in factor_rational_prime(F, ell) if P.e == 3)
@@ -299,6 +322,7 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "stability", "ray class quotient still grows from exponent 2 to 3 at 3_1"
         )
+    lap("stability")
 
     fixed_q = ray_class_3_quotient(Modulus(F, ((p31, 2), (l2, 1))), cg, u, wild)
     if fixed_q.dim != 1:
@@ -323,10 +347,12 @@ def load_conductor(config) -> ConductorData:
         raise VerificationError(
             "fixed-dim", "unit images do not cut the fixed quotient to one dimension"
         )
+    lap("fixed quotient")
     certs = tuple(
         None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q, coords)
         for Q, coords in zip(cg.factor_base, cg.coord_rows)
     )
+    lap("certificates")
 
     cd = ConductorData(
         ell=ell,
@@ -345,6 +371,7 @@ def load_conductor(config) -> ConductorData:
         certs=certs,
         shanks_a=shanks_param(ell),
         frame=linalg.cholesky_float(F.trace_gram),
+        stage_seconds=tuple(stages),
     )
     if config.use_cache and cached is None:
         cache_write(ell, {"L": field_to_record(L), "F": field_to_record(F)})

@@ -90,6 +90,7 @@ __all__ = [
     "ideal_short_elements",
     "smooth_split",
     "unit_group",
+    "cube_root_frame",
     "exact_cube_root",
     "saturate_units_at_3",
 ]
@@ -494,7 +495,8 @@ def unit_group(K: NumberField, seed_candidates=()) -> UnitData:
     basis when it raises the rank of the log-embedding lattice, certified
     by the Gram determinant staying above the numerical noise floor.
     K's real embeddings (K.embeddings) are computed once and serve
-    both the logarithms and the 3-saturation.
+    both the logarithms and the 3-saturation, whose basis-at-embeddings
+    matrix and its inverse (cube_root_frame) are formed once from them.
     """
     n = K.degree
     rank = n - 1
@@ -532,44 +534,53 @@ def unit_group(K: NumberField, seed_candidates=()) -> UnitData:
     with mpmath.workdps(EMBEDDING_DIGITS):
         reg = abs(mpmath.det(mpmath.matrix([r[:rank] for r in found_rows])))
     # each swap takes a cube root, so the unit lattice index drops by 3
-    units, swaps = saturate_units_at_3(K, found, roots)
+    units, swaps = saturate_units_at_3(K, found, cube_root_frame(K, roots))
     return UnitData(
         fundamental_units=units, regulator_estimate=float(reg) / 3**swaps, rank=rank
     )
 
 
-def exact_cube_root(K: NumberField, u, roots):
+def cube_root_frame(K: NumberField, roots):
+    """(B, B^-1): B[r][b] is basis element b of K at the real root r.
+
+    Formed once, at EMBEDDING_DIGITS, from `roots` = K.embeddings(), for
+    every exact_cube_root of one saturation.  B is invertible because
+    det(B)^2 = disc K != 0.
+    """
+    n = K.degree
+    with mpmath.workdps(EMBEDDING_DIGITS):
+        basis = mpmath.matrix(n, n)
+        for r_i, r in enumerate(roots):
+            for b_i, row in enumerate(K.basis_num):
+                basis[r_i, b_i] = mpmath.fsum(c * r**j for j, c in enumerate(row)) / K.basis_den
+        return basis, mpmath.inverse(basis)
+
+
+def exact_cube_root(K: NumberField, u, frame):
     """y with y^3 = u in the maximal order, or None.  Exactly verified.
 
-    `roots` are K's real embeddings, K.embeddings().
+    `frame` is cube_root_frame(K, K.embeddings()).  The candidate is
+    B^-1 applied to the real cube roots of u's values B u, rounded to
+    integers; it is returned only if its cube is u exactly.
     """
+    basis, inverse = frame
     with mpmath.workdps(EMBEDDING_DIGITS):
-        vals = K.embed_element(u, roots)
+        vals = basis * mpmath.matrix(list(u))
         # real cube root; mpmath.cbrt would pick the complex principal root
-        targets = [mpmath.sign(v) * mpmath.cbrt(abs(v)) for v in vals]
-        basis = mpmath.matrix(K.degree, K.degree)
-        for r_i, r in enumerate(roots):
-            for b_i in range(K.degree):
-                basis[r_i, b_i] = (
-                    mpmath.fsum(K.basis_num[b_i][j] * r**j for j in range(K.degree)) / K.basis_den
-                )
-        try:
-            sol = mpmath.lu_solve(basis, mpmath.matrix(targets))
-        except ZeroDivisionError:
-            return None
-        cand = tuple(int(mpmath.nint(x)) for x in sol)
+        targets = mpmath.matrix([mpmath.sign(v) * mpmath.cbrt(abs(v)) for v in vals])
+        cand = tuple(int(mpmath.nint(x)) for x in inverse * targets)
     if K.el_pow(cand, 3) == tuple(u):
         return cand
     return None
 
 
-def saturate_units_at_3(K: NumberField, units, roots):
+def saturate_units_at_3(K: NumberField, units, frame):
     """3-saturate the unit lattice: while some product of the generators
     (exponents in {0,1,2}, leading exponent 1) is a cube in the order,
     swap the cube root in.  Returns (units, number of swaps).
 
-    `roots` are K's real embeddings, K.embeddings(),
-    computed once by the caller and shared by every exact_cube_root.
+    `frame` is cube_root_frame(K, K.embeddings()), formed once by the
+    caller and shared by every exact_cube_root.
     """
     units = [tuple(u) for u in units]
     swaps = 0
@@ -580,7 +591,7 @@ def saturate_units_at_3(K: NumberField, units, roots):
             for u, e in zip(units, exps):
                 for _ in range(e):
                     w = K.el_mul(w, u)
-            y = exact_cube_root(K, w, roots)
+            y = exact_cube_root(K, w, frame)
             if y is not None:
                 hit = (exps, y)
                 break

@@ -205,7 +205,9 @@ def _cmd_verify_field(args) -> int:
         f"  ray class     fixed-modulus quotient has dimension 1",
         f"  stability     presentation stable under modulus exponent 3",
         f"  shanks        a = {cd.shanks_a}" if cd.is_shanks else "  shanks        not of Shanks form",
+        f"  load seconds  {sum(s for _, s in cd.stage_seconds):.3f} in all",
     ]
+    lines += [f"    {stage:<16}{seconds:.3f}" for stage, seconds in cd.stage_seconds]
     print("\n".join(lines))
     return 0
 

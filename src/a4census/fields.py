@@ -186,6 +186,9 @@ class NumberField:
         return tuple(out)
 
     def el_pow(self, a, e: int):
+        """a**e for e >= 0; a negative e raises ValueError."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         result = self.one()
         base = tuple(a)
         while e:
@@ -746,13 +749,21 @@ class QuotientRing:
         return self.reduce(self.K.el_mul(a, b))
 
     def pow(self, a, e: int):
-        result = self.reduce(self.K.one())
+        """a**e for e >= 0, by left-to-right binary powering.
+
+        Representatives are canonical, so the result does not depend on
+        the order of the products.  A negative e raises ValueError.
+        """
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if not e:
+            return self.one()
         base = self.reduce(a)
-        while e:
-            if e & 1:
+        result = base
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
                 result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
         return result
 
     def one(self):

@@ -184,6 +184,16 @@ def smith_normal_form(mat, nrows=None, ncols=None):
     Returns (divisors, V) where `divisors` is the full diagonal of D
     (zeros included) and V is ncols x ncols.  U is not formed: the rows
     of A*V span the same lattice as the rows of D.
+
+    Cohen, GTM 138, section 2.4, with one pivot rule: at step t the
+    pivot is the entry of least nonzero absolute value in the block
+    below and right of (t, t), the first such in row-major order.  The
+    relation matrices of the class groups are tall and sparse, with many
+    entries of absolute value 1, so the work skips what cannot change
+    the result: the pivot scan stops at the first entry of absolute
+    value 1 (nothing beats it), a column operation touches only the rows
+    whose entry in the pivot column is nonzero, and a pivot of absolute
+    value 1 divides the whole block, so its divisibility scan is skipped.
     """
     a = [list(r) for r in mat]
     m = nrows if nrows is not None else len(a)
@@ -197,9 +207,11 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in a:
-            r[i] -= q * r[j]
+            if r[j]:
+                r[i] -= q * r[j]
         for r in v:
-            r[i] -= q * r[j]
+            if r[j]:
+                r[i] -= q * r[j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -212,12 +224,19 @@ def smith_normal_form(mat, nrows=None, ncols=None):
 
     t = 0
     while t < min(m, n):
-        # find smallest nonzero pivot in the remaining block
+        # smallest nonzero pivot in the remaining block, first in row-major order
         best = None
+        least = 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         swap_rows(t, best[0])
@@ -241,17 +260,11 @@ def smith_normal_form(mat, nrows=None, ncols=None):
                         done = False
         # divisibility fix-up: pivot must divide the rest of the block
         piv = a[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % piv:
-                    row_op(t, i, -1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
+        if abs(piv) != 1:
+            bad = next((i for i in range(t + 1, m) if any(x % piv for x in a[i][t + 1 :])), None)
+            if bad is not None:
+                row_op(t, bad, -1)
+                continue
         if piv < 0:
             a[t] = [-x for x in a[t]]
         t += 1
@@ -532,11 +545,14 @@ def short_vectors(gram, bound, limit=100000):
     1e-6.  In dimension <= 4 that is orders of magnitude above the
     rounding error unless the form is extremely ill-conditioned (the
     lattices enumerated here are LLL-reduced), so no qualifying vector is
-    cut off.  At each leaf the exact value c G c^t decides whether c is
-    kept, and it is the value returned.  Results are (value, c) pairs
-    sorted by value, then by the lesser of c and -c, and c is given with
-    its first nonzero coordinate positive.  Raises RuntimeError exactly
-    when more than `limit` vectors qualify, c and -c counted apart.
+    cut off.  The float pruning treats c and -c alike, so one vector of
+    each pair is enumerated: at a level whose higher coordinates are all
+    0 the coordinate starts at 0, not at the negative end of its range.
+    At each leaf the exact value c G c^t decides whether c is kept, and
+    it is the value returned.  Results are (value, c) pairs sorted by
+    value, then by the lesser of c and -c, and c is given with its first
+    nonzero coordinate positive.  Raises RuntimeError exactly when more
+    than `limit` vectors qualify, c and -c counted apart.
     """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]
@@ -559,38 +575,55 @@ def short_vectors(gram, bound, limit=100000):
     bf = [float(x) for x in b]
     out = []
     c = [0] * n
+    # c G c^t = g00 x^2 + x * sum_j cross_j c_j + (the form on c_1..c_n-1), x = c_0
+    g00 = gram[0][0]
+    cross = [gram[0][j] + gram[j][0] for j in range(1, n)]
+    tail = [row[1:] for row in gram[1:]]
 
-    def recurse(i, remaining):
+    def recurse(i, remaining, top):
+        # top: every coordinate above i is 0, so c and -c both pass here
         center = -sum(map(operator.mul, mu_col[i], c[i + 1 :]))
         bi = bf[i]
         half = math.sqrt(remaining / bi)
-        x = math.ceil(center - half)
+        x = 0 if top else math.ceil(center - half)
         hi = center + half
+        if i:
+            while x <= hi:
+                d = x - center
+                rest = remaining - d * d * bi
+                if rest >= 0:
+                    c[i] = x
+                    recurse(i - 1, rest, top and not x)
+                x += 1
+            c[i] = 0
+            return
+        rest_c = c[1:]
+        lin = sum(map(operator.mul, cross, rest_c))
+        const = sum(ca * sum(map(operator.mul, row, rest_c)) for ca, row in zip(rest_c, tail))
+        if top:
+            x = 1  # c = 0 is not a vector
         while x <= hi:
             d = x - center
-            rest = remaining - d * d * bi
-            if rest >= 0:
-                c[i] = x
-                if i:
-                    recurse(i - 1, rest)
-                elif any(c):
-                    val = sum(ca * sum(map(operator.mul, row, c)) for ca, row in zip(c, gram))
-                    if val <= bound:
-                        out.append((val, tuple(c)))
-                        if len(out) > limit:
-                            raise RuntimeError("short-vector enumeration overflow")
+            if remaining - d * d * bi >= 0:
+                val = (g00 * x + lin) * x + const
+                if val <= bound:
+                    c[0] = x
+                    vec = tuple(c)
+                    neg = tuple(-y for y in vec)
+                    out.append((val, min(vec, neg), vec if _first_nonzero_positive(vec) else neg))
+                    if 2 * len(out) > limit:
+                        raise RuntimeError("short-vector enumeration overflow")
             x += 1
-        c[i] = 0
+        c[0] = 0
 
-    recurse(n - 1, float(bound) * (1 + 1e-6))
-    seen = set()
-    uniq = []
-    for val, vec in sorted(out):
-        canon = vec if _first_nonzero_positive(vec) else tuple(-x for x in vec)
-        if canon not in seen:
-            seen.add(canon)
-            uniq.append((val, canon))
-    return uniq
+    try:
+        recurse(n - 1, float(bound) * (1 + 1e-6), True)
+    finally:
+        # recurse reaches itself through its closure; without this the
+        # cycle would keep `out` alive until the cycle collector runs
+        del recurse
+    out.sort()
+    return [(val, vec) for val, _, vec in out]
 
 
 def _first_nonzero_positive(vec) -> bool:

@@ -406,7 +406,9 @@ class _WildCubicPresentation:
     Generators g_1..g_f lift a basis of p/p^2, h_1..h_f a basis of
     p^2/p^3.  Verified facts: h_j^3 = 1, and g_i^3 lies in the h-span
     with exponent matrix lam.  Discrete logs stay integral; nothing is
-    reduced mod 3 before the caller's Smith form.
+    reduced mod 3 before the caller's Smith form.  The 1-units mod p^3
+    have exponent 9, so g_i^-a = g_i^(8a); `inverse[i][a]` holds it for
+    a in {1, 2}, the values a layer-1 coordinate takes.
     """
 
     def __init__(self, K: NumberField, P: PrimeIdeal):
@@ -434,18 +436,18 @@ class _WildCubicPresentation:
         for hj in self.h:
             if self.ring.pow(hj, 3) != self.ring.one():
                 raise FieldError("h generator order is not 3")
+        self.inverse = [(None, self.ring.pow(gi, 8), self.ring.pow(gi, 16)) for gi in self.g]
 
     def dlog(self, el):
         """Integer exponents (a | b) with el^kill = prod g^a h^b in U_1/U_3."""
         y = self.ring.pow(el, self.kill)
         one = self.K.one()
         a = self.layer1.coords(tuple(p - q for p, q in zip(y, one)))
-        acc = self.ring.one()
-        for gi, ai in zip(self.g, a):
+        # y * prod g_i^-a_i, one table entry per nonzero coordinate
+        for inv, ai in zip(self.inverse, a):
             if ai:
-                acc = self.ring.mul(acc, self.ring.pow(gi, ai))
-        resid = self.ring.mul(y, self.ring.pow(acc, 8))  # 1-units have exponent 9 mod p^3
-        z = tuple(p - q for p, q in zip(resid, one))
+                y = self.ring.mul(y, inv[ai])
+        z = tuple(p - q for p, q in zip(y, one))
         if self.layer1.coords(z) != (0,) * self.f:
             raise FieldError("first-layer residue survived the g-part of the discrete log")
         b = self.layer2.coords(z)

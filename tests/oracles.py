@@ -30,15 +30,28 @@ a test oracle:
   and builds no field that cannot beat its first hit);
 - divmod_pm_pow: f^e mod (mod, p) by square and multiply through the
   generic pm_mul and pm_divmod (arith.pm_pow makes the modulus monic once
-  and folds each product by it).
+  and folds each product by it);
+- loop_smith_normal_form: the Smith form with the same pivot rule, each
+  pivot found by a scan of the whole block, each column operation over
+  every row and a divisibility scan after every pivot
+  (linalg.smith_normal_form skips what cannot change its result);
+- power_dlog: the discrete log of the integer-Smith stability check,
+  forming prod g_i^a_i and raising it to the 8th power
+  (rayclass._WildCubicPresentation multiplies by tabled g_i^-a);
+- lu_solve_cube_root: the cube root with the basis-at-embeddings matrix
+  rebuilt and solved by mpmath.lu_solve on each call
+  (classgroup.exact_cube_root applies an inverse formed once by
+  classgroup.cube_root_frame).
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import mpmath
+
 from a4census import arith, fields, linalg
-from a4census.classgroup import ideal_class_coordinates, ideal_short_elements
+from a4census.classgroup import EMBEDDING_DIGITS, ideal_class_coordinates, ideal_short_elements
 from a4census.fields import FieldError, QuotientRing, factor_rational_prime, ideal_mul, ideal_pow
 from a4census.rayclass import _LatticeQuotientF3, artin_vector
 
@@ -308,3 +321,117 @@ def loop_quartic_field_search(ell):
     if first_hit is None:
         raise FieldError(f"no A4 quartic of discriminant {ell}^2 in the search box")
     return first_hit
+
+
+def loop_smith_normal_form(mat, nrows=None, ncols=None):
+    """(divisors, V) of the Smith form D = U*A*V, the pivot the least
+    nonzero |entry| of the block, first in row-major order."""
+    a = [list(r) for r in mat]
+    m = nrows if nrows is not None else len(a)
+    n = ncols if ncols is not None else (len(a[0]) if a else 0)
+    while len(a) < m:
+        a.append([0] * n)
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in a:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        done = False
+        while not done:
+            done = True
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_op(i, t, q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        done = False
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_op(j, t, q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        done = False
+        piv = a[t][t]
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % piv:
+                    row_op(t, i, -1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        if piv < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
+    divisors = [a[i][i] for i in range(min(m, n))]
+    return divisors, v
+
+
+def power_dlog(w, el):
+    """Integer exponents (a | b) with el^kill = prod g^a h^b in U_1/U_3,
+    for a rayclass._WildCubicPresentation w."""
+    ring = w.ring
+    one = w.K.one()
+    y = ring.pow(el, w.kill)
+    a = w.layer1.coords(tuple(p - q for p, q in zip(y, one)))
+    acc = ring.one()
+    for gi, ai in zip(w.g, a):
+        if ai:
+            acc = ring.mul(acc, ring.pow(gi, ai))
+    resid = ring.mul(y, ring.pow(acc, 8))  # 1-units have exponent 9 mod p^3
+    z = tuple(p - q for p, q in zip(resid, one))
+    if w.layer1.coords(z) != (0,) * w.f:
+        raise FieldError("first-layer residue survived the g-part of the discrete log")
+    return list(a) + list(w.layer2.coords(z))
+
+
+def lu_solve_cube_root(K, u, roots):
+    """y with y^3 = u in the maximal order, or None; roots = K.embeddings()."""
+    with mpmath.workdps(EMBEDDING_DIGITS):
+        vals = K.embed_element(u, roots)
+        targets = [mpmath.sign(v) * mpmath.cbrt(abs(v)) for v in vals]
+        basis = mpmath.matrix(K.degree, K.degree)
+        for r_i, r in enumerate(roots):
+            for b_i in range(K.degree):
+                basis[r_i, b_i] = (
+                    mpmath.fsum(K.basis_num[b_i][j] * r**j for j in range(K.degree)) / K.basis_den
+                )
+        try:
+            sol = mpmath.lu_solve(basis, mpmath.matrix(targets))
+        except ZeroDivisionError:
+            return None
+        cand = tuple(int(mpmath.nint(x)) for x in sol)
+    if K.el_pow(cand, 3) == tuple(u):
+        return cand
+    return None

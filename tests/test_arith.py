@@ -170,6 +170,14 @@ def test_pm_pow_matches_the_divmod_oracle(p):
         arith.pm_pow((1, 1), 3, (7, 14), 7)
 
 
+def test_pm_pow_rejects_a_negative_exponent():
+    # bin(-5)[3:] is "b101": without the check this read as x^13
+    with pytest.raises(ValueError, match="negative"):
+        arith.pm_pow((0, 1), -5, (1, 0, 0, 1), 7)
+    with pytest.raises(ValueError, match="negative"):
+        arith.pm_pow((0, 1), -1, (1, 0, 0, 1), 7)
+
+
 def test_pm_pow_leaves_the_shipped_quartic_factorisations_unchanged(monkeypatch):
     primes = arith.primes_in_range(10**6, 10**6 + 3200)[:200]
     assert len(primes) == 200

@@ -23,6 +23,7 @@ from a4census.classgroup import (
     _start_bound,
     _valuations_above,
     class_group,
+    cube_root_frame,
     exact_cube_root,
     ideal_class_coordinates,
     ideal_short_elements,
@@ -42,7 +43,7 @@ from a4census.fields import (
 )
 
 from conftest import CONDUCTORS
-from oracles import powering_valuation
+from oracles import lu_solve_cube_root, powering_valuation
 
 KNOWN_H_L = {163: 4, 277: 4, 349: 4}
 KNOWN_H_F = {163: 1, 277: 2, 349: 1}
@@ -159,8 +160,8 @@ def test_saturation_removes_injected_cubes():
     units = list(u.fundamental_units)
     # replace one generator by its cube: the lattice index gains a factor 3
     cubed = units[:2] + [F.el_pow(units[2], 3)]
-    roots = F.embeddings()
-    restored, swaps = saturate_units_at_3(F, tuple(cubed), roots)
+    frame = cube_root_frame(F, F.embeddings())
+    restored, swaps = saturate_units_at_3(F, tuple(cubed), frame)
     assert swaps >= 1
     # after saturation no product of generators with exponents in {0,1,2}
     # (not all zero) is a perfect cube
@@ -172,15 +173,15 @@ def test_saturation_removes_injected_cubes():
         el = F.one()
         for unit, e in zip(restored, exps):
             el = F.el_mul(el, F.el_pow(unit, e))
-        assert exact_cube_root(F, el, roots) is None
+        assert exact_cube_root(F, el, frame) is None
 
 
 def test_saturation_is_idempotent():
     F = quartic_field_search(163)
     u = unit_group(F)
-    roots = F.embeddings()
-    once, _ = saturate_units_at_3(F, u.fundamental_units, roots)
-    twice, swaps = saturate_units_at_3(F, once, roots)
+    frame = cube_root_frame(F, F.embeddings())
+    once, _ = saturate_units_at_3(F, u.fundamental_units, frame)
+    twice, swaps = saturate_units_at_3(F, once, frame)
     assert swaps == 0
     assert tuple(tuple(x) for x in twice) == tuple(tuple(x) for x in once)
 
@@ -201,7 +202,7 @@ def test_unit_group_saturates_a_cubed_seed(conductor):
     F = cd.F
     units = list(cd.u.fundamental_units)
     u = unit_group(F, seed_candidates=tuple(units[:2] + [F.el_pow(units[2], 3)]))
-    _, swaps = saturate_units_at_3(F, u.fundamental_units, F.embeddings())
+    _, swaps = saturate_units_at_3(F, u.fundamental_units, cube_root_frame(F, F.embeddings()))
     assert swaps == 0
     assert u.regulator_estimate == pytest.approx(cd.u.regulator_estimate, rel=1e-9)
 
@@ -224,12 +225,38 @@ def test_exact_cube_root():
     F = quartic_field_search(163)
     a = (2, 1, 0, 1)
     cube = F.el_pow(a, 3)
-    roots = F.embeddings()
-    root = exact_cube_root(F, cube, roots)
+    frame = cube_root_frame(F, F.embeddings())
+    root = exact_cube_root(F, cube, frame)
     assert root is not None
     assert F.el_pow(root, 3) == tuple(cube)
     # 2 has norm 16, not a cube, so it cannot be one
-    assert exact_cube_root(F, F.from_int(2), roots) is None
+    assert exact_cube_root(F, F.from_int(2), frame) is None
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_exact_cube_root_matches_the_lu_solve_oracle(conductor, ell):
+    # the products the saturation tries (non-cubes once the units are
+    # saturated, 1 aside) and their cubes, and a few elements that are
+    # not units, against the per-call lu_solve
+    cd = conductor(ell)
+    F = cd.F
+    roots = F.embeddings()
+    frame = cube_root_frame(F, roots)
+    units = cd.u.fundamental_units
+    cubes = 0
+    for exps in itertools.product(range(3), repeat=len(units)):
+        w = F.one()
+        for u, e in zip(units, exps):
+            w = F.el_mul(w, F.el_pow(u, e))
+        for el in (w, F.el_pow(w, 3)):
+            got = exact_cube_root(F, el, frame)
+            assert got == lu_solve_cube_root(F, el, roots)
+            cubes += got is not None
+        assert exact_cube_root(F, F.el_pow(w, 3), frame) == w
+    assert cubes == 3 ** len(units) + 1
+    for el in ((2, 1, 0, 1), (5, 0, 0, 0), (0, 3, -1, 2)):
+        for x in (el, F.el_pow(el, 3)):
+            assert exact_cube_root(F, x, frame) == lu_solve_cube_root(F, x, roots)
 
 
 # ---------------------------------------------------------------------------

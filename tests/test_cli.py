@@ -305,6 +305,31 @@ def test_verify_field_shipped(capsys, conductor, ell):
     assert units[4:] == ["regulator", f"{conductor(ell).u.regulator_estimate:.6f}"]
 
 
+LOAD_STAGES = ("h(L)", "F", "h(F)", "saturated units", "stability", "fixed quotient", "certificates")
+
+
+def test_verify_field_prints_the_load_stage_seconds(capsys, tmp_path, monkeypatch):
+    # one line per stage of a cold load, in load order, under their total;
+    # the times stay out of the cache record, the CSV and the JSONL
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    rc, out, err = run(capsys, "verify-field", "--ell", "163")
+    assert rc == 0, err
+    lines = out.splitlines()
+    (head,) = [i for i, line in enumerate(lines) if line.split()[:2] == ["load", "seconds"]]
+    total = float(lines[head].split()[2])
+    stages = [line.rsplit(None, 1) for line in lines[head + 1 :]]
+    assert [name.strip() for name, _ in stages] == list(LOAD_STAGES)
+    seconds = [float(x) for _, x in stages]
+    assert min(seconds) >= 0 and 0 < total < 60
+    assert sum(seconds) == pytest.approx(total, abs=0.004)
+    (record,) = tmp_path.iterdir()
+    assert sorted(json.loads(record.read_text())) == ["F", "L", "ell", "version"]
+    for fmt in ("csv", "jsonl"):
+        rc, out, err = run(capsys, "census", "--ell", "163", "--max-v", "1000", "--format", fmt)
+        assert rc == 0, err
+        assert "second" not in out and "h(L)" not in out
+
+
 def test_verify_field_composite(capsys):
     rc, out, err = run(capsys, "verify-field", "--ell", "6")
     assert rc == 1

@@ -14,6 +14,7 @@ from a4census import arith, fields, linalg
 from a4census.config import shipped_config
 from a4census.fields import (
     FieldError,
+    QuotientRing,
     cubic_subfield,
     element_valuation,
     factor_rational_prime,
@@ -436,3 +437,29 @@ def test_element_arithmetic_consistency():
     assert F.el_trace(asum) == F.el_trace(a) + F.el_trace(b)
     assert F.el_pow(a, 3) == F.el_mul(F.el_mul(a, a), a)
     assert F.el_mul(a, F.one()) == tuple(a)
+
+
+def test_el_pow_rejects_a_negative_exponent():
+    # the square-and-multiply loop never ends on e < 0
+    F = quartic_field_search(163)
+    assert F.el_pow((1, 2, 0, 1), 0) == F.one()
+    with pytest.raises(ValueError, match="negative"):
+        F.el_pow((1, 2, 0, 1), -1)
+
+
+def test_quotient_ring_pow_matches_repeated_multiplication():
+    # left-to-right powering against the product of e copies, in O/P^3
+    # for P over 3 and in O/(7), up to e = 40; a negative e is refused
+    F = quartic_field_search(163)
+    (P,) = [P for P in factor_rational_prime(F, 3) if P.f == 3]
+    p3 = fields.ideal_pow(F, list(P.hnf), 3)
+    seven = [tuple(7 * int(i == j) for j in range(4)) for i in range(4)]
+    for ideal in (p3, seven):
+        ring = QuotientRing(F, ideal)
+        for a in ((1, 2, 0, 1), (2, 0, 5, 1), (0, 0, 0, 0)):
+            acc = ring.one()
+            for e in range(41):
+                assert ring.pow(a, e) == acc
+                acc = ring.mul(acc, a)
+        with pytest.raises(ValueError, match="negative"):
+            ring.pow((1, 2, 0, 1), -3)

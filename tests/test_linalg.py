@@ -13,9 +13,10 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from a4census import census, linalg
 from a4census.arith import det_bareiss, primes_in_range
+from a4census.config import Config
 
 from conftest import CONDUCTORS
-from oracles import fraction_short_vectors, loop_rref_mod_p
+from oracles import fraction_short_vectors, loop_rref_mod_p, loop_smith_normal_form
 
 mat3 = st.lists(
     st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3),
@@ -113,6 +114,54 @@ def test_smith_normal_form_matches_sympy(rows):
     theirs = smith_normal_form(sympy.Matrix(rows))
     for i, x in enumerate(divisors):
         assert abs(theirs[i, i]) == abs(x)
+
+
+@pytest.fixture(scope="module")
+def load_kernel_calls():
+    """The inputs of every Smith form and short-vector enumeration of cold
+    loads of the three conductors, fields searched, nothing cached."""
+    calls = {"smith": [], "short": []}
+    real_smith, real_short = linalg.smith_normal_form, linalg.short_vectors
+
+    def smith(mat, nrows=None, ncols=None):
+        calls["smith"].append(([list(r) for r in mat], nrows, ncols))
+        return real_smith(mat, nrows, ncols)
+
+    def short(gram, bound, limit=100000):
+        calls["short"].append(([list(r) for r in gram], bound, limit))
+        return real_short(gram, bound, limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "smith_normal_form", smith)
+        mp.setattr(linalg, "short_vectors", short)
+        for ell in CONDUCTORS:
+            census.load_conductor(Config(ell=ell, use_cache=False))
+    return calls
+
+
+def test_smith_normal_form_of_the_loads_matches_the_loop_oracle(load_kernel_calls):
+    # the relation matrices of both class groups at every round, and the
+    # stability check's integer presentation, for 163, 277 and 349
+    calls = load_kernel_calls["smith"]
+    assert any(len(mat) > 200 for mat, _, _ in calls)
+    for mat, nrows, ncols in calls:
+        assert linalg.smith_normal_form(mat, nrows, ncols) == loop_smith_normal_form(mat, nrows, ncols)
+
+
+def test_smith_normal_form_of_sparse_matrices_matches_the_loop_oracle():
+    # small sparse entries, as in relation matrices, taller or wider than
+    # square, with zero rows padded below; at half the entries nonzero the
+    # entries of some random matrices explode, so a quarter are
+    rng = random.Random(24)
+
+    def entry():
+        return rng.choice((1, -1, 2, -2, 3, -3, 4, 6)) if rng.random() < 0.25 else 0
+
+    for _ in range(300):
+        m, n, pad = rng.randint(1, 30), rng.randint(1, 9), rng.randint(0, 3)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        got = linalg.smith_normal_form(rows, m + pad, n)
+        assert got == loop_smith_normal_form(rows, m + pad, n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +495,26 @@ def test_short_vectors_match_the_fraction_oracle(case):
         assert bound != attained or not any(c) or expected[-1][0] == attained
         # the overflow comes at the same limit: c and -c count apart
         qualifying = 2 * len(expected)
-        for limit in {max(qualifying - 1, 0), qualifying}:
+        for limit in {max(qualifying - 1, 0), qualifying, qualifying + 1}:
             want = expected if qualifying <= limit else "overflow"
             assert _outcome(linalg.short_vectors, gram, bound, limit) == want
             assert _outcome(fraction_short_vectors, gram, bound, limit) == want
+
+
+def test_short_vectors_of_the_loads_match_the_fraction_oracle(load_kernel_calls):
+    # every enumeration of the three loads, and the overflow at the three
+    # limits around twice the number of pairs
+    calls = load_kernel_calls["short"]
+    assert calls
+    for gram, bound, limit in calls:
+        expected = _outcome(fraction_short_vectors, gram, bound, limit)
+        assert _outcome(linalg.short_vectors, gram, bound, limit) == expected
+        if expected == "overflow":
+            continue
+        qualifying = 2 * len(expected)
+        for edge in (qualifying - 1, qualifying, qualifying + 1):
+            want = expected if qualifying <= edge else "overflow"
+            assert _outcome(linalg.short_vectors, gram, bound, edge) == want
 
 
 def _loop_gram(rows, form):

@@ -29,13 +29,14 @@ from a4census.rayclass import (
     Modulus,
     TameBlock,
     WildBlock,
+    _WildCubicPresentation,
     artin_vector,
     modulus_stability_check,
     ray_class_3_quotient,
 )
 
 from conftest import CONDUCTORS
-from oracles import brute_force_spans, power_wild_log
+from oracles import brute_force_spans, power_dlog, power_wild_log
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -439,3 +440,16 @@ def test_wild_table_covers_every_unit_class(conductor, ell):
             units += 1
             assert wild.philog(x) == power_wild_log(K, P, x)
     assert units == P.norm * (P.norm - 1)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_stability_dlog_rows_match_the_power_oracle(conductor, ell):
+    # every row the integer-Smith stability check takes from a discrete
+    # log: the units and the relation generators prime to 3_1
+    cd = conductor(ell)
+    w = _WildCubicPresentation(cd.F, cd.p31)
+    assert all(len(t) == 3 for t in w.inverse)
+    gens = [gen for gen, _ in cd.cg.relations if not element_in_prime(cd.p31, gen)]
+    assert len(gens) > 50
+    for el in list(cd.u.fundamental_units) + gens:
+        assert w.dlog(el) == power_dlog(w, el)
