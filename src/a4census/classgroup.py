@@ -11,10 +11,11 @@ class construction reuses them as principal-ideal input.
 
 All lattice enumeration goes through one round stream (_rounds): the
 basis is LLL-reduced once, and each round doubles the trace-form bound
-and yields only the coefficient vectors above the previous bound.  The
-relation harvest keeps one stream per source lattice, unit_group reads
-one over the maximal order, and ideal_short_elements reads one after
-its coefficient boxes.  Both classifiers hand smooth_split a basis of
+and yields only the coefficient vectors above the previous bound.
+unit_group reads one over the maximal order, and ideal_short_elements
+reads one after its coefficient boxes; the relation harvest reads
+ideal_short_elements over the maximal order and over each factor-base
+prime, round robin.  Both classifiers hand smooth_split a basis of
 v1 that is already reduced, together with its norm N(v1) = v^3, which
 every such basis keeps (the HNF times a unimodular transform): the
 census by the certified float LLL of linalg.lll_float_batch,
@@ -97,6 +98,7 @@ __all__ = [
 
 
 CLASS_GROUP_ROUNDS = 8  # Smith forms class_group takes before it gives up
+HARVEST_VISIT_CAP = 64  # candidates one visit of the relation harvest draws at most
 UNIT_SEARCH_ROUNDS = 7  # enumeration rounds unit_group reads after its seeds
 
 
@@ -245,26 +247,34 @@ def _rounds(gram, bound, limit=20000):
         done, bound = bound, bound * 2
 
 
-@functools.cache
-def _coefficient_boxes(n: int):
-    """Coefficient vectors of the boxes of radius 1, 2, 4 in Z^n, each once.
+BOX_RADII = (1, 2, 4)  # the coefficient boxes ideal_short_elements walks first
 
-    Within a radius the new vectors come in (L1 norm, vector) order, one
-    per +- pair.  Returns (vectors, the set of them and their negatives).
+
+@functools.cache
+def _box_layer(n: int, radius: int):
+    """The vectors of Z^n that the box of `radius` adds to the smaller boxes.
+
+    One per +- pair (the one whose first nonzero entry is negative, which
+    comes first), in (L1 norm, vector) order.  Cached: a stream builds a
+    layer only when it first reaches it.
     """
-    seen = set()
-    out = []
-    for radius in (1, 2, 4):
-        box = sorted(
-            itertools.product(range(-radius, radius + 1), repeat=n),
-            key=lambda c: (sum(abs(x) for x in c), c),
-        )
-        for c in box:
-            if any(c) and c not in seen:
-                seen.add(c)
-                seen.add(tuple(-x for x in c))
-                out.append(c)
-    return tuple(out), frozenset(seen)
+    inner = max((r for r in BOX_RADII if r < radius), default=0)
+    layer = (
+        c
+        for c in itertools.product(range(-radius, radius + 1), repeat=n)
+        if max(map(abs, c)) > inner and next(x for x in c if x) < 0
+    )
+    return tuple(sorted(layer, key=lambda c: (sum(map(abs, c)), c)))
+
+
+def _coefficient_boxes(n: int):
+    """Coefficient vectors of the boxes of radius 1, 2, 4 in Z^n, each once up to sign.
+
+    Layer by layer (_box_layer), each built on first use.  Every other
+    nonzero vector has an entry above the largest radius.
+    """
+    for radius in BOX_RADII:
+        yield from _box_layer(n, radius)
 
 
 def ideal_short_elements(K: NumberField, A, *, reduced=False):
@@ -281,23 +291,23 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False):
     same basis (formed only once the boxes run out when A came reduced):
     the bound starts at the Minkowski estimate from disc * N(A)^2 and
     doubles after each of 6 rounds, only values above the previous bound
-    are new, and coefficient vectors already yielded from the boxes are
-    skipped.  The stream ends early when a round would enumerate more
-    than 20000 vectors.  A may be any basis of the ideal: N(A) = |det A|.
+    are new, and a coefficient vector with no entry above the largest
+    radius was already yielded from the boxes and is skipped.  The
+    stream ends early when a round would enumerate more than 20000
+    vectors.  A may be any basis of the ideal: N(A) = |det A|.
     """
     if reduced:
         red, red_gram = [tuple(r) for r in A], None
     else:
         red, red_gram = _reduced_basis(K, [tuple(r) for r in A])
-    boxes, in_boxes = _coefficient_boxes(K.degree)
-    for c in boxes:
+    for c in _coefficient_boxes(K.degree):
         yield _combine(c, red)
     if red_gram is None:
         red_gram = linalg.gram_matrix(red, K.trace_gram)
     nA = abs(arith.det_bareiss(A))
     for batch in itertools.islice(_rounds(red_gram, _start_bound(K, K.disc * nA * nA)), 6):
         for c in batch:
-            if c not in in_boxes:
+            if max(map(abs, c)) > BOX_RADII[-1]:  # not yielded from the boxes
                 yield _combine(c, red)
 
 
@@ -308,9 +318,19 @@ def ideal_short_elements(K: NumberField, A, *, reduced=False):
 def class_group(K: NumberField) -> ClassGroupData:
     """Class group by relation collection and Smith reduction.
 
-    Deterministic: enumeration is in trace-form order, ties broken by the
-    canonical sign convention of the enumerator.  Accepts only after the
-    Smith form survives a top-up of 50% fresh relations.
+    The relations are the free ones (rational primes whose primes all lie
+    in the factor base), then those the harvest draws from the
+    ideal_short_elements streams of the maximal order and of each
+    factor-base prime, in that order, visited round robin.  A visit draws
+    candidates from its stream until one gives a new relation, or
+    HARVEST_VISIT_CAP have given none, and the next visit goes to the
+    next stream; the cursor persists across harvests, so every stream is
+    reached.  A harvest returns as soon as it has its target of new
+    relations, or when a whole lap of visits adds none.  The first asks
+    for max(2 |fb|, |fb| + 6), and one after a Smith form of short rank
+    for max(4, |fb| // 2).  The run is accepted only once a top-up of
+    max(4, ceil(rows / 2)) fresh relations leaves the Smith form
+    unchanged.  Deterministic: every stream is.
     """
     if K.disc > 10**8:
         raise FieldError("discriminant above desk scale (10^8)")
@@ -340,26 +360,25 @@ def class_group(K: NumberField) -> ClassGroupData:
                 vec[ctx.index[P.key()]] = P.e
             add_relation(K.from_int(p), tuple(vec))
 
-    def source(rows, covol_sq):
-        # reduced on the first round asked for; a source never reached costs nothing
-        red, gram = _reduced_basis(K, rows)
-        for batch in _rounds(gram, _start_bound(K, covol_sq)):
-            yield [_combine(c, red) for c in batch]
-
+    # generators, so a stream that is never visited costs nothing
     ring_rows = [tuple(int(i == j) for j in range(K.degree)) for i in range(K.degree)]
-    streams = [source(ring_rows, K.disc)]
-    streams += [source(list(P.hnf), K.disc * P.norm * P.norm) for P in fb]
+    streams = [ideal_short_elements(K, ring_rows)]
+    streams += [ideal_short_elements(K, P.hnf) for P in fb]
+    cursor = 0  # the stream the next visit reads, kept across calls
 
     def harvest(target_new: int) -> int:
-        got = 0
-        for _ in range(6):
-            for stream in streams:
-                if got >= target_new:
-                    return got
-                for el in next(stream, ()):  # an ended stream gives nothing
-                    vec = ctx.cofactor(el, abs(K.el_norm(el)), ring_rows, 1, {})
-                    if vec is not None and add_relation(el, vec):
-                        got += 1
+        nonlocal cursor
+        got = idle = 0
+        while got < target_new and idle < len(streams):
+            stream = streams[cursor]
+            cursor = (cursor + 1) % len(streams)
+            idle += 1
+            for el in itertools.islice(stream, HARVEST_VISIT_CAP):
+                vec = ctx.cofactor(el, abs(K.el_norm(el)), ring_rows, 1, {})
+                if vec is not None and add_relation(el, vec):
+                    got += 1
+                    idle = 0
+                    break
         return got
 
     harvest(max(2 * nfb, nfb + 6))

@@ -303,7 +303,10 @@ def ray_class_3_quotient(
 
     u must hold 3-saturated units, as unit_group returns them.  `wild`
     is the block for the modulus's one prime over 3 at exponent 2; the
-    census passes the one block it builds at load.
+    census passes the one block it builds at load.  A relation that lies
+    in a modulus prime is skipped; when a tame one among them makes the
+    kept relations too few to present Cl/3Cl on the other base primes,
+    FieldError.
     """
     K = m.field
     blocks = _build_blocks(K, m.finite, wild)
@@ -325,13 +328,24 @@ def ray_class_3_quotient(
         if not _coprime_to_modulus(m, unit):
             raise FieldError("unit not coprime to the modulus")
         rows.append(_local_row(blocks, unit, D) + [0] * len(fb_positions))
+    tame = [inside and P.p != 3 for P, inside in zip(cg.factor_base, in_modulus)]
+    tame_skip = False
     for gen, vec in cg.relations:
         # (gen) = prod fb^vec exactly, so gen lies in a modulus prime only at a base prime
         if any(e > 0 and inside for e, inside in zip(vec, in_modulus)):
+            tame_skip |= any(e > 0 and t for e, t in zip(vec, tame))
             continue
         row = _local_row(blocks, gen, D)
         row.extend((-vec[j]) % 3 for j in fb_positions)
         rows.append(row)
+    if tame_skip:
+        # the kept relations must still present Cl/3Cl on the primes prime to
+        # the modulus, else the dimension below comes out too large; skips at
+        # the prime over 3 alone show at load as a fixed dimension above 1
+        fb_rows = [row[D:] for row in rows[len(u.fundamental_units):]]
+        _, fb_pivots = linalg.rref_mod_p(fb_rows, len(fb_positions), 3)
+        if len(fb_pivots) < len(fb_positions) - cl3:
+            raise FieldError("too few relations prime to the modulus to present Cl/3Cl")
 
     rref, pivots = linalg.rref_mod_p(rows, ncols, 3)
     free_cols = tuple(c for c in range(ncols) if c not in pivots)

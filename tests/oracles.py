@@ -41,7 +41,12 @@ a test oracle:
 - lu_solve_cube_root: the cube root with the basis-at-embeddings matrix
   rebuilt and solved by mpmath.lu_solve on each call
   (classgroup.exact_cube_root applies an inverse formed once by
-  classgroup.cube_root_frame).
+  classgroup.cube_root_frame);
+- all_coefficient_boxes: the boxes of radius 1, 2, 4 built at once, each
+  sorted whole and filtered against a set of the vectors already taken
+  and their negatives, which it returns too (classgroup._box_layer
+  builds one radius at a time, on first use, and ideal_short_elements
+  tests a round's vector by its largest entry instead of the set).
 """
 
 import itertools
@@ -435,3 +440,24 @@ def lu_solve_cube_root(K, u, roots):
     if K.el_pow(cand, 3) == tuple(u):
         return cand
     return None
+
+
+def all_coefficient_boxes(n: int):
+    """The vectors of the boxes of radius 1, 2, 4 in Z^n, one per +- pair.
+
+    Within a radius the new vectors come in (L1 norm, vector) order.
+    Returns (vectors, the set of them and their negatives).
+    """
+    seen = set()
+    out = []
+    for radius in (1, 2, 4):
+        box = sorted(
+            itertools.product(range(-radius, radius + 1), repeat=n),
+            key=lambda c: (sum(abs(x) for x in c), c),
+        )
+        for c in box:
+            if any(c) and c not in seen:
+                seen.add(c)
+                seen.add(tuple(-x for x in c))
+                out.append(c)
+    return tuple(out), frozenset(seen)

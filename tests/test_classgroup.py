@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 import a4census
 from a4census import arith, classgroup, fields, linalg
+from a4census.census import diagonal_check
 from a4census.classgroup import (
+    BOX_RADII,
     EMBEDDING_DIGITS,
+    _box_layer,
     _coefficient_boxes,
     _combine,
     _reduced_basis,
@@ -39,11 +42,12 @@ from a4census.fields import (
     ideal_from_elements,
     ideal_mul,
     ideal_pow,
+    new_number_field,
     quartic_field_search,
 )
 
 from conftest import CONDUCTORS
-from oracles import lu_solve_cube_root, powering_valuation
+from oracles import all_coefficient_boxes, lu_solve_cube_root, powering_valuation
 
 KNOWN_H_L = {163: 4, 277: 4, 349: 4}
 KNOWN_H_F = {163: 1, 277: 2, 349: 1}
@@ -62,6 +66,66 @@ def test_quartic_class_group_prime_to_3(ell):
     cg = class_group(quartic_field_search(ell))
     assert cg.h == KNOWN_H_F[ell]
     assert cg.h % 3 != 0
+
+
+def _relation_ideals_hold(K, cg):
+    """Every relation of cg is an exact ideal equality (gen) = prod P_j^vec_j."""
+    for gen, vec in cg.relations:
+        rhs = [tuple(int(i == j) for j in range(K.degree)) for i in range(K.degree)]
+        for P, e in zip(cg.factor_base, vec):
+            if e:
+                rhs = ideal_mul(K, rhs, ideal_pow(K, list(P.hnf), e))
+        if ideal_from_elements(K, [gen]) != rhs:
+            return False
+    return True
+
+
+def test_diagonal_cubics_of_259_have_class_number_3():
+    # Both diagonal cubics of conductor 7 * 37 have h = 3: the relations
+    # hold as ideal equalities and span a lattice of index 3 over the
+    # Minkowski factor base, so h | 3, and 3 | h by genus theory (two
+    # ramified primes).  An earlier harvest took 50% more relations from
+    # whole enumeration rounds and accepted an index-3 sublattice (h = 9).
+    rep = diagonal_check(7, 37)
+    assert [f.h for f in rep.fields] == [3, 3]
+    for f in rep.fields:
+        K = new_number_field(f.poly)
+        cg = class_group(K)
+        assert (cg.h, cg.divisors) == (3, (3,))
+        assert _relation_ideals_hold(K, cg)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_relations_of_the_load_are_ideal_equalities(conductor, ell):
+    cd = conductor(ell)
+    for K, cg in ((cd.L, cd.cg_L), (cd.F, cd.cg)):
+        assert _relation_ideals_hold(K, cg)
+
+
+@pytest.mark.parametrize("build", [cubic_subfield, quartic_field_search])
+def test_harvest_stops_at_its_target(build, monkeypatch):
+    # Each Smith round sees exactly the relations asked for: the free
+    # relations and max(2 * |fb|, |fb| + 6) more, then a top-up of
+    # max(4, ceil(rows / 2)) per round, since a visit stops at its first
+    # new relation and the harvest at its target.
+    K = build(277)
+    rounds = []
+    smith = linalg.smith_normal_form
+
+    def counted(mat, nrows, ncols):
+        rounds.append(len(mat))
+        return smith(mat, nrows, ncols)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    cg = class_group(K)
+    ctx, nfb = cg.fb_ctx, len(cg.factor_base)
+    bound = fields.minkowski_bound(K)
+    free = sum(all(P.norm <= bound for P in ctx.above[p]) for p in ctx.rational_primes)
+    want = [free + max(2 * nfb, nfb + 6)]
+    while len(want) < len(rounds):
+        want.append(want[-1] + max(4, -(-want[-1] // 2)))
+    assert len(rounds) >= 2 and rounds == want
+    assert len(cg.relations) == rounds[-1]
 
 
 def test_trivial_class_group_small_cubic():
@@ -364,9 +428,29 @@ def test_ideal_short_elements_over_a_certified_basis(conductor, ell):
     _check_short_element_stream(cd.F, A.hnf, red, ideal_short_elements(cd.F, red, reduced=True))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coefficient_boxes_match_the_all_at_once_oracle(n):
+    # the layers, built one radius at a time, give the oracle's vectors in
+    # its order; a vector is outside every box exactly when it has an
+    # entry above the largest radius, the test the rounds of
+    # ideal_short_elements apply instead of the oracle's set
+    want, in_boxes = all_coefficient_boxes(n)
+    assert tuple(_coefficient_boxes(n)) == want
+    for c in itertools.product(range(-6, 7), repeat=n):
+        if any(c):
+            assert (max(map(abs, c)) > BOX_RADII[-1]) == (c not in in_boxes)
+
+
+def test_coefficient_box_layers_are_built_on_first_use():
+    _box_layer.cache_clear()
+    first = list(itertools.islice(_coefficient_boxes(4), 312))  # radius 1 and 2
+    assert _box_layer.cache_info().currsize == 2
+    assert first == list(all_coefficient_boxes(4)[0][:312])
+
+
 def _check_short_element_stream(F, hnf, red, stream):
     """The first elements of `stream`, a stream over the basis `red` of hnf."""
-    boxes, _ = _coefficient_boxes(F.degree)
+    boxes = tuple(_coefficient_boxes(F.degree))
     elements = list(itertools.islice(stream, len(boxes) + 500))
     red_inv = sympy.Matrix(red).inv()
     coeffs = [tuple(int(x) for x in sympy.Matrix([el]) * red_inv) for el in elements]
@@ -415,7 +499,7 @@ def test_a_certified_split_goes_on_past_the_boxes(conductor, ell):
     # of that basis, and still returns an element of v1 with its cofactor.
     cd = conductor(ell)
     F = cd.F
-    boxes, _ = _coefficient_boxes(F.degree)
+    boxes = tuple(_coefficient_boxes(F.degree))
     for v1 in _degree3_primes(F, 10**6, 2):
         red = _certified_basis(cd, list(v1.hnf))
         in_boxes = {_combine(c, red) for c in boxes}

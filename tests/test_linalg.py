@@ -13,6 +13,7 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from a4census import census, linalg
 from a4census.arith import det_bareiss, primes_in_range
+from a4census.classgroup import ideal_short_elements
 from a4census.config import Config
 
 from conftest import CONDUCTORS
@@ -139,10 +140,29 @@ def load_kernel_calls():
     return calls
 
 
-def test_smith_normal_form_of_the_loads_matches_the_loop_oracle(load_kernel_calls):
+def _order_relations(cg, count):
+    """The first `count` distinct relations over cg's factor base among the
+    short elements of the maximal order, in the stream's order."""
+    K, ctx = cg.field, cg.fb_ctx
+    ring = [tuple(int(i == j) for j in range(K.degree)) for i in range(K.degree)]
+    rows = {}
+    for el in ideal_short_elements(K, ring):
+        vec = ctx.cofactor(el, abs(K.el_norm(el)), ring, 1, {})
+        if vec is not None and any(vec):
+            rows.setdefault(vec, None)
+            if len(rows) == count:
+                return [list(v) for v in rows]
+    raise AssertionError(f"fewer than {count} relations in the stream")
+
+
+def test_smith_normal_form_of_the_loads_matches_the_loop_oracle(load_kernel_calls, conductor):
     # the relation matrices of both class groups at every round, and the
-    # stability check's integer presentation, for 163, 277 and 349
-    calls = load_kernel_calls["smith"]
+    # stability check's integer presentation, for 163, 277 and 349; the
+    # harvest stops at its targets, so a taller relation matrix comes from
+    # here: 201 relations of the maximal order of L of 277, 22 columns
+    cg = conductor(277).cg_L
+    tall = _order_relations(cg, 201)
+    calls = load_kernel_calls["smith"] + [(tall, len(tall), len(cg.factor_base))]
     assert any(len(mat) > 200 for mat, _, _ in calls)
     for mat, nrows, ncols in calls:
         assert linalg.smith_normal_form(mat, nrows, ncols) == loop_smith_normal_form(mat, nrows, ncols)

@@ -13,8 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import a4census
-from a4census import arith, linalg
-from a4census.classgroup import class_group, unit_group
+from a4census import arith, census, linalg
+from a4census.census import VerificationError
+from a4census.classgroup import class_group, ideal_short_elements, unit_group
 from a4census.fields import (
     FieldError,
     QuotientRing,
@@ -183,6 +184,56 @@ def test_relations_prime_to_the_modulus_are_read_off_their_valuations(ell, condu
             assert (q.rel_rref, q.rel_pivots, q.free_cols, q.dim) == shape
     # 3_1 (norm 27) is in the factor base of 349 only
     assert (skipped > 0) == (cd.p31.key() in keys) == (ell == 349)
+
+
+def _with_shortfall(cd, m, want):
+    """cd.cg with its relations cut to every relation that meets a modulus
+    prime and the longest prefix of the others whose factor-base columns
+    fall `want` short of rank |fb_positions| - cl3 mod 3."""
+    cg = cd.cg
+    inside = [m.contains_prime(P) for P in cg.factor_base]
+    positions = [j for j, hit in enumerate(inside) if not hit]
+    cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
+    skipped = [r for r in cg.relations if any(e > 0 and hit for e, hit in zip(r[1], inside))]
+    kept = [r for r in cg.relations if r not in skipped]
+    assert skipped
+    for t in range(len(kept), -1, -1):
+        rows = [[vec[j] % 3 for j in positions] for _, vec in kept[:t]]
+        rank = len(linalg.rref_mod_p(rows, len(positions), 3)[1])
+        if len(positions) - cl3 - rank == want:
+            return dataclasses.replace(cg, relations=tuple(skipped + kept[:t]))
+    raise AssertionError(f"no prefix falls {want} short")
+
+
+def test_too_few_relations_at_a_tame_modulus_prime_is_a_field_error(conductor):
+    # v = 7 is a C3 prime of 163 whose degree-1 prime v2 (norm 7) is in the
+    # factor base, so the moving quotient skips the relations at v2; kept
+    # rows that no longer present Cl/3Cl would give too large a dimension
+    cd = conductor(163)
+    v2 = next(P for P in factor_rational_prime(cd.F, 7) if P.f == 1)
+    assert v2.key() in [P.key() for P in cd.cg.factor_base]
+    m = Modulus(cd.F, ((cd.p31, 2), (v2, 1)))
+    assert ray_class_3_quotient(m, cd.cg, cd.u, cd.wild).dim >= 1
+    assert ray_class_3_quotient(m, _with_shortfall(cd, m, 0), cd.u, cd.wild).dim >= 1
+    with pytest.raises(FieldError, match="too few relations"):
+        ray_class_3_quotient(m, _with_shortfall(cd, m, 1), cd.u, cd.wild)
+
+
+@pytest.mark.parametrize("shortfall", [1, 2, 3])
+def test_too_few_relations_at_3_1_raise_the_fixed_dimension(conductor, shortfall, monkeypatch):
+    # 3_1 (norm 27) is in the factor base of 349 only: relations at 3_1 are
+    # skipped by the fixed quotient without the tame check, and a shortfall
+    # of k shows as dimension 1 + k, which the load refuses at fixed-dim
+    cd = conductor(349)
+    m = cd.fixed_q.modulus
+    short_cg = _with_shortfall(cd, m, shortfall)
+    assert ray_class_3_quotient(m, short_cg, cd.u, cd.wild).dim == 1 + shortfall
+    monkeypatch.setattr(
+        census, "ray_class_3_quotient", lambda m, cg, u, wild: ray_class_3_quotient(m, short_cg, u, wild)
+    )
+    with pytest.raises(VerificationError) as err:
+        census.load_conductor(349)
+    assert err.value.check == "fixed-dim"
 
 
 def test_brute_force_span_on_fixed_modulus(conductor):
@@ -398,6 +449,17 @@ def test_wild_log_matches_the_powering_oracle(conductor, ell, a, b):
         power_wild_log(F, P, inside)
 
 
+def _gens_prime_to_p31(cd, extra=60):
+    """The relation generators prime to 3_1, then the first `extra` short
+    elements of the maximal order prime to 3_1: the harvest stops at its
+    targets, so the relations alone are a few dozen."""
+    F, P = cd.F, cd.p31
+    gens = [gen for gen, _ in cd.cg.relations if not element_in_prime(P, gen)]
+    ring = [tuple(int(i == j) for j in range(F.degree)) for i in range(F.degree)]
+    short = (el for el in ideal_short_elements(F, ring) if not element_in_prime(P, el))
+    return gens + list(itertools.islice(short, extra))
+
+
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_wild_logs_of_the_load_match_the_powering_oracle(conductor, ell):
     # the logs the quotients and certificates present: units,
@@ -410,7 +472,7 @@ def test_wild_logs_of_the_load_match_the_powering_oracle(conductor, ell):
         if cert is not None:
             _, gamma, wild_log, _ = cert
             assert wild_log == power_wild_log(F, P, gamma)
-    gens = [gen for gen, _ in cd.cg.relations if not element_in_prime(P, gen)]
+    gens = _gens_prime_to_p31(cd)
     assert len(gens) > 50
     for gen in gens:
         assert cd.wild.philog(gen) == power_wild_log(F, P, gen)
@@ -449,7 +511,7 @@ def test_stability_dlog_rows_match_the_power_oracle(conductor, ell):
     cd = conductor(ell)
     w = _WildCubicPresentation(cd.F, cd.p31)
     assert all(len(t) == 3 for t in w.inverse)
-    gens = [gen for gen, _ in cd.cg.relations if not element_in_prime(cd.p31, gen)]
+    gens = _gens_prime_to_p31(cd)
     assert len(gens) > 50
     for el in list(cd.u.fundamental_units) + gens:
         assert w.dlog(el) == power_dlog(w, el)
