@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -95,15 +96,31 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
+_BASE_SIEVE = (1, [])  # (n, primes_upto(n)), n a power of two, grown on demand
+
+
+def _base_primes(root: int) -> list[int]:
+    """The primes <= root, cut from one cached sieve up to a power of two above root."""
+    global _BASE_SIEVE
+    n, primes = _BASE_SIEVE
+    if n < root:
+        n = 1 << root.bit_length()
+        primes = primes_upto(n)
+        _BASE_SIEVE = (n, primes)
+    return primes[: bisect.bisect_right(primes, root)]
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes in the half-open interval [lo, hi), by segmented sieve.
 
     Segments are 10**6 wide so memory stays flat however large hi gets.
+    The base primes up to isqrt(hi - 1) come from one sieve kept across
+    calls (_base_primes), so a census does not re-sieve them per segment.
     """
     if hi <= lo:
         return []
     lo = max(lo, 2)
-    base = primes_upto(math.isqrt(hi - 1))
+    base = _base_primes(math.isqrt(hi - 1))
     out: list[int] = []
     start = lo
     while start < hi:

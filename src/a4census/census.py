@@ -43,11 +43,14 @@ the segment: fast_classify's gate, root and closed-form v1 in numpy
 int64 lanes (_c3_setup_lanes); one batched float64 LLL
 (linalg.lll_float_batch) over the v1 lattices of their C3 primes, which
 drops finished lattices from its working arrays as it goes and returns
-each certified transform T as an int64 array, applied in one int64
-product (_transformed); then fast_classify's split and residuals, the
-split searching each certified basis as it is, with no exact LLL.  The
-split and alpha's logs come per prime (_c3_split, which _c3_verdict
-shares), and the raw cube characters at v_2 of the units and of alpha's
+each transform T, certified by its determinant modulo four primes, as
+an int64 array, applied in one int64 product (_transformed); then
+fast_classify's split and residuals, the split searching each certified
+basis as it is, with no exact LLL.  The norms of the basis rows, the
+split's first candidates, come from the same int64 products, certified
+modulo the same primes (_split_totals_lanes).  The split and alpha's
+logs come per prime (_c3_split, which _c3_verdict shares), and the raw
+cube characters at v_2 of the units and of alpha's
 net residue for all the split primes at once, in int64 lanes
 (_c3_characters_lanes); each prime's characters are labelled once
 (_cube_logs) and its memberships looked up (_c3_labels).  Every other
@@ -314,11 +317,17 @@ def load_conductor(config) -> ConductorData:
     u = unit_group(F, seed_candidates=tuple(config.units or ()))
     lap("saturated units")
 
-    p31 = next(P for P in factor_rational_prime(F, 3) if P.f == 3)
+    # the factor base already holds the primes over 3 once its Minkowski
+    # bound, 3 ell / 32, reaches 3; ell lies past that bound
+    p31 = next(P for P in cg.fb_ctx.above.get(3) or factor_rational_prime(F, 3) if P.f == 3)
     l2 = next(P for P in factor_rational_prime(F, ell) if P.e == 3)
 
     wild = WildBlock(F, p31)
-    if not modulus_stability_check(F, p31, cg, u, wild):
+    try:
+        stable = modulus_stability_check(F, p31, cg, u, wild)
+    except FieldError as exc:
+        raise VerificationError("stability", f"stability check failed: {exc}") from exc
+    if not stable:
         raise VerificationError(
             "stability", "ray class quotient still grows from exponent 2 to 3 at 3_1"
         )
@@ -485,19 +494,25 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     return _c3_labels(cd, v, wild_net, l2_net, chars)
 
 
-def _c3_split(cd: ConductorData, v: int, v1):
+def _c3_split(cd: ConductorData, v: int, v1, totals=()):
     """alpha's split of v1 and its logs: (alpha, wild_net, l2_net, powers).
 
     smooth_split, with N(v1) = v^3, keeps the first alpha of v1 whose
     cofactor norm is prime to 3 * ell * v; that leaves alpha a unit at
     3_1, ell_2 and v_2, and puts a certificate Q^m = (gamma) behind every
-    cofactor prime Q.  wild_net and l2_net are alpha's wild and ell_2 logs
+    cofactor prime Q.  `totals` are the cofactor norms of the first
+    candidates, minus the rows of v1, that the census proved exact in
+    int64 lanes (_split_totals_lanes); smooth_split takes el_norm for
+    every other candidate, and for all of them when totals is empty, as
+    in _c3_verdict.  wild_net and l2_net are alpha's wild and ell_2 logs
     net of gamma^s, s = v_Q / m mod 3, over those primes, and `powers`
     lists (index in cd.certs, -s mod 3) where that exponent is not zero,
     so that alpha times the gamma^e has alpha's net character at v_2.
     """
     avoid = 3 * cd.ell * v
-    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3)
+    split = smooth_split(
+        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3, totals=totals
+    )
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -892,14 +907,21 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
          int64 lanes (_c3_setup_lanes);
       2. the v1 bases of the segment's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
-         returned T is an int64 array, unimodular, checked exactly, and
-         the rows T v1 are formed in integers (_transformed: one int64
-         product for every lattice within PRODUCT_BOUND, _combine for any
-         other), so they are a basis of v1 whatever the floats did, of
-         norm v^3;
-      3. each C3 prime is split alone from its certified basis
-         (_c3_split: the split searches the basis as it is, without an
-         exact LLL, and alpha's wild and ell_2 logs follow), then the
+         returned T is an int64 array, unimodular, checked exactly (det T
+         = +-1 modulo the primes of linalg.DET_PRIMES under a Hadamard
+         bound, or det_bareiss past it), and the rows T v1 are formed in
+         integers (_transformed: one int64 product for every lattice
+         within PRODUCT_BOUND, _combine for any other), so they are a
+         basis of v1 whatever the floats did, of norm v^3;
+      3. the norms of the rows of every basis formed in int64 are
+         certified together (_split_totals_lanes: N(alpha) modulo the
+         same primes, from alpha's multiplication matrix in int64, equal
+         to c v^3 under the AM-GM bound (Tr(alpha^2)/4)^2), and each C3
+         prime is split alone from its certified basis (_c3_split: the
+         split searches the basis as it is, without an exact LLL, takes
+         those totals for its first four candidates, minus the rows, and
+         el_norm for any other candidate or any row without a total,
+         and alpha's wild and ell_2 logs follow), then the
          segment's split primes take their cube characters at v_2
          together in int64 lanes (_c3_characters_lanes), and each is
          labelled and looked up in cd.unit_spans (_c3_labels).
@@ -930,13 +952,14 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
             pending.append((len(verdicts), v, *pre))
             verdicts.append(None)
     hnfs = [v1 for *_, v1 in pending]
-    bases = _transformed(hnfs, linalg.lll_float_batch(hnfs, cd.frame))
+    lane_primes = [v for _, v, *_ in pending]
+    bases = _transformed(cd, lane_primes, hnfs, linalg.lll_float_batch(hnfs, cd.frame))
     c3 = []  # (index in verdicts, v, r, _c3_split's value) of each split C3 prime
-    for (i, v, r, _), basis in zip(pending, bases):
+    for (i, v, r, _), (basis, totals) in zip(pending, bases):
         try:
             if basis is None:
                 raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
-            c3.append((i, v, r, _c3_split(cd, v, basis)))
+            c3.append((i, v, r, _c3_split(cd, v, basis, totals)))
         except FieldError as exc:
             verdicts[i] = _fallback(cd, v, exc)
             fallbacks += 1
@@ -958,15 +981,18 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
 PRODUCT_BOUND = 2**63  # T y is formed in int64 where max|T| * n * max|y| stays below it
 
 
-def _transformed(bases, transforms):
-    """Yield T y for each n x n int64 basis y and its certified transform T; None where T is None.
+def _transformed(cd: ConductorData, primes, bases, transforms):
+    """Yield (T y, totals) for each v1 basis y over a prime of `primes` and its transform T.
 
-    Each entry of T y is a sum of n products T_ik y_kj, so every lattice
-    with max|T| * n * max|y| < PRODUCT_BOUND, max|y| taken over the whole
-    batch, has each partial sum in int64; those lattices are formed in
-    one numpy product, and any other with _combine.  The reduced bases
-    come one at a time, as tuples of Python integers, so that a segment
-    holds only its int64 products at once.
+    y is an n x n int64 basis and T its certified transform; (None, ())
+    where T is None.  Each entry of T y is a sum of n products T_ik y_kj,
+    so every lattice with max|T| * n * max|y| < PRODUCT_BOUND, max|y|
+    taken over the whole batch, has each partial sum in int64; those
+    lattices are formed in one numpy product, and their rows' cofactor
+    norms come from the same int64 products (_split_totals_lanes).  Any
+    other lattice is formed with _combine and gets no totals.  The
+    reduced bases come one at a time, as tuples of Python integers, so
+    that a segment holds only its int64 products at once.
     """
     import numpy as np
 
@@ -977,16 +1003,94 @@ def _transformed(bases, transforms):
         t = np.stack([transforms[i] for i in lanes])
         limit = (PRODUCT_BOUND - 1) // (y.shape[1] * max(int(y.max()), -int(y.min()), 1))
         ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
-        products = iter(t[ok] @ y[ok])
+        rows = t[ok] @ y[ok]
+        v = np.array(primes, dtype=np.int64)[lanes][ok]
+        totals = iter(_split_totals_lanes(cd, v, rows))
+        products = iter(rows)
         for i, good in zip(lanes, ok.tolist()):
             inside[i] = good
     for y, T, good in zip(bases, transforms, inside):
         if T is None:
-            yield None
+            yield None, ()
         elif good:
-            yield list(map(tuple, next(products).tolist()))
+            yield list(map(tuple, next(products).tolist())), next(totals)
         else:
-            yield [_combine(r, y.tolist()) for r in T.tolist()]
+            yield [_combine(r, y.tolist()) for r in T.tolist()], ()
+
+
+# M(alpha) = alpha times the multiplication table is formed in int64 where
+# max|alpha| * max|table| * n stays below it
+NORM_PRODUCT_BOUND = 2**63
+# a float64 sum of sixteen products of three exact factors is off by at most
+# 18 * 2^-53 times the sum of their absolute values; this covers it
+TRACE_ERROR = 2.0**-40
+
+
+def _split_totals_lanes(cd: ConductorData, v, rows) -> list:
+    """smooth_split's cofactor norms |N(alpha)| / v^3 of the rows alpha of many v1 bases.
+
+    `v` holds the primes (int64, below LANE_BOUND) and `rows` the int64
+    bases T v1 of shape (m, 4, 4), each of norm v^3; one list per
+    lattice is returned, one entry per row: |N(alpha)| / v^3, proved
+    exact, or None, which sends that row to el_norm.  M(alpha), whose
+    determinant is N(alpha), is formed exactly in int64 wherever
+    max|alpha| * max|table| * 4 < NORM_PRODUCT_BOUND, and
+    linalg.det4_residues gives N(alpha) modulo every prime of
+    linalg.DET_PRIMES.  With p0 the first of them, c = N(alpha) v^-3 mod
+    p0 (one inverse per lattice) is lifted to (-p0/2, p0/2), and the row
+    is certified when N(alpha) = c v^3 modulo every prime, |c| v^3 <= B
+    and DET_MODULUS > 2 B, where B = (Tr(alpha^2)/4)^2 bounds |N(alpha)|
+    (AM-GM over the four real embeddings).  Then N(alpha) - c v^3 is a
+    multiple of DET_MODULUS of size at most 2 B, so N(alpha) = c v^3.
+    B is taken in float64 with FLOAT_BOUND_MARGIN from Tr(alpha^2) =
+    sum_jk G_jk alpha_j alpha_k, G = F.trace_gram, whose float sum is
+    raised by TRACE_ERROR times the sum of the terms' sizes, which bounds
+    its rounding for entries of alpha below 2^53, held exactly.  An alpha
+    of v1 always has v^3 | N(alpha), so a row fails only past a guard or
+    with a cofactor norm of about p0/2 or more.
+    """
+    import numpy as np
+
+    F = cd.F
+    n = F.degree
+    m = len(v)
+    if not m:
+        return []
+    top = max(abs(c) for row in F.mult_table for el in row for c in el)
+    if n * top >= NORM_PRODUCT_BOUND:
+        return [[None] * n for _ in range(m)]
+    alpha = rows.reshape(m * n, n)
+    size = np.abs(alpha).max(axis=1)
+    fits = size <= (NORM_PRODUCT_BOUND - 1) // (n * max(top, 1))
+    # M(alpha)[i][k] = sum_j alpha_j table[i][j][k], as mul_matrix
+    table = np.array(F.mult_table, dtype=np.int64).transpose(1, 0, 2).reshape(n, n * n)
+    residues = linalg.det4_residues((np.where(fits[:, None], alpha, 0) @ table).reshape(-1, n, n))
+    p = np.array(linalg.DET_PRIMES, dtype=np.int64)[:, None]
+    vv = np.repeat(v, n)
+    v3 = vv * vv % p * vv % p
+    p0 = linalg.DET_PRIMES[0]
+    inv = np.repeat(np.array([pow(x, -1, p0) for x in v3[0, ::n].tolist()], dtype=np.int64), n)
+    c = residues[0] * inv % p0
+    c = np.where(c > p0 // 2, c - p0, c)
+    a = alpha.astype(np.float64)
+    gram = np.array(F.trace_gram, dtype=np.float64)
+    trace = np.einsum("ij,jk,ik->i", a, gram, a)
+    trace += TRACE_ERROR * np.einsum("ij,jk,ik->i", np.abs(a), np.abs(gram), np.abs(a))
+    bound = (trace / 4) ** 2 * linalg.FLOAT_BOUND_MARGIN
+    ok = (
+        fits
+        & (size < 2**53)
+        & (c % p * v3 % p == residues).all(axis=0)
+        & (np.abs(c) * vv.astype(np.float64) ** 3 <= bound)
+        & (2 * bound * linalg.FLOAT_BOUND_MARGIN < float(linalg.DET_MODULUS))
+    )
+    totals = np.abs(c).reshape(m, n).tolist()
+    if ok.all():
+        return totals
+    return [
+        [x if good else None for x, good in zip(row, goods)]
+        for row, goods in zip(totals, ok.reshape(m, n).tolist())
+    ]
 
 
 def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
@@ -1019,13 +1123,15 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     aside, go through three stages, each run once over the segment: the
     gate, root and v1 of all of them in numpy lanes; one batched float
     LLL over the segment's v1 lattices, which hands its certified
-    transforms on as int64 arrays, with T v1 formed in one int64 product;
-    the split of each v1 from its certified reduced basis with alpha's
-    wild and ell_2 logs, then the cube characters at v_2 of all the
-    segment's split primes in int64 lanes.  Every prime the lanes do not
-    take goes whole through fast_classify.  A lattice's reduction does
-    not depend on its batch, so the output is the same however the
-    segments fall.
+    transforms on as int64 arrays, certified by their determinants
+    modulo four primes below 2^31, with T v1 formed in one int64 product;
+    the norms of those rows, certified modulo the same primes, and the
+    split of each v1 from its certified reduced basis, which takes them
+    for its first candidates, with alpha's wild and ell_2 logs; then the
+    cube characters at v_2 of all the segment's split primes in int64
+    lanes.  Every prime the lanes do not take goes whole through
+    fast_classify.  A lattice's reduction does not depend on its batch,
+    so the output is the same however the segments fall.
     Pool workers receive cd itself, never reload the conductor, and take
     one segment per task.  Each segment returns its C3 records;
     _merge_segments counts them and, with `jsonl` (a path, or "-" for

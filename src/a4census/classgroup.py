@@ -452,7 +452,7 @@ def ideal_class_coordinates(A, cg: ClassGroupData):
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None):
+def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None, totals=()):
     """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
 
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
@@ -468,15 +468,26 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None):
     that is v1's HNF times a unimodular transform, and
     rayclass.artin_vector for census.classify_prime.  The checks on each
     candidate are the same either way.
+
+    `totals`, given only with `norm`, holds the cofactor norms of the
+    stream's first candidates, already proved exact by the caller
+    (census._split_totals_lanes: the first four candidates are minus the
+    rows of A); an entry None, and every candidate past them, takes
+    el_norm and the divmod check that N(A) divides it.
     """
+    if totals and norm is None:
+        raise ValueError("totals need the norm of a basis searched as it is")
     K = cg.field
     ctx = cg.fb_ctx
     nA = abs(arith.det_bareiss(A)) if norm is None else norm
     val_A = {}
+    known = iter(totals)
     for el in ideal_short_elements(K, A, reduced=norm is not None):
-        total, rem = divmod(abs(K.el_norm(el)), nA)
-        if rem:
-            raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
+        total = next(known, None)
+        if total is None:
+            total, rem = divmod(abs(K.el_norm(el)), nA)
+            if rem:
+                raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
         if usable is not None and not usable(el, total):
             continue
         vec = ctx.cofactor(el, total, A, nA, val_A)

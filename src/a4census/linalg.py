@@ -4,7 +4,8 @@ Matrices are lists (or tuples) of rows.  Everything is sized for number
 fields of degree <= 4 and factor bases of a few dozen primes, so the
 algorithms favour exactness and clarity over asymptotics.  The one
 float routine, lll_float_batch, reduces many lattices at once in numpy
-and hands back exact int64 transforms that it has certified.
+and hands back exact int64 transforms that it has certified, by
+determinants modulo primes (det4_residues) under a Hadamard bound.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "lll_gram",
     "cholesky_float",
     "lll_float_batch",
+    "det4_residues",
     "short_vectors",
     "gram_matrix",
 ]
@@ -363,6 +365,86 @@ def lll_gram(gram):
 # the transform it has.
 FLOAT_LLL_PASSES = 2000
 
+# The primes of det4_residues, just below 2^31, so that a product of two
+# residues stays below 2^62 and a sum of six reduced ones in int64; their
+# product, about 2^124, bounds the determinants they certify.
+DET_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+DET_MODULUS = math.prod(DET_PRIMES)
+# relative slack on a float64 bound: far above the rounding of the few
+# operations behind it
+FLOAT_BOUND_MARGIN = 1 + 2.0**-20
+# the 2 x 2 minors of two rows, by column pair, and their signs in the
+# Laplace expansion of a 4 x 4 determinant along rows 0 and 1
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
+def det4_residues(blocks):
+    """det mod p of many 4 x 4 int64 blocks, for every p in DET_PRIMES.
+
+    `blocks` is an int64 array of shape (m, 4, 4), any entries.  Returns
+    an int64 array of shape (len(DET_PRIMES), m) with entries in [0, p),
+    row i modulo DET_PRIMES[i].  Each prime is one pass of about twenty
+    numpy calls over the whole batch, with the lattice axis last: the
+    entries reduced, then the Laplace expansion along the first two rows,
+    a sum of six products of complementary 2 x 2 minors, every product
+    reduced before the next (Cohen, GTM 138, 2.2: determinants modulo
+    primes).  An integer determinant D with |D| <= H is known exactly
+    from these residues whenever DET_MODULUS > 2 H.
+    """
+    import numpy as np
+
+    a = np.asarray(blocks, dtype=np.int64).transpose(1, 2, 0)
+    i, j = np.array(_PAIRS).T
+    signs = np.array(_PAIR_SIGNS)[:, None]
+    out = np.empty((len(DET_PRIMES), a.shape[-1]), dtype=np.int64)
+    for res, p in zip(out, DET_PRIMES):
+        x = _mod(a, p)
+        top = _mod(x[0, i] * x[1, j] - x[0, j] * x[1, i], p)
+        # the pair complementary to pair k of the bottom rows is pair 5 - k
+        bottom = _mod(x[2, i] * x[3, j] - x[2, j] * x[3, i], p)[::-1]
+        res[:] = _mod((_mod(top * bottom, p) * signs).sum(axis=0), p)
+    return out
+
+
+def _mod(x, p: int):
+    """x mod p in [0, p) for an int64 array x and a positive int p, as x - (x // p) p.
+
+    numpy divides an integer array by one scalar several times faster
+    than it takes its remainder.
+    """
+    return x - x // p * p
+
+
+def _unimodular(ts, exact):
+    """True for each n x n int64 transform of `ts` that is unimodular, |det T| = 1.
+
+    `exact` marks the transforms whose float entries were integers held
+    exactly.  A 4 x 4 T is certified by det4_residues: det T = +1 or -1
+    modulo every prime of DET_PRIMES, with the same sign for all, and
+    DET_MODULUS > 2 H + 2 for H its Hadamard bound (the product of its
+    row lengths, in float64 with FLOAT_BOUND_MARGIN).  Then det T -+ 1 is
+    a multiple of DET_MODULUS of size at most H + 1, so it is 0.
+    Residues that are not all +1 or all -1 within the bound prove
+    |det T| != 1.  A T past the bound, or of another size, takes
+    det_bareiss.
+    """
+    import numpy as np
+
+    m, n, _ = ts.shape
+    ok = np.array(exact, dtype=bool)
+    bounded = np.zeros(m, dtype=bool)
+    if n == 4:
+        hadamard = np.sqrt((ts.astype(np.float64) ** 2).sum(axis=2)).prod(axis=1)
+        bounded = 2 * hadamard * FLOAT_BOUND_MARGIN + 2 < float(DET_MODULUS)
+        res = det4_residues(ts)
+        p = np.array(DET_PRIMES, dtype=np.int64)[:, None]
+        ok &= ~bounded | (res == 1).all(axis=0) | (res == p - 1).all(axis=0)
+    return [
+        good and (bool(inside) or abs(det_bareiss(t.tolist())) == 1)
+        for t, good, inside in zip(ts, ok.tolist(), bounded.tolist())
+    ]
+
 
 def cholesky_float(gram):
     """Lower-triangular float L with L L^t = gram, for a positive definite form.
@@ -395,8 +477,11 @@ def lll_float_batch(bases, frame):
     as an n x n int64 array, so that T y is the reduced basis, or None
     where T cannot be certified.  Each T is certified exactly: its float
     entries are finite and below 2^53 in absolute value, hence integers
-    that float64 holds exactly, and |det T| = 1 (det_bareiss on the int64
-    rows), so T y is a basis of the same lattice whatever the floats did.
+    that float64 holds exactly, and |det T| = 1 (_unimodular: for a 4 x 4
+    T within the Hadamard bound, det T = +1 modulo every prime of
+    DET_PRIMES or -1 modulo every one, from one det4_residues over the
+    batch; det_bareiss on the int64 rows past the bound or for another
+    size), so T y is a basis of the same lattice whatever the floats did.
     A transform that outgrew 2^53 gives None.  How well T y is reduced is
     not part of the contract, and no caller runs lll_gram on T y: the
     census searches T y as it is (classgroup.smooth_split with `norm`).
@@ -512,10 +597,7 @@ def lll_float_batch(bases, frame):
     exact = (np.abs(found) < 2.0**53).all(axis=(1, 2))
     found[~exact] = 0.0
     ts = found.astype(np.int64)
-    return [
-        t if good and abs(det_bareiss(t.tolist())) == 1 else None
-        for t, good in zip(ts, exact.tolist())
-    ]
+    return [t if good else None for t, good in zip(ts, _unimodular(ts, exact))]
 
 
 def _dot_rows(u, w):

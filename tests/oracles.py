@@ -46,7 +46,10 @@ a test oracle:
   sorted whole and filtered against a set of the vectors already taken
   and their negatives, which it returns too (classgroup._box_layer
   builds one radius at a time, on first use, and ideal_short_elements
-  tests a round's vector by its largest entry instead of the set).
+  tests a round's vector by its largest entry instead of the set);
+- resieved_primes_in_range: the segmented sieve that sieves its base
+  primes afresh on every call (arith.primes_in_range cuts them from one
+  sieve kept across calls).
 """
 
 import itertools
@@ -461,3 +464,23 @@ def all_coefficient_boxes(n: int):
                 seen.add(tuple(-x for x in c))
                 out.append(c)
     return tuple(out), frozenset(seen)
+
+
+def resieved_primes_in_range(lo: int, hi: int):
+    """Primes in [lo, hi) by a segmented sieve over base primes sieved on this call."""
+    if hi <= lo:
+        return []
+    lo = max(lo, 2)
+    base = arith.primes_upto(math.isqrt(hi - 1))
+    out = []
+    start = lo
+    while start < hi:
+        end = min(start + 10**6, hi)
+        seg = bytearray([1]) * (end - start)
+        for p in base:
+            first = max(p * p, (start + p - 1) // p * p)
+            if first < end:
+                seg[first - start :: p] = bytearray(len(seg[first - start :: p]))
+        out.extend(itertools.compress(range(start, end), seg))
+        start = end
+    return out

@@ -12,7 +12,7 @@ from a4census import arith
 from a4census.config import shipped_config
 
 from conftest import CONDUCTORS
-from oracles import divmod_pm_pow
+from oracles import divmod_pm_pow, resieved_primes_in_range
 
 
 def test_primes_upto_matches_sympy():
@@ -29,6 +29,27 @@ def test_primes_upto_is_inclusive():
 def test_primes_in_range_agrees_with_sieve(lo, width):
     hi = lo + width
     assert arith.primes_in_range(lo, hi) == list(sympy.primerange(max(lo, 2), hi))
+
+
+def test_primes_in_range_matches_the_resieving_sieve(monkeypatch):
+    # the base primes come from one cached sieve, grown to a power of two
+    # above isqrt(hi - 1) and cut there; seeded ranges in an order that
+    # both grows it and reads it for smaller bounds, starting below, among
+    # and past the base primes, and crossing a 10^6 segment edge
+    monkeypatch.setattr(arith, "_BASE_SIEVE", (1, []))
+    rng = random.Random(2026)
+    ranges = [(0, 2), (-7, 30), (2, 3), (3, 4), (0, 1000), (1, 5 * 10**4), (999_000, 1_003_000)]
+    for _ in range(60):
+        lo = rng.choice([rng.randrange(-10, 200), rng.randrange(10**4), rng.randrange(10**9)])
+        ranges.append((lo, lo + rng.randrange(0, 9000)))
+    ranges += [(lo, hi) for lo, hi in ranges[:7]]
+    sizes = set()
+    for lo, hi in ranges:
+        assert arith.primes_in_range(lo, hi) == resieved_primes_in_range(lo, hi), (lo, hi)
+        n, base = arith._BASE_SIEVE
+        assert n & (n - 1) == 0 and base == arith.primes_upto(n)
+        sizes.add(n)
+    assert len(sizes) > 3
 
 
 # strong-pseudoprime stress values: Carmichael numbers and Miller-Rabin

@@ -93,6 +93,39 @@ def test_cold_load_runs_each_stage_once(monkeypatch):
     assert calls == {"class_group": 2, "cubic_subfield": 1, "embeddings": 1}
 
 
+def test_a_stability_field_error_is_tagged(monkeypatch):
+    # 349 with the class group of F cut to ten relations: the stability
+    # check finds that they do not close the ray group, and the load names
+    # the check it stopped at
+    class_group = census.class_group
+
+    def cut(K):
+        cg = class_group(K)
+        return dataclasses.replace(cg, relations=cg.relations[:10]) if K.degree == 4 else cg
+
+    monkeypatch.setattr(census, "class_group", cut)
+    with pytest.raises(VerificationError, match="relations do not close the ray group") as exc:
+        load_conductor(349)
+    assert exc.value.check == "stability"
+    assert type(exc.value.__cause__) is FieldError
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_p31_comes_from_the_factor_base(conductor, ell, monkeypatch):
+    # the load reads 3_1 from the primes over 3 that the factor base of h(F)
+    # holds: the prime ideal that factoring 3 in F again gives, equal in
+    # every field, anti-uniformizer included; only ell is factored after h(F)
+    cd = conductor(ell)
+    again = next(P for P in factor_rational_prime(cd.F, 3) if P.f == 3)
+    assert cd.p31 == again and cd.p31.anti_uniformizer == again.anti_uniformizer
+    assert any(P is cd.p31 for P in cd.cg.fb_ctx.above[3])
+    factored = []
+    factor = census.factor_rational_prime
+    monkeypatch.setattr(census, "factor_rational_prime", lambda K, p: factored.append(p) or factor(K, p))
+    assert load_conductor(ell).p31 == cd.p31
+    assert factored == [ell]
+
+
 def test_cache_record_reads_alike_with_or_without_quartic_poly(tmp_path, monkeypatch):
     # Records once also carried "quartic_poly"; F comes from "F" either way.
     monkeypatch.setenv("A4CENSUS_CACHE", str(tmp_path))
@@ -512,8 +545,8 @@ def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, 
     split = census.smooth_split
     calls = []
 
-    def recorded(cg, A, usable=None, norm=None):
-        got = split(cg, A, usable=usable, norm=norm)
+    def recorded(cg, A, usable=None, norm=None, totals=()):
+        got = split(cg, A, usable=usable, norm=norm, totals=totals)
         calls.append((A, usable, norm, got))
         return got
 
@@ -609,14 +642,14 @@ def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell,
     c3_split, split = census._c3_split, census.smooth_split
     seen, norms = [], []
 
-    def recorded_c3_split(cd_, v, v1):
+    def recorded_c3_split(cd_, v, v1, totals=()):
         seen.append(v)
         assert abs(arith.det_bareiss(v1)) == v**3, v
-        return c3_split(cd_, v, v1)
+        return c3_split(cd_, v, v1, totals)
 
-    def recorded_split(cg, A, usable=None, norm=None):
+    def recorded_split(cg, A, usable=None, norm=None, totals=()):
         norms.append(norm)
-        return split(cg, A, usable=usable, norm=norm)
+        return split(cg, A, usable=usable, norm=norm, totals=totals)
 
     monkeypatch.setattr(census, "_c3_split", recorded_c3_split)
     monkeypatch.setattr(census, "smooth_split", recorded_split)
@@ -655,10 +688,12 @@ def test_verdict_cube_logs_take_the_first_character_not_one_as_omega():
 
 
 def _segment_lattices(cd, lo, hi):
-    # the v1 HNFs of the C3 primes of (lo, hi] and their float transforms
+    # the C3 primes of (lo, hi] in the lanes, their v1 HNFs and float transforms
     primes = arith.primes_in_range(lo + 1, hi + 1)
-    hnfs = [pre[1] for pre in census._c3_setup_lanes(cd, primes) if isinstance(pre, tuple)]
-    return hnfs, list(linalg.lll_float_batch(hnfs, cd.frame))
+    pending = [(v, pre[1]) for v, pre in zip(primes, census._c3_setup_lanes(cd, primes))
+               if isinstance(pre, tuple)]
+    hnfs = [v1 for _, v1 in pending]
+    return [v for v, _ in pending], hnfs, list(linalg.lll_float_batch(hnfs, cd.frame))
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -667,16 +702,16 @@ def test_lane_products_match_combine(conductor, ell, lo):
     # T v1 in one int64 product against _combine on every lattice of a
     # window, as tuples of Python integers
     cd = conductor(ell)
-    hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
+    primes, hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
     assert len(hnfs) > 100 and all(T is not None for T in transforms)
-    got = list(census._transformed(hnfs, transforms))
+    got = [basis for basis, _ in census._transformed(cd, primes, hnfs, transforms)]
     want = [
         [classgroup._combine(t, y.tolist()) for t in T.tolist()] for y, T in zip(hnfs, transforms)
     ]
     assert got == want
     assert all(type(c) is int for basis in got for row in basis for c in row)
     assert all(type(row) is tuple for basis in got for row in basis)
-    assert next(census._transformed(hnfs, [None] + transforms[1:])) is None
+    assert next(census._transformed(cd, primes, hnfs, [None] + transforms[1:])) == (None, ())
 
 
 def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch):
@@ -686,7 +721,7 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
     want = census._count_segment(cd, lo, hi)
-    hnfs, transforms = _segment_lattices(cd, lo, hi)
+    _, hnfs, transforms = _segment_lattices(cd, lo, hi)
     top = max(int(y.max()) for y in hnfs)
     sizes = sorted(int(abs(T).max()) * 4 * top for T in transforms)
     bound = sizes[len(sizes) // 2]
@@ -703,6 +738,85 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
     assert census._count_segment(cd, lo, hi) == want
     assert 0 < past < len(sizes)
     assert len(combined) == 4 * past
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [0, 4 * 10**4, 10**6, 10**8, census.LANE_BOUND - 8000])
+def test_split_totals_lanes_match_el_norm(conductor, ell, lo):
+    # every row of every certified basis of (lo, lo + 8000] gets its total
+    # |N(alpha)| / v^3, equal to el_norm's, and minus the rows are the first
+    # four candidates of the split's stream, which the totals stand for
+    cd = conductor(ell)
+    primes, hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
+    out = list(census._transformed(cd, primes, hnfs, transforms))
+    assert len(out) > 100
+    for v, (basis, totals) in zip(primes, out):
+        assert list(totals) == [abs(cd.F.el_norm(row)) // v**3 for row in basis], v
+        assert all(abs(cd.F.el_norm(row)) % v**3 == 0 for row in basis)
+    basis = out[0][0]
+    stream = classgroup.ideal_short_elements(cd.F, basis, reduced=True)
+    assert list(itertools.islice(stream, 4)) == [tuple(-x for x in row) for row in basis]
+
+
+def _split_el_norms(monkeypatch):
+    # each el_norm call inside a census split: (k, totals), k the index of
+    # the basis row whose negative it is (None past the first four
+    # candidates) and totals those the split was given
+    split = census.smooth_split
+    el_norm = fields.NumberField.el_norm
+    current, calls = [], []
+
+    def recorded(cg, A, usable=None, norm=None, totals=()):
+        current.append((A, totals))
+        try:
+            return split(cg, A, usable=usable, norm=norm, totals=totals)
+        finally:
+            current.pop()
+
+    def counted(self, el):
+        if current:
+            A, totals = current[-1]
+            negated = tuple(-x for x in el)
+            calls.append((next((k for k, row in enumerate(A) if tuple(row) == negated), None), totals))
+        return el_norm(self, el)
+
+    monkeypatch.setattr(census, "smooth_split", recorded)
+    monkeypatch.setattr(fields.NumberField, "el_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("guard", ["NORM_PRODUCT_BOUND", "DET_MODULUS"])
+def test_split_totals_lanes_past_a_guard_go_to_el_norm(conductor, monkeypatch, guard):
+    # With a guard lowered to the median row, exactly the rows past it get no
+    # total, the split takes el_norm for those it reaches, and the records
+    # are the same.  At the default guards the split takes el_norm only for
+    # candidates past the fourth.
+    cd = conductor(277)
+    lo, hi = 10**6, 10**6 + 8000
+    calls = _split_el_norms(monkeypatch)
+    want = census._count_segment(cd, lo, hi)
+    assert all(k is None for k, _ in calls)
+    primes, hnfs, transforms = _segment_lattices(cd, lo, hi)
+    rows = [row for basis, _ in census._transformed(cd, primes, hnfs, transforms) for row in basis]
+    top = max(abs(c) for row in cd.F.mult_table for el in row for c in el)
+    if guard == "NORM_PRODUCT_BOUND":
+        sizes = sorted(max(map(abs, row)) * 4 * top for row in rows)
+        module, bound = census, sizes[len(sizes) // 2]
+        past = {tuple(row) for row in rows if max(map(abs, row)) * 4 * top >= bound}
+    else:
+        sizes = sorted(abs(cd.F.el_norm(row)) for row in rows)
+        module, bound = linalg, 2 * sizes[len(sizes) // 2]
+    monkeypatch.setattr(module, guard, bound)
+    calls.clear()
+    got = list(census._transformed(cd, primes, hnfs, transforms))
+    nones = [row for basis, totals in got for row, t in zip(basis, totals) if t is None]
+    assert 0 < len(nones) < len(rows)
+    if guard == "NORM_PRODUCT_BOUND":
+        assert set(nones) == past
+    calls.clear()
+    assert census._count_segment(cd, lo, hi) == want
+    reached = [totals[k] for k, totals in calls if k is not None]
+    assert reached and all(t is None for t in reached)
 
 
 def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
@@ -744,10 +858,10 @@ def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     split = census.smooth_split
 
-    def failing_split(cg, A, usable=None, norm=None):
+    def failing_split(cg, A, usable=None, norm=None, totals=()):
         if norm == bad**3:
             return None
-        return split(cg, A, usable=usable, norm=norm)
+        return split(cg, A, usable=usable, norm=norm, totals=totals)
 
     monkeypatch.setattr(census, "smooth_split", failing_split)
     with pytest.raises(FieldError):
@@ -934,8 +1048,9 @@ def _stage3(cd, lo, hi):
     setup = census._c3_setup_lanes(cd, primes)
     pending = [(v, *pre) for v, pre in zip(primes, setup) if isinstance(pre, tuple)]
     hnfs = [v1 for *_, v1 in pending]
-    bases = census._transformed(hnfs, linalg.lll_float_batch(hnfs, cd.frame))
-    return [(v, r, basis) for (v, r, _), basis in zip(pending, bases)]
+    transforms = linalg.lll_float_batch(hnfs, cd.frame)
+    bases = census._transformed(cd, [v for v, *_ in pending], hnfs, transforms)
+    return [(v, r, basis) for (v, r, _), (basis, _) in zip(pending, bases)]
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -1024,8 +1139,8 @@ def test_a_zero_character_in_the_verdict_lanes_is_one_fallback(conductor, monkey
     want = census._count_segment(cd, 0, 5000)
     c3_split = census._c3_split
 
-    def in_v2_at_bad(cd_, v, v1):
-        alpha, *rest = c3_split(cd_, v, v1)
+    def in_v2_at_bad(cd_, v, v1, totals=()):
+        alpha, *rest = c3_split(cd_, v, v1, totals)
         return ((v, 0, 0, 0) if v == bad else alpha, *rest)
 
     monkeypatch.setattr(census, "_c3_split", in_v2_at_bad)

@@ -437,6 +437,117 @@ def test_lll_float_batch_edge_sizes():
     assert linalg.hnf(_apply(t.tolist(), [[1, 0], [7, 1]])) == [(1, 0), (0, 1)]
 
 
+def _det4_blocks(seed, count):
+    """Seeded 4 x 4 integer blocks: det 0, det +-1, and entries near 2^31, 2^62 and 2^63."""
+    rng = random.Random(seed)
+    blocks = []
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:  # a repeated row, det 0
+            rows = [[rng.randrange(-(2**40), 2**40) for _ in range(4)] for _ in range(3)]
+            rows.append(list(rows[1]))
+        elif kind == 1:  # a product of elementary matrices, det +-1
+            rows = [[int(i == j) for j in range(4)] for i in range(4)]
+            for _ in range(12):
+                i, j = rng.sample(range(4), 2)
+                q = rng.randrange(-9, 10)
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+            if rng.random() < 0.5:
+                rows[0], rows[1] = rows[1], rows[0]
+        else:
+            top = (2**31, 2**62, 2**63)[kind - 2]
+            rows = [[rng.randrange(-top, top) for _ in range(4)] for _ in range(4)]
+        blocks.append(rows)
+    return blocks
+
+
+def test_det4_residues_match_det_bareiss():
+    blocks = _det4_blocks(26, 400)
+    got = linalg.det4_residues(np.array(blocks, dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (len(linalg.DET_PRIMES), len(blocks))
+    dets = [det_bareiss(b) for b in blocks]
+    assert {d for d in dets[0::5]} == {0} and {abs(d) for d in dets[1::5]} == {1}
+    for k, d in enumerate(dets):
+        assert got[:, k].tolist() == [d % p for p in linalg.DET_PRIMES], k
+    assert linalg.det4_residues(np.zeros((0, 4, 4), dtype=np.int64)).shape == (4, 0)
+
+
+def test_det4_primes_are_the_primes_below_2_31():
+    assert linalg.DET_PRIMES == tuple(sorted(sympy.primerange(2**31 - 80, 2**31), reverse=True))
+    assert linalg.DET_MODULUS == np.prod([sympy.Integer(p) for p in linalg.DET_PRIMES])
+
+
+def test_lll_float_batch_certifies_without_det_bareiss(conductor, monkeypatch):
+    # every census transform lies within the Hadamard bound: none takes
+    # det_bareiss, and each one it certifies has |det_bareiss| = 1
+    cd = conductor(277)
+    bases = _census_v1(cd, 10**8, 40) + _census_v1(cd, 2**30 - 10**5, 40)
+    calls = []
+    monkeypatch.setattr(linalg, "det_bareiss", lambda rows: calls.append(rows) or det_bareiss(rows))
+    got = linalg.lll_float_batch(bases, cd.frame)
+    assert calls == [] and all(t is not None for t in got)
+    _check_certified(bases, got)
+
+
+def test_lll_float_batch_unimodular_certificate():
+    # det 1, -1, 0, 2 and -2 inside the bound; past it det_bareiss decides
+    blocks = [
+        [[1, 5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[2, 7, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 2, 0, 0], [1, 9, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 2**40, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2**40], [0, 0, 0, 1]],
+        [[2, 2**40, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2**40], [0, 0, 0, 1]],
+    ]
+    ts = np.array(blocks, dtype=np.int64)
+    exact = np.ones(len(blocks), dtype=bool)
+    assert linalg._unimodular(ts, exact) == [True, True, False, False, False, True, False]
+    exact[0] = False
+    assert linalg._unimodular(ts, exact)[0] is False
+    # transforms of another size take det_bareiss
+    two = np.array([[[1, 3], [0, 1]], [[2, 0], [0, 1]]], dtype=np.int64)
+    assert linalg._unimodular(two, np.ones(2, dtype=bool)) == [True, False]
+
+
+def test_lll_float_batch_past_the_hadamard_bound_takes_det_bareiss(conductor, monkeypatch):
+    # with DET_MODULUS lowered to the median of the transforms' 2 H + 2,
+    # exactly the transforms at or past it take det_bareiss, and every T
+    # comes back the same
+    cd = conductor(349)
+    bases = _census_v1(cd, 10**6, 40)
+    want = _lists(linalg.lll_float_batch(bases, cd.frame))
+    sizes = []
+    for t in want:
+        h = float(np.prod(np.sqrt((np.array(t, dtype=np.float64) ** 2).sum(axis=1))))
+        sizes.append(2 * h * linalg.FLOAT_BOUND_MARGIN + 2)
+    bound = sorted(sizes)[len(sizes) // 2]
+    calls = []
+    monkeypatch.setattr(linalg, "DET_MODULUS", int(bound))
+    monkeypatch.setattr(linalg, "det_bareiss", lambda rows: calls.append(rows) or det_bareiss(rows))
+    assert _lists(linalg.lll_float_batch(bases, cd.frame)) == want
+    assert 0 < len(calls) < len(bases)
+    assert sorted(map(str, calls)) == sorted(str(t) for t, s in zip(want, sizes) if s >= int(bound))
+
+
+def test_lll_float_batch_returns_none_for_a_forced_non_unimodular_transform(conductor, monkeypatch):
+    # one transform with a row doubled (det +-2, well inside the bound)
+    # before it is certified comes back None; the others are unchanged
+    cd = conductor(163)
+    bases = _census_v1(cd, 10**6, 12)
+    want = _lists(linalg.lll_float_batch(bases, cd.frame))
+    certify = linalg._unimodular
+
+    def doubled(ts, exact):
+        ts[5, 2] *= 2
+        return certify(ts, exact)
+
+    monkeypatch.setattr(linalg, "_unimodular", doubled)
+    got = _lists(linalg.lll_float_batch(bases, cd.frame))
+    assert got[5] is None
+    assert got[:5] + got[6:] == want[:5] + want[6:]
+
+
 def test_cholesky_float_factors_the_form():
     gram = [[6, 2, 1], [2, 5, 2], [1, 2, 4]]
     low = linalg.cholesky_float(gram)
