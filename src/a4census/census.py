@@ -36,19 +36,22 @@ routes are deterministic; the census output is byte-identical for any
 worker count because work is split into fixed segments and merged in
 order.
 
-The census (run_census) classifies a segment of up to CHUNK integers
-(_count_segment) on two routes.  Its primes below LANE_BOUND = 2^30,
-the excluded ones aside, go through three stages, each run once over
-the segment: fast_classify's gate, root and closed-form v1 in numpy
-int64 lanes (_c3_setup_lanes); one batched float64 LLL
-(linalg.lll_float_batch) over the v1 lattices of their C3 primes, which
-drops finished lattices from its working arrays as it goes and returns
-each transform T, certified by its determinant modulo four primes, as
-an int64 array, applied in one int64 product (_transformed); then
+The census (run_census) classifies a task, a run of up to TASK_SEGMENTS
+consecutive segments of up to CHUNK integers each (_count_task), on two
+routes.  Its primes below LANE_BOUND = 2^30, the excluded ones aside,
+go through three stages, each run once over the task, since one numpy
+pass costs about the same at any width: fast_classify's gate, root and
+closed-form v1 in numpy int64 lanes (_c3_setup_lanes); one batched
+float64 LLL (linalg.lll_float_batch) over the v1 lattices of their C3
+primes, which drops finished lattices from its working arrays as it
+goes and returns each transform T, certified by its determinant modulo
+four primes, as an int64 array, applied in one int64 product
+(_transformed); then
 fast_classify's split and residuals, the split searching each certified
 basis as it is, with no exact LLL.  The norms of the basis rows, the
 split's first candidates, come from the same int64 products, certified
-modulo the same primes (_split_totals_lanes).  The split and alpha's
+modulo the same primes, in blocks of TOTALS_BLOCK lattices
+(_split_totals_lanes).  The split and alpha's
 logs come per prime (_c3_split, which _c3_verdict shares), and the raw
 cube characters at v_2 of the units and of alpha's
 net residue for all the split primes at once, in int64 lanes
@@ -60,8 +63,9 @@ character, like any other FieldError of either fast route, sends that
 prime to classify_prime, the reference route, and the census counts it
 as a fallback.  A lattice's transform does not depend on the rest of
 its batch, so neither the verdicts nor the alpha behind them depend on
-the worker count or on where segments are cut.  Segments return their
-C3 records; _merge_segments alone counts them and writes the JSONL lines.
+the worker count or on how segments are grouped into tasks.  A task
+returns the C3 records of each of its segments; _merge_segments alone
+counts them and writes the JSONL lines.
 fast_classify itself reduces the HNF of v1 exactly
 (classgroup._reduced_basis) before _c3_verdict, and every other
 caller of smooth_split starts from the HNF.  The moving quotient's unit
@@ -127,6 +131,9 @@ from .rayclass import (
 log = logging.getLogger(__name__)
 
 CHUNK = 8000  # primes are counted in fixed blocks so merges are order-stable
+# consecutive segments per census task, at most: one numpy pass costs about
+# the same at any width, so each stage runs once per task (_count_task)
+TASK_SEGMENTS = 16
 
 
 class VerificationError(FieldError):
@@ -482,7 +489,7 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     characters and looks the memberships up.  The census comes here only
     through fast_classify, for the primes its stage-1 lanes do not take;
     for every other prime it takes the same characters for a whole
-    segment in int64 lanes (_c3_characters_lanes), whose oracle this is.
+    task in int64 lanes (_c3_characters_lanes), whose oracle this is.
     """
     alpha, wild_net, l2_net, powers = _c3_split(cd, v, v1)
     tame_v = TameBlock(cd.F, v, r)
@@ -892,20 +899,23 @@ def _segments(limit: int, cps) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def _count_segment(cd: ConductorData, lo: int, hi: int):
-    """Classify the primes in (lo, hi]: C3 records, primes classified, fallbacks.
+def _count_task(cd: ConductorData, segs) -> list:
+    """Classify the primes of consecutive segments: one (records, classified, fallbacks) each.
 
-    Returns the records (v, in_lambda, in_taubar) of the C3 primes in
-    order, the number of primes classified (skips removed) and the number
-    of fallbacks.  A prime takes one of two routes, each verdict equal to
+    `segs` is a run of consecutive segments (lo, hi], as run_census cuts
+    them (_tasks).  For each segment, in order, the result holds the
+    records (v, in_lambda, in_taubar) of its C3 primes in order, the
+    number of its primes classified (skips removed) and the number of its
+    fallbacks.  A prime takes one of two routes, each verdict equal to
     fast_classify's.  Every prime the stage-1 lanes do not take (an
     excluded prime, v at or above LANE_BOUND, an int64 guard, an
     irregular Euclid sequence, a failed root or integrality check) goes
     whole through fast_classify.  Every other prime goes through three
-    stages, each run once over the segment:
+    stages, each run once over the whole task, since the cost of a numpy
+    pass hardly depends on its width:
       1. the gate, the root and the closed-form v1 together, in numpy
          int64 lanes (_c3_setup_lanes);
-      2. the v1 bases of the segment's C3 primes are reduced together by
+      2. the v1 bases of the task's C3 primes are reduced together by
          one linalg.lll_float_batch in the real coordinates cd.frame; each
          returned T is an int64 array, unimodular, checked exactly (det T
          = +-1 modulo the primes of linalg.DET_PRIMES under a Hadamard
@@ -914,56 +924,61 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
          within PRODUCT_BOUND, _combine for any other), so they are a
          basis of v1 whatever the floats did, of norm v^3;
       3. the norms of the rows of every basis formed in int64 are
-         certified together (_split_totals_lanes: N(alpha) modulo the
-         same primes, from alpha's multiplication matrix in int64, equal
-         to c v^3 under the AM-GM bound (Tr(alpha^2)/4)^2), and each C3
-         prime is split alone from its certified basis (_c3_split: the
-         split searches the basis as it is, without an exact LLL, takes
-         those totals for its first four candidates, minus the rows, and
-         el_norm for any other candidate or any row without a total,
-         and alpha's wild and ell_2 logs follow), then the
-         segment's split primes take their cube characters at v_2
-         together in int64 lanes (_c3_characters_lanes), and each is
-         labelled and looked up in cd.unit_spans (_c3_labels).
+         certified in blocks of TOTALS_BLOCK lattices (_split_totals_lanes:
+         N(alpha) modulo the same primes, from alpha's multiplication
+         matrix in int64, equal to c v^3 under the AM-GM bound
+         (Tr(alpha^2)/4)^2), and each C3 prime is split alone from its
+         certified basis (_c3_split: the split searches the basis as it
+         is, without an exact LLL, takes those totals for its first four
+         candidates, minus the rows, and el_norm for any other candidate
+         or any row without a total, and alpha's wild and ell_2 logs
+         follow), then the task's split primes take their cube
+         characters at v_2 together in int64 lanes
+         (_c3_characters_lanes), and each is labelled and looked up in
+         cd.unit_spans (_c3_labels).
     A lattice's T does not depend on the other lattices of the batch, so
-    the verdicts and the alpha behind them do not depend on where the
-    segments are cut or on the worker count.  A FieldError at one prime
-    (any in fast_classify, a transform that is not certified in stage 2,
-    "no smooth split" or a zero character in stage 3) is contained: that
-    prime is classified by classify_prime and counted as a fallback.
-    VerificationError("root") means the gate is wrong and propagates.
+    the verdicts and the alpha behind them do not depend on how the
+    segments are grouped into tasks or on the worker count.  A FieldError
+    at one prime (any in fast_classify, a transform that is not certified
+    in stage 2, "no smooth split" or a zero character in stage 3) is
+    contained: that prime is classified by classify_prime and counted as
+    a fallback of its segment.  VerificationError("root") means the gate
+    is wrong and propagates.
     """
-    verdicts = []
-    pending = []  # (index in verdicts, v, r, v1 HNF) of each C3 prime in the lanes
-    fallbacks = 0
-    primes = primes_in_range(lo + 1, hi + 1)
-    for v, pre in zip(primes, _c3_setup_lanes(cd, primes)):
+    primes = primes_in_range(segs[0][0] + 1, segs[-1][1] + 1)
+    verdicts = [None] * len(primes)
+    fell = [False] * len(primes)  # the primes classified by _fallback
+    pending = []  # (index in primes, v, r, v1 HNF) of each C3 prime in the lanes
+
+    def fallback(i, exc):
+        verdicts[i] = _fallback(cd, primes[i], exc)
+        fell[i] = True
+
+    for i, (v, pre) in enumerate(zip(primes, _c3_setup_lanes(cd, primes))):
         if pre is None:
             try:
                 pre = fast_classify(cd, v)
             except FieldError as exc:
                 if isinstance(exc, VerificationError) and exc.check == "root":
                     raise
-                pre = _fallback(cd, v, exc)
-                fallbacks += 1
+                fallback(i, exc)
+                continue
         if isinstance(pre, PrimeClassification):
-            verdicts.append(pre)
+            verdicts[i] = pre
         else:
-            pending.append((len(verdicts), v, *pre))
-            verdicts.append(None)
+            pending.append((i, v, *pre))
     hnfs = [v1 for *_, v1 in pending]
     lane_primes = [v for _, v, *_ in pending]
     bases = _transformed(cd, lane_primes, hnfs, linalg.lll_float_batch(hnfs, cd.frame))
-    c3 = []  # (index in verdicts, v, r, _c3_split's value) of each split C3 prime
+    c3 = []  # (index in primes, v, r, _c3_split's value) of each split C3 prime
     for (i, v, r, _), (basis, totals) in zip(pending, bases):
         try:
             if basis is None:
                 raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
             c3.append((i, v, r, _c3_split(cd, v, basis, totals)))
         except FieldError as exc:
-            verdicts[i] = _fallback(cd, v, exc)
-            fallbacks += 1
-    del pending, hnfs  # the v1 HNFs are done with; the lanes need only the splits
+            fallback(i, exc)
+    del pending, hnfs, bases  # the bases are done with; the lanes need only the splits
     if c3:
         index, lane_v, roots, splits = zip(*c3)
         alphas, powers = [s[0] for s in splits], [s[3] for s in splits]
@@ -972,13 +987,20 @@ def _count_segment(cd: ConductorData, lo: int, hi: int):
             try:
                 verdicts[i] = _c3_labels(cd, v, wild_net, l2_net, chars)
             except FieldError as exc:  # a zero character
-                verdicts[i] = _fallback(cd, v, exc)
-                fallbacks += 1
-    records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in verdicts if pc.in_C3]
-    return records, sum(not pc.skipped for pc in verdicts), fallbacks
+                fallback(i, exc)
+    out = []
+    start = 0
+    for _, hi in segs:
+        stop = bisect.bisect_right(primes, hi, start)
+        part = verdicts[start:stop]
+        records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in part if pc.in_C3]
+        out.append((records, sum(not pc.skipped for pc in part), sum(fell[start:stop])))
+        start = stop
+    return out
 
 
 PRODUCT_BOUND = 2**63  # T y is formed in int64 where max|T| * n * max|y| stays below it
+TOTALS_BLOCK = 256  # lattices per _split_totals_lanes call
 
 
 def _transformed(cd: ConductorData, primes, bases, transforms):
@@ -989,10 +1011,12 @@ def _transformed(cd: ConductorData, primes, bases, transforms):
     so every lattice with max|T| * n * max|y| < PRODUCT_BOUND, max|y|
     taken over the whole batch, has each partial sum in int64; those
     lattices are formed in one numpy product, and their rows' cofactor
-    norms come from the same int64 products (_split_totals_lanes).  Any
-    other lattice is formed with _combine and gets no totals.  The
-    reduced bases come one at a time, as tuples of Python integers, so
-    that a segment holds only its int64 products at once.
+    norms come from the same int64 products (_split_totals_lanes), taken
+    as the bases are consumed, TOTALS_BLOCK lattices at a time, so that
+    their temporaries do not grow with the task.  Any other lattice is
+    formed with _combine and gets no totals.  The reduced bases come one
+    at a time, as tuples of Python integers, so that a task holds only
+    its int64 products at once.
     """
     import numpy as np
 
@@ -1005,7 +1029,10 @@ def _transformed(cd: ConductorData, primes, bases, transforms):
         ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
         rows = t[ok] @ y[ok]
         v = np.array(primes, dtype=np.int64)[lanes][ok]
-        totals = iter(_split_totals_lanes(cd, v, rows))
+        totals = itertools.chain.from_iterable(
+            _split_totals_lanes(cd, v[k : k + TOTALS_BLOCK], rows[k : k + TOTALS_BLOCK])
+            for k in range(0, len(v), TOTALS_BLOCK)
+        )
         products = iter(rows)
         for i, good in zip(lanes, ok.tolist()):
             inside[i] = good
@@ -1106,8 +1133,23 @@ def _worker_init(cd: ConductorData):
     _WORKER_CD = cd
 
 
-def _worker_count(seg):
-    return _count_segment(_WORKER_CD, *seg)
+def _worker_count(task):
+    return _count_task(_WORKER_CD, task)
+
+
+def _tasks(segs, workers: int) -> list:
+    """Cut the segments into runs of consecutive ones, in order: the census tasks.
+
+    The runs differ in length by at most one segment, and each holds at
+    most TASK_SEGMENTS.  Their count is the smallest multiple of the
+    worker count that allows this, so that each pool worker gets as many
+    tasks as the others, or one task per segment when there are fewer
+    segments than that.
+    """
+    count = min(len(segs), workers * -(-len(segs) // (TASK_SEGMENTS * workers)))
+    size, extra = divmod(len(segs), count)
+    cuts = [k * size + min(k, extra) for k in range(count + 1)]
+    return [segs[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, jsonl=None):
@@ -1118,28 +1160,30 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     by N itself.  Primes beyond the last checkpoint are never classified.
     Work is cut into fixed segments of CHUNK = 8000 integers (checkpoints
     always land on segment boundaries), so the merged rows do not depend
-    on the worker count.  Each segment is classified by _count_segment
-    on two routes.  Its primes below LANE_BOUND = 2^30, the excluded ones
-    aside, go through three stages, each run once over the segment: the
-    gate, root and v1 of all of them in numpy lanes; one batched float
-    LLL over the segment's v1 lattices, which hands its certified
-    transforms on as int64 arrays, certified by their determinants
-    modulo four primes below 2^31, with T v1 formed in one int64 product;
-    the norms of those rows, certified modulo the same primes, and the
-    split of each v1 from its certified reduced basis, which takes them
-    for its first candidates, with alpha's wild and ell_2 logs; then the
-    cube characters at v_2 of all the segment's split primes in int64
-    lanes.  Every prime the lanes do not take goes whole through
-    fast_classify.  A lattice's reduction does not depend on its batch,
-    so the output is the same however the segments fall.
-    Pool workers receive cd itself, never reload the conductor, and take
-    one segment per task.  Each segment returns its C3 records;
-    _merge_segments counts them and, with `jsonl` (a path, or "-" for
-    stdout), writes them in order as the segment is merged, so a census
-    holds one segment's records at a time.  A prime at which either fast
-    route raises FieldError (a zero character at v_2 included), or whose
-    float reduction is not certified, is classified by classify_prime;
-    the number of such fallbacks is logged at the end.
+    on the worker count.  Consecutive segments are grouped into tasks
+    (_tasks: at most TASK_SEGMENTS segments each, and as many tasks for
+    each worker), and each task is classified by _count_task on two
+    routes.  Its primes below LANE_BOUND = 2^30, the excluded ones aside,
+    go through three stages, each run once over the task: the gate, root
+    and v1 of all of them in numpy lanes; one batched float LLL over the
+    task's v1 lattices, which hands its certified transforms on as int64
+    arrays, certified by their determinants modulo four primes below
+    2^31, with T v1 formed in one int64 product; the norms of those rows,
+    certified modulo the same primes in blocks of lattices, and the split
+    of each v1 from its certified reduced basis, which takes them for its
+    first candidates, with alpha's wild and ell_2 logs; then the cube
+    characters at v_2 of all the task's split primes in int64 lanes.
+    Every prime the lanes do not take goes whole through fast_classify.
+    A lattice's reduction does not depend on its batch, so the output is
+    the same however the segments are grouped.  Pool workers receive cd
+    itself, never reload the conductor, and take one task at a time.  A
+    task returns the C3 records of each of its segments; _merge_segments
+    counts them and, with `jsonl` (a path, or "-" for stdout), writes
+    them in order as each segment is merged, so a census holds one
+    task's records at a time.  A prime at which either fast route raises
+    FieldError (a zero character at v_2 included), or whose float
+    reduction is not certified, is classified by classify_prime; the
+    number of such fallbacks is logged at the end.
     VerificationError("root") aborts the census.
     """
     cps = _checkpoints_for(N, checkpoints)
@@ -1153,29 +1197,32 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     else:
         sink = open(jsonl, "w")
     with sink as out:
+        tasks = _tasks(segs, max(workers, 1))
         if workers <= 1:
-            results = (_count_segment(cd, lo, hi) for lo, hi in segs)
+            results = (_count_task(cd, task) for task in tasks)
             return _merge_segments(cd, segs, results, cps, out)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(cd,)
         ) as pool:
-            results = pool.map(_worker_count, segs)
+            results = pool.map(_worker_count, tasks)
             return _merge_segments(cd, segs, results, cps, out)
 
 
 def _merge_segments(cd, segs, results, cps, out):
     """Fold the segment results in order into checkpoint rows.
 
-    The one place where verdicts are counted: each segment's C3 records
-    add to c3, lambda, taubar and both, and go to `out` (when given) as
-    JSONL lines as the segment is merged, so a long census holds at most
-    one segment's records.  The segments' fallbacks to classify_prime
-    are summed and logged.
+    `results` yields each task's list of segment results, in order: one
+    (records, classified, fallbacks) per segment of `segs`.  The one place
+    where verdicts are counted: each segment's C3 records add to c3,
+    lambda, taubar and both, and go to `out` (when given) as JSONL lines
+    as the segment is merged, so the lines of every finished task are
+    written before the next task's results are read.  The segments'
+    fallbacks to classify_prime are summed and logged.
     """
     rows = []
     c3 = cl = ct = cb = done = fallbacks = 0
     cps_left = list(cps)
-    for (lo, hi), (records, sdone, sfall) in zip(segs, results):
+    for (lo, hi), (records, sdone, sfall) in zip(segs, itertools.chain.from_iterable(results)):
         for _v, in_lambda, in_taubar in records:
             cl += in_lambda
             ct += in_taubar

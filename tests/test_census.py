@@ -527,7 +527,7 @@ def test_dual_paths_agree_through_the_batched_segment(conductor, ell, lo):
     # the census path (gate, one float LLL over the segment, split from the
     # reduced bases) against the reference route on the first 20 C3 primes
     cd = conductor(ell)
-    records, _, fallbacks = census._count_segment(cd, lo, lo + 2000)
+    records, _, fallbacks = census._count_task(cd, [(lo, lo + 2000)])[0]
     assert len(records) >= 20 and fallbacks == 0
     for v, in_lambda, in_taubar in records[:20]:
         ref = classify_prime(cd, v)
@@ -551,7 +551,7 @@ def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, 
         return got
 
     monkeypatch.setattr(census, "smooth_split", recorded)
-    census._count_segment(cd, lo, lo + 2000)
+    census._count_task(cd, [(lo, lo + 2000)])[0]
     assert len(calls) >= 20
     unchanged = 0
     for A, usable, norm, got in calls[:20]:
@@ -653,7 +653,7 @@ def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell,
 
     monkeypatch.setattr(census, "_c3_split", recorded_c3_split)
     monkeypatch.setattr(census, "smooth_split", recorded_split)
-    records, _, fallbacks = census._count_segment(cd, lo, lo + 4000)
+    records, _, fallbacks = census._count_task(cd, [(lo, lo + 4000)])[0]
     assert fallbacks == 0 and len(records) > 50
     assert seen == [v for v, *_ in records]
     assert norms == [v**3 for v in seen]
@@ -664,7 +664,7 @@ def test_verdict_alike_with_omega_squared(conductor, ell, monkeypatch):
     # labelling the tame characters with omega^2 in place of omega negates
     # every tame coordinate at once, which changes neither membership
     cd = conductor(ell)
-    want = census._count_segment(cd, 10**6, 10**6 + 4000)
+    want = census._count_task(cd, [(10**6, 10**6 + 4000)])[0]
     logs = census._cube_logs
     labelled = []
 
@@ -674,7 +674,7 @@ def test_verdict_alike_with_omega_squared(conductor, ell, monkeypatch):
         return got
 
     monkeypatch.setattr(census, "_cube_logs", squared)
-    assert census._count_segment(cd, 10**6, 10**6 + 4000) == want
+    assert census._count_task(cd, [(10**6, 10**6 + 4000)])[0] == want
     assert want[2] == 0 and sum(labelled) > 0.9 * len(labelled) > 50
 
 
@@ -720,7 +720,7 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
     # int64, and the records are the same
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
-    want = census._count_segment(cd, lo, hi)
+    want = census._count_task(cd, [(lo, hi)])[0]
     _, hnfs, transforms = _segment_lattices(cd, lo, hi)
     top = max(int(y.max()) for y in hnfs)
     sizes = sorted(int(abs(T).max()) * 4 * top for T in transforms)
@@ -735,7 +735,7 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
 
     monkeypatch.setattr(census, "PRODUCT_BOUND", bound)
     monkeypatch.setattr(census, "_combine", counted)
-    assert census._count_segment(cd, lo, hi) == want
+    assert census._count_task(cd, [(lo, hi)])[0] == want
     assert 0 < past < len(sizes)
     assert len(combined) == 4 * past
 
@@ -794,7 +794,7 @@ def test_split_totals_lanes_past_a_guard_go_to_el_norm(conductor, monkeypatch, g
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
     calls = _split_el_norms(monkeypatch)
-    want = census._count_segment(cd, lo, hi)
+    want = census._count_task(cd, [(lo, hi)])[0]
     assert all(k is None for k, _ in calls)
     primes, hnfs, transforms = _segment_lattices(cd, lo, hi)
     rows = [row for basis, _ in census._transformed(cd, primes, hnfs, transforms) for row in basis]
@@ -814,7 +814,7 @@ def test_split_totals_lanes_past_a_guard_go_to_el_norm(conductor, monkeypatch, g
     if guard == "NORM_PRODUCT_BOUND":
         assert set(nones) == past
     calls.clear()
-    assert census._count_segment(cd, lo, hi) == want
+    assert census._count_task(cd, [(lo, hi)])[0] == want
     reached = [totals[k] for k, totals in calls if k is not None]
     assert reached and all(t is None for t in reached)
 
@@ -825,7 +825,7 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
     # prime by classify_prime and counts it as a fallback.
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
-    want = census._count_segment(cd, 0, 5000)
+    want = census._count_task(cd, [(0, 5000)])[0]
     valuations = classgroup._valuations_above
     c3_split = census._c3_split
     at_bad = []
@@ -845,7 +845,7 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
     monkeypatch.setattr(classgroup, "_valuations_above", doubled_at_bad)
     with pytest.raises(FieldError, match="norm factorization"):
         fast_classify(cd, bad)
-    got = census._count_segment(cd, 0, 5000)
+    got = census._count_task(cd, [(0, 5000)])[0]
     assert got[:-1] == want[:-1]
     assert (want[-1], got[-1]) == (0, 1)
 
@@ -959,9 +959,9 @@ def test_lanes_take_every_prime_of_the_first_segment_but_2_3_and_ell(conductor, 
     # through fast_classify, which skips them, and the lanes take the rest
     cd = conductor(277)
     assert cd.F.index == 4
-    want = census._count_segment(cd, 0, 8000)
+    want = census._count_task(cd, [(0, 8000)])[0]
     whole = _whole(monkeypatch)
-    assert census._count_segment(cd, 0, 8000) == want
+    assert census._count_task(cd, [(0, 8000)])[0] == want
     assert whole == [2, 3, 277]
     assert want[1] == len(arith.primes_in_range(1, 8001)) - 3 and want[2] == 0
 
@@ -999,7 +999,7 @@ def test_lanes_stop_at_the_int64_guard(conductor, monkeypatch):
     want = [fast_classify(cd, v) for v in primes]
     records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in want if pc.in_C3]
     whole = _whole(monkeypatch)
-    assert census._count_segment(cd, lo, hi) == (records, len(primes), 0)
+    assert census._count_task(cd, [(lo, hi)])[0] == (records, len(primes), 0)
     assert whole == [v for v in primes if v >= census.LANE_BOUND]
 
 
@@ -1008,12 +1008,12 @@ def test_an_irregular_lane_goes_through_the_per_prime_setup(conductor, monkeypat
     # up with _c3_setup, with the same records, counts and no fallback
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
-    want = census._count_segment(cd, 0, 8000)
+    want = census._count_task(cd, [(0, 8000)])[0]
     setup = census._c3_setup
     seen = []
     monkeypatch.setattr(census, "_c3_setup", lambda cd_, v: seen.append(v) or setup(cd_, v))
     _mark_lane_irregular(monkeypatch, bad)
-    assert census._count_segment(cd, 0, 8000) == want
+    assert census._count_task(cd, [(0, 8000)])[0] == want
     assert want[2] == 0
     assert seen == [2, 3, 277, bad]
 
@@ -1024,7 +1024,7 @@ def test_a_lane_routed_failure_is_one_fallback_or_aborts(conductor, monkeypatch,
     # classify_prime with the same records, "root" propagates
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
-    records, done, fallbacks = census._count_segment(cd, 0, 8000)
+    records, done, fallbacks = census._count_task(cd, [(0, 8000)])[0]
     setup = census._c3_setup
 
     def failing(cd_, v):
@@ -1036,10 +1036,10 @@ def test_a_lane_routed_failure_is_one_fallback_or_aborts(conductor, monkeypatch,
     _mark_lane_irregular(monkeypatch, bad)
     if check == "root":
         with pytest.raises(VerificationError) as exc:
-            census._count_segment(cd, 0, 8000)
+            census._count_task(cd, [(0, 8000)])[0]
         assert exc.value.check == "root"
     else:
-        assert census._count_segment(cd, 0, 8000) == (records, done, fallbacks + 1)
+        assert census._count_task(cd, [(0, 8000)])[0] == (records, done, fallbacks + 1)
 
 
 def _stage3(cd, lo, hi):
@@ -1112,7 +1112,7 @@ def test_verdict_lanes_stop_at_the_lane_bound(conductor, monkeypatch):
     # are the same
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
-    want = census._count_segment(cd, lo, hi)
+    want = census._count_task(cd, [(lo, hi)])[0]
     bound = lo + 4000
     verdict = census._c3_verdict
     scalar = []
@@ -1124,7 +1124,7 @@ def test_verdict_lanes_stop_at_the_lane_bound(conductor, monkeypatch):
     monkeypatch.setattr(census, "LANE_BOUND", bound)
     monkeypatch.setattr(census, "_c3_verdict", recorded)
     whole = _whole(monkeypatch)
-    assert census._count_segment(cd, lo, hi) == want
+    assert census._count_task(cd, [(lo, hi)])[0] == want
     c3 = [v for v, *_ in want[0]]
     assert whole == [v for v in arith.primes_in_range(lo + 1, hi + 1) if v >= bound]
     assert scalar == [v for v in c3 if v >= bound]
@@ -1136,7 +1136,7 @@ def test_a_zero_character_in_the_verdict_lanes_is_one_fallback(conductor, monkey
     # classify_prime and counted as one fallback, with the same records
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
-    want = census._count_segment(cd, 0, 5000)
+    want = census._count_task(cd, [(0, 5000)])[0]
     c3_split = census._c3_split
 
     def in_v2_at_bad(cd_, v, v1, totals=()):
@@ -1145,13 +1145,63 @@ def test_a_zero_character_in_the_verdict_lanes_is_one_fallback(conductor, monkey
 
     monkeypatch.setattr(census, "_c3_split", in_v2_at_bad)
     with caplog.at_level("INFO", logger="a4census.census"):
-        got = census._count_segment(cd, 0, 5000)
+        got = census._count_task(cd, [(0, 5000)])[0]
     assert got[:-1] == want[:-1]
     assert (want[-1], got[-1]) == (0, 1)
     assert [r.getMessage() for r in caplog.records if "fast route failed" in r.getMessage()] == [
         f"conductor 277: fast route failed at {bad} "
         "(element is not coprime to the tame prime); using classify_prime"
     ]
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [0, 10**6, 10**8, census.LANE_BOUND - 16000])
+def test_task_of_several_segments_returns_each_segments_result(conductor, ell, lo, monkeypatch):
+    # one task over three segments, the first two cut at a checkpoint, gives
+    # exactly the results of three one-segment tasks; a fallback stubbed at
+    # a C3 prime of the middle segment is counted in that segment only
+    cd = conductor(ell)
+    segs = [(lo, lo + 3000), (lo + 3000, lo + 8000), (lo + 8000, lo + 16000)]
+    want = [census._count_task(cd, [seg])[0] for seg in segs]
+    assert census._count_task(cd, segs) == want
+    assert all(len(records) > 20 and fallbacks == 0 for records, _, fallbacks in want)
+    bad = want[1][0][len(want[1][0]) // 2][0]
+    c3_split = census._c3_split
+
+    def failing(cd_, v, *args, **kwargs):
+        if v == bad:
+            raise FieldError(f"stubbed failure at {v}")
+        return c3_split(cd_, v, *args, **kwargs)
+
+    monkeypatch.setattr(census, "_c3_split", failing)
+    got = census._count_task(cd, segs)
+    assert [result[:2] for result in got] == [result[:2] for result in want]
+    assert [fallbacks for *_, fallbacks in got] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 7, 64])
+def test_task_cutter_covers_every_segment_once_in_order(workers):
+    # every segment in exactly one task, in order, at most TASK_SEGMENTS
+    # segments per task, at least one task per worker while the segments
+    # last, and as many tasks for each worker
+    size = census.TASK_SEGMENTS
+    counts = {1, 2, 5, 9, size - 1, size, size + 1, 2 * size + 1, 130, 1000}
+    for count in sorted(counts | {k * size * workers + 1 for k in (1, 3)}):
+        segs = [(census.CHUNK * i, census.CHUNK * (i + 1)) for i in range(count)]
+        tasks = census._tasks(segs, workers)
+        assert [seg for task in tasks for seg in task] == segs, count
+        assert all(0 < len(task) <= size for task in tasks), count
+        assert len(tasks) >= min(workers, count), count
+        assert max(map(len, tasks)) - min(map(len, tasks)) <= 1, count
+        assert len(tasks) == count or len(tasks) % workers == 0, count
+    # the nine segments of a census to 5*10^4 make two tasks on two workers
+    segs = census._segments(50000, (1000, 5000, 50000))
+    assert [len(task) for task in census._tasks(segs, 2)] == [5, 4]
+    assert [len(task) for task in census._tasks(segs, 1)] == [9]
+    # to 3*10^5, one worker takes three tasks and two workers four
+    segs = census._segments(300000, census._checkpoints_for(300000, None))
+    assert [len(task) for task in census._tasks(segs, 1)] == [14, 14, 14]
+    assert [len(task) for task in census._tasks(segs, 2)] == [11, 11, 10, 10]
 
 
 def test_census_row_ratios():
@@ -1244,23 +1294,28 @@ def test_jsonl_stream(conductor, tmp_path):
 
 
 def test_jsonl_lines_reach_disk_before_the_last_segment(conductor, tmp_path, monkeypatch):
-    # run_census writes each segment's lines as it merges them: when the
-    # last segment is classified, every earlier C3 line is already in the file
+    # run_census writes each segment's lines as it merges a task's results:
+    # when the last task is classified, every C3 line of the earlier tasks
+    # is already in the file
     cd = conductor(163)
     out = tmp_path / "d.jsonl"
-    count = census._count_segment
+    bound = census.TASK_SEGMENTS * census.CHUNK + 1000
+    tasks = census._tasks(census._segments(bound, (bound,)), 1)
+    assert len(tasks) == 2
+    count = census._count_task
     seen = {}
 
-    def spy(cd_, lo, hi):
-        if hi == 3000:
+    def spy(cd_, segs):
+        if segs == tasks[-1]:
             seen["lines"] = out.read_text().splitlines()
-        return count(cd_, lo, hi)
+        return count(cd_, segs)
 
-    monkeypatch.setattr(census, "_count_segment", spy)
-    rows = run_census(cd, 3000, checkpoints=(2000, 3000), jsonl=str(out))
-    assert len(seen["lines"]) == rows[0].c3 > 0
-    assert out.read_text().splitlines()[: rows[0].c3] == seen["lines"]
-    assert len(out.read_text().splitlines()) == rows[1].c3
+    monkeypatch.setattr(census, "_count_task", spy)
+    rows = run_census(cd, bound, checkpoints=(bound,), jsonl=str(out))
+    lines = out.read_text().splitlines()
+    assert len(lines) == rows[0].c3
+    earlier = [line for line in lines if json.loads(line)["v"] <= tasks[-1][0][0]]
+    assert seen["lines"] == earlier and len(earlier) > 1000
 
 
 # ---------------------------------------------------------------------------
