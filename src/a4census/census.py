@@ -41,22 +41,23 @@ consecutive segments of up to CHUNK integers each (_count_task), on two
 routes.  Its primes below LANE_BOUND = 2^30, the excluded ones aside,
 go through three stages, each run once over the task, since one numpy
 pass costs about the same at any width: fast_classify's gate, root and
-closed-form v1 in numpy int64 lanes (_c3_setup_lanes); one batched
-float64 LLL (linalg.lll_float_batch) over the v1 lattices of their C3
-primes, which drops finished lattices from its working arrays as it
-goes and returns each transform T, certified by its determinant modulo
-four primes, as an int64 array, applied in one int64 product
-(_transformed); then
-fast_classify's split and residuals, the split searching each certified
-basis as it is, with no exact LLL.  The norms of the basis rows, the
-split's first candidates, come from the same int64 products, certified
-modulo the same primes, in blocks of TOTALS_BLOCK lattices
-(_split_totals_lanes).  The split and alpha's
-logs come per prime (_c3_split, which _c3_verdict shares), and the raw
-cube characters at v_2 of the units and of alpha's
-net residue for all the split primes at once, in int64 lanes
-(_c3_characters_lanes); each prime's characters are labelled once
-(_cube_logs) and its memberships looked up (_c3_labels).  Every other
+closed-form v1 in numpy int64 lanes (_c3_setup_lanes), which give every
+prime an int8 status, so that no verdict object is made for a prime the
+lanes take; one batched float64 LLL (linalg.lll_float_batch) over the
+v1 lattices of their C3 primes, which drops finished lattices from its
+working arrays as it goes and returns each transform T, certified by
+its determinant modulo four primes, as an int64 array, applied in one
+int64 product (_transformed); then fast_classify's split and residuals
+in two lane passes.  The split lanes (_split_lanes) take the first
+candidates of the split's stream, minus the rows of each certified
+basis, with their cofactor norms certified modulo the same primes
+(_split_totals_lanes), and settle each lattice on the first candidate
+the scalar split would accept, with its valuations read off the norm.
+The verdict lanes (_verdict_lanes) then take alpha's wild and ell_2
+logs, the certificates' nets, the cube characters at v_2 of the units
+and of alpha's net residue, and both memberships, for all the split
+primes at once.  A lattice the split lanes cannot settle exactly is
+deferred whole to _c3_verdict, fast_classify's own tail.  Every other
 prime goes whole through fast_classify, whose _c3_setup and _c3_verdict
 are also the lanes' oracles.  A transform that is not certified, a zero
 character, like any other FieldError of either fast route, sends that
@@ -67,13 +68,12 @@ the worker count or on how segments are grouped into tasks.  A task
 returns the C3 records of each of its segments; _merge_segments alone
 counts them and writes the JSONL lines.
 fast_classify itself reduces the HNF of v1 exactly
-(classgroup._reduced_basis) before _c3_verdict, and every other
-caller of smooth_split starts from the HNF.  The moving quotient's unit
-rows differ between primes only in their tame column, so load_conductor
-enumerates the span mod 3 of the unit rows for all 3^rank columns once
-(ConductorData.unit_spans); the fixed quotient reads its entry there
-too, at the units' ell_2 characters, and each membership is one set
-lookup.
+(classgroup._reduced_basis) before _c3_verdict.  The moving quotient's
+unit rows differ between primes only in their tame column, so
+load_conductor enumerates the span mod 3 of the unit rows for all
+3^rank columns once (ConductorData.unit_spans); the fixed quotient
+reads its entry there too, at the units' ell_2 characters, and each
+membership is one set lookup (one table lookup in the verdict lanes).
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ from .fields import (
     new_number_field,
     quartic_field_search,
     shanks_param,
-    splitting_pattern,
 )
 from .rayclass import (
     Modulus,
@@ -242,13 +241,19 @@ def load_conductor(config) -> ConductorData:
     cache record ("L", "F"), or their construction (cubic_subfield,
     quartic_field_search).  Every stage runs once: h(L) is screened
     (`class-number`) before the quartic search, which builds no class
-    group of its own, and the searched F is used as returned.  A cold
-    load writes the record {L, F}; the fields are re-verified on every
-    read.
+    group of its own, and the searched F is used as returned.  3 and ell
+    are factored in F once each, and each check and each prime is read
+    from that one list: ell's gives the splitting check at ell and ell_2;
+    3's is the factor base's (its Minkowski bound reaches 3 for every ell
+    above 31), so the splitting check at 3 comes right after h(F) and
+    before the check that 3 does not divide it, and 3_1 is read from the
+    same list.  A cold load writes the record {L, F}; the fields are
+    re-verified on every read.
 
     The wall seconds of each stage are kept in `stage_seconds`, in load
     order: h(L) (the cache read, L and its class group), F (the search or
-    read and its checks), h(F), saturated units (search and 3-saturation),
+    read and its checks), h(F) (with the splitting check at 3), saturated
+    units (search and 3-saturation),
     stability (3_1, ell_2, the wild block and modulus_stability_check),
     fixed quotient (with the unit spans) and certificates.  The cache
     write after them is not timed.
@@ -302,15 +307,19 @@ def load_conductor(config) -> ConductorData:
         )
     if not is_a4_quartic(F.poly):
         raise VerificationError("galois", "quartic polynomial does not have Galois group A4")
-    if splitting_pattern(F, 3) != [(1, 1), (1, 3)]:
-        raise VerificationError("splitting-3", "3 does not split as 3_1 * 3_2 in F")
-    if splitting_pattern(F, ell) != [(1, 1), (3, 1)]:
+    # ell lies past the factor base's Minkowski bound, 3 ell / 32: factored once here
+    above_ell = factor_rational_prime(F, ell)
+    if sorted((P.e, P.f) for P in above_ell) != [(1, 1), (3, 1)]:
         raise VerificationError(
             "splitting-ell", f"{ell} does not factor as ell_1 * ell_2^3 in F"
         )
     lap("F")
 
     cg = class_group(F)
+    # the factor base holds the primes over 3 once its bound reaches 3
+    above_3 = cg.fb_ctx.above.get(3) or factor_rational_prime(F, 3)
+    if sorted((P.e, P.f) for P in above_3) != [(1, 1), (1, 3)]:
+        raise VerificationError("splitting-3", "3 does not split as 3_1 * 3_2 in F")
     if cg.h % 3 == 0:
         raise VerificationError(
             "class-3part", f"h(F) = {cg.h} is divisible by 3; certificates need 3 invertible"
@@ -324,10 +333,8 @@ def load_conductor(config) -> ConductorData:
     u = unit_group(F, seed_candidates=tuple(config.units or ()))
     lap("saturated units")
 
-    # the factor base already holds the primes over 3 once its Minkowski
-    # bound, 3 ell / 32, reaches 3; ell lies past that bound
-    p31 = next(P for P in cg.fb_ctx.above.get(3) or factor_rational_prime(F, 3) if P.f == 3)
-    l2 = next(P for P in factor_rational_prime(F, ell) if P.e == 3)
+    p31 = next(P for P in above_3 if P.f == 3)
+    l2 = next(P for P in above_ell if P.e == 3)
 
     wild = WildBlock(F, p31)
     try:
@@ -486,10 +493,11 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     gamma it uses come from one residue map (TameBlock); the units' raw
     cube characters are powers of theirs, and alpha's net residue (alpha
     over the gamma^s) is one product raised once.  _c3_labels labels the
-    characters and looks the memberships up.  The census comes here only
-    through fast_classify, for the primes its stage-1 lanes do not take;
-    for every other prime it takes the same characters for a whole
-    task in int64 lanes (_c3_characters_lanes), whose oracle this is.
+    characters and looks the memberships up.  The census comes here for
+    the primes its stage-1 lanes do not take (through fast_classify) and
+    for the lattices its split lanes defer; every other C3 prime takes
+    the same steps for a whole task in int64 lanes (_split_lanes, then
+    _verdict_lanes), whose oracle this is.
     """
     alpha, wild_net, l2_net, powers = _c3_split(cd, v, v1)
     tame_v = TameBlock(cd.F, v, r)
@@ -501,25 +509,19 @@ def _c3_verdict(cd: ConductorData, v: int, r: int, v1) -> PrimeClassification:
     return _c3_labels(cd, v, wild_net, l2_net, chars)
 
 
-def _c3_split(cd: ConductorData, v: int, v1, totals=()):
+def _c3_split(cd: ConductorData, v: int, v1):
     """alpha's split of v1 and its logs: (alpha, wild_net, l2_net, powers).
 
     smooth_split, with N(v1) = v^3, keeps the first alpha of v1 whose
     cofactor norm is prime to 3 * ell * v; that leaves alpha a unit at
     3_1, ell_2 and v_2, and puts a certificate Q^m = (gamma) behind every
-    cofactor prime Q.  `totals` are the cofactor norms of the first
-    candidates, minus the rows of v1, that the census proved exact in
-    int64 lanes (_split_totals_lanes); smooth_split takes el_norm for
-    every other candidate, and for all of them when totals is empty, as
-    in _c3_verdict.  wild_net and l2_net are alpha's wild and ell_2 logs
+    cofactor prime Q.  wild_net and l2_net are alpha's wild and ell_2 logs
     net of gamma^s, s = v_Q / m mod 3, over those primes, and `powers`
     lists (index in cd.certs, -s mod 3) where that exponent is not zero,
     so that alpha times the gamma^e has alpha's net character at v_2.
     """
     avoid = 3 * cd.ell * v
-    split = smooth_split(
-        cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3, totals=totals
-    )
+    split = smooth_split(cd.cg, v1, usable=lambda el, n: math.gcd(n, avoid) == 1, norm=v**3)
     if split is None:
         raise FieldError(f"no smooth split found in the degree-3 prime over {v}")
     alpha, vec = split
@@ -546,55 +548,137 @@ def _c3_labels(cd: ConductorData, v: int, wild_net, l2_net, chars) -> PrimeClass
     return PrimeClassification(v, True, in_lambda, in_taubar)
 
 
-def _c3_characters_lanes(cd: ConductorData, primes, roots, alphas, powers) -> list:
-    """_c3_verdict's cube characters at v_2 for many primes at once, in numpy int64 lanes.
+def _verdict_lanes(cd: ConductorData, v, r, alpha, vals) -> list:
+    """_c3_split's logs and _c3_verdict's labels for many split primes at once, in int64 lanes.
 
-    One lane per prime v (below LANE_BOUND = 2^30), with its root r and alpha
-    and powers from _c3_split; one list per lane is returned: the
-    characters of the units, then that of alpha's net residue, as
-    _c3_verdict takes them.  The residue map at v_2 = (v, theta - r)
-    sends basis element i to sum_j basis_num[i][j] r^j / basis_den mod v;
-    the lanes multiply by basis_den^2 in place of dividing, which scales
-    every residue by the cube basis_den^3 and so changes no character.
-    The coordinates of the units, of the certificates gamma and of alpha
-    (in Python, so of any size) are reduced mod v first, so every product
-    of two residues stays below 2^60 and a sum of four below 2^62.
-    alpha's net residue takes the product of each gamma^e, and the four
-    characters are raised to (v - 1)/3 by square and multiply, each
-    lane's own bits picking the multiplications.
+    One lane per prime v (int64, below LANE_BOUND), with its root r, its
+    alpha (int64 coordinates) and the valuation vector `vals` of alpha's
+    cofactor over cg.factor_base, as _split_lanes settles them.  One
+    entry per lane is returned: the verdict code, IN_C3 with the flags
+    LAMBDA and TAUBAR, or the FieldError at which the scalar route would
+    stop, which sends that prime to classify_prime: alpha not a unit at
+    3_1 or at ell_2, or a zero character at v_2.  Every step is the
+    scalar route's, exactly:
+      - alpha's wild log (_wild_logs_lanes) and ell_2 log
+        (_tame_logs_lanes), net of gamma^s over the cofactor primes Q,
+        s = v_Q m_Q^-1 mod 3, from each certificate's logs;
+      - the residue map at v_2 = (v, theta - r) sends basis element i to
+        sum_j basis_num[i][j] r^j / basis_den mod v; the lanes multiply
+        by basis_den^2 in place of dividing, which scales every residue
+        by the cube basis_den^3 and so changes no character.  The
+        coordinates of the units and of the certificates gamma (Python
+        integers of any size) and alpha are reduced mod v first, so every
+        product of two residues stays below 2^60 and a sum of four below
+        2^62.  alpha's net residue takes the product of each gamma^-s,
+        and the characters of the units and of that net residue are
+        raised to (v - 1)/3 by square and multiply, each lane's own bits
+        picking the multiplications, then labelled (_cube_logs_lanes);
+      - both memberships are lookups in cd.unit_spans, with every vector
+        of F_3^k coded base 3.
     """
     import numpy as np
 
+    if not len(v):
+        return []
     F = cd.F
-    deg = F.degree
-    v = np.array(primes, dtype=np.int64)
-    r = np.array(roots, dtype=np.int64)
+    wild_log, wild_unit = _wild_logs_lanes(cd.wild, alpha)
+    l2_log, l2_unit = _tame_logs_lanes(cd.tame_l2, alpha)
+    absent = (0, (0,) * cd.wild.dim, 0)  # over 3 and ell, where no cofactor prime lies
+    certs = [(pow(c[0], -1, 3), c[2], c[3]) if c else absent for c in cd.certs]
+    m_inv, wg, lg = (np.array(col, dtype=np.int64) for col in zip(*certs))
+    s = vals * m_inv % 3
+    wild_net = (wild_log - s @ wg) % 3
+    l2_net = (l2_log - s @ lg) % 3
+
     r_pow = [_mod_lanes([F.basis_den**2], v)[0]]
-    for _ in range(deg - 1):
+    for _ in range(F.degree - 1):
         r_pow.append(r_pow[-1] * r % v)
     # basis element i at v_2, times den^3
-    vals = sum(_mod_lanes(col, v) * rj for col, rj in zip(zip(*F.basis_num), r_pow)) % v
+    at_v2 = sum(_mod_lanes(col, v) * rj for col, rj in zip(zip(*F.basis_num), r_pow)) % v
 
     def residues(coords):  # rows of element coordinates, Python integers of any size
-        return sum(_mod_lanes(col, v) * vi for col, vi in zip(zip(*coords), vals)) % v
+        return sum(_mod_lanes(col, v) * vi for col, vi in zip(zip(*coords), at_v2)) % v
 
-    a = np.array([[c % q for c in alpha] for q, alpha in zip(primes, alphas)], dtype=np.int64)
-    net = (a.T * vals).sum(axis=0) % v
-    used = sorted({q for pw in powers for q, _ in pw})
-    if used:
-        at = {q: i for i, q in enumerate(used)}
-        rows, cols, es = zip(*((at[q], j, e) for j, pw in enumerate(powers) for q, e in pw))
-        exps = np.zeros((len(used), len(primes)), dtype=np.int64)
-        exps[rows, cols] = es
-        g = residues([cd.certs[q][1] for q in used])
-        for factor in np.where(exps == 2, g * g % v, np.where(exps == 1, g, 1)):
-            net = net * factor % v
+    net = ((alpha % v[:, None]).T * at_v2).sum(axis=0) % v
+    exps = -s % 3
+    used = np.flatnonzero(exps.any(axis=0))
+    if used.size:
+        g = residues([cd.certs[q][1] for q in used.tolist()])
+        for e, gq in zip(exps[:, used].T, g):
+            net = net * np.where(e == 2, gq * gq % v, np.where(e == 1, gq, 1)) % v
     x = np.vstack([residues(cd.u.fundamental_units), net[None]])
     e = (v - 1) // 3
     chars = np.ones_like(x)
     for bit in (e >> np.arange(int(e.max()).bit_length())[::-1, None]) & 1:  # high bits first
         chars = chars * chars % v * np.where(bit, x, 1) % v
-    return chars.T.tolist()
+    logs, zero = _cube_logs_lanes(chars)
+
+    rank, dim = cd.u.rank, cd.wild.dim
+    place = 3 ** np.arange(dim + 1)
+    spans = np.zeros((3**rank, 3 ** (dim + 1)), dtype=bool)
+    for t, span in cd.unit_spans.items():
+        spans[np.dot(t, place[:rank]), np.array(list(span)) @ place] = True
+    wild_code = wild_net @ place[:dim]
+    in_taubar = spans[np.dot(cd.unit_l2, place[:rank]), wild_code + 3**dim * l2_net]
+    in_lambda = ~spans[logs[:rank].T @ place[:rank], wild_code + 3**dim * logs[rank]]
+    out = (IN_C3 | LAMBDA * in_lambda | TAUBAR * in_taubar).tolist()
+    for i in np.flatnonzero(~wild_unit | ~l2_unit | zero).tolist():
+        prime = "wild" if not wild_unit[i] else "tame"
+        out[i] = FieldError(f"element is not coprime to the {prime} prime")
+    return out
+
+
+def _wild_logs_lanes(wild: WildBlock, alpha):
+    """WildBlock.philog of int64 elements, one per row: (logs, unit).
+
+    9O lies in p^2 (3 lies in p), so alpha mod 9 has alpha's class, and
+    the rows of p^2's HNF reduce it to the canonical representative, as
+    QuotientRing.reduce does, with small entries throughout.  Its
+    mixed-radix code indexes the block's table; `unit` is False where
+    alpha lies in p, whose log row is left at -1.
+    """
+    import numpy as np
+
+    h = np.array(wild.ring.hnf, dtype=np.int64)
+    x = alpha % 9
+    for i, row in enumerate(h):
+        x -= (x[:, i] // row[i])[:, None] * row
+    table = np.array([log or (-1,) * wild.dim for log in wild.table], dtype=np.int64)
+    logs = table[x @ np.array(wild.radix, dtype=np.int64)]
+    return logs, logs[:, 0] >= 0
+
+
+def _tame_logs_lanes(tame: TameBlock, alpha):
+    """TameBlock.philog of int64 elements, one per row: (logs, unit).
+
+    The residue through the block's basis values, alpha reduced mod q
+    first, raised to (q - 1)/3 by square and multiply, and written to the
+    base omega; `unit` is False where the character is not a cube root of
+    unity (alpha in the prime).
+    """
+    import numpy as np
+
+    q, omega = tame.q, tame.omega
+    res = (alpha % q) @ np.array(tame.basis_vals, dtype=np.int64) % q
+    c = np.ones_like(res)
+    for bit in bin(tame.exp)[2:]:
+        c = c * c % q
+        if bit == "1":
+            c = c * res % q
+    logs = np.where(c == 1, 0, np.where(c == omega, 1, 2))
+    return logs, (c == 1) | (c == omega) | (c == omega * omega % q)
+
+
+def _cube_logs_lanes(chars):
+    """_cube_logs on lanes: chars has one row per character, one column per lane.
+
+    Returns the logs and, per lane, whether a character is zero; omega is
+    each lane's first character that is not 1.
+    """
+    import numpy as np
+
+    omega = chars[(chars != 1).argmax(axis=0), np.arange(chars.shape[1])]
+    return np.where(chars == 1, 0, np.where(chars == omega, 1, 2)), (chars == 0).any(axis=0)
 
 
 def _mod_lanes(values, v):
@@ -696,38 +780,46 @@ def _quartic_root(f, v: int):
 # four under 2^62, and _mod_lanes needs v under 2^31
 LANE_BOUND = 2**30
 
+# A prime's int8 code in a census task (_count_task): stage 1's status
+# (WHOLE, OUTSIDE or IN_C3), then its verdict: SKIPPED, OUTSIDE, or IN_C3
+# with the flags LAMBDA and TAUBAR set for its two memberships
+WHOLE, SKIPPED, OUTSIDE, IN_C3, LAMBDA, TAUBAR = -2, -1, 0, 4, 2, 1
 
-def _c3_setup_lanes(cd: ConductorData, primes) -> list:
-    """_c3_setup over ascending primes at once, in numpy int64 lanes.
 
-    One entry per prime: the verdict of a prime outside C^(3), (r, v1)
-    with v1 _degree3_prime's HNF as a 4 x 4 int64 array, or None where
-    the prime must go whole through fast_classify, so that its verdict,
-    log line or exception is exactly that route's.  None is returned for
-    the excluded primes (3, ell and the primes dividing F.index); for v
-    at or above LANE_BOUND, or above the bound where g(theta)'s adjugate
-    product could leave int64; for every prime when f, the index or the
-    basis determinant does not fit in int64; and for every C3 lane the lanes
-    do not certify (below).  The gate is _c3_setup's, read from a table of
-    v^((ell-1)/3) mod ell over the residues mod ell.  On the C3 lanes
-    x^v mod (f, v) is built by square and multiply as in _quartic_root,
-    the bit of each lane's own v picking the multiplication by x, with
-    one reduction mod v per coefficient.  gcd(x^v - x, f) follows by
-    pseudo-remainders, which need no inverses (Cohen, GTM 138, 3.1):
-    the degrees 4, 3, 2, 1 with nonzero leading coefficients and a zero
-    last remainder certify that the gcd has degree 1, so f has exactly
-    one root r mod v; any other lane is sent to fast_classify.  The cubic
-    cofactor comes from synthetic division, whose remainder f(r) must
-    vanish mod v, and g(theta) from F's adjugate with an exact division
-    by its determinant, as in _poly_at_theta; v1 is _degree3_prime's
-    closed form.  A lane where f(r) != 0, the division is not exact or
-    g(theta) = 0 mod v is sent to fast_classify as well.
+def _c3_setup_lanes(cd: ConductorData, primes):
+    """_c3_setup over ascending primes at once, in numpy int64 lanes: (status, roots, v1).
+
+    `status` holds one int8 code per prime: OUTSIDE for a prime outside
+    C^(3), IN_C3 for a C3 lane, or WHOLE where the prime must go whole
+    through fast_classify, so that its verdict, log line or exception is
+    exactly that route's; `roots` (int64) and `v1` (_degree3_prime's
+    HNFs, int64 of shape (lanes, 4, 4)) follow the C3 lanes in order.
+    WHOLE is given to the excluded primes (3, ell and the primes dividing
+    F.index); to v at or above LANE_BOUND, or above the bound where
+    g(theta)'s adjugate product could leave int64; to every prime when f,
+    the index or the basis determinant does not fit in int64; and to every
+    C3 lane the lanes do not certify (below).  The gate is _c3_setup's,
+    read from a table of v^((ell-1)/3) mod ell over the residues mod ell.
+    On the C3 lanes x^v mod (f, v) is built by square and multiply as in
+    _quartic_root, the bit of each lane's own v picking the
+    multiplication by x, with one reduction mod v per coefficient.
+    gcd(x^v - x, f) follows by pseudo-remainders, which need no inverses
+    (Cohen, GTM 138, 3.1): the degrees 4, 3, 2, 1 with nonzero leading
+    coefficients and a zero last remainder certify that the gcd has
+    degree 1, so f has exactly one root r mod v; any other lane is sent
+    to fast_classify.  The cubic cofactor comes from synthetic division,
+    whose remainder f(r) must vanish mod v, and g(theta) from F's
+    adjugate with an exact division by its determinant, as in
+    _poly_at_theta; v1 is _degree3_prime's closed form.  A lane where
+    f(r) != 0, the division is not exact or g(theta) = 0 mod v is sent to
+    fast_classify as well.
     """
     # Imported here, as in linalg.lll_float_batch, so that the package
     # goes on importing numpy last.
     import numpy as np
 
-    out = [None] * len(primes)
+    status = np.full(len(primes), WHOLE, dtype=np.int8)
+    none = (status, np.zeros(0, dtype=np.int64), np.zeros((0, 4, 4), dtype=np.int64))
     F, ell = cd.F, cd.ell
     adj, det = F._adjugate
     # g(theta) * det = sum_i c_i adj[i] basis_den, with 0 <= c_i < v and c_3 = 1
@@ -735,17 +827,16 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     width = max(sum(abs(row[k]) for row in scale) for k in range(4))
     stop = bisect.bisect_left(primes, min(LANE_BOUND, 2**63 // width))
     if not stop or max(abs(det), F.index, *map(abs, F.poly)) >= 2**63:
-        return out
+        return none
     v = np.array(primes[:stop], dtype=np.int64)
     taken = (v != 3) & (v != ell) & (F.index % v != 0)  # not cd.excluded(v)
     e = (ell - 1) // 3
     cube = np.array([pow(a, e, ell) == 1 for a in range(ell)])
     gate = taken & (v % 3 == 1) & ~cube[v % ell]
-    for i in np.flatnonzero(taken & ~gate).tolist():
-        out[i] = PrimeClassification(primes[i], False)
-    lanes = np.flatnonzero(gate).tolist()
-    if not lanes:
-        return out
+    status[:stop][taken & ~gate] = OUTSIDE
+    lanes = np.flatnonzero(gate)
+    if not lanes.size:
+        return none
     v = v[lanes]
     f = [c % v for c in F.poly[:4]]
     e0, e1, ok = _linear_gcd_lanes(f, v)
@@ -762,9 +853,8 @@ def _c3_setup_lanes(cd: ConductorData, primes) -> list:
     num = np.array(scale, dtype=np.int64).T @ np.stack([c0, c1, c2, np.ones_like(v)])
     gtheta = (num // det % v).T
     ok &= (num % det == 0).all(axis=0) & gtheta.any(axis=1)
-    for j, v1 in zip(np.flatnonzero(ok).tolist(), _degree3_prime_lanes(gtheta[ok], v[ok])):
-        out[lanes[j]] = (roots[j], v1)
-    return out
+    status[lanes[ok]] = IN_C3
+    return status, r[ok], _degree3_prime_lanes(gtheta[ok], v[ok])
 
 
 def _linear_gcd_lanes(f, v):
@@ -906,13 +996,15 @@ def _count_task(cd: ConductorData, segs) -> list:
     them (_tasks).  For each segment, in order, the result holds the
     records (v, in_lambda, in_taubar) of its C3 primes in order, the
     number of its primes classified (skips removed) and the number of its
-    fallbacks.  A prime takes one of two routes, each verdict equal to
-    fast_classify's.  Every prime the stage-1 lanes do not take (an
-    excluded prime, v at or above LANE_BOUND, an int64 guard, an
-    irregular Euclid sequence, a failed root or integrality check) goes
-    whole through fast_classify.  Every other prime goes through three
-    stages, each run once over the whole task, since the cost of a numpy
-    pass hardly depends on its width:
+    fallbacks.  Each prime's verdict is kept as one int8 code (WHOLE,
+    SKIPPED, OUTSIDE, or IN_C3 with the flags LAMBDA and TAUBAR), and no
+    verdict object is made for a prime the lanes take.  A prime takes one
+    of two routes, each verdict equal to fast_classify's.  Every prime the
+    stage-1 lanes do not take (an excluded prime, v at or above
+    LANE_BOUND, an int64 guard, an irregular Euclid sequence, a failed
+    root or integrality check) goes whole through fast_classify.  Every
+    other prime goes through three stages, each run once over the whole
+    task, since the cost of a numpy pass hardly depends on its width:
       1. the gate, the root and the closed-form v1 together, in numpy
          int64 lanes (_c3_setup_lanes);
       2. the v1 bases of the task's C3 primes are reduced together by
@@ -923,126 +1015,227 @@ def _count_task(cd: ConductorData, segs) -> list:
          integers (_transformed: one int64 product for every lattice
          within PRODUCT_BOUND, _combine for any other), so they are a
          basis of v1 whatever the floats did, of norm v^3;
-      3. the norms of the rows of every basis formed in int64 are
-         certified in blocks of TOTALS_BLOCK lattices (_split_totals_lanes:
-         N(alpha) modulo the same primes, from alpha's multiplication
-         matrix in int64, equal to c v^3 under the AM-GM bound
-         (Tr(alpha^2)/4)^2), and each C3 prime is split alone from its
-         certified basis (_c3_split: the split searches the basis as it
-         is, without an exact LLL, takes those totals for its first four
-         candidates, minus the rows, and el_norm for any other candidate
-         or any row without a total, and alpha's wild and ell_2 logs
-         follow), then the task's split primes take their cube
-         characters at v_2 together in int64 lanes
-         (_c3_characters_lanes), and each is labelled and looked up in
-         cd.unit_spans (_c3_labels).
+      3. two lane passes: the split of every basis formed in int64 from
+         its rows (_split_lanes: the first candidate of smooth_split's
+         stream that its cofactor test accepts, with the cofactor norms
+         certified modulo the same primes and the valuations read off
+         them), then alpha's wild and ell_2 logs, the certificates' nets,
+         the cube characters at v_2 and both span lookups for all the
+         split primes at once (_verdict_lanes).  A lattice formed with
+         _combine, or deferred by _split_lanes, goes through the scalar
+         tail _c3_verdict instead.
     A lattice's T does not depend on the other lattices of the batch, so
     the verdicts and the alpha behind them do not depend on how the
     segments are grouped into tasks or on the worker count.  A FieldError
-    at one prime (any in fast_classify, a transform that is not certified
-    in stage 2, "no smooth split" or a zero character in stage 3) is
-    contained: that prime is classified by classify_prime and counted as
-    a fallback of its segment.  VerificationError("root") means the gate
-    is wrong and propagates.
+    at one prime (any in fast_classify or _c3_verdict, a transform that
+    is not certified in stage 2, a non-unit alpha or a zero character in
+    _verdict_lanes) is contained: that prime is classified by
+    classify_prime and counted as a fallback of its segment.
+    VerificationError("root") means the gate is wrong and propagates.
     """
+    import numpy as np
+
     primes = primes_in_range(segs[0][0] + 1, segs[-1][1] + 1)
-    verdicts = [None] * len(primes)
-    fell = [False] * len(primes)  # the primes classified by _fallback
-    pending = []  # (index in primes, v, r, v1 HNF) of each C3 prime in the lanes
+    code, roots, hnfs = _c3_setup_lanes(cd, primes)
+    lanes = np.flatnonzero(code == IN_C3).tolist()  # before any verdict is coded
+    fell = np.zeros(len(primes), dtype=bool)  # the primes classified by _fallback
 
     def fallback(i, exc):
-        verdicts[i] = _fallback(cd, primes[i], exc)
+        code[i] = _code(_fallback(cd, primes[i], exc))
         fell[i] = True
 
-    for i, (v, pre) in enumerate(zip(primes, _c3_setup_lanes(cd, primes))):
-        if pre is None:
-            try:
-                pre = fast_classify(cd, v)
-            except FieldError as exc:
-                if isinstance(exc, VerificationError) and exc.check == "root":
-                    raise
-                fallback(i, exc)
-                continue
-        if isinstance(pre, PrimeClassification):
-            verdicts[i] = pre
-        else:
-            pending.append((i, v, *pre))
-    hnfs = [v1 for *_, v1 in pending]
-    lane_primes = [v for _, v, *_ in pending]
-    bases = _transformed(cd, lane_primes, hnfs, linalg.lll_float_batch(hnfs, cd.frame))
-    c3 = []  # (index in primes, v, r, _c3_split's value) of each split C3 prime
-    for (i, v, r, _), (basis, totals) in zip(pending, bases):
+    def settle(i, route, *args):
         try:
-            if basis is None:
-                raise FieldError(f"no certified float reduction of the degree-3 prime over {v}")
-            c3.append((i, v, r, _c3_split(cd, v, basis, totals)))
+            code[i] = _code(route(cd, primes[i], *args))
         except FieldError as exc:
+            if isinstance(exc, VerificationError) and exc.check == "root":
+                raise
             fallback(i, exc)
-    del pending, hnfs, bases  # the bases are done with; the lanes need only the splits
-    if c3:
-        index, lane_v, roots, splits = zip(*c3)
-        alphas, powers = [s[0] for s in splits], [s[3] for s in splits]
-        chars_of = _c3_characters_lanes(cd, lane_v, roots, alphas, powers)
-        for i, v, (_, wild_net, l2_net, _), chars in zip(index, lane_v, splits, chars_of):
-            try:
-                verdicts[i] = _c3_labels(cd, v, wild_net, l2_net, chars)
-            except FieldError as exc:  # a zero character
-                fallback(i, exc)
+
+    for i in np.flatnonzero(code == WHOLE).tolist():
+        settle(i, fast_classify)
+    v = np.array(primes, dtype=np.int64)[lanes]
+    transforms = linalg.lll_float_batch(hnfs, cd.frame)
+    for k, T in enumerate(transforms):
+        if T is None:
+            fallback(lanes[k], FieldError(
+                f"no certified float reduction of the degree-3 prime over {primes[lanes[k]]}"
+            ))
+    inside, rows, combined = _transformed(hnfs, transforms)
+    settled, alpha, vals = _split_lanes(cd, v[inside], rows)
+    deferred = combined + list(zip(inside[~settled].tolist(), rows[~settled].tolist()))
+    del rows
+    for k, basis in deferred:
+        settle(lanes[k], _c3_verdict, int(roots[k]), [tuple(row) for row in basis])
+    at = inside[settled]
+    verdicts = _verdict_lanes(cd, v[at], roots[at], alpha[settled], vals[settled])
+    for k, verdict in zip(at.tolist(), verdicts):
+        if isinstance(verdict, FieldError):
+            fallback(lanes[k], verdict)
+        else:
+            code[lanes[k]] = verdict
     out = []
     start = 0
     for _, hi in segs:
         stop = bisect.bisect_right(primes, hi, start)
-        part = verdicts[start:stop]
-        records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in part if pc.in_C3]
-        out.append((records, sum(not pc.skipped for pc in part), sum(fell[start:stop])))
+        part = code[start:stop]
+        hits = np.flatnonzero(part >= IN_C3)
+        records = [
+            (primes[start + k], bool(c & LAMBDA), bool(c & TAUBAR))
+            for k, c in zip(hits.tolist(), part[hits].tolist())
+        ]
+        out.append((records, int((part != SKIPPED).sum()), int(fell[start:stop].sum())))
         start = stop
     return out
 
 
+def _code(pc: PrimeClassification) -> int:
+    """A route's verdict as its _count_task code."""
+    if pc.skipped:
+        return SKIPPED
+    if not pc.in_C3:
+        return OUTSIDE
+    return IN_C3 | LAMBDA * pc.in_CLambda | TAUBAR * pc.in_Ctaubar
+
+
 PRODUCT_BOUND = 2**63  # T y is formed in int64 where max|T| * n * max|y| stays below it
-TOTALS_BLOCK = 256  # lattices per _split_totals_lanes call
+TOTALS_BLOCK = 1024  # candidates per linalg.det4_residues call in _split_totals_lanes
 
 
-def _transformed(cd: ConductorData, primes, bases, transforms):
-    """Yield (T y, totals) for each v1 basis y over a prime of `primes` and its transform T.
+def _transformed(bases, transforms):
+    """The certified bases T y of v1 lattices: (inside, rows, combined).
 
-    y is an n x n int64 basis and T its certified transform; (None, ())
-    where T is None.  Each entry of T y is a sum of n products T_ik y_kj,
-    so every lattice with max|T| * n * max|y| < PRODUCT_BOUND, max|y|
-    taken over the whole batch, has each partial sum in int64; those
-    lattices are formed in one numpy product, and their rows' cofactor
-    norms come from the same int64 products (_split_totals_lanes), taken
-    as the bases are consumed, TOTALS_BLOCK lattices at a time, so that
-    their temporaries do not grow with the task.  Any other lattice is
-    formed with _combine and gets no totals.  The reduced bases come one
-    at a time, as tuples of Python integers, so that a task holds only
-    its int64 products at once.
+    `bases` is the int64 array (m, n, n) of the v1 HNFs y, `transforms`
+    their certified T, None where T is not certified.  Each entry of T y
+    is a sum of n products T_ik y_kj, so every lattice with max|T| * n *
+    max|y| < PRODUCT_BOUND, max|y| taken over the whole batch, has each
+    partial sum in int64: `inside` holds the indices of those lattices
+    and `rows` their bases T y, formed in one numpy product, of shape
+    (len(inside), n, n).  Any other lattice with a T is formed with
+    _combine as Python integers: `combined` lists (index, basis) for
+    each.  A lattice whose T is None is in neither.
     """
     import numpy as np
 
-    lanes = [i for i, T in enumerate(transforms) if T is not None]
-    inside = [False] * len(bases)
-    if lanes:
-        y = np.stack([bases[i] for i in lanes])
-        t = np.stack([transforms[i] for i in lanes])
-        limit = (PRODUCT_BOUND - 1) // (y.shape[1] * max(int(y.max()), -int(y.min()), 1))
-        ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
-        rows = t[ok] @ y[ok]
-        v = np.array(primes, dtype=np.int64)[lanes][ok]
-        totals = itertools.chain.from_iterable(
-            _split_totals_lanes(cd, v[k : k + TOTALS_BLOCK], rows[k : k + TOTALS_BLOCK])
-            for k in range(0, len(v), TOTALS_BLOCK)
-        )
-        products = iter(rows)
-        for i, good in zip(lanes, ok.tolist()):
-            inside[i] = good
-    for y, T, good in zip(bases, transforms, inside):
-        if T is None:
-            yield None, ()
-        elif good:
-            yield list(map(tuple, next(products).tolist())), next(totals)
-        else:
-            yield [_combine(r, y.tolist()) for r in T.tolist()], ()
+    n = bases.shape[1]
+    lanes = np.array([i for i, T in enumerate(transforms) if T is not None], dtype=np.intp)
+    if not lanes.size:
+        return lanes, np.zeros((0, n, n), dtype=np.int64), []
+    y = bases[lanes]
+    t = np.stack([transforms[i] for i in lanes.tolist()])
+    limit = (PRODUCT_BOUND - 1) // (n * max(int(y.max()), -int(y.min()), 1))
+    ok = (t.max(axis=(1, 2)) <= limit) & (t.min(axis=(1, 2)) >= -limit)
+    combined = [
+        (i, [_combine(row, bases[i].tolist()) for row in transforms[i].tolist()])
+        for i in lanes[~ok].tolist()
+    ]
+    return lanes[ok], t[ok] @ y[ok], combined
+
+
+def _split_lanes(cd: ConductorData, v, rows):
+    """_c3_split's smooth_split for many certified bases of v1 at once: (settled, alpha, vals).
+
+    `v` holds the primes (int64, below LANE_BOUND) and `rows` the int64
+    bases T v1 of shape (m, n, n) that _transformed forms, each of norm
+    v^3.  smooth_split searches such a basis as it is, and the stream of
+    ideal_short_elements then starts with minus the rows, in order.  So
+    the lanes take the candidates alpha = -row_j for j = 0, 1, ..., n - 1,
+    one round per j over the lattices still open, and test each as
+    smooth_split and _FBContext.cofactor do, exactly:
+      - its cofactor norm c = |N(alpha)| / v^3, certified in int64
+        (_split_totals_lanes);
+      - usable when c is prime to 3 ell v, _c3_split's test;
+      - smooth when trial division by the factor base's rational primes
+        leaves 1 (_cofactor_exponents_lanes), which gives each e_p;
+      - at each p | c, alpha lies in the primes P above p for which
+        (alpha mod p) times P's anti-uniformizer is 0 mod p
+        (_in_prime_lanes, element_in_prime's test); where exactly one P
+        holds alpha, v_P(alpha) = e_p / f(P) (_valuations_above), and the
+        candidate is accepted when every such P lies in the factor base.
+    A lattice's first accepted candidate settles it: `alpha` and its
+    valuation vector `vals` over cg.factor_base are smooth_split's (alpha,
+    vec).  A lattice is deferred (settled False), for the scalar route
+    to split, when a row reached has no certified total; when a usable
+    smooth candidate reached has, at some p | c, alpha in no P or in two
+    or more above p, or an e_p that f(P) does not divide, where cofactor
+    would count valuations out or raise FieldError; or when none of its n
+    candidates is accepted.  The rows of alpha and vals of a deferred
+    lattice are zero.
+    """
+    import numpy as np
+
+    ctx = cd.cg.fb_ctx
+    m, n = rows.shape[:2]
+    settled = np.zeros(m, dtype=bool)
+    alpha = np.zeros((m, n), dtype=np.int64)
+    vals = np.zeros((m, len(ctx.fb)), dtype=np.int64)
+    live = np.arange(m)  # the lattices still open
+    for j in range(n):
+        if not live.size:
+            break
+        a = -rows[live, j]
+        total, certified = _split_totals_lanes(cd, v[live], a)
+        usable = certified & (np.gcd(total, 3 * cd.ell * v[live]) == 1)
+        exps, smooth = _cofactor_exponents_lanes(np.where(usable, total, 1), ctx.rational_primes)
+        smooth &= usable
+        odd = np.zeros(len(live), dtype=bool)
+        accepted = smooth.copy()
+        val = np.zeros((len(live), len(ctx.fb)), dtype=np.int64)
+        for p, e in zip(ctx.rational_primes, exps):
+            at = np.flatnonzero(smooth & (e > 0))
+            if not at.size:
+                continue
+            above = ctx.above[p]
+            inside = np.array([_in_prime_lanes(P, a[at]) for P in above])
+            one = inside.sum(axis=0) == 1
+            odd[at[~one]] = True
+            for P, hit in zip(above, inside):
+                here = at[one & hit]
+                q, r = np.divmod(e[here], P.f)
+                odd[here[r != 0]] = True
+                idx = ctx.index.get(P.key())
+                if idx is None:
+                    accepted[here] = False
+                else:
+                    val[here, idx] = q
+        accepted &= ~odd
+        take = live[accepted]
+        settled[take] = True
+        alpha[take] = a[accepted]
+        vals[take] = val[accepted]
+        live = live[~(accepted | odd | ~certified)]
+    return settled, alpha, vals
+
+
+def _cofactor_exponents_lanes(total, primes):
+    """_FBContext.factor on lanes: (exps, smooth) for positive int64 totals below 2^31.
+
+    exps[i] holds the exponent of primes[i] in each total, and `smooth`
+    is True where they account for all of it.  The exponent of p is that
+    of gcd(total, p^k), p^k the first power of p at or above 2^31, which
+    is a power of p, found in the table of powers.
+    """
+    import numpy as np
+
+    rem = total.copy()
+    exps = np.zeros((len(primes), len(total)), dtype=np.int64)
+    for e, p in zip(exps, primes):
+        powers = [1]
+        while powers[-1] < 2**31:
+            powers.append(powers[-1] * p)
+        g = np.gcd(rem, powers[-1])
+        e[:] = np.searchsorted(powers, g)
+        rem //= g
+    return exps, rem == 1
+
+
+def _in_prime_lanes(P: PrimeIdeal, alpha):
+    """element_in_prime(P, alpha) for int64 elements, one per row: alpha beta in pO, mod p."""
+    import numpy as np
+
+    p = P.p
+    cols = np.array([[c % p for c in col] for col in P.anti_uniformizer], dtype=np.int64)
+    return ((alpha % p) @ cols.T % p == 0).all(axis=1)
 
 
 # M(alpha) = alpha times the multiplication table is formed in int64 where
@@ -1053,50 +1246,53 @@ NORM_PRODUCT_BOUND = 2**63
 TRACE_ERROR = 2.0**-40
 
 
-def _split_totals_lanes(cd: ConductorData, v, rows) -> list:
-    """smooth_split's cofactor norms |N(alpha)| / v^3 of the rows alpha of many v1 bases.
+def _split_totals_lanes(cd: ConductorData, v, alpha):
+    """smooth_split's cofactor norms |N(alpha)| / v^3 of many elements of v1: (total, certified).
 
-    `v` holds the primes (int64, below LANE_BOUND) and `rows` the int64
-    bases T v1 of shape (m, 4, 4), each of norm v^3; one list per
-    lattice is returned, one entry per row: |N(alpha)| / v^3, proved
-    exact, or None, which sends that row to el_norm.  M(alpha), whose
-    determinant is N(alpha), is formed exactly in int64 wherever
-    max|alpha| * max|table| * 4 < NORM_PRODUCT_BOUND, and
-    linalg.det4_residues gives N(alpha) modulo every prime of
-    linalg.DET_PRIMES.  With p0 the first of them, c = N(alpha) v^-3 mod
-    p0 (one inverse per lattice) is lifted to (-p0/2, p0/2), and the row
-    is certified when N(alpha) = c v^3 modulo every prime, |c| v^3 <= B
-    and DET_MODULUS > 2 B, where B = (Tr(alpha^2)/4)^2 bounds |N(alpha)|
+    `v` holds the primes (int64, below LANE_BOUND) and `alpha` the int64
+    elements, one row each, each in the v1 over its v, so that v^3
+    divides N(alpha).  total[i] is |N(alpha_i)| / v_i^3, proved exact,
+    where certified[i].  M(alpha), whose determinant is N(alpha), is
+    formed exactly in int64 wherever max|alpha| * max|table| * 4 <
+    NORM_PRODUCT_BOUND, and linalg.det4_residues gives N(alpha) modulo
+    every prime of linalg.DET_PRIMES, TOTALS_BLOCK elements per call.
+    With p0 the first of them, c = N(alpha) v^-3 mod p0 (the inverse by
+    Fermat, in the lanes) is lifted to (-p0/2, p0/2), and the element is
+    certified when N(alpha) = c v^3 modulo every prime, |c| v^3 <= B and
+    DET_MODULUS > 2 B, where B = (Tr(alpha^2)/4)^2 bounds |N(alpha)|
     (AM-GM over the four real embeddings).  Then N(alpha) - c v^3 is a
-    multiple of DET_MODULUS of size at most 2 B, so N(alpha) = c v^3.
-    B is taken in float64 with FLOAT_BOUND_MARGIN from Tr(alpha^2) =
+    multiple of DET_MODULUS of size at most 2 B, so N(alpha) = c v^3.  B
+    is taken in float64 with FLOAT_BOUND_MARGIN from Tr(alpha^2) =
     sum_jk G_jk alpha_j alpha_k, G = F.trace_gram, whose float sum is
     raised by TRACE_ERROR times the sum of the terms' sizes, which bounds
-    its rounding for entries of alpha below 2^53, held exactly.  An alpha
-    of v1 always has v^3 | N(alpha), so a row fails only past a guard or
-    with a cofactor norm of about p0/2 or more.
+    its rounding for entries of alpha below 2^53, held exactly.  An
+    element of v1 always has v^3 | N(alpha), so it fails only past a
+    guard or with a cofactor norm of about p0/2 or more.
     """
     import numpy as np
 
     F = cd.F
     n = F.degree
-    m = len(v)
-    if not m:
-        return []
     top = max(abs(c) for row in F.mult_table for el in row for c in el)
-    if n * top >= NORM_PRODUCT_BOUND:
-        return [[None] * n for _ in range(m)]
-    alpha = rows.reshape(m * n, n)
+    if n * top >= NORM_PRODUCT_BOUND or not len(v):
+        return np.zeros(len(v), dtype=np.int64), np.zeros(len(v), dtype=bool)
     size = np.abs(alpha).max(axis=1)
     fits = size <= (NORM_PRODUCT_BOUND - 1) // (n * max(top, 1))
     # M(alpha)[i][k] = sum_j alpha_j table[i][j][k], as mul_matrix
     table = np.array(F.mult_table, dtype=np.int64).transpose(1, 0, 2).reshape(n, n * n)
-    residues = linalg.det4_residues((np.where(fits[:, None], alpha, 0) @ table).reshape(-1, n, n))
+    mats = (np.where(fits[:, None], alpha, 0) @ table).reshape(-1, n, n)
+    residues = np.concatenate(
+        [linalg.det4_residues(mats[k : k + TOTALS_BLOCK]) for k in range(0, len(v), TOTALS_BLOCK)],
+        axis=1,
+    )
     p = np.array(linalg.DET_PRIMES, dtype=np.int64)[:, None]
-    vv = np.repeat(v, n)
-    v3 = vv * vv % p * vv % p
+    v3 = v * v % p * v % p
     p0 = linalg.DET_PRIMES[0]
-    inv = np.repeat(np.array([pow(x, -1, p0) for x in v3[0, ::n].tolist()], dtype=np.int64), n)
+    inv = np.ones_like(v)
+    for bit in bin(p0 - 2)[2:]:
+        inv = inv * inv % p0
+        if bit == "1":
+            inv = inv * v3[0] % p0
     c = residues[0] * inv % p0
     c = np.where(c > p0 // 2, c - p0, c)
     a = alpha.astype(np.float64)
@@ -1104,20 +1300,14 @@ def _split_totals_lanes(cd: ConductorData, v, rows) -> list:
     trace = np.einsum("ij,jk,ik->i", a, gram, a)
     trace += TRACE_ERROR * np.einsum("ij,jk,ik->i", np.abs(a), np.abs(gram), np.abs(a))
     bound = (trace / 4) ** 2 * linalg.FLOAT_BOUND_MARGIN
-    ok = (
+    certified = (
         fits
         & (size < 2**53)
         & (c % p * v3 % p == residues).all(axis=0)
-        & (np.abs(c) * vv.astype(np.float64) ** 3 <= bound)
+        & (np.abs(c) * v.astype(np.float64) ** 3 <= bound)
         & (2 * bound * linalg.FLOAT_BOUND_MARGIN < float(linalg.DET_MODULUS))
     )
-    totals = np.abs(c).reshape(m, n).tolist()
-    if ok.all():
-        return totals
-    return [
-        [x if good else None for x, good in zip(row, goods)]
-        for row, goods in zip(totals, ok.reshape(m, n).tolist())
-    ]
+    return np.abs(c), certified
 
 
 def _fallback(cd: ConductorData, v: int, exc: FieldError) -> PrimeClassification:
@@ -1165,14 +1355,15 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     each worker), and each task is classified by _count_task on two
     routes.  Its primes below LANE_BOUND = 2^30, the excluded ones aside,
     go through three stages, each run once over the task: the gate, root
-    and v1 of all of them in numpy lanes; one batched float LLL over the
-    task's v1 lattices, which hands its certified transforms on as int64
-    arrays, certified by their determinants modulo four primes below
-    2^31, with T v1 formed in one int64 product; the norms of those rows,
-    certified modulo the same primes in blocks of lattices, and the split
-    of each v1 from its certified reduced basis, which takes them for its
-    first candidates, with alpha's wild and ell_2 logs; then the cube
-    characters at v_2 of all the task's split primes in int64 lanes.
+    and v1 of all of them in numpy lanes, with an int8 status per prime;
+    one batched float LLL over the task's v1 lattices, which hands its
+    certified transforms on as int64 arrays, certified by their
+    determinants modulo four primes below 2^31, with T v1 formed in one
+    int64 product; then two lane passes: the split of every certified
+    basis from its rows, whose norms are certified modulo the same
+    primes, and alpha's logs, the cube characters at v_2 and both
+    memberships of all the task's split primes.  A lattice the split
+    lanes cannot settle exactly takes the per-prime tail _c3_verdict.
     Every prime the lanes do not take goes whole through fast_classify.
     A lattice's reduction does not depend on its batch, so the output is
     the same however the segments are grouped.  Pool workers receive cd

@@ -18,7 +18,9 @@ ideal_short_elements over the maximal order and over each factor-base
 prime, round robin.  Both classifiers hand smooth_split a basis of
 v1 that is already reduced, together with its norm N(v1) = v^3, which
 every such basis keeps (the HNF times a unimodular transform): the
-census by the certified float LLL of linalg.lll_float_batch,
+census by the certified float LLL of linalg.lll_float_batch (for the
+bases its split lanes defer, census._split_lanes, which take this
+split's first candidates through the same checks in int64),
 census.fast_classify and census.classify_prime (through
 rayclass.artin_vector) by one _reduced_basis.  That basis is searched as
 it is, and its exact Gram and determinant are formed only if the
@@ -452,7 +454,7 @@ def ideal_class_coordinates(A, cg: ClassGroupData):
     raise FieldError("ideal not expressible over the factor base after randomization")
 
 
-def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None, totals=()):
+def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None):
     """A short alpha in the ideal A whose cofactor (alpha)/A is smooth.
 
     Returns (alpha, vec) with (alpha) = A * prod_j cg.factor_base[j]^vec[j]
@@ -467,27 +469,19 @@ def smooth_split(cg: ClassGroupData, A, usable=None, *, norm=None, totals=()):
     with `reduced`): census._c3_split, with N(v1) = v^3 for a basis
     that is v1's HNF times a unimodular transform, and
     rayclass.artin_vector for census.classify_prime.  The checks on each
-    candidate are the same either way.
-
-    `totals`, given only with `norm`, holds the cofactor norms of the
-    stream's first candidates, already proved exact by the caller
-    (census._split_totals_lanes: the first four candidates are minus the
-    rows of A); an entry None, and every candidate past them, takes
-    el_norm and the divmod check that N(A) divides it.
+    candidate are the same either way.  The census splits most of its
+    bases in int64 lanes instead (census._split_lanes), which take this
+    stream's first candidates, minus the rows of such a basis, through
+    the same checks.
     """
-    if totals and norm is None:
-        raise ValueError("totals need the norm of a basis searched as it is")
     K = cg.field
     ctx = cg.fb_ctx
     nA = abs(arith.det_bareiss(A)) if norm is None else norm
     val_A = {}
-    known = iter(totals)
     for el in ideal_short_elements(K, A, reduced=norm is not None):
-        total = next(known, None)
-        if total is None:
-            total, rem = divmod(abs(K.el_norm(el)), nA)
-            if rem:
-                raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
+        total, rem = divmod(abs(K.el_norm(el)), nA)
+        if rem:
+            raise FieldError("lattice is not an ideal: an element norm is not a multiple of N(A)")
         if usable is not None and not usable(el, total):
             continue
         vec = ctx.cofactor(el, total, A, nA, val_A)

@@ -484,7 +484,8 @@ def lll_float_batch(bases, frame):
     size), so T y is a basis of the same lattice whatever the floats did.
     A transform that outgrew 2^53 gives None.  How well T y is reduced is
     not part of the contract, and no caller runs lll_gram on T y: the
-    census searches T y as it is (classgroup.smooth_split with `norm`).
+    census splits T y as it is (census._split_lanes, or
+    classgroup.smooth_split with `norm` for a basis those lanes defer).
 
     Schnorr-Euchner LLL (Math. Programming 66, 1994), as in Nguyen and
     Stehle, "Floating-point LLL revisited" (Eurocrypt 2005): at its stage

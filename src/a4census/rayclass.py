@@ -205,9 +205,12 @@ class WildBlock:
 
     The log of x is the layer coordinate vector of x^(N-1) - 1, N = N(p).
     It depends only on x mod p^2, so every unit class mod p^2 is tabled
-    here, keyed by its canonical QuotientRing representative, and philog
-    is one reduction and one lookup.  The table is built from the
-    structure (O/p^2)^* = mu_(N-1) x (1 + p)/(1 + p^2) (Cohen, GTM 193, ch. 4),
+    here, and philog is one reduction and one lookup.  `table` is a list
+    indexed by the mixed-radix code of the canonical QuotientRing
+    representative (code), whose digits are its coordinates, each below
+    its HNF pivot, with None at the non-units; the census lanes read the
+    same table as an array (census._wild_logs_lanes).  It is built from
+    the structure (O/p^2)^* = mu_(N-1) x (1 + p)/(1 + p^2) (Cohen, GTM 193, ch. 4),
     not by powering: the Teichmueller representatives are w = r^N for the
     N - 1 nonzero residues r mod p (3p lies in p^2, so w depends only on
     r mod p, and w^(N-1) = 1), and the 1-units are 1 + z with
@@ -234,7 +237,10 @@ class WildBlock:
         if len(reps) != N:
             raise FieldError(f"{len(reps)} residues mod the wild prime, expected {N}")
         zs = layer.preimages()
-        self._table = {}
+        # the code's place values: the products of the pivots before each coordinate
+        pivots = [row[i] for i, row in enumerate(ring.hnf)]
+        self.radix = tuple(itertools.accumulate(pivots[:-1], operator.mul, initial=1))
+        self.table = [None] * ring.size
         for r in reps:
             if not any(r):
                 continue
@@ -249,15 +255,19 @@ class WildBlock:
                     for k in range(3)
                 ]
             for x, log in classes:
-                self._table[ring.reduce(x)] = log
-        if len(self._table) != N * (N - 1):
+                self.table[self.code(x)] = log
+        units = sum(log is not None for log in self.table)
+        if units != N * (N - 1):
             raise FieldError(
-                f"{len(self._table)} unit classes mod the wild prime squared, "
-                f"expected {N * (N - 1)}"
+                f"{units} unit classes mod the wild prime squared, expected {N * (N - 1)}"
             )
 
+    def code(self, el) -> int:
+        """The mixed-radix code of el's canonical representative mod p^2, below N(p)^2."""
+        return sum(map(operator.mul, self.ring.reduce(el), self.radix))
+
     def philog(self, el):
-        log = self._table.get(self.ring.reduce(el))
+        log = self.table[self.code(el)]
         if log is None:
             raise FieldError("element is not coprime to the wild prime")
         return log

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -124,6 +125,24 @@ def test_p31_comes_from_the_factor_base(conductor, ell, monkeypatch):
     monkeypatch.setattr(census, "factor_rational_prime", lambda K, p: factored.append(p) or factor(K, p))
     assert load_conductor(ell).p31 == cd.p31
     assert factored == [ell]
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_load_factors_3_and_ell_once_each(conductor, ell, monkeypatch):
+    # ell is factored in F once, for its splitting check and ell_2, and 3
+    # once, by the factor base of h(F), for its splitting check and 3_1
+    F = conductor(ell).F
+    factor = fields.factor_rational_prime
+    factored = []
+
+    def counted(K, p):
+        factored.append((K.poly, p))
+        return factor(K, p)
+
+    for mod in (fields, classgroup, census):
+        monkeypatch.setattr(mod, "factor_rational_prime", counted)
+    assert load_conductor(ell).p31 == conductor(ell).p31
+    assert [p for poly, p in factored if poly == F.poly and p in (3, ell)] == [ell, 3]
 
 
 def test_cache_record_reads_alike_with_or_without_quartic_poly(tmp_path, monkeypatch):
@@ -538,28 +557,30 @@ def test_dual_paths_agree_through_the_batched_segment(conductor, ell, lo):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 @pytest.mark.parametrize("lo", [10**6, 10**7])
 def test_census_split_of_an_unchanged_basis_keeps_its_alpha(conductor, ell, lo, monkeypatch):
-    # The census searches a certified float-reduced v1 as it is.  Where the
-    # exact LLL would have left that basis unchanged, the alpha (and the
-    # cofactor) must be the one the exact path finds.
+    # The census splits a certified float-reduced v1 as it is, in its split
+    # lanes.  Where the exact LLL would have left that basis unchanged, the
+    # alpha (and the cofactor) must be the one the exact path finds.
     cd = conductor(ell)
-    split = census.smooth_split
+    split = census._split_lanes
     calls = []
 
-    def recorded(cg, A, usable=None, norm=None, totals=()):
-        got = split(cg, A, usable=usable, norm=norm, totals=totals)
-        calls.append((A, usable, norm, got))
+    def recorded(cd_, v, rows):
+        got = split(cd_, v, rows)
+        calls.append((v, rows, got))
         return got
 
-    monkeypatch.setattr(census, "smooth_split", recorded)
+    monkeypatch.setattr(census, "_split_lanes", recorded)
     census._count_task(cd, [(lo, lo + 2000)])[0]
-    assert len(calls) >= 20
+    ((v, rows, (settled, alphas, vals)),) = calls
+    assert len(v) >= 20 and settled.all()
     unchanged = 0
-    for A, usable, norm, got in calls[:20]:
-        assert norm is not None
+    for p, basis, alpha, vec in list(zip(v.tolist(), rows.tolist(), alphas.tolist(), vals.tolist()))[:20]:
+        A = [tuple(row) for row in basis]
         T, _ = linalg.lll_gram(linalg.gram_matrix(A, cd.F.trace_gram))
         if T == [tuple(int(i == j) for j in range(4)) for i in range(4)]:
             unchanged += 1
-            assert got == split(cd.cg, A, usable=usable)
+            usable = lambda el, n: math.gcd(n, 3 * ell * p) == 1  # noqa: E731
+            assert (tuple(alpha), tuple(vec)) == classgroup.smooth_split(cd.cg, A, usable=usable)
     assert unchanged >= 15
 
 
@@ -634,27 +655,37 @@ def test_verdict_spans_hold_every_tame_column(conductor, ell):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 @pytest.mark.parametrize("lo", [10**6, 10**7, 10**8])
 def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell, lo, monkeypatch):
-    # the verdict's split (_c3_split, which the census lanes and
-    # _c3_verdict share) hands smooth_split N(v1) = v^3 without a
-    # determinant: each basis the census certifies is v1's HNF times a
-    # unimodular T, so its determinant, taken here with det_bareiss, is +-v^3
+    # each basis the census certifies is v1's HNF times a unimodular T, so
+    # its determinant, taken here with det_bareiss, is +-v^3: the split
+    # lanes certify their candidates' norms as c v^3, and a basis they
+    # defer goes to the scalar split (_c3_split, through _c3_verdict), which
+    # hands smooth_split N(v1) = v^3 without a determinant
     cd = conductor(ell)
-    c3_split, split = census._c3_split, census.smooth_split
+    split_lanes, split = census._split_lanes, census.smooth_split
     seen, norms = [], []
 
-    def recorded_c3_split(cd_, v, v1, totals=()):
-        seen.append(v)
-        assert abs(arith.det_bareiss(v1)) == v**3, v
-        return c3_split(cd_, v, v1, totals)
+    def recorded_lanes(cd_, v, rows):
+        for p, basis in zip(v.tolist(), rows.tolist()):
+            seen.append(p)
+            assert abs(arith.det_bareiss(basis)) == p**3, p
+        return split_lanes(cd_, v, rows)
 
-    def recorded_split(cg, A, usable=None, norm=None, totals=()):
+    def recorded_split(cg, A, usable=None, norm=None):
         norms.append(norm)
-        return split(cg, A, usable=usable, norm=norm, totals=totals)
+        return split(cg, A, usable=usable, norm=norm)
 
-    monkeypatch.setattr(census, "_c3_split", recorded_c3_split)
+    monkeypatch.setattr(census, "_split_lanes", recorded_lanes)
     monkeypatch.setattr(census, "smooth_split", recorded_split)
-    records, _, fallbacks = census._count_task(cd, [(lo, lo + 4000)])[0]
+    want = census._count_task(cd, [(lo, lo + 4000)])[0]
+    records, _, fallbacks = want
     assert fallbacks == 0 and len(records) > 50
+    assert seen == [v for v, *_ in records]
+    assert norms == []
+    # the lanes deferring every lattice: the same records, each basis split
+    # by smooth_split with the norm v^3
+    _defer(monkeypatch, lambda v: True)
+    seen.clear()
+    assert census._count_task(cd, [(lo, lo + 4000)])[0] == want
     assert seen == [v for v, *_ in records]
     assert norms == [v**3 for v in seen]
 
@@ -665,15 +696,15 @@ def test_verdict_alike_with_omega_squared(conductor, ell, monkeypatch):
     # every tame coordinate at once, which changes neither membership
     cd = conductor(ell)
     want = census._count_task(cd, [(10**6, 10**6 + 4000)])[0]
-    logs = census._cube_logs
+    logs = census._cube_logs_lanes
     labelled = []
 
-    def squared(chars, q):
-        got = [-x % 3 for x in logs(chars, q)]
-        labelled.append(any(got))
-        return got
+    def squared(chars):
+        got, zero = logs(chars)
+        labelled.extend(got.any(axis=0).tolist())
+        return -got % 3, zero
 
-    monkeypatch.setattr(census, "_cube_logs", squared)
+    monkeypatch.setattr(census, "_cube_logs_lanes", squared)
     assert census._count_task(cd, [(10**6, 10**6 + 4000)])[0] == want
     assert want[2] == 0 and sum(labelled) > 0.9 * len(labelled) > 50
 
@@ -690,10 +721,21 @@ def test_verdict_cube_logs_take_the_first_character_not_one_as_omega():
 def _segment_lattices(cd, lo, hi):
     # the C3 primes of (lo, hi] in the lanes, their v1 HNFs and float transforms
     primes = arith.primes_in_range(lo + 1, hi + 1)
-    pending = [(v, pre[1]) for v, pre in zip(primes, census._c3_setup_lanes(cd, primes))
-               if isinstance(pre, tuple)]
-    hnfs = [v1 for _, v1 in pending]
-    return [v for v, _ in pending], hnfs, list(linalg.lll_float_batch(hnfs, cd.frame))
+    status, _, hnfs = census._c3_setup_lanes(cd, primes)
+    lanes = [v for v, s in zip(primes, status.tolist()) if s == census.IN_C3]
+    return lanes, hnfs, list(linalg.lll_float_batch(hnfs, cd.frame))
+
+
+def _defer(monkeypatch, deferred):
+    # the split lanes leave the lattice over each prime v with deferred(v)
+    # to the scalar route (_c3_verdict)
+    split = census._split_lanes
+
+    def stub(cd_, v, rows):
+        settled, alpha, vals = split(cd_, v, rows)
+        return settled & ~np.array([deferred(p) for p in v.tolist()], dtype=bool), alpha, vals
+
+    monkeypatch.setattr(census, "_split_lanes", stub)
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -704,14 +746,16 @@ def test_lane_products_match_combine(conductor, ell, lo):
     cd = conductor(ell)
     primes, hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
     assert len(hnfs) > 100 and all(T is not None for T in transforms)
-    got = [basis for basis, _ in census._transformed(cd, primes, hnfs, transforms)]
+    inside, rows, combined = census._transformed(hnfs, transforms)
     want = [
         [classgroup._combine(t, y.tolist()) for t in T.tolist()] for y, T in zip(hnfs, transforms)
     ]
-    assert got == want
-    assert all(type(c) is int for basis in got for row in basis for c in row)
-    assert all(type(row) is tuple for basis in got for row in basis)
-    assert next(census._transformed(cd, primes, hnfs, [None] + transforms[1:])) == (None, ())
+    assert inside.tolist() == list(range(len(hnfs))) and combined == []
+    assert rows.dtype == np.int64
+    assert [list(map(tuple, basis)) for basis in rows.tolist()] == want
+    # a lattice whose T is None is in neither list
+    inside, rows, combined = census._transformed(hnfs, [None] + transforms[1:])
+    assert inside.tolist() == list(range(1, len(hnfs))) and combined == []
 
 
 def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch):
@@ -744,79 +788,71 @@ def test_lane_products_past_the_bound_go_through_combine(conductor, monkeypatch)
 @pytest.mark.parametrize("lo", [0, 4 * 10**4, 10**6, 10**8, census.LANE_BOUND - 8000])
 def test_split_totals_lanes_match_el_norm(conductor, ell, lo):
     # every row of every certified basis of (lo, lo + 8000] gets its total
-    # |N(alpha)| / v^3, equal to el_norm's, and minus the rows are the first
-    # four candidates of the split's stream, which the totals stand for
+    # |N(alpha)| / v^3, certified and equal to el_norm's, and minus the rows
+    # are the first four candidates of the split's stream, which the split
+    # lanes take
     cd = conductor(ell)
     primes, hnfs, transforms = _segment_lattices(cd, lo, lo + 8000)
-    out = list(census._transformed(cd, primes, hnfs, transforms))
-    assert len(out) > 100
-    for v, (basis, totals) in zip(primes, out):
-        assert list(totals) == [abs(cd.F.el_norm(row)) // v**3 for row in basis], v
-        assert all(abs(cd.F.el_norm(row)) % v**3 == 0 for row in basis)
-    basis = out[0][0]
+    inside, rows, _ = census._transformed(hnfs, transforms)
+    assert len(inside) > 100
+    v = np.repeat(np.array(primes, dtype=np.int64)[inside], 4)
+    total, certified = census._split_totals_lanes(cd, v, rows.reshape(-1, 4))
+    assert certified.all() and total.dtype == np.int64
+    for p, row, t in zip(v.tolist(), rows.reshape(-1, 4).tolist(), total.tolist()):
+        assert abs(cd.F.el_norm(row)) == t * p**3, p
+    basis = [tuple(row) for row in rows[0].tolist()]
     stream = classgroup.ideal_short_elements(cd.F, basis, reduced=True)
     assert list(itertools.islice(stream, 4)) == [tuple(-x for x in row) for row in basis]
-
-
-def _split_el_norms(monkeypatch):
-    # each el_norm call inside a census split: (k, totals), k the index of
-    # the basis row whose negative it is (None past the first four
-    # candidates) and totals those the split was given
-    split = census.smooth_split
-    el_norm = fields.NumberField.el_norm
-    current, calls = [], []
-
-    def recorded(cg, A, usable=None, norm=None, totals=()):
-        current.append((A, totals))
-        try:
-            return split(cg, A, usable=usable, norm=norm, totals=totals)
-        finally:
-            current.pop()
-
-    def counted(self, el):
-        if current:
-            A, totals = current[-1]
-            negated = tuple(-x for x in el)
-            calls.append((next((k for k, row in enumerate(A) if tuple(row) == negated), None), totals))
-        return el_norm(self, el)
-
-    monkeypatch.setattr(census, "smooth_split", recorded)
-    monkeypatch.setattr(fields.NumberField, "el_norm", counted)
-    return calls
 
 
 @pytest.mark.parametrize("guard", ["NORM_PRODUCT_BOUND", "DET_MODULUS"])
 def test_split_totals_lanes_past_a_guard_go_to_el_norm(conductor, monkeypatch, guard):
     # With a guard lowered to the median row, exactly the rows past it get no
-    # total, the split takes el_norm for those it reaches, and the records
-    # are the same.  At the default guards the split takes el_norm only for
-    # candidates past the fourth.
+    # certified total.  A lattice that reaches such a row before a candidate
+    # is accepted is deferred to the scalar split, which takes el_norm for
+    # its candidates, and the records are the same.  At the default guards
+    # no lattice is deferred and the census takes no el_norm.
     cd = conductor(277)
     lo, hi = 10**6, 10**6 + 8000
-    calls = _split_el_norms(monkeypatch)
+    el_norm = fields.NumberField.el_norm
+    normed = []
+    monkeypatch.setattr(fields.NumberField, "el_norm", lambda self, el: normed.append(el) or el_norm(self, el))
+    split = census._split_lanes
+    deferred = []
+
+    def recorded(cd_, v, rows):
+        settled, alpha, vals = split(cd_, v, rows)
+        deferred.extend(zip(v[~settled].tolist(), rows[~settled].tolist()))
+        return settled, alpha, vals
+
+    monkeypatch.setattr(census, "_split_lanes", recorded)
     want = census._count_task(cd, [(lo, hi)])[0]
-    assert all(k is None for k, _ in calls)
+    assert normed == [] and deferred == []
     primes, hnfs, transforms = _segment_lattices(cd, lo, hi)
-    rows = [row for basis, _ in census._transformed(cd, primes, hnfs, transforms) for row in basis]
+    inside, rows, _ = census._transformed(hnfs, transforms)
+    rows = rows.reshape(-1, 4)
+    v = np.repeat(np.array(primes, dtype=np.int64)[inside], 4)
     top = max(abs(c) for row in cd.F.mult_table for el in row for c in el)
     if guard == "NORM_PRODUCT_BOUND":
-        sizes = sorted(max(map(abs, row)) * 4 * top for row in rows)
+        sizes = sorted(max(map(abs, row)) * 4 * top for row in rows.tolist())
         module, bound = census, sizes[len(sizes) // 2]
-        past = {tuple(row) for row in rows if max(map(abs, row)) * 4 * top >= bound}
+        past = {tuple(row) for row in rows.tolist() if max(map(abs, row)) * 4 * top >= bound}
     else:
-        sizes = sorted(abs(cd.F.el_norm(row)) for row in rows)
+        sizes = sorted(abs(cd.F.el_norm(row)) for row in rows.tolist())
         module, bound = linalg, 2 * sizes[len(sizes) // 2]
     monkeypatch.setattr(module, guard, bound)
-    calls.clear()
-    got = list(census._transformed(cd, primes, hnfs, transforms))
-    nones = [row for basis, totals in got for row, t in zip(basis, totals) if t is None]
+    _, certified = census._split_totals_lanes(cd, v, rows)
+    nones = {tuple(row) for row, good in zip(rows.tolist(), certified.tolist()) if not good}
     assert 0 < len(nones) < len(rows)
     if guard == "NORM_PRODUCT_BOUND":
-        assert set(nones) == past
-    calls.clear()
+        assert nones == past
+    normed.clear()
     assert census._count_task(cd, [(lo, hi)])[0] == want
-    reached = [totals[k] for k, totals in calls if k is not None]
-    assert reached and all(t is None for t in reached)
+    assert deferred and normed
+    # every lattice whose first row has no total is deferred
+    first = {p for p, row in zip(v.tolist()[::4], rows.tolist()[::4]) if tuple(row) in nones}
+    assert first <= {p for p, _ in deferred}
+    assert all(any(tuple(row) in nones for row in basis) for _, basis in deferred)
 
 
 def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
@@ -845,6 +881,8 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
     monkeypatch.setattr(classgroup, "_valuations_above", doubled_at_bad)
     with pytest.raises(FieldError, match="norm factorization"):
         fast_classify(cd, bad)
+    # the split lanes leave bad to the scalar split, which counts valuations
+    _defer(monkeypatch, lambda v: v == bad)
     got = census._count_task(cd, [(0, 5000)])[0]
     assert got[:-1] == want[:-1]
     assert (want[-1], got[-1]) == (0, 1)
@@ -853,19 +891,21 @@ def test_inconsistent_valuations_at_one_prime_fall_back(conductor, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_split_falls_back_to_the_reference_route(conductor, monkeypatch, caplog, workers):
     # one prime whose fast split fails is classified by classify_prime and
-    # counted; the census goes on and its rows stay golden
+    # counted; the census goes on and its rows stay golden.  The split lanes
+    # defer that prime, so that the scalar split meets the failure.
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     split = census.smooth_split
 
-    def failing_split(cg, A, usable=None, norm=None, totals=()):
+    def failing_split(cg, A, usable=None, norm=None):
         if norm == bad**3:
             return None
-        return split(cg, A, usable=usable, norm=norm, totals=totals)
+        return split(cg, A, usable=usable, norm=norm)
 
     monkeypatch.setattr(census, "smooth_split", failing_split)
     with pytest.raises(FieldError):
         fast_classify(cd, bad)
+    _defer(monkeypatch, lambda v: v == bad)
     with caplog.at_level("WARNING", logger="a4census.census"):
         rows = run_census(cd, 5000, workers=workers)
     assert census_csv(rows).splitlines() == golden_rows(277)[:3]
@@ -928,24 +968,26 @@ def test_lanes_match_the_per_prime_setup(conductor, ell, lo):
     # and 241 for 349)
     cd = conductor(ell)
     primes = arith.primes_in_range(lo + 1, lo + 8001)
-    got = census._c3_setup_lanes(cd, primes)
-    assert len(got) == len(primes)
+    status, roots, hnfs = census._c3_setup_lanes(cd, primes)
+    assert status.dtype == np.int8 and len(status) == len(primes)
+    assert roots.dtype == hnfs.dtype == np.int64 and hnfs.shape == (len(roots), 4, 4)
+    lanes = zip(roots.tolist(), hnfs.tolist())
     refused = []
     c3 = 0
-    for v, pre in zip(primes, got):
-        if pre is None or cd.excluded(v):
-            assert pre is None, v
+    for v, code in zip(primes, status.tolist()):
+        if code == census.WHOLE or cd.excluded(v):
+            assert code == census.WHOLE, v
             assert cd.excluded(v) or (fast_classify(cd, v).in_C3 and _irregular(cd, v)), v
             refused.append(v)
             continue
         want = census._c3_setup(cd, v)
-        if isinstance(pre, PrimeClassification):
-            assert pre == want, v
+        if code == census.OUTSIDE:
+            assert want == PrimeClassification(v, False), v
             continue
+        assert code == census.IN_C3, v
         c3 += 1
-        r, v1 = pre
-        assert (r, v1.tolist()) == (want[0], list(map(list, want[1]))), v
-        assert type(r) is int and v1.dtype == np.int64 and v1.shape == (4, 4), v
+        assert next(lanes) == (want[0], list(map(list, want[1]))), v
+    assert next(lanes, None) is None
     assert c3 > 100
     if lo:
         assert refused == []
@@ -978,7 +1020,8 @@ def test_lanes_of_an_index_64_quartic_refuse_its_excluded_and_irregular_primes(t
     cd = load_conductor(read_config(ini))
     assert cd.F.index == 64 and tuple(cd.F.poly) == tuple(scaled)
     primes = arith.primes_in_range(1, 50001)
-    refused = [v for v, pre in zip(primes, census._c3_setup_lanes(cd, primes)) if pre is None]
+    status = census._c3_setup_lanes(cd, primes)[0]
+    refused = [v for v, code in zip(primes, status.tolist()) if code == census.WHOLE]
     assert [v for v in primes if cd.excluded(v)] == [2, 3, 163]
     assert refused == [2, 3, 19, 163, 23689]
     assert all(fast_classify(cd, v).in_C3 and _irregular(cd, v) for v in (19, 23689))
@@ -993,8 +1036,8 @@ def test_lanes_stop_at_the_int64_guard(conductor, monkeypatch):
     assert census.LANE_BOUND == 2**30
     lo, hi = census.LANE_BOUND - 4000, census.LANE_BOUND + 4000
     primes = arith.primes_in_range(lo + 1, hi + 1)
-    got = census._c3_setup_lanes(cd, primes)
-    assert [pre is None for pre in got] == [v >= census.LANE_BOUND for v in primes]
+    status = census._c3_setup_lanes(cd, primes)[0]
+    assert [code == census.WHOLE for code in status.tolist()] == [v >= census.LANE_BOUND for v in primes]
     assert any(v >= census.LANE_BOUND for v in primes) and primes[0] < census.LANE_BOUND
     want = [fast_classify(cd, v) for v in primes]
     records = [(pc.v, pc.in_CLambda, pc.in_Ctaubar) for pc in want if pc.in_C3]
@@ -1043,56 +1086,254 @@ def test_a_lane_routed_failure_is_one_fallback_or_aborts(conductor, monkeypatch,
 
 
 def _stage3(cd, lo, hi):
-    """(v, r, certified basis T v1) of each C3 prime of (lo, hi], as stage 3 gets them."""
+    """(v, r, rows): the C3 primes of (lo, hi] as stage 3 gets them, with their certified bases T v1."""
     primes = arith.primes_in_range(lo + 1, hi + 1)
-    setup = census._c3_setup_lanes(cd, primes)
-    pending = [(v, *pre) for v, pre in zip(primes, setup) if isinstance(pre, tuple)]
-    hnfs = [v1 for *_, v1 in pending]
-    transforms = linalg.lll_float_batch(hnfs, cd.frame)
-    bases = census._transformed(cd, [v for v, *_ in pending], hnfs, transforms)
-    return [(v, r, basis) for (v, r, _), (basis, _) in zip(pending, bases)]
+    status, roots, hnfs = census._c3_setup_lanes(cd, primes)
+    v = np.array(primes, dtype=np.int64)[status == census.IN_C3]
+    inside, rows, combined = census._transformed(hnfs, linalg.lll_float_batch(hnfs, cd.frame))
+    assert combined == [] and len(inside) == len(v)
+    return v, roots, rows
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
 @pytest.mark.parametrize("lo", [8000, 10**6, 10**8, census.LANE_BOUND - 8000])
 def test_verdict_lanes_match_the_scalar_verdict(conductor, ell, lo):
-    # every C3 prime of (lo, lo + 8000]: the stage-3 lanes give the raw
-    # characters TameBlock gives and _c3_verdict's PrimeClassification
+    # every C3 prime of (lo, lo + 8000]: the split lanes settle its lattice,
+    # and the verdict lanes give _c3_verdict's verdict on the same basis
     cd = conductor(ell)
-    primes = _stage3(cd, lo, lo + 8000)
-    assert len(primes) > 100 and primes[-1][0] < census.LANE_BOUND
-    splits = [census._c3_split(cd, v, basis) for v, _, basis in primes]
-    got = census._c3_characters_lanes(
-        cd,
-        [v for v, *_ in primes],
-        [r for _, r, _ in primes],
-        [alpha for alpha, *_ in splits],
-        [powers for *_, powers in splits],
-    )
-    for (v, r, basis), (alpha, wild_net, l2_net, powers), chars in zip(primes, splits, got):
-        tame = rayclass.TameBlock(cd.F, v, r)
-        net = tame.residue(alpha)
-        for q, e in powers:
-            net = net * pow(tame.residue(cd.certs[q][1]), e, v) % v
-        want = [tame.character(w) for w in cd.u.fundamental_units] + [pow(net, tame.exp, v)]
-        assert chars == want, v
-        assert all(type(c) is int for c in chars)
-        verdict = census._c3_labels(cd, v, wild_net, l2_net, chars)
-        assert verdict == census._c3_verdict(cd, v, r, basis), v
+    v, r, rows = _stage3(cd, lo, lo + 8000)
+    assert len(v) > 100 and v[-1] < census.LANE_BOUND
+    settled, alpha, vals = census._split_lanes(cd, v, rows)
+    assert settled.all()
+    got = census._verdict_lanes(cd, v, r, alpha, vals)
+    assert all(type(code) is int for code in got)
+    for p, root, basis, code in zip(v.tolist(), r.tolist(), rows.tolist(), got):
+        want = census._c3_verdict(cd, p, root, [tuple(row) for row in basis])
+        assert code == census._code(want), p
 
 
-def test_verdict_lanes_take_an_alpha_beyond_int64(conductor):
-    # alpha + v 2^70 has alpha's residue at v_2, so the same characters,
-    # though its coordinates do not fit in int64
+def test_verdict_lanes_reduce_alpha_before_their_products(conductor):
+    # alpha + 9 ell v k, with entries near 2^61, has alpha's classes mod
+    # 3_1^2, ell_2 and v_2, so the same verdicts: the lanes reduce alpha
+    # before they multiply
     cd = conductor(277)
-    primes = _stage3(cd, 10**6, 10**6 + 8000)
-    splits = [census._c3_split(cd, v, basis) for v, _, basis in primes]
-    vs, roots = [v for v, *_ in primes], [r for _, r, _ in primes]
-    powers = [pw for *_, pw in splits]
-    alphas = [alpha for alpha, *_ in splits]
-    big = [(a[0] + v * 2**70, *a[1:]) for a, v in zip(alphas, vs)]
-    want = census._c3_characters_lanes(cd, vs, roots, alphas, powers)
-    assert census._c3_characters_lanes(cd, vs, roots, big, powers) == want
+    v, r, rows = _stage3(cd, 10**6, 10**6 + 8000)
+    settled, alpha, vals = census._split_lanes(cd, v, rows)
+    step = 9 * cd.ell * v
+    big = alpha + (2**61 // step * step)[:, None]
+    assert (big > 2**60).all()
+    want = census._verdict_lanes(cd, v, r, alpha, vals)
+    assert census._verdict_lanes(cd, v, r, big, vals) == want
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("lo", [0, 10**6, 10**8, census.LANE_BOUND - 48000])
+def test_split_lanes_match_smooth_split(conductor, ell, lo):
+    # five segments: the split lanes settle every lattice, with alpha minus
+    # one of its rows and the valuation vector that smooth_split finds on
+    # the same certified basis, searched as it is with the norm v^3
+    cd = conductor(ell)
+    v, _, rows = _stage3(cd, lo, lo + 5 * census.CHUNK)
+    settled, alpha, vals = census._split_lanes(cd, v, rows)
+    assert len(v) > 500 and settled.all()
+    for p, basis, a, vec in zip(v.tolist(), rows.tolist(), alpha.tolist(), vals.tolist()):
+        A = [tuple(row) for row in basis]
+        usable = lambda el, n: math.gcd(n, 3 * ell * p) == 1  # noqa: E731
+        assert (tuple(a), tuple(vec)) == classgroup.smooth_split(cd.cg, A, usable=usable, norm=p**3), p
+        assert tuple(-x for x in a) in A, p
+
+
+@pytest.mark.parametrize("ell", [163, 349])
+def test_split_lanes_reject_alpha_in_a_prime_outside_the_base(conductor, ell):
+    # below 40000 a few bases have a usable smooth row in the prime above 5
+    # of degree 2 (163) or 3 (349), which lies outside the factor base.
+    # With that row put first, the lanes reject it, as smooth_split does,
+    # and settle the lattice on a later row with smooth_split's split.
+    cd = conductor(ell)
+    ctx = cd.cg.fb_ctx
+    outside = [P for P in ctx.above[5] if P.key() not in ctx.index]
+    v, _, rows = _stage3(cd, 0, 40000)
+    total, certified = census._split_totals_lanes(cd, np.repeat(v, 4), rows.reshape(-1, 4))
+    picks = []
+    for k, (c, good) in enumerate(zip(total.tolist(), certified.tolist())):
+        i, j = divmod(k, 4)
+        row = rows[i, j].tolist()
+        if good and math.gcd(c, 3 * ell * int(v[i])) == 1 and ctx.factor(c) is not None:
+            if any(fields.element_in_prime(P, row) for P in outside):
+                picks.append((i, j))
+    assert outside and picks
+    at = [i for i, _ in picks]
+    rolled = np.array([np.roll(rows[i], -j, axis=0) for i, j in picks])
+    settled, alpha, vals = census._split_lanes(cd, v[at], rolled)
+    assert settled.all()
+    for p, basis, a, vec in zip(v[at].tolist(), rolled.tolist(), alpha.tolist(), vals.tolist()):
+        A = [tuple(row) for row in basis]
+        usable = lambda el, n: math.gcd(n, 3 * ell * p) == 1  # noqa: E731
+        assert tuple(-x for x in a) != A[0]
+        assert (tuple(a), tuple(vec)) == classgroup.smooth_split(cd.cg, A, usable=usable, norm=p**3), p
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_wild_log_lanes_match_philog_on_every_class(conductor, ell):
+    # every class mod 3_1^2, from the digits of its code, and the same
+    # classes moved by random elements of 3_1^2 with entries up to 2^45:
+    # the lanes give WildBlock.philog's log and flag the 27 non-units (the
+    # classes in 3_1), where philog raises
+    cd = conductor(ell)
+    wild = cd.wild
+    hnf = wild.ring.hnf
+    pivots = [row[i] for i, row in enumerate(hnf)]
+    reps = [tuple(c // r % d for r, d in zip(wild.radix, pivots)) for c in range(wild.ring.size)]
+    assert wild.ring.size == 729 and [wild.code(x) for x in reps] == list(range(729))
+    rng = random.Random(ell)
+    moved = []
+    for x in reps:
+        shift = [rng.randrange(-(2**40), 2**40) for _ in hnf]
+        moved.append(tuple(a + sum(k * row[j] for k, row in zip(shift, hnf)) for j, a in enumerate(x)))
+    for elements in (reps, moved):
+        logs, unit = census._wild_logs_lanes(wild, np.array(elements, dtype=np.int64))
+        assert unit.sum() == 702
+        for x, log, ok in zip(elements, logs.tolist(), unit.tolist()):
+            if ok:
+                assert tuple(log) == wild.philog(x), x
+            else:
+                with pytest.raises(FieldError, match="wild prime"):
+                    wild.philog(x)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_tame_log_lanes_match_philog_on_every_residue(conductor, ell):
+    # the integers 0, ..., ell - 1 meet every residue mod ell_2, which has
+    # degree 1; so do they moved by random multiples of ell: the lanes give
+    # TameBlock.philog's log at ell_2 and flag 0, where philog raises
+    cd = conductor(ell)
+    tame = cd.tame_l2
+    rng = random.Random(ell)
+    ints = [cd.F.from_int(x) for x in range(ell)]
+    assert sorted(tame.residue(el) for el in ints) == list(range(ell))
+    moved = [tuple(a + ell * rng.randrange(-(2**40), 2**40) for a in el) for el in ints]
+    for elements in (ints, moved):
+        logs, unit = census._tame_logs_lanes(tame, np.array(elements, dtype=np.int64))
+        assert unit.tolist() == [x != 0 for x in range(ell)]
+        for el, log, ok in zip(elements, logs.tolist(), unit.tolist()):
+            if ok:
+                assert (log,) == tame.philog(el), el
+            else:
+                with pytest.raises(FieldError, match="tame prime"):
+                    tame.philog(el)
+
+
+def _scalar_splits(monkeypatch):
+    # the primes that the scalar tail _c3_verdict classifies, in order
+    verdict = census._c3_verdict
+    seen = []
+
+    def recorded(cd_, v, r, v1):
+        seen.append(v)
+        return verdict(cd_, v, r, v1)
+
+    monkeypatch.setattr(census, "_c3_verdict", recorded)
+    return seen
+
+
+def test_split_lanes_defer_a_row_without_a_total(conductor, monkeypatch):
+    # a row without a certified total, reached before a candidate is
+    # accepted, defers its lattice whole: the scalar route splits it, with
+    # the same records and no fallback
+    cd = conductor(277)
+    lo, hi = 10**6, 10**6 + 8000
+    want = census._count_task(cd, [(lo, hi)])[0]
+    bad = [v for v, *_ in want[0][::7]]
+    totals = census._split_totals_lanes
+
+    def uncertified(cd_, v, alpha):
+        total, certified = totals(cd_, v, alpha)
+        return total, certified & ~np.isin(v, bad)
+
+    monkeypatch.setattr(census, "_split_totals_lanes", uncertified)
+    scalar = _scalar_splits(monkeypatch)
+    assert census._count_task(cd, [(lo, hi)])[0] == want
+    assert scalar == bad and want[2] == 0
+
+
+@pytest.mark.parametrize("held", ["none", "all"])
+def test_split_lanes_defer_alpha_in_no_prime_or_two_above_p(conductor, monkeypatch, held):
+    # the lanes told that alpha lies in no prime above p, or in every one
+    # (two above each p of 277's factor base): a usable smooth candidate
+    # with such a p | c defers its lattice, where the scalar cofactor would
+    # count valuations out or raise; the scalar route splits it, with the
+    # same records and no fallback
+    cd = conductor(277)
+    assert all(len(cd.cg.fb_ctx.above[p]) == 2 for p in cd.cg.fb_ctx.rational_primes)
+    lo, hi = 10**6, 10**6 + 8000
+    want = census._count_task(cd, [(lo, hi)])[0]
+    monkeypatch.setattr(census, "_in_prime_lanes", lambda P, alpha: np.full(len(alpha), held == "all"))
+    scalar = _scalar_splits(monkeypatch)
+    assert census._count_task(cd, [(lo, hi)])[0] == want
+    assert len(scalar) > len(want[0]) // 2 and want[2] == 0
+
+
+def test_split_lanes_defer_an_exponent_that_f_does_not_divide(conductor, monkeypatch):
+    # 277's two primes above 2 both have f = 2, so an e_2 raised by one is
+    # odd: every lattice the lanes settled with alpha in one of them is
+    # deferred instead, and the scalar route gives the same records
+    cd = conductor(277)
+    ctx = cd.cg.fb_ctx
+    assert [P.f for P in ctx.above[2]] == [2, 2] and ctx.rational_primes[0] == 2
+    lo, hi = 10**6, 10**6 + 8000
+    want = census._count_task(cd, [(lo, hi)])[0]
+    v, _, rows = _stage3(cd, lo, hi)
+    settled, _, vals = census._split_lanes(cd, v, rows)
+    at_two = vals[:, [ctx.index[P.key()] for P in ctx.above[2]]].any(axis=1)
+    assert settled.all() and at_two.sum() > 10
+    exponents = census._cofactor_exponents_lanes
+
+    def raised(total, primes):
+        exps, smooth = exponents(total, primes)
+        exps[0] += exps[0] > 0
+        return exps, smooth
+
+    monkeypatch.setattr(census, "_cofactor_exponents_lanes", raised)
+    assert not census._split_lanes(cd, v, rows)[0][at_two].any()
+    scalar = _scalar_splits(monkeypatch)
+    assert census._count_task(cd, [(lo, hi)])[0] == want
+    assert set(v[at_two].tolist()) <= set(scalar) and want[2] == 0
+
+
+def test_split_lanes_defer_a_lattice_without_an_accepted_row(conductor, monkeypatch):
+    # totals of 3 on every row of some lattices: no candidate is usable, so
+    # none of the four is accepted and the lattice is deferred; the scalar
+    # route, with its own norms, gives the same records
+    cd = conductor(277)
+    lo, hi = 10**6, 10**6 + 8000
+    want = census._count_task(cd, [(lo, hi)])[0]
+    bad = [v for v, *_ in want[0][::7]]
+    totals = census._split_totals_lanes
+
+    def unusable(cd_, v, alpha):
+        total, certified = totals(cd_, v, alpha)
+        return np.where(np.isin(v, bad), 3, total), certified
+
+    monkeypatch.setattr(census, "_split_totals_lanes", unusable)
+    scalar = _scalar_splits(monkeypatch)
+    assert census._count_task(cd, [(lo, hi)])[0] == want
+    assert scalar == bad and want[2] == 0
+
+
+def test_lane_primes_make_no_verdict_objects(conductor, monkeypatch):
+    # a task whose primes all go through the lanes makes no
+    # PrimeClassification: each segment's records and classified count come
+    # from the int8 codes
+    cd = conductor(277)
+    segs = [(10**6, 10**6 + 8000), (10**6 + 8000, 10**6 + 16000)]
+    want = census._count_task(cd, segs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a verdict object was made")
+
+    monkeypatch.setattr(census, "PrimeClassification", refused)
+    assert census._count_task(cd, segs) == want
+    assert [done for _, done, _ in want] == [len(arith.primes_in_range(lo + 1, hi + 1)) for lo, hi in segs]
 
 
 def test_mod_lanes_reduce_integers_of_any_size():
@@ -1137,13 +1378,14 @@ def test_a_zero_character_in_the_verdict_lanes_is_one_fallback(conductor, monkey
     cd = conductor(277)
     bad = _c3_primes(cd, 2000, 5000, count=10)[-1]
     want = census._count_task(cd, [(0, 5000)])[0]
-    c3_split = census._c3_split
+    split = census._split_lanes
 
-    def in_v2_at_bad(cd_, v, v1, totals=()):
-        alpha, *rest = c3_split(cd_, v, v1, totals)
-        return ((v, 0, 0, 0) if v == bad else alpha, *rest)
+    def in_v2_at_bad(cd_, v, rows):
+        settled, alpha, vals = split(cd_, v, rows)
+        alpha[v == bad] = (bad, 0, 0, 0)
+        return settled, alpha, vals
 
-    monkeypatch.setattr(census, "_c3_split", in_v2_at_bad)
+    monkeypatch.setattr(census, "_split_lanes", in_v2_at_bad)
     with caplog.at_level("INFO", logger="a4census.census"):
         got = census._count_task(cd, [(0, 5000)])[0]
     assert got[:-1] == want[:-1]
@@ -1174,6 +1416,7 @@ def test_task_of_several_segments_returns_each_segments_result(conductor, ell, l
         return c3_split(cd_, v, *args, **kwargs)
 
     monkeypatch.setattr(census, "_c3_split", failing)
+    _defer(monkeypatch, lambda v: v == bad)  # to the scalar split, which fails there
     got = census._count_task(cd, segs)
     assert [result[:2] for result in got] == [result[:2] for result in want]
     assert [fallbacks for *_, fallbacks in got] == [0, 1, 0]

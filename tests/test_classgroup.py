@@ -515,33 +515,6 @@ def test_a_certified_split_goes_on_past_the_boxes(conductor, ell):
         assert ideal_from_elements(F, [alpha]) == rhs
 
 
-@pytest.mark.parametrize("ell", CONDUCTORS)
-def test_smooth_split_takes_given_totals_for_the_first_candidates(conductor, ell, monkeypatch):
-    # totals stand for the first candidates of a basis searched as it is:
-    # those take no el_norm, the rest (an entry None, or past the totals)
-    # do, and the split is the one found without totals; totals without a
-    # norm are refused, since the stream would then reduce the basis first
-    cd = conductor(ell)
-    F = cd.F
-    (v1,) = _degree3_primes(F, 10**6, 1)
-    red = _certified_basis(cd, list(v1.hnf))
-    first = [abs(F.el_norm(row)) // v1.norm for row in red]
-    usable = lambda el, cofactor_norm: cofactor_norm > max(first)  # noqa: E731
-    want = smooth_split(cd.cg, red, usable=usable, norm=v1.norm)
-    el_norm = fields.NumberField.el_norm
-    normed = []
-    monkeypatch.setattr(
-        fields.NumberField, "el_norm", lambda self, el: normed.append(el) or el_norm(self, el)
-    )
-    got = smooth_split(cd.cg, red, usable=usable, norm=v1.norm, totals=first[:2] + [None, first[3]])
-    assert got == want
-    negated = [tuple(-x for x in row) for row in red]
-    assert negated[2] in normed and not {negated[0], negated[1], negated[3]} & set(normed)
-    assert len(normed) > 1
-    with pytest.raises(ValueError, match="totals"):
-        smooth_split(cd.cg, red, totals=first)
-
-
 def _doubled(valuations):
     """_valuations_above with every valuation doubled, so sum f(P) v_P = 2 e_p."""
     return lambda K, el, above, ep: [2 * v for v in valuations(K, el, above, ep)]
