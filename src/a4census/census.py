@@ -44,10 +44,11 @@ pass costs about the same at any width: fast_classify's gate, root and
 closed-form v1 in numpy int64 lanes (_c3_setup_lanes), which give every
 prime an int8 status, so that no verdict object is made for a prime the
 lanes take; one batched float64 LLL (linalg.lll_float_batch) over the
-v1 lattices of their C3 primes, which drops finished lattices from its
-working arrays as it goes and returns each transform T, certified by
-its determinant modulo four primes, as an int64 array, applied in one
-int64 product (_transformed); then fast_classify's split and residuals
+v1 lattices of their C3 primes, in all-swap rounds taken in lock step,
+which drops finished lattices from its working arrays as it goes and
+returns each transform T, certified by its determinant modulo four
+primes, as an int64 array, applied in one int64 product
+(_transformed); then fast_classify's split and residuals
 in two lane passes.  The split lanes (_split_lanes) take the first
 candidates of the split's stream, minus the rows of each certified
 basis, with their cofactor norms certified modulo the same primes
@@ -192,7 +193,10 @@ class ConductorData:
     unit_l2 in the fixed quotient, the logs of their characters at v_2 in
     the moving one.  unit_spans[t] is the set of all vectors in the span
     mod 3 of those rows, for every t in F_3^rank, so that membership in
-    either quotient's unit image is one set lookup.
+    either quotient's unit image is one set lookup.  span_codes and
+    cert_columns hold the spans and the certificates' logs as a bool
+    table and int64 columns for the verdict lanes (_lane_tables), so
+    that no census task rebuilds them.
     """
 
     ell: int
@@ -210,6 +214,11 @@ class ConductorData:
     unit_spans: dict  # tame column t -> frozenset of the unit rows' span mod 3
     # _certificate of each cg.factor_base prime, None over 3 and ell
     certs: tuple
+    # unit_spans as a bool table: [t, w] with t and w in F_3^k coded base 3
+    span_codes: object
+    # (m^-1 mod 3, wild log, ell_2 log) of each certificate, as int64
+    # columns over cg.factor_base, zero over 3 and ell
+    cert_columns: tuple
     shanks_a: object
     frame: tuple  # float Cholesky factor of F.trace_gram: real coordinates for the census LLL
     # (stage, wall seconds) of this load, in order; reported, never cached or written out
@@ -255,8 +264,8 @@ def load_conductor(config) -> ConductorData:
     read and its checks), h(F) (with the splitting check at 3), saturated
     units (search and 3-saturation),
     stability (3_1, ell_2, the wild block and modulus_stability_check),
-    fixed quotient (with the unit spans) and certificates.  The cache
-    write after them is not timed.
+    fixed quotient (with the unit spans) and certificates (with the
+    verdict lanes' tables).  The cache write after them is not timed.
     """
     if isinstance(config, int):
         config = conductor_config(config)
@@ -375,6 +384,7 @@ def load_conductor(config) -> ConductorData:
         None if Q.p in (3, ell) else _certificate(F, cg, wild, tame_l2, Q, coords)
         for Q, coords in zip(cg.factor_base, cg.coord_rows)
     )
+    span_codes, cert_columns = _lane_tables(wild.dim, u.rank, unit_spans, certs)
     lap("certificates")
 
     cd = ConductorData(
@@ -392,6 +402,8 @@ def load_conductor(config) -> ConductorData:
         unit_l2=unit_l2,
         unit_spans=unit_spans,
         certs=certs,
+        span_codes=span_codes,
+        cert_columns=cert_columns,
         shanks_a=shanks_param(ell),
         frame=linalg.cholesky_float(F.trace_gram),
         stage_seconds=tuple(stages),
@@ -399,6 +411,32 @@ def load_conductor(config) -> ConductorData:
     if config.use_cache and cached is None:
         cache_write(ell, {"L": field_to_record(L), "F": field_to_record(F)})
     return cd
+
+
+def _lane_tables(dim: int, rank: int, unit_spans, certs):
+    """The verdict lanes' tables, built once per datum: (span_codes, cert_columns).
+
+    span_codes[t, w] is True when w lies in unit_spans[t], with t in
+    F_3^rank and w in F_3^(dim + 1) coded base 3, lowest coordinate
+    first.  cert_columns holds, for each certificate (m, gamma, wild log,
+    ell_2 log) of cg.factor_base, m^-1 mod 3, the wild log and the ell_2
+    log as int64 columns, zero where there is no certificate.
+    """
+    import numpy as np
+
+    # the codes in Python: numpy's fancy indexing and reductions would
+    # fault about 64 KB more of its code into the loading process
+    place = [3**i for i in range(dim + 1)]
+    rows = [[False] * 3 ** (dim + 1) for _ in range(3**rank)]
+    for t, span in unit_spans.items():
+        row = rows[sum(map(operator.mul, t, place))]
+        for w in span:
+            row[sum(map(operator.mul, w, place))] = True
+    span_codes = np.array(rows)
+    absent = (0, (0,) * dim, 0)  # over 3 and ell, where no cofactor prime lies
+    columns = [(pow(c[0], -1, 3), c[2], c[3]) if c else absent for c in certs]
+    cert_columns = tuple(np.array(col, dtype=np.int64) for col in zip(*columns))
+    return span_codes, cert_columns
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +611,10 @@ def _verdict_lanes(cd: ConductorData, v, r, alpha, vals) -> list:
         and the characters of the units and of that net residue are
         raised to (v - 1)/3 by square and multiply, each lane's own bits
         picking the multiplications, then labelled (_cube_logs_lanes);
-      - both memberships are lookups in cd.unit_spans, with every vector
-        of F_3^k coded base 3.
+      - both memberships are lookups in cd.span_codes, the table of
+        cd.unit_spans with every vector of F_3^k coded base 3.
+    The certificate columns and the span table are the datum's, built
+    once at load (_lane_tables).
     """
     import numpy as np
 
@@ -583,9 +623,7 @@ def _verdict_lanes(cd: ConductorData, v, r, alpha, vals) -> list:
     F = cd.F
     wild_log, wild_unit = _wild_logs_lanes(cd.wild, alpha)
     l2_log, l2_unit = _tame_logs_lanes(cd.tame_l2, alpha)
-    absent = (0, (0,) * cd.wild.dim, 0)  # over 3 and ell, where no cofactor prime lies
-    certs = [(pow(c[0], -1, 3), c[2], c[3]) if c else absent for c in cd.certs]
-    m_inv, wg, lg = (np.array(col, dtype=np.int64) for col in zip(*certs))
+    m_inv, wg, lg = cd.cert_columns
     s = vals * m_inv % 3
     wild_net = (wild_log - s @ wg) % 3
     l2_net = (l2_log - s @ lg) % 3
@@ -615,9 +653,7 @@ def _verdict_lanes(cd: ConductorData, v, r, alpha, vals) -> list:
 
     rank, dim = cd.u.rank, cd.wild.dim
     place = 3 ** np.arange(dim + 1)
-    spans = np.zeros((3**rank, 3 ** (dim + 1)), dtype=bool)
-    for t, span in cd.unit_spans.items():
-        spans[np.dot(t, place[:rank]), np.array(list(span)) @ place] = True
+    spans = cd.span_codes
     wild_code = wild_net @ place[:dim]
     in_taubar = spans[np.dot(cd.unit_l2, place[:rank]), wild_code + 3**dim * l2_net]
     in_lambda = ~spans[logs[:rank].T @ place[:rank], wild_code + 3**dim * logs[rank]]
@@ -634,8 +670,8 @@ def _wild_logs_lanes(wild: WildBlock, alpha):
     9O lies in p^2 (3 lies in p), so alpha mod 9 has alpha's class, and
     the rows of p^2's HNF reduce it to the canonical representative, as
     QuotientRing.reduce does, with small entries throughout.  Its
-    mixed-radix code indexes the block's table; `unit` is False where
-    alpha lies in p, whose log row is left at -1.
+    mixed-radix code indexes the block's table_array; `unit` is False
+    where alpha lies in p, whose log row there is -1.
     """
     import numpy as np
 
@@ -643,8 +679,7 @@ def _wild_logs_lanes(wild: WildBlock, alpha):
     x = alpha % 9
     for i, row in enumerate(h):
         x -= (x[:, i] // row[i])[:, None] * row
-    table = np.array([log or (-1,) * wild.dim for log in wild.table], dtype=np.int64)
-    logs = table[x @ np.array(wild.radix, dtype=np.int64)]
+    logs = wild.table_array[x @ np.array(wild.radix, dtype=np.int64)]
     return logs, logs[:, 0] >= 0
 
 
@@ -1008,13 +1043,15 @@ def _count_task(cd: ConductorData, segs) -> list:
       1. the gate, the root and the closed-form v1 together, in numpy
          int64 lanes (_c3_setup_lanes);
       2. the v1 bases of the task's C3 primes are reduced together by
-         one linalg.lll_float_batch in the real coordinates cd.frame; each
-         returned T is an int64 array, unimodular, checked exactly (det T
-         = +-1 modulo the primes of linalg.DET_PRIMES under a Hadamard
-         bound, or det_bareiss past it), and the rows T v1 are formed in
-         integers (_transformed: one int64 product for every lattice
-         within PRODUCT_BOUND, _combine for any other), so they are a
-         basis of v1 whatever the floats did, of norm v^3;
+         one linalg.lll_float_batch in the real coordinates cd.frame, in
+         all-swap rounds that every lattice takes in lock step (about 25
+         near 0, 35 near 10^8); each returned T is an int64 array,
+         unimodular, checked exactly (det T = +-1 modulo the primes of
+         linalg.DET_PRIMES under a Hadamard bound, or det_bareiss past
+         it), and the rows T v1 are formed in integers (_transformed:
+         one int64 product for every lattice within PRODUCT_BOUND,
+         _combine for any other), so they are a basis of v1 whatever
+         the floats did, of norm v^3;
       3. two lane passes: the split of every basis formed in int64 from
          its rows (_split_lanes: the first candidate of smooth_split's
          stream that its cofactor test accepts, with the cofactor norms
@@ -1356,9 +1393,10 @@ def run_census(cd: ConductorData, N: int, checkpoints=None, workers: int = 1, js
     routes.  Its primes below LANE_BOUND = 2^30, the excluded ones aside,
     go through three stages, each run once over the task: the gate, root
     and v1 of all of them in numpy lanes, with an int8 status per prime;
-    one batched float LLL over the task's v1 lattices, which hands its
-    certified transforms on as int64 arrays, certified by their
-    determinants modulo four primes below 2^31, with T v1 formed in one
+    one batched float LLL over the task's v1 lattices, in all-swap rounds
+    that every lattice takes in lock step, which hands its certified
+    transforms on as int64 arrays, certified by their determinants
+    modulo four primes below 2^31, with T v1 formed in one
     int64 product; then two lane passes: the split of every certified
     basis from its rows, whose norms are certified modulo the same
     primes, and alpha's logs, the cube characters at v_2 and both

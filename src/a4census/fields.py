@@ -54,7 +54,6 @@ __all__ = [
     "is_a4_quartic",
     "quartic_field_search",
     "factor_rational_prime",
-    "splitting_pattern",
     "is_irreducible",
     "is_totally_real",
     "ideal_from_elements",
@@ -716,11 +715,6 @@ def _pm_compose_apply(g, x, qmul, ident, p):
         if c:
             acc = tuple((a + c * b) % p for a, b in zip(acc, ident))
     return acc
-
-
-def splitting_pattern(K: NumberField, p: int):
-    """Sorted (e, f) pairs of the primes above p."""
-    return sorted((P.e, P.f) for P in factor_rational_prime(K, p))
 
 
 # ---------------------------------------------------------------------------

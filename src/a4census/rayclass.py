@@ -209,7 +209,8 @@ class WildBlock:
     indexed by the mixed-radix code of the canonical QuotientRing
     representative (code), whose digits are its coordinates, each below
     its HNF pivot, with None at the non-units; the census lanes read the
-    same table as an array (census._wild_logs_lanes).  It is built from
+    same table as the int64 array `table_array`, built with it, whose
+    rows are -1 at the non-units (census._wild_logs_lanes).  It is built from
     the structure (O/p^2)^* = mu_(N-1) x (1 + p)/(1 + p^2) (Cohen, GTM 193, ch. 4),
     not by powering: the Teichmueller representatives are w = r^N for the
     N - 1 nonzero residues r mod p (3p lies in p^2, so w depends only on
@@ -261,6 +262,13 @@ class WildBlock:
             raise FieldError(
                 f"{units} unit classes mod the wild prime squared, expected {N * (N - 1)}"
             )
+        # Imported here, as in linalg.lll_float_batch, so that the package
+        # goes on importing numpy last.
+        import numpy as np
+
+        self.table_array = np.array(
+            [log or (-1,) * self.dim for log in self.table], dtype=np.int64
+        )
 
     def code(self, el) -> int:
         """The mixed-radix code of el's canonical representative mod p^2, below N(p)^2."""

@@ -49,7 +49,10 @@ a test oracle:
   tests a round's vector by its largest entry instead of the set);
 - resieved_primes_in_range: the segmented sieve that sieves its base
   primes afresh on every call (arith.primes_in_range cuts them from one
-  sieve kept across calls).
+  sieve kept across calls);
+- splitting_pattern: the sorted (e, f) pairs of the primes above p, from
+  factor_rational_prime (census.load_conductor reads its splitting
+  checks at 3 and ell off the primes it factors anyway).
 """
 
 import itertools
@@ -484,3 +487,8 @@ def resieved_primes_in_range(lo: int, hi: int):
         out.extend(itertools.compress(range(start, end), seg))
         start = end
     return out
+
+
+def splitting_pattern(K, p: int):
+    """Sorted (e, f) pairs of the primes above p."""
+    return sorted((P.e, P.f) for P in factor_rational_prime(K, p))

@@ -653,6 +653,27 @@ def test_verdict_spans_hold_every_tame_column(conductor, ell):
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
+def test_verdict_lane_tables_hold_the_spans_and_certificates(conductor, ell):
+    # the tables the verdict lanes read, built once at load: every pair
+    # (t, w) of F_3^3 x F_3^4 coded base 3 against unit_spans, each
+    # certificate's (m^-1 mod 3, wild log, ell_2 log) in its column, and
+    # the wild block's table as int64 rows, -1 at the non-units
+    cd = conductor(ell)
+    assert cd.span_codes.shape == (27, 81)
+    for t, span in cd.unit_spans.items():
+        for w in itertools.product(range(3), repeat=4):
+            code = (sum(x * 3**i for i, x in enumerate(t)), sum(x * 3**i for i, x in enumerate(w)))
+            assert cd.span_codes[code] == (w in span)
+    m_inv, wg, lg = cd.cert_columns
+    for k, cert in enumerate(cd.certs):
+        want = (0, (0, 0, 0), 0) if cert is None else (pow(cert[0], -1, 3), cert[2], cert[3])
+        assert (m_inv[k], tuple(wg[k].tolist()), lg[k]) == want
+    table = cd.wild.table_array
+    assert table.dtype == np.int64
+    assert [None if row[0] < 0 else tuple(row) for row in table.tolist()] == cd.wild.table
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
 @pytest.mark.parametrize("lo", [10**6, 10**7, 10**8])
 def test_verdict_takes_the_norm_v_cubed_of_every_certified_basis(conductor, ell, lo, monkeypatch):
     # each basis the census certifies is v1's HNF times a unimodular T, so

@@ -23,10 +23,9 @@ from a4census.fields import (
     new_number_field,
     quartic_field_search,
     shanks_param,
-    splitting_pattern,
 )
 
-from oracles import loop_quartic_field_search, powering_valuation
+from oracles import loop_quartic_field_search, powering_valuation, splitting_pattern
 
 X = sympy.symbols("x")
 

@@ -326,6 +326,19 @@ def test_lll_float_batch_on_census_lattices(conductor, ell, x):
     _check_batch_independent(bases, cd.frame, got)
 
 
+@pytest.mark.parametrize("ell", CONDUCTORS)
+@pytest.mark.parametrize("x", [10**6, 10**8, 2 * 10**9])
+def test_lll_float_batch_output_is_already_lll_gram_reduced(conductor, ell, x):
+    # delta = 0.99 in floats against lll_gram's exact 3/4, and |mu| <= 1/2
+    # exactly: lll_gram on the exact Gram matrix of T y moves nothing
+    cd = conductor(ell)
+    bases = _census_v1(cd, x, 40)
+    identity = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    for rows, t in zip(bases, linalg.lll_float_batch(bases, cd.frame)):
+        gram = linalg.gram_matrix(_apply(t.tolist(), rows), cd.F.trace_gram)
+        assert linalg.lll_gram(gram) == (identity, gram)
+
+
 nonsingular4 = st.lists(
     st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=4, max_size=4),
     min_size=4,
@@ -422,10 +435,16 @@ def test_lll_float_batch_certifies_int64_transforms(conductor):
 
 
 def test_lll_float_batch_rejects_an_inexact_transform():
-    # this lattice drives its float64 transform past 2^53, where the float
-    # arithmetic rounds it to det 64; the exact check must refuse it
+    # reducing this lattice takes a row of T to -10^20, past 2^53, where
+    # float64 no longer holds every integer; the exact check must refuse it
     frame = linalg.cholesky_float([[1, 0], [0, 1]])
-    assert list(linalg.lll_float_batch([[[0, 5], [-5, 930442927859303]]], frame)) == [None]
+    assert list(linalg.lll_float_batch([[[1, 0], [10**20, 1]]], frame)) == [None]
+    # a transform that stays below 2^53 is certified even where the basis
+    # does not: T y = [[0, 5], [-5, -2]]
+    bases = [[[0, 5], [-5, 930442927859303]]]
+    (t,) = got = linalg.lll_float_batch(bases, frame)
+    _check_certified(bases, got)
+    assert _apply(t.tolist(), bases[0]) == [[0, 5], [-5, -2]]
 
 
 def test_lll_float_batch_edge_sizes():
