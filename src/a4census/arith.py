@@ -43,6 +43,7 @@ __all__ = [
     "pm_gcd",
     "pm_pow",
     "pm_pow_xn",
+    "splitting_degrees",
     "factor_poly_mod_p",
     "distinct_roots_mod_p",
     "det_bareiss",
@@ -328,15 +329,60 @@ def pm_gcd(f, g, p):
     return f
 
 
+def _mulmod2(a, b, n, p):
+    a0, a1 = a
+    b0, b1 = b
+    n0, n1 = n
+    d2 = a1 * b1 % p
+    return (a0 * b0 + d2 * n0) % p, (a0 * b1 + a1 * b0 + d2 * n1) % p
+
+
+def _mulmod3(a, b, n, p):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    n0, n1, n2 = n
+    d4 = a2 * b2 % p
+    d3 = (a1 * b2 + a2 * b1 + d4 * n2) % p
+    return (
+        (a0 * b0 + d3 * n0) % p,
+        (a0 * b1 + a1 * b0 + d4 * n0 + d3 * n1) % p,
+        (a0 * b2 + a1 * b1 + a2 * b0 + d4 * n1 + d3 * n2) % p,
+    )
+
+
+def _mulmod4(a, b, n, p):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    n0, n1, n2, n3 = n
+    d6 = a3 * b3 % p
+    d5 = (a2 * b3 + a3 * b2 + d6 * n3) % p
+    d4 = (a1 * b3 + a2 * b2 + a3 * b1 + d6 * n2 + d5 * n3) % p
+    return (
+        (a0 * b0 + d4 * n0) % p,
+        (a0 * b1 + a1 * b0 + d5 * n0 + d4 * n1) % p,
+        (a0 * b2 + a1 * b1 + a2 * b0 + d6 * n0 + d5 * n1 + d4 * n2) % p,
+        (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + d6 * n1 + d5 * n2 + d4 * n3) % p,
+    )
+
+
+# a * b mod (x^d - sum_i n_i x^i, p) on coefficient d-tuples, folded from the top down
+_MULMOD = {2: _mulmod2, 3: _mulmod3, 4: _mulmod4}
+
+
 def pm_pow(f, e, mod, p):
     """f**e mod (mod, p) by square and multiply, for e >= 0.
 
     The modulus is made monic once, as x^d = sum_i n_i x^i with d its
-    degree.  Each product is then one fused step: the schoolbook product
-    of two residues, folded from the top down by that identity, with one
-    reduction mod p per coefficient.  f**0 is (1,) whatever the modulus,
-    and a modulus that vanishes mod p raises ZeroDivisionError.  A
-    negative e raises ValueError.
+    degree.  For d from 2 to 4, the degrees of the fields' polynomials
+    and their factors, each product is written out in closed form on
+    coefficient d-tuples (_mulmod2 to _mulmod4): the product's
+    coefficients above x^(d-1) are reduced mod p and folded back from
+    the top down by that identity, and a multiplication by x is a shift,
+    as census._quartic_root squares.  Every other degree takes one fused
+    loop: the schoolbook product of two residues, folded the same way,
+    with one reduction mod p per coefficient.  f**0 is (1,) whatever the
+    modulus, and a modulus that vanishes mod p raises ZeroDivisionError.
+    A negative e raises ValueError.
     """
     if e < 0:
         raise ValueError(f"negative exponent {e}")
@@ -345,7 +391,24 @@ def pm_pow(f, e, mod, p):
         return (1,)
     mod = _pm_monic(pm_reduce(mod, p), p)
     d = len(mod) - 1
-    fold = [(-c) % p for c in mod[:d]]  # x^d = sum_i fold[i] x^i
+    fold = tuple((-c) % p for c in mod[:d])  # x^d = sum_i fold[i] x^i
+    closed = _MULMOD.get(d)
+    if closed is not None:
+        base = f + (0,) * (d - len(f))
+        result = base
+        if f == (0, 1):
+            top = d - 1
+            for bit in bin(e)[3:]:
+                result = closed(result, result, fold, p)
+                if bit == "1":  # times x: the top coefficient folds back
+                    c = result[top]
+                    result = tuple((lo + c * n) % p for lo, n in zip((0,) + result[:top], fold))
+        else:
+            for bit in bin(e)[3:]:
+                result = closed(result, result, fold, p)
+                if bit == "1":
+                    result = closed(result, base, fold, p)
+        return poly_trim(result)
 
     def mulmod(a, b):
         prod = [0] * (len(a) + len(b) - 1)
@@ -393,6 +456,9 @@ def _sqf_parts(f, p):
             scale *= p
             continue
         c = pm_gcd(f, df, p)
+        if c == (1,):  # f is squarefree, the case of every p prime to its discriminant
+            out.append((f, scale))
+            break
         w = pm_divmod(f, c, p)[0]
         i = 1
         while poly_deg(w) > 0:
@@ -480,6 +546,44 @@ def _edf(f, d, p, rng):
     return out
 
 
+def _dd_parts(f, p):
+    """(part, d, multiplicity) of a reduced f of degree >= 1: _sqf_parts, then _ddf of each."""
+    return [(part, d, mult) for sqf, mult in _sqf_parts(f, p) for part, d in _ddf(sqf, p)]
+
+
+def _check_product(factors, f, p):
+    """Raise ArithmeticError unless the (g, m) multiply back to f made monic."""
+    check = (1,)
+    for g, m in factors:
+        for _ in range(m):
+            check = pm_mul(check, g, p)
+    if check != _pm_monic(f, p):
+        raise ArithmeticError(f"factorization self-check failed mod {p}")
+
+
+def splitting_degrees(f, p):
+    """Sorted degrees of the distinct monic irreducible factors of f over F_p.
+
+    Read off the squarefree and distinct-degree split (Cohen, GTM 138,
+    3.4.2-3.4.3) without the equal-degree split: a part of degree k
+    whose factors all have degree d holds k / d of them.  The parts must
+    multiply back to f, the self-check factor_poly_mod_p makes, and a
+    part whose degree d does not divide raises ArithmeticError too.
+    """
+    f = pm_reduce(f, p)
+    if poly_deg(f) < 1:
+        return []
+    parts = _dd_parts(f, p)
+    _check_product(((part, m) for part, _, m in parts), f, p)
+    out = []
+    for part, d, _ in parts:
+        k, rem = divmod(poly_deg(part), d)
+        if rem:
+            raise ArithmeticError(f"a distinct-degree part mod {p} is not of degree divisible by {d}")
+        out += [d] * k
+    return sorted(out)
+
+
 def factor_poly_mod_p(f, p):
     """Factor f over F_p into monic irreducibles.
 
@@ -491,19 +595,10 @@ def factor_poly_mod_p(f, p):
     if poly_deg(f) < 1:
         return []
     rng = random.Random(_poly_seed(f, p))
-    out = []
-    for sqf, mult in _sqf_parts(f, p):
-        for part, d in _ddf(sqf, p):
-            for irr in _edf(part, d, p, rng):
-                out.append((irr, mult))
+    out = [(irr, mult) for part, d, mult in _dd_parts(f, p) for irr in _edf(part, d, p, rng)]
     out.sort(key=lambda t: (poly_deg(t[0]), t[0]))
     # The product of the factors must reproduce f up to the leading unit.
-    check = (1,)
-    for g, m in out:
-        for _ in range(m):
-            check = pm_mul(check, g, p)
-    if check != _pm_monic(f, p):
-        raise ArithmeticError(f"factorization self-check failed mod {p}")
+    _check_product(out, f, p)
     return out
 
 

@@ -446,17 +446,22 @@ def _lane_tables(dim: int, rank: int, unit_spans, certs):
 def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
     """Classify one auxiliary prime through the full ray-class machinery.
 
+    The reference route: it reads neither the C3 gate nor _quartic_root.
+    Membership in C^(3) is the splitting type (1, 3) of v in F, read off
+    the squarefree and distinct-degree split of f mod v
+    (arith.splitting_degrees, whose parts must multiply back to f); v is
+    prime to the index, so the type of f is the type of v (Dedekind).
+    Only a prime of type (1, 3) is factored into its prime ideals v1 and
+    v2 (fields.factor_rational_prime) and builds its moving quotient.
     The HNF of v1 is LLL-reduced once, exactly (classgroup._reduced_basis),
     and both Artin vectors search that basis of norm v^3 as it is.
     """
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
         return PrimeClassification(v, False, skipped=True)
-    if v % 3 != 1:
+    if v % 3 != 1 or arith.splitting_degrees(cd.F.poly, v) != [1, 3]:
         return PrimeClassification(v, False)
     primes = factor_rational_prime(cd.F, v)
-    if sorted(P.f for P in primes) != [1, 3]:
-        return PrimeClassification(v, False)
     v1 = next(P for P in primes if P.f == 3)
     v2 = next(P for P in primes if P.f == 1)
 

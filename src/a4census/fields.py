@@ -509,13 +509,19 @@ def _multiplication_columns(K: NumberField, beta):
 
 
 def factor_rational_prime(K: NumberField, p: int):
-    """The primes of K above p, sorted by (f, e, HNF) for stable labels."""
+    """The primes of K above p, sorted by (f, e, HNF) for stable labels.
+
+    For p prime to the index, each monic irreducible factor g of f mod p
+    gives P = pO + g(theta)O (Dedekind; Cohen, GTM 138, 4.8.13), and its
+    HNF is read off one echelon form mod p (_prime_hnf).  A p dividing
+    the index goes to _factor_index_prime.
+    """
     if K.index % p != 0:
         out = []
         for g, e in factor_poly_mod_p(K.poly, p):
             gz = tuple(c if c <= p // 2 else c - p for c in g)  # small lift
             gtheta = _poly_at_theta(K, gz)
-            hnf_rows = ideal_from_elements(K, [gtheta], rational=p)
+            hnf_rows = _prime_hnf(K, gtheta, p)
             root = (-gz[0]) % p if poly_deg(gz) == 1 else None
             # beta = (f/g)(theta): beta * g(theta) = f(theta) = 0 mod p, and
             # beta is not in pO because deg(f/g) < n and p is prime to the index
@@ -528,7 +534,7 @@ def factor_rational_prime(K: NumberField, p: int):
                     e=e,
                     f=poly_deg(g),
                     norm=p ** poly_deg(g),
-                    hnf=tuple(hnf_rows),
+                    hnf=hnf_rows,
                     theta_root=root,
                     anti_uniformizer=_multiplication_columns(K, _poly_at_theta(K, cofactor)),
                 )
@@ -538,6 +544,24 @@ def factor_rational_prime(K: NumberField, p: int):
             raise FieldError(f"primes over {p} do not satisfy sum e*f = {K.degree}")
         return out
     return _factor_index_prime(K, p)
+
+
+def _prime_hnf(K: NumberField, gtheta, p: int):
+    """The HNF rows of pO + gtheta*O, from the reduced echelon form mod p of gtheta*O.
+
+    The lattice contains pZ^n, so it is pZ^n plus the lifts of its image
+    mod p, the row space of gtheta's multiplication matrix, whose reduced
+    row echelon form has entries in [0, p), a 1 at each pivot and zeros
+    in the other pivot columns.  So row j of the HNF is that form's row
+    with pivot j, or p*e_j when j is not a pivot column: upper
+    triangular, every entry above a pivot already in [0, pivot), and the
+    HNF is unique, so this is what linalg.hnf of ideal_from_elements(K,
+    [gtheta], rational=p) returns.
+    """
+    n = K.degree
+    red, pivots = linalg.rref_mod_p(K.mul_matrix(gtheta), n, p)
+    by_pivot = dict(zip(pivots, red))
+    return tuple(by_pivot.get(j) or tuple(p * (i == j) for i in range(n)) for j in range(n))
 
 
 def _poly_at_theta(K: NumberField, g):

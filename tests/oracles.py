@@ -52,7 +52,11 @@ a test oracle:
   sieve kept across calls);
 - splitting_pattern: the sorted (e, f) pairs of the primes above p, from
   factor_rational_prime (census.load_conductor reads its splitting
-  checks at 3 and ell off the primes it factors anyway).
+  checks at 3 and ell off the primes it factors anyway);
+- hnf_prime_ideals: the primes of K above a p prime to the index with
+  each HNF taken by linalg.hnf of the 2n generator rows of pO + g(theta)O
+  (fields.ideal_from_elements; fields.factor_rational_prime reads it off
+  one echelon form mod p).
 """
 
 import itertools
@@ -492,3 +496,24 @@ def resieved_primes_in_range(lo: int, hi: int):
 def splitting_pattern(K, p: int):
     """Sorted (e, f) pairs of the primes above p."""
     return sorted((P.e, P.f) for P in factor_rational_prime(K, p))
+
+
+def hnf_prime_ideals(K, p: int):
+    """The primes above p (prime to the index), each HNF from ideal_from_elements."""
+    out = []
+    for g, e in arith.factor_poly_mod_p(K.poly, p):
+        gz = tuple(c if c <= p // 2 else c - p for c in g)
+        cofactor = arith.pm_divmod(K.poly, g, p)[0]
+        out.append(
+            fields.PrimeIdeal(
+                p=p,
+                e=e,
+                f=arith.poly_deg(g),
+                norm=p ** arith.poly_deg(g),
+                hnf=tuple(fields.ideal_from_elements(K, [fields._poly_at_theta(K, gz)], rational=p)),
+                theta_root=(-gz[0]) % p if arith.poly_deg(gz) == 1 else None,
+                anti_uniformizer=fields._multiplication_columns(K, fields._poly_at_theta(K, cofactor)),
+            )
+        )
+    out.sort(key=lambda P: (P.f, P.e, P.hnf))
+    return out

@@ -170,11 +170,13 @@ def _outcome(fn, *args):
         return ZeroDivisionError
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 163, 10**6 + 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 163, 10**6 + 3, 2**31 - 1, 2**61 - 1])
 def test_pm_pow_matches_the_divmod_oracle(p):
     # moduli of degree 0 to 5, monic and not (a leading coefficient that
     # vanishes mod p lowers the degree, and a modulus that vanishes mod p
-    # must raise as before), against f of degree up to 7 and the zero f
+    # must raise as before), against f of degree up to 7 and the zero f;
+    # degrees 2 to 4 take the closed-form products, the others the loop,
+    # and the two large primes put every residue far past 2^31
     rng = random.Random(p)
     for deg in range(6):
         for monic in (True, False):
@@ -182,9 +184,10 @@ def test_pm_pow_matches_the_divmod_oracle(p):
                 lead = 1 if monic else rng.randrange(2, p + 2)
                 mod = tuple(rng.randrange(-p, p) for _ in range(deg)) + (lead,)
                 f = tuple(rng.randrange(-p, p) for _ in range(rng.randrange(0, 8)))
-                for e in (0, 1, 2, p, (p**3 - 1) // 2):
-                    want = _outcome(divmod_pm_pow, f, e, mod, p)
-                    assert _outcome(arith.pm_pow, f, e, mod, p) == want, (f, e, mod, p)
+                for g in (f, (0, 1)):  # x takes its own multiply step
+                    for e in (0, 1, 2, p, (p**3 - 1) // 2):
+                        want = _outcome(divmod_pm_pow, g, e, mod, p)
+                        assert _outcome(arith.pm_pow, g, e, mod, p) == want, (g, e, mod, p)
     assert arith.pm_pow((5,), 0, (3,), 7) == (1,)
     assert arith.pm_pow((5,), 1, (3,), 7) == ()
     with pytest.raises(ZeroDivisionError):

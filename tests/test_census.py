@@ -478,6 +478,36 @@ def test_classify_prime_builds_no_wild_block(conductor, monkeypatch):
     assert built == []
 
 
+def test_classify_prime_builds_no_prime_ideal_outside_type_1_3(conductor, monkeypatch):
+    # The splitting type is read off f mod v first: a prime v = 1 mod 3 of
+    # any other type is settled before any prime ideal above it is built.
+    cd = conductor(163)
+    others, c3 = [], []
+    for v in arith.primes_upto(400):
+        if not cd.excluded(v) and v % 3 == 1:
+            kind = sorted(P.f for P in factor_rational_prime(cd.F, v))
+            (c3 if kind == [1, 3] else others).append(v)
+    assert len(others) >= 10 and c3
+    built, factored = [], []
+    init = fields.PrimeIdeal.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("p"))
+        init(self, *args, **kwargs)
+
+    def counting_factor(K, p):
+        factored.append(p)
+        return factor_rational_prime(K, p)
+
+    monkeypatch.setattr(fields.PrimeIdeal, "__init__", counting_init)
+    monkeypatch.setattr(census_mod, "factor_rational_prime", counting_factor)
+    assert not any(classify_prime(cd, v).in_C3 for v in others)
+    assert built == [] and factored == []
+    # the counters do see the primes of a C3 prime
+    assert classify_prime(cd, c3[0]).in_C3
+    assert factored == [c3[0]] and built == [c3[0], c3[0]]
+
+
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_classify_prime_reduces_v1_once(conductor, ell, monkeypatch):
     # one exact LLL of v1's HNF serves both Artin vectors

@@ -1,5 +1,6 @@
 """Number field construction checked against sympy."""
 
+import dataclasses
 import functools
 import math
 
@@ -25,7 +26,7 @@ from a4census.fields import (
     shanks_param,
 )
 
-from oracles import loop_quartic_field_search, powering_valuation, splitting_pattern
+from oracles import hnf_prime_ideals, loop_quartic_field_search, powering_valuation, splitting_pattern
 
 X = sympy.symbols("x")
 
@@ -281,6 +282,40 @@ def test_factor_rational_prime_norms():
         assert sum(pr.e * pr.f for pr in primes) == 4
         for pr in primes:
             assert linalg.lattice_index(pr.hnf) == pr.norm
+
+
+def _shipped_fields():
+    for ell in (163, 277, 349):
+        cfg = shipped_config(ell)
+        yield ell, new_number_field(tuple(cfg.cubic_poly)), new_number_field(tuple(cfg.quartic_poly))
+
+
+def test_prime_hnf_matches_ideal_from_elements():
+    # Each prime above p prime to the index has its HNF read off one
+    # echelon form mod p.  The oracle takes it from ideal_from_elements,
+    # the HNF of the 2n generator rows, and every field of every
+    # PrimeIdeal (anti-uniformizer included) must equal the oracle's.
+    primes = arith.primes_upto(3000) + arith.primes_in_range(10**6, 10**6 + 3000)
+    pairs = 0
+    for _, L, F in _shipped_fields():
+        for K in (L, F):
+            for p in primes:
+                if K.index % p == 0:
+                    continue
+                got = factor_rational_prime(K, p)
+                want = hnf_prime_ideals(K, p)
+                assert [dataclasses.astuple(P) for P in got] == [dataclasses.astuple(P) for P in want], p
+                pairs += len(got)
+    assert pairs == 7563
+
+
+def test_quartic_splitting_degrees_match_factor_rational_prime():
+    # the splitting type classify_prime reads before it builds any ideal
+    for ell, _, F in _shipped_fields():
+        for v in arith.primes_upto(2 * 10**4):
+            if v % 3 != 1 or v == ell or F.index % v == 0:
+                continue
+            assert arith.splitting_degrees(F.poly, v) == sorted(P.f for P in factor_rational_prime(F, v)), (ell, v)
 
 
 def test_element_valuation_sums_to_norm_valuation():
