@@ -43,7 +43,7 @@ __all__ = [
     "pm_gcd",
     "pm_pow",
     "pm_pow_xn",
-    "splitting_degrees",
+    "distinct_degree_parts",
     "factor_poly_mod_p",
     "distinct_roots_mod_p",
     "det_bareiss",
@@ -561,27 +561,26 @@ def _check_product(factors, f, p):
         raise ArithmeticError(f"factorization self-check failed mod {p}")
 
 
-def splitting_degrees(f, p):
-    """Sorted degrees of the distinct monic irreducible factors of f over F_p.
+def distinct_degree_parts(f, p):
+    """The squarefree and distinct-degree split of f over F_p, checked.
 
-    Read off the squarefree and distinct-degree split (Cohen, GTM 138,
-    3.4.2-3.4.3) without the equal-degree split: a part of degree k
-    whose factors all have degree d holds k / d of them.  The parts must
-    multiply back to f, the self-check factor_poly_mod_p makes, and a
-    part whose degree d does not divide raises ArithmeticError too.
+    (part, d, multiplicity) triples (Cohen, GTM 138, 3.4.2-3.4.3), without
+    the equal-degree split: a part is the product of the distinct monic
+    irreducible factors of degree d that divide f exactly `multiplicity`
+    times, so it holds deg(part) / d of them, and a part of degree d is
+    itself irreducible.  The parts must multiply back to f, the self-check
+    factor_poly_mod_p makes, and a part whose degree d does not divide
+    raises ArithmeticError too.
     """
     f = pm_reduce(f, p)
     if poly_deg(f) < 1:
         return []
     parts = _dd_parts(f, p)
     _check_product(((part, m) for part, _, m in parts), f, p)
-    out = []
     for part, d, _ in parts:
-        k, rem = divmod(poly_deg(part), d)
-        if rem:
+        if poly_deg(part) % d:
             raise ArithmeticError(f"a distinct-degree part mod {p} is not of degree divisible by {d}")
-        out += [d] * k
-    return sorted(out)
+    return parts
 
 
 def factor_poly_mod_p(f, p):

@@ -339,7 +339,10 @@ def load_conductor(config) -> ConductorData:
         for cand in config.units:
             if len(cand) != F.degree or abs(F.el_norm(tuple(cand))) != 1:
                 raise VerificationError("units", f"supplied candidate {cand} is not a unit of F")
-    u = unit_group(F, seed_candidates=tuple(config.units or ()))
+    try:
+        u = unit_group(F, seed_candidates=tuple(config.units or ()))
+    except FieldError as exc:
+        raise VerificationError("units", f"unit search failed: {exc}") from exc
     lap("saturated units")
 
     p31 = next(P for P in above_3 if P.f == 3)
@@ -449,19 +452,25 @@ def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
     The reference route: it reads neither the C3 gate nor _quartic_root.
     Membership in C^(3) is the splitting type (1, 3) of v in F, read off
     the squarefree and distinct-degree split of f mod v
-    (arith.splitting_degrees, whose parts must multiply back to f); v is
-    prime to the index, so the type of f is the type of v (Dedekind).
-    Only a prime of type (1, 3) is factored into its prime ideals v1 and
-    v2 (fields.factor_rational_prime) and builds its moving quotient.
+    (arith.distinct_degree_parts, whose parts must multiply back to f); v
+    is prime to the index, so the type of f is the type of v (Dedekind).
+    A prime is of type (1, 3) when its parts are one of degree 1 and one
+    of degree 3, each holding one factor of its degree d: these are f's
+    irreducible factors mod v, and fields.factor_rational_prime builds
+    the prime ideals v1 and v2 from them without splitting f again.  Only
+    such a prime builds its moving quotient.
     The HNF of v1 is LLL-reduced once, exactly (classgroup._reduced_basis),
     and both Artin vectors search that basis of norm v^3 as it is.
     """
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
         return PrimeClassification(v, False, skipped=True)
-    if v % 3 != 1 or arith.splitting_degrees(cd.F.poly, v) != [1, 3]:
+    if v % 3 != 1:
         return PrimeClassification(v, False)
-    primes = factor_rational_prime(cd.F, v)
+    parts = arith.distinct_degree_parts(cd.F.poly, v)
+    if sorted((arith.poly_deg(g), d) for g, d, _ in parts) != [(1, 1), (3, 3)]:
+        return PrimeClassification(v, False)
+    primes = factor_rational_prime(cd.F, v, factors=[(g, m) for g, _, m in parts])
     v1 = next(P for P in primes if P.f == 3)
     v2 = next(P for P in primes if P.f == 1)
 

@@ -50,12 +50,17 @@ and N(A) = 1, and smooth_split; at each p it checks sum f(P) v_P = e_p.
 
 Units come from their own search (unit_group: norm +-1 elements of the
 maximal order in trace-form order, after any seeds from the conductor
-config), not from class-group byproducts.  They are certified
-multiplicatively independent through the logarithmic embedding but not
+config), not from class-group byproducts.  Floats in float64 only
+locate them, from K's real embeddings with proven error bounds
+(cube_root_frame): a unit's norm is decided exactly (el_norm), its
+independence by a float Gram determinant of the log rows whose floor
+Schinzel's bound on the Mahler measure of totally real units justifies,
+and a cube root by its exact cube (el_pow).  The units are not
 certified fundamental.  Downstream 3-quotients only need the unit
 lattice to be 3-saturated, so unit_group returns its units already
 saturated at 3 (exact_cube_root / saturate_units_at_3) with the
-regulator adjusted.
+regulator adjusted; a float bound that cannot be proven raises
+FieldError.
 """
 
 from __future__ import annotations
@@ -67,12 +72,10 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-
-import mpmath
+from fractions import Fraction
 
 from . import arith, linalg
 from .fields import (
-    EMBEDDING_DIGITS,
     FieldError,
     NumberField,
     PrimeIdeal,
@@ -81,10 +84,10 @@ from .fields import (
     factor_rational_prime,
     ideal_mul,
     minkowski_bound,
+    _adjugate_int,
 )
 
 __all__ = [
-    "EMBEDDING_DIGITS",
     "ClassGroupData",
     "UnitData",
     "class_group",
@@ -93,6 +96,7 @@ __all__ = [
     "ideal_short_elements",
     "smooth_split",
     "unit_group",
+    "EmbeddingFrame",
     "cube_root_frame",
     "exact_cube_root",
     "saturate_units_at_3",
@@ -499,55 +503,222 @@ def _ideal_valuation(K, A, P: PrimeIdeal) -> int:
 # Units.
 
 
-def _gram_det(rows):
-    if not rows:
-        return mpmath.mpf(1)
-    n = len(rows)
-    g = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = mpmath.fsum(a * b for a, b in zip(rows[i], rows[j]))
-    return mpmath.det(g)
+FLOAT_EPS = 2.0**-53  # unit roundoff of float64
+NORM_SCREEN = 1.5  # a search candidate takes the exact norm when its float |N| may be below this
+RANK_FLOOR = 1e-2  # Gram determinant of unit log rows above which they are independent
+LOG_SLACK = 0.05  # how far the float log rows may move the volume they span
+ROUND_MARGIN = 0.25  # a cube root's float coordinates must be proven this close to the true ones
+
+
+@dataclass(frozen=True)
+class EmbeddingFrame:
+    """K's real embeddings in float64, with entrywise error bounds (cube_root_frame)."""
+
+    basis: object  # n x n: basis[r, b] is basis element b at the real root r of K.poly
+    basis_err: object  # bound on |basis - the true values|
+    gram_adj: object  # adjugate of the trace form G = basis^T basis, integers as float64
+    gram_det: int  # det G = disc K
+
+
+def _sign_at(poly, x: Fraction) -> int:
+    """The sign of poly (constant first) at the rational x, in integers."""
+    p, q = x.numerator, x.denominator
+    n = len(poly) - 1
+    val = sum(c * p**i * q ** (n - i) for i, c in enumerate(poly))
+    return (val > 0) - (val < 0)
+
+
+def _real_roots(poly):
+    """The roots of a totally real poly (constant first) in float64, with proven radii.
+
+    One numpy.roots, then three Newton steps on each real part.  Each root
+    r is bracketed exactly: poly has no common sign at r - d and r + d,
+    evaluated in integers at the two float ends, with d four units in the
+    last place of max(1, |r|), widened 16-fold until it brackets (a radius
+    past 2^-20 max(1, |r|) raises FieldError).  The n brackets are
+    disjoint, so each holds exactly one of the n roots.  Returns (roots,
+    radii) as arrays, ascending.
+    """
+    import numpy as np
+
+    c = np.array(poly[::-1], dtype=float)
+    dc = np.polyder(c)
+    roots = np.sort(np.roots(c).real)
+    for _ in range(3):
+        roots = roots - np.polyval(c, roots) / np.polyval(dc, roots)
+    radii = []
+    for r in roots.tolist():
+        scale = max(1.0, abs(r))
+        d = 4 * math.ulp(scale)
+        while _sign_at(poly, Fraction(r) - Fraction(d)) * _sign_at(poly, Fraction(r) + Fraction(d)) > 0:
+            d *= 16
+            if d > scale * 2.0**-20:
+                raise FieldError(f"no sign change of the defining polynomial around its root {r}")
+        radii.append(d)
+    radii = np.array(radii)
+    if not np.all(roots[:-1] + radii[:-1] < roots[1:] - radii[1:]):
+        raise FieldError("the brackets of the real roots overlap")
+    return roots, radii
+
+
+def cube_root_frame(K: NumberField) -> EmbeddingFrame:
+    """K's real embeddings in float64 with proven error bounds, formed once per field.
+
+    basis[r, b] = sum_j basis_num[b][j] r^j / basis_den at each real root
+    r of K.poly (_real_roots, each within a proven radius d), and
+    basis_err bounds its distance from the value at the true root: d
+    times the slope of the basis polynomial over the bracket, plus the
+    rounding of the float sum.  unit_group takes its logarithms from the
+    frame and every exact_cube_root its locator.  Since G = B^T B is the
+    trace form (G[a][b] = Tr(w_a w_b)), B^-1 = G^-1 B^T, and G's adjugate
+    and determinant are exact integers.
+    """
+    import numpy as np
+
+    n = K.degree
+    roots, radii = _real_roots(K.poly)
+    num = np.array(K.basis_num, dtype=float).T  # column b: basis element b over the power basis
+    js = np.arange(n)
+    powers = roots[:, None] ** js
+    hull = (np.abs(roots) + radii)[:, None]
+    slope = (js * hull ** np.maximum(js - 1, 0)) @ np.abs(num) / K.basis_den
+    basis = powers @ num / K.basis_den
+    rounding = (4 * n * FLOAT_EPS) * (np.abs(powers) @ np.abs(num)) / K.basis_den
+    adj, det = _adjugate_int(K.trace_gram)
+    return EmbeddingFrame(
+        basis=basis,
+        basis_err=radii[:, None] * slope + rounding,
+        gram_adj=np.array(adj, dtype=float),
+        gram_det=det,
+    )
+
+
+def _values(frame: EmbeddingFrame, rows):
+    """(values, error bounds) at K's real roots of the elements whose coordinates are `rows`.
+
+    Row i of each is element i.  The bound covers the frame's own error
+    and the rounding of the integer coordinates and of the float sum.  A
+    coordinate past the float range raises FieldError.
+    """
+    import numpy as np
+
+    try:
+        u = np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise FieldError("element coordinates past the float range") from exc
+    a = np.abs(u)
+    n = frame.basis.shape[0]
+    err = a @ frame.basis_err.T + (2 * n + 2) * FLOAT_EPS * (a @ np.abs(frame.basis).T)
+    return u @ frame.basis.T, err
+
+
+def _log_row(vals, err):
+    """(log |values|, a bound on its Euclidean error) of a unit; FieldError past the float bound.
+
+    |log a - log b| <= |a - b| / min(a, b), and every value must lie
+    farther from 0 than twice its error bound.
+    """
+    import numpy as np
+
+    a = np.abs(vals)
+    if not np.all(err < a / 2):
+        raise FieldError("unit logarithms past the float bound")
+    row = np.log(a)
+    tau = float(np.max(err / (a - err))) + 4 * FLOAT_EPS * (1 + float(np.max(np.abs(row))))
+    return row, tau * math.sqrt(len(row))
+
+
+def _independent(rows, etas) -> bool:
+    """Whether the log rows (the last one a candidate's) are linearly independent.
+
+    The volume they span is the norm of their wedge product, which is
+    multilinear in the rows and at most the product of their norms, so
+    errors of norm eta_i in the rows move it by at most
+    prod(|l_i| + eta_i) - prod(|l_i|); that must be below LOG_SLACK, else
+    FieldError.  See unit_group for the floor.
+    """
+    import numpy as np
+
+    L = np.array(rows)
+    norms = np.linalg.norm(L, axis=1)
+    if not float(np.prod(norms + np.array(etas)) - np.prod(norms)) < LOG_SLACK:
+        raise FieldError("unit logarithms too inexact for the rank test")
+    return float(np.linalg.det(L @ L.T)) > RANK_FLOOR
 
 
 def unit_group(K: NumberField, seed_candidates=()) -> UnitData:
-    """Rank degree-1 independent units by bounded search.
+    """Rank degree-1 independent units by bounded search, 3-saturated.
 
     Candidates are the seeds (units from the conductor config), then the
     norm +-1 elements of the maximal order in trace-form order over at
-    most UNIT_SEARCH_ROUNDS rounds of 120000 vectors each; a candidate joins the
-    basis when it raises the rank of the log-embedding lattice, certified
-    by the Gram determinant staying above the numerical noise floor.
-    K's real embeddings (K.embeddings) are computed once and serve
-    both the logarithms and the 3-saturation, whose basis-at-embeddings
-    matrix and its inverse (cube_root_frame) are formed once from them.
+    most UNIT_SEARCH_ROUNDS rounds of 120000 vectors each; a candidate
+    joins the basis when it raises the rank of the log-embedding lattice.
+    Floats only locate the candidates; every claim is exact or proven:
+
+    - each round is screened at once: the values (C red) B^T of its
+      candidates at K's real roots (cube_root_frame), less their error
+      bounds, give a lower bound on |N|, and only a candidate whose bound
+      is below NORM_SCREEN goes on, in the round's order, to the exact
+      test |el_norm(u)| = 1, so no unit is screened out;
+    - the rank test is the float Gram determinant of the log rows against
+      RANK_FLOOR.  K is totally real of degree n in {3, 4}, and a unit u
+      other than +-1, taken over K's n embeddings, has Mahler measure at
+      least phi^(n/2), phi the golden ratio (Schinzel, Acta Arith. 24,
+      1973); since the logs of u sum to 0, |log u|_1 >= n log phi and
+      |log u|_2 >= sqrt(n) log phi, so every nonzero vector of the log
+      lattice has squared length at least 3 log^2 phi > 0.69.  By
+      Hermite's constants (gamma_2^2 = 4/3, gamma_3^3 = 2) an independent
+      set of k <= 3 rows then has Gram determinant at least
+      (0.69 / gamma_k)^k > 0.35, a volume above 0.59, while a dependent
+      set has volume 0.  The float rows move the volume by less than
+      LOG_SLACK = 0.05 (checked in _independent), so the float
+      determinant is above 0.29 or below 0.0025, on either side of
+      RANK_FLOOR = 0.01 (its own rounding is below 1e-10 for these rows).
+
+    The regulator is the float determinant of the first rank columns of
+    the log rows, and the units are 3-saturated (saturate_units_at_3)
+    with it divided by 3 at each swap.  A bound that cannot be proven
+    raises FieldError, as a search that finds too few units does.
     """
+    import numpy as np
+
     n = K.degree
     rank = n - 1
-    found = []
-    found_rows = []
-    noise = mpmath.mpf(10) ** (-25)
-    roots = K.embeddings()
+    frame = cube_root_frame(K)
+    found, rows, etas = [], [], []
 
-    def consider(u):
+    def consider(u, vals, err):
         if abs(K.el_norm(u)) != 1:
             return
-        if len(found) >= rank:
-            return
-        with mpmath.workdps(EMBEDDING_DIGITS):
-            vals = K.embed_element(u, roots)
-            row = [mpmath.log(abs(v)) for v in vals]
-            if _gram_det(found_rows + [row]) > noise:
-                found.append(tuple(u))
-                found_rows.append(row)
+        row, eta = _log_row(vals, err)
+        if _independent(rows + [row], etas + [eta]):
+            found.append(u)
+            rows.append(row)
+            etas.append(eta)
 
     for u in seed_candidates:
-        consider(u)
+        if len(found) >= rank:
+            break
+        vals, err = _values(frame, [u])
+        consider(tuple(u), vals[0], err[0])
     if len(found) < rank:
         red, gram = _reduced_basis(K, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        red = np.array(red, dtype=np.int64)
+        reach = int(np.abs(red).sum(axis=0).max())  # |(c red)_j| <= max|c| * reach
         rounds = itertools.islice(_rounds(gram, _start_bound(K, K.disc), 120000), UNIT_SEARCH_ROUNDS)
-        for c in itertools.chain.from_iterable(rounds):
-            consider(_combine(c, red))
+        for batch in rounds:
+            if not batch:
+                continue
+            coeffs = np.array(batch, dtype=np.int64)
+            if int(np.abs(coeffs).max()) * reach >= 2**62:
+                raise FieldError("unit search coefficients past the int64 bound")
+            elements = coeffs @ red
+            vals, err = _values(frame, elements)
+            low = np.prod(np.maximum(np.abs(vals) - err, 0.0), axis=1)
+            for i in np.flatnonzero(low < NORM_SCREEN).tolist():
+                consider(tuple(elements[i].tolist()), vals[i], err[i])
+                if len(found) >= rank:
+                    break
             if len(found) >= rank:
                 break
     if len(found) < rank:
@@ -555,67 +726,93 @@ def unit_group(K: NumberField, seed_candidates=()) -> UnitData:
             f"found {len(found)} of {rank} independent units within search bounds; "
             "supply units explicitly in the conductor config"
         )
-    with mpmath.workdps(EMBEDDING_DIGITS):
-        reg = abs(mpmath.det(mpmath.matrix([r[:rank] for r in found_rows])))
+    reg = abs(float(np.linalg.det(np.array(rows)[:, :rank])))
     # each swap takes a cube root, so the unit lattice index drops by 3
-    units, swaps = saturate_units_at_3(K, found, cube_root_frame(K, roots))
-    return UnitData(
-        fundamental_units=units, regulator_estimate=float(reg) / 3**swaps, rank=rank
-    )
+    units, swaps = saturate_units_at_3(K, found, frame)
+    return UnitData(fundamental_units=units, regulator_estimate=reg / 3**swaps, rank=rank)
 
 
-def cube_root_frame(K: NumberField, roots):
-    """(B, B^-1): B[r][b] is basis element b of K at the real root r.
-
-    Formed once, at EMBEDDING_DIGITS, from `roots` = K.embeddings(), for
-    every exact_cube_root of one saturation.  B is invertible because
-    det(B)^2 = disc K != 0.
-    """
-    n = K.degree
-    with mpmath.workdps(EMBEDDING_DIGITS):
-        basis = mpmath.matrix(n, n)
-        for r_i, r in enumerate(roots):
-            for b_i, row in enumerate(K.basis_num):
-                basis[r_i, b_i] = mpmath.fsum(c * r**j for j, c in enumerate(row)) / K.basis_den
-        return basis, mpmath.inverse(basis)
-
-
-def exact_cube_root(K: NumberField, u, frame):
+def exact_cube_root(K: NumberField, u, frame: EmbeddingFrame, values):
     """y with y^3 = u in the maximal order, or None.  Exactly verified.
 
-    `frame` is cube_root_frame(K, K.embeddings()).  The candidate is
-    B^-1 applied to the real cube roots of u's values B u, rounded to
-    integers; it is returned only if its cube is u exactly.
+    `frame` is cube_root_frame(K), and `values` is (vals, err): u's
+    values at K's real roots and bounds on their errors, from u's
+    coordinates (_values) or, for a product of units, from the units'
+    values (_product_values), as saturate_units_at_3 takes them, since a
+    product's coordinates cancel far below its smallest value.  If y
+    exists, its values are the real cube roots of u's, so its coordinates
+    are G^-1 B^T cbrt(B u) (B^-1 = G^-1 B^T, G the trace form).  Their
+    float values are rounded to integers, and the candidate is returned
+    only if its cube is u exactly.  The rounding is guarded by an explicit
+    bound: each value farther from 0 than twice its error, the mean value
+    theorem for the cube root, and the errors of B^T and of the float
+    sums, divided through G's exact adjugate and determinant.  Only when
+    that bound is below ROUND_MARGIN (half of the 1/2 that rounding
+    allows) does a failed cube prove that u is not a cube, and None is
+    returned; otherwise FieldError.
     """
-    basis, inverse = frame
-    with mpmath.workdps(EMBEDDING_DIGITS):
-        vals = basis * mpmath.matrix(list(u))
-        # real cube root; mpmath.cbrt would pick the complex principal root
-        targets = mpmath.matrix([mpmath.sign(v) * mpmath.cbrt(abs(v)) for v in vals])
-        cand = tuple(int(mpmath.nint(x)) for x in inverse * targets)
+    import numpy as np
+
+    vals, err = values
+    a = np.abs(vals)
+    if not np.all(err < a / 2):
+        raise FieldError("cube root locator: element values past the float bound")
+    gamma = (len(vals) + 2) * FLOAT_EPS
+    t = np.cbrt(vals)  # the real cube root, sign kept
+    t_err = err / (3 * (a - err) ** (2 / 3)) + 2 * FLOAT_EPS * np.abs(t)
+    abs_B = np.abs(frame.basis)
+    s = frame.basis.T @ t
+    s_err = abs_B.T @ t_err + frame.basis_err.T @ (np.abs(t) + t_err) + gamma * (abs_B.T @ np.abs(t))
+    abs_adj = np.abs(frame.gram_adj)
+    coords = frame.gram_adj @ s / frame.gram_det
+    c_err = (abs_adj @ s_err + gamma * (abs_adj @ np.abs(s))) / abs(frame.gram_det)
+    c_err += FLOAT_EPS * np.abs(coords)
+    if not np.all(c_err < ROUND_MARGIN):
+        raise FieldError("cube root locator: coordinates past the float bound")
+    cand = tuple(int(x) for x in np.rint(coords).tolist())
     if K.el_pow(cand, 3) == tuple(u):
         return cand
     return None
 
 
-def saturate_units_at_3(K: NumberField, units, frame):
+def _product_values(vals, err, exps):
+    """(values, error bounds) of prod_i u_i^exps[i] at K's real roots.
+
+    Row i of vals and err holds u_i's (_values).  Relative errors
+    multiply: a factor's is at most err / (|v| - err), and every float
+    power and product adds at most two roundings.
+    """
+    import numpy as np
+
+    a = np.abs(vals)
+    if not np.all(err < a / 2):
+        raise FieldError("unit values past the float bound")
+    e = np.array(exps)[:, None]
+    prod = np.prod(vals**e, axis=0)
+    rel = np.prod((1 + err / (a - err)) ** e, axis=0) * (1 + 2 * FLOAT_EPS) ** (2 * int(e.sum()) + 2) - 1
+    return prod, np.abs(prod) * rel
+
+
+def saturate_units_at_3(K: NumberField, units, frame: EmbeddingFrame):
     """3-saturate the unit lattice: while some product of the generators
     (exponents in {0,1,2}, leading exponent 1) is a cube in the order,
     swap the cube root in.  Returns (units, number of swaps).
 
-    `frame` is cube_root_frame(K, K.embeddings()), formed once by the
-    caller and shared by every exact_cube_root.
+    `frame` is cube_root_frame(K), formed once by the caller and shared
+    by every exact_cube_root, which takes each product's values from the
+    generators' (_product_values).
     """
     units = [tuple(u) for u in units]
     swaps = 0
     for _ in range(24):
+        vals, err = _values(frame, units)
         hit = None
         for exps in _leading_one_vectors(len(units)):
             w = K.one()
             for u, e in zip(units, exps):
                 for _ in range(e):
                     w = K.el_mul(w, u)
-            y = exact_cube_root(K, w, frame)
+            y = exact_cube_root(K, w, frame, _product_values(vals, err, exps))
             if y is not None:
                 hit = (exps, y)
                 break

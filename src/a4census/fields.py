@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 
-EMBEDDING_DIGITS = 80  # of NumberField.embeddings: unit logs and cube roots
 QUARTIC_COEFF_BOUND = 20  # coefficient box of quartic_field_search
 
 
@@ -232,25 +231,6 @@ class NumberField:
         if c is None:
             raise FieldError("element is not in the maximal order")
         return c
-
-    def embeddings(self):
-        """Real roots of poly, to EMBEDDING_DIGITS digits via mpmath."""
-        import mpmath
-
-        with mpmath.workdps(EMBEDDING_DIGITS):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(self.poly)], maxsteps=200, extraprec=120)
-            roots = sorted(mpmath.mpf(r.real) for r in roots)
-        return roots
-
-    def embed_element(self, a, roots):
-        """Values of the element at each real embedding."""
-        vals = []
-        num_rows = self.basis_num
-        d = self.basis_den
-        for r in roots:
-            basis_vals = [sum(num_rows[i][j] * r**j for j in range(self.degree)) / d for i in range(self.degree)]
-            vals.append(sum(a[i] * basis_vals[i] for i in range(self.degree)))
-        return vals
 
 
 def _power_to_coords(K: NumberField, num, den=1):
@@ -508,17 +488,19 @@ def _multiplication_columns(K: NumberField, beta):
     return tuple(zip(*K.mul_matrix(beta)))  # row i of the matrix = beta * w_i
 
 
-def factor_rational_prime(K: NumberField, p: int):
+def factor_rational_prime(K: NumberField, p: int, factors=None):
     """The primes of K above p, sorted by (f, e, HNF) for stable labels.
 
     For p prime to the index, each monic irreducible factor g of f mod p
     gives P = pO + g(theta)O (Dedekind; Cohen, GTM 138, 4.8.13), and its
-    HNF is read off one echelon form mod p (_prime_hnf).  A p dividing
-    the index goes to _factor_index_prime.
+    HNF is read off one echelon form mod p (_prime_hnf).  `factors` are
+    those (g, multiplicity) when the caller has them already (as
+    census.classify_prime does), else factor_poly_mod_p finds them.  A p
+    dividing the index goes to _factor_index_prime.
     """
     if K.index % p != 0:
         out = []
-        for g, e in factor_poly_mod_p(K.poly, p):
+        for g, e in factor_poly_mod_p(K.poly, p) if factors is None else factors:
             gz = tuple(c if c <= p // 2 else c - p for c in g)  # small lift
             gtheta = _poly_at_theta(K, gz)
             hnf_rows = _prime_hnf(K, gtheta, p)

@@ -38,10 +38,16 @@ a test oracle:
 - power_dlog: the discrete log of the integer-Smith stability check,
   forming prod g_i^a_i and raising it to the 8th power
   (rayclass._WildCubicPresentation multiplies by tabled g_i^-a);
-- lu_solve_cube_root: the cube root with the basis-at-embeddings matrix
-  rebuilt and solved by mpmath.lu_solve on each call
-  (classgroup.exact_cube_root applies an inverse formed once by
-  classgroup.cube_root_frame);
+- lu_solve_cube_root: the cube root at EMBEDDING_DIGITS = 80 digits
+  with the basis-at-embeddings matrix rebuilt and solved by
+  mpmath.lu_solve on each call, at the roots mpmath_embeddings gives
+  (classgroup.exact_cube_root locates it in float64 through the trace
+  form's exact adjugate, under a proven error bound);
+- mpmath_unit_group: the unit search at 80 digits, each candidate's
+  logarithms taken one at a time and its rank decided by an mpmath Gram
+  determinant against 10^-25, then 3-saturated by lu_solve_cube_root
+  (classgroup.unit_group screens each round's norms in float64 and
+  decides the rank by a float Gram determinant with a proven floor);
 - all_coefficient_boxes: the boxes of radius 1, 2, 4 built at once, each
   sorted whole and filtered against a set of the vectors already taken
   and their negatives, which it returns too (classgroup._box_layer
@@ -66,11 +72,22 @@ from fractions import Fraction
 import mpmath
 
 from a4census import arith, fields, linalg
-from a4census.classgroup import EMBEDDING_DIGITS, ideal_class_coordinates, ideal_short_elements
+from a4census.classgroup import (
+    UNIT_SEARCH_ROUNDS,
+    UnitData,
+    _combine,
+    _leading_one_vectors,
+    _reduced_basis,
+    _rounds,
+    _start_bound,
+    ideal_class_coordinates,
+    ideal_short_elements,
+)
 from a4census.fields import FieldError, QuotientRing, factor_rational_prime, ideal_mul, ideal_pow
 from a4census.rayclass import _LatticeQuotientF3, artin_vector
 
 SPAN_NORM_BOUND = 60  # brute_force_spans takes the primes of norm up to this
+EMBEDDING_DIGITS = 80  # of mpmath_embeddings: the unit logs and cube roots of the oracles
 
 
 def powering_valuation(K, a, P, cap=64) -> int:
@@ -431,10 +448,27 @@ def power_dlog(w, el):
     return list(a) + list(w.layer2.coords(z))
 
 
-def lu_solve_cube_root(K, u, roots):
-    """y with y^3 = u in the maximal order, or None; roots = K.embeddings()."""
+def mpmath_embeddings(K):
+    """Real roots of K.poly, ascending, to EMBEDDING_DIGITS digits via mpmath."""
     with mpmath.workdps(EMBEDDING_DIGITS):
-        vals = K.embed_element(u, roots)
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(K.poly)], maxsteps=200, extraprec=120)
+        return sorted(mpmath.mpf(r.real) for r in roots)
+
+
+def embed_element(K, a, roots):
+    """Values of the element a at each real root in `roots`."""
+    n = K.degree
+    vals = []
+    for r in roots:
+        basis_vals = [sum(K.basis_num[i][j] * r**j for j in range(n)) / K.basis_den for i in range(n)]
+        vals.append(sum(a[i] * basis_vals[i] for i in range(n)))
+    return vals
+
+
+def lu_solve_cube_root(K, u, roots):
+    """y with y^3 = u in the maximal order, or None; roots = mpmath_embeddings(K)."""
+    with mpmath.workdps(EMBEDDING_DIGITS):
+        vals = embed_element(K, u, roots)
         targets = [mpmath.sign(v) * mpmath.cbrt(abs(v)) for v in vals]
         basis = mpmath.matrix(K.degree, K.degree)
         for r_i, r in enumerate(roots):
@@ -450,6 +484,61 @@ def lu_solve_cube_root(K, u, roots):
     if K.el_pow(cand, 3) == tuple(u):
         return cand
     return None
+
+
+def _mp_gram_det(rows):
+    if not rows:
+        return mpmath.mpf(1)
+    n = len(rows)
+    g = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = mpmath.fsum(a * b for a, b in zip(rows[i], rows[j]))
+    return mpmath.det(g)
+
+
+def mpmath_unit_group(K, seed_candidates=()):
+    """classgroup.unit_group at EMBEDDING_DIGITS digits, one candidate at a time."""
+    n = K.degree
+    rank = n - 1
+    found, found_rows = [], []
+    roots = mpmath_embeddings(K)
+
+    def consider(u):
+        if len(found) >= rank or abs(K.el_norm(u)) != 1:
+            return
+        with mpmath.workdps(EMBEDDING_DIGITS):
+            row = [mpmath.log(abs(v)) for v in embed_element(K, u, roots)]
+            if _mp_gram_det(found_rows + [row]) > mpmath.mpf(10) ** -25:
+                found.append(tuple(u))
+                found_rows.append(row)
+
+    for u in seed_candidates:
+        consider(u)
+    if len(found) < rank:
+        red, gram = _reduced_basis(K, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        rounds = itertools.islice(_rounds(gram, _start_bound(K, K.disc), 120000), UNIT_SEARCH_ROUNDS)
+        for c in itertools.chain.from_iterable(rounds):
+            consider(_combine(c, red))
+            if len(found) >= rank:
+                break
+    if len(found) < rank:
+        raise FieldError(f"found {len(found)} of {rank} independent units")
+    with mpmath.workdps(EMBEDDING_DIGITS):
+        reg = abs(mpmath.det(mpmath.matrix([r[:rank] for r in found_rows])))
+    units, swaps = list(found), 0
+    while True:
+        for exps in _leading_one_vectors(rank):
+            w = K.one()
+            for u, e in zip(units, exps):
+                w = K.el_mul(w, K.el_pow(u, e))
+            y = lu_solve_cube_root(K, w, roots)
+            if y is not None:
+                units[next(i for i, e in enumerate(exps) if e)] = y
+                swaps += 1
+                break
+        else:
+            return UnitData(tuple(units), float(reg) / 3**swaps, rank)
 
 
 def all_coefficient_boxes(n: int):

@@ -73,8 +73,8 @@ def test_load_conductor_rejects_wrong_poly():
 def test_cold_load_runs_each_stage_once(monkeypatch):
     # h(L) and h(F) are the only class groups, L is built once, the
     # quartic search builds neither again, and the unit search and the
-    # 3-saturation share one set of F's real embeddings
-    calls = {"class_group": 0, "cubic_subfield": 0, "embeddings": 0}
+    # 3-saturation share one float frame of F's real embeddings
+    calls = {"class_group": 0, "cubic_subfield": 0, "cube_root_frame": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -87,11 +87,18 @@ def test_cold_load_runs_each_stage_once(monkeypatch):
         monkeypatch.setattr(mod, "class_group", counted("class_group", classgroup.class_group))
     for mod in (census, fields):
         monkeypatch.setattr(mod, "cubic_subfield", counted("cubic_subfield", fields.cubic_subfield))
-    monkeypatch.setattr(
-        fields.NumberField, "embeddings", counted("embeddings", fields.NumberField.embeddings)
-    )
+    monkeypatch.setattr(classgroup, "cube_root_frame", counted("cube_root_frame", classgroup.cube_root_frame))
     load_conductor(Config(ell=163, use_cache=False))
-    assert calls == {"class_group": 2, "cubic_subfield": 1, "embeddings": 1}
+    assert calls == {"class_group": 2, "cubic_subfield": 1, "cube_root_frame": 1}
+
+
+def test_a_failed_unit_search_is_tagged(monkeypatch):
+    # with no enumeration rounds and no seeds the unit search finds none of
+    # F's three units, and the load names the check it stopped at
+    monkeypatch.setattr(classgroup, "UNIT_SEARCH_ROUNDS", 0)
+    with pytest.raises(VerificationError, match="0 of 3 independent units") as info:
+        load_conductor(Config(ell=163, use_cache=False))
+    assert info.value.check == "units"
 
 
 def test_a_stability_field_error_is_tagged(monkeypatch):
@@ -495,9 +502,9 @@ def test_classify_prime_builds_no_prime_ideal_outside_type_1_3(conductor, monkey
         built.append(kwargs.get("p"))
         init(self, *args, **kwargs)
 
-    def counting_factor(K, p):
+    def counting_factor(K, p, **kwargs):
         factored.append(p)
-        return factor_rational_prime(K, p)
+        return factor_rational_prime(K, p, **kwargs)
 
     monkeypatch.setattr(fields.PrimeIdeal, "__init__", counting_init)
     monkeypatch.setattr(census_mod, "factor_rational_prime", counting_factor)
@@ -506,6 +513,27 @@ def test_classify_prime_builds_no_prime_ideal_outside_type_1_3(conductor, monkey
     # the counters do see the primes of a C3 prime
     assert classify_prime(cd, c3[0]).in_C3
     assert factored == [c3[0]] and built == [c3[0], c3[0]]
+
+
+def test_classify_prime_splits_f_once_per_prime(conductor, monkeypatch):
+    # the distinct-degree parts of a prime of type (1, 3) are f's factors
+    # mod v, so the route splits f once and factors v from those parts
+    cd = conductor(277)
+    primes = [v for v in arith.primes_in_range(10**6, 10**6 + 600) if v % 3 == 1]
+    want = [classify_prime(cd, v) for v in primes]
+    assert sum(r.in_C3 for r in want) >= 5
+    calls = []
+    real = arith._dd_parts
+
+    def counted(f, p):
+        calls.append(p)
+        return real(f, p)
+
+    monkeypatch.setattr(arith, "_dd_parts", counted)
+    for v, r in zip(primes, want):
+        calls.clear()
+        assert classify_prime(cd, v) == r
+        assert calls == [v]
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)

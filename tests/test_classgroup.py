@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,16 +16,18 @@ from hypothesis import strategies as st
 
 import a4census
 from a4census import arith, classgroup, fields, linalg
-from a4census.census import diagonal_check
+from a4census.census import diagonal_check, load_conductor
 from a4census.classgroup import (
     BOX_RADII,
-    EMBEDDING_DIGITS,
     _box_layer,
     _coefficient_boxes,
     _combine,
+    _product_values,
+    _real_roots,
     _reduced_basis,
     _start_bound,
     _valuations_above,
+    _values,
     class_group,
     cube_root_frame,
     exact_cube_root,
@@ -35,6 +38,7 @@ from a4census.classgroup import (
     two_rank,
     unit_group,
 )
+from a4census.config import Config
 from a4census.fields import (
     FieldError,
     cubic_subfield,
@@ -47,7 +51,15 @@ from a4census.fields import (
 )
 
 from conftest import CONDUCTORS
-from oracles import all_coefficient_boxes, lu_solve_cube_root, powering_valuation
+from oracles import (
+    EMBEDDING_DIGITS,
+    all_coefficient_boxes,
+    embed_element,
+    lu_solve_cube_root,
+    mpmath_embeddings,
+    mpmath_unit_group,
+    powering_valuation,
+)
 
 KNOWN_H_L = {163: 4, 277: 4, 349: 4}
 KNOWN_H_F = {163: 1, 277: 2, 349: 1}
@@ -224,26 +236,25 @@ def test_saturation_removes_injected_cubes():
     units = list(u.fundamental_units)
     # replace one generator by its cube: the lattice index gains a factor 3
     cubed = units[:2] + [F.el_pow(units[2], 3)]
-    frame = cube_root_frame(F, F.embeddings())
+    frame = cube_root_frame(F)
     restored, swaps = saturate_units_at_3(F, tuple(cubed), frame)
     assert swaps >= 1
     # after saturation no product of generators with exponents in {0,1,2}
     # (not all zero) is a perfect cube
-    from itertools import product
-
-    for exps in product(range(3), repeat=3):
+    vals, err = _values(frame, restored)
+    for exps in itertools.product(range(3), repeat=3):
         if not any(exps):
             continue
         el = F.one()
         for unit, e in zip(restored, exps):
             el = F.el_mul(el, F.el_pow(unit, e))
-        assert exact_cube_root(F, el, frame) is None
+        assert exact_cube_root(F, el, frame, _product_values(vals, err, exps)) is None
 
 
 def test_saturation_is_idempotent():
     F = quartic_field_search(163)
     u = unit_group(F)
-    frame = cube_root_frame(F, F.embeddings())
+    frame = cube_root_frame(F)
     once, _ = saturate_units_at_3(F, u.fundamental_units, frame)
     twice, swaps = saturate_units_at_3(F, once, frame)
     assert swaps == 0
@@ -266,61 +277,163 @@ def test_unit_group_saturates_a_cubed_seed(conductor):
     F = cd.F
     units = list(cd.u.fundamental_units)
     u = unit_group(F, seed_candidates=tuple(units[:2] + [F.el_pow(units[2], 3)]))
-    _, swaps = saturate_units_at_3(F, u.fundamental_units, cube_root_frame(F, F.embeddings()))
+    _, swaps = saturate_units_at_3(F, u.fundamental_units, cube_root_frame(F))
     assert swaps == 0
     assert u.regulator_estimate == pytest.approx(cd.u.regulator_estimate, rel=1e-9)
 
 
+UNIT_FIELDS = {
+    "F163": (9, -2, -7, 1, 1),
+    "F277": (1, -3, -16, 1, 1),
+    "F349": (15, -11, -13, 0, 1),
+    "F709": (35, -13, -17, 0, 1),
+    "F1789": (69, -44, -31, 0, 1),
+    "L163": (-1, -14, -11, 1),
+    "L277": (7202, -831, 0, 1),
+    "L349": (-1, -20, -17, 1),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_FIELDS)
+def test_unit_group_matches_the_mpmath_oracle(name):
+    # the float screen keeps every unit and the float rank test decides as
+    # the 80-digit one does, so the same units come out, saturated alike
+    K = new_number_field(UNIT_FIELDS[name])
+    got, want = unit_group(K), mpmath_unit_group(K)
+    assert got.fundamental_units == want.fundamental_units
+    assert got.rank == want.rank == K.degree - 1
+    assert got.regulator_estimate == pytest.approx(want.regulator_estimate, rel=1e-9)
+
+
+def test_unit_group_refuses_dependent_seeds(conductor):
+    # u1^2 depends on u1, so the rank test refuses it and the search goes
+    # on as if it had not been seeded; a load seeded so gets the same units
+    cd = conductor(163)
+    F = cd.F
+    u1, u2, _ = cd.u.fundamental_units
+    seeds = (u1, F.el_pow(u1, 2), F.el_mul(u1, u2))
+    got = unit_group(F, seed_candidates=seeds)
+    assert got == unit_group(F, seed_candidates=(seeds[0], seeds[2]))
+    assert got.fundamental_units[:2] == (u1, F.el_mul(u1, u2))
+    assert got.regulator_estimate == pytest.approx(cd.u.regulator_estimate, rel=1e-9)
+    loaded = load_conductor(Config(ell=163, units=seeds, use_cache=False))
+    assert loaded.u == got
+
+
+def test_unit_rank_floor_separates_float_dependence():
+    # the float Gram determinant of a dependent set is at noise level, far
+    # below RANK_FLOOR, and that of an independent set far above it
+    F = quartic_field_search(163)
+    frame = cube_root_frame(F)
+    u1, u2, u3 = unit_group(F).fundamental_units
+    rows, etas = [], []
+    for u in (u1, u2, F.el_mul(F.el_pow(u1, 2), u2), u3):
+        vals, err = _values(frame, [u])
+        row, eta = classgroup._log_row(vals[0], err[0])
+        rows.append(row)
+        etas.append(eta)
+    L = numpy.array(rows)
+    dependent = numpy.linalg.det(L[:3] @ L[:3].T)
+    independent = numpy.linalg.det(L[[0, 1, 3]] @ L[[0, 1, 3]].T)
+    assert abs(dependent) < 1e-7 < classgroup.RANK_FLOOR < 0.35 < independent
+    assert not classgroup._independent(rows[:3], etas[:3])
+    assert classgroup._independent([rows[0], rows[1], rows[3]], [etas[0], etas[1], etas[3]])
+
+
 def test_embeddings_carry_the_digits_of_the_unit_logarithms():
-    # one precision, set in fields and importable from classgroup, for the
-    # unit logarithms and the cube roots of the 3-saturation
+    # the float64 roots are bracketed exactly, and the frame's basis values
+    # lie within their proven error bounds of the 80-digit ones, bounds
+    # far below what the unit logarithms and the cube roots need
     import mpmath
 
-    assert EMBEDDING_DIGITS == fields.EMBEDDING_DIGITS == 80
     F = quartic_field_search(163)
-    roots = F.embeddings()
-    assert len(roots) == 4 and roots == sorted(roots)
+    roots, radii = _real_roots(F.poly)
+    exact = mpmath_embeddings(F)
+    assert list(roots) == sorted(roots) and len(roots) == 4
+    frame = cube_root_frame(F)
     with mpmath.workdps(EMBEDDING_DIGITS):
-        for r in roots:
-            assert abs(sum(c * r**i for i, c in enumerate(F.poly))) < mpmath.mpf(10) ** -70
+        for r_i, (r, d, x) in enumerate(zip(roots, radii, exact)):
+            assert abs(mpmath.mpf(float(r)) - x) <= d < 1e-14
+            for b_i in range(F.degree):
+                e = tuple(int(i == b_i) for i in range(F.degree))
+                true = embed_element(F, e, exact)[r_i]
+                got = mpmath.mpf(float(frame.basis[r_i, b_i]))
+                assert abs(got - true) <= frame.basis_err[r_i, b_i] < 1e-12
+
+
+def _element_values(frame, el):
+    """One element's (values, error bounds) from its coordinates."""
+    vals, err = _values(frame, [el])
+    return vals[0], err[0]
 
 
 def test_exact_cube_root():
     F = quartic_field_search(163)
     a = (2, 1, 0, 1)
     cube = F.el_pow(a, 3)
-    frame = cube_root_frame(F, F.embeddings())
-    root = exact_cube_root(F, cube, frame)
+    frame = cube_root_frame(F)
+    root = exact_cube_root(F, cube, frame, _element_values(frame, cube))
     assert root is not None
     assert F.el_pow(root, 3) == tuple(cube)
     # 2 has norm 16, not a cube, so it cannot be one
-    assert exact_cube_root(F, F.from_int(2), frame) is None
+    two = F.from_int(2)
+    assert exact_cube_root(F, two, frame, _element_values(frame, two)) is None
+
+
+def test_exact_cube_root_guard_raises_past_its_bound():
+    # a high power of a unit has coordinates whose float sums cancel far
+    # below its smallest value: the bound cannot prove the rounding, so the
+    # locator raises rather than answer None; from the unit's own values
+    # (_product_values) the same power is located and its cube root found
+    F = quartic_field_search(163)
+    frame = cube_root_frame(F)
+    u = unit_group(F).fundamental_units[2]
+    big = F.el_pow(u, 30)
+    with pytest.raises(FieldError, match="float bound"):
+        exact_cube_root(F, big, frame, _element_values(frame, big))
+    vals, err = _values(frame, [u])
+    assert exact_cube_root(F, big, frame, _product_values(vals, err, (30,))) == F.el_pow(u, 10)
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_exact_cube_root_matches_the_lu_solve_oracle(conductor, ell):
     # the products the saturation tries (non-cubes once the units are
-    # saturated, 1 aside) and their cubes, and a few elements that are
-    # not units, against the per-call lu_solve
+    # saturated, 1 aside) and their cubes, located from the units' values
+    # as the saturation locates them, and a few elements that are not
+    # units, located from their coordinates, against the 80-digit lu_solve
     cd = conductor(ell)
     F = cd.F
-    roots = F.embeddings()
-    frame = cube_root_frame(F, roots)
+    roots = mpmath_embeddings(F)
+    frame = cube_root_frame(F)
     units = cd.u.fundamental_units
+    vals, err = _values(frame, units)
     cubes = 0
     for exps in itertools.product(range(3), repeat=len(units)):
         w = F.one()
         for u, e in zip(units, exps):
             w = F.el_mul(w, F.el_pow(u, e))
-        for el in (w, F.el_pow(w, 3)):
-            got = exact_cube_root(F, el, frame)
+        for el, k in ((w, 1), (F.el_pow(w, 3), 3)):
+            got = exact_cube_root(F, el, frame, _product_values(vals, err, [k * e for e in exps]))
             assert got == lu_solve_cube_root(F, el, roots)
             cubes += got is not None
-        assert exact_cube_root(F, F.el_pow(w, 3), frame) == w
+        cube_values = _product_values(vals, err, [3 * e for e in exps])
+        assert exact_cube_root(F, F.el_pow(w, 3), frame, cube_values) == w
     assert cubes == 3 ** len(units) + 1
     for el in ((2, 1, 0, 1), (5, 0, 0, 0), (0, 3, -1, 2)):
         for x in (el, F.el_pow(el, 3)):
-            assert exact_cube_root(F, x, frame) == lu_solve_cube_root(F, x, roots)
+            assert exact_cube_root(F, x, frame, _element_values(frame, x)) == lu_solve_cube_root(F, x, roots)
+
+
+def test_import_leaves_mpmath_out_of_the_package():
+    # only the test oracles use mpmath; the package, its CLI and a census
+    # worker import numpy alone
+    code = "import sys, a4census, a4census.cli; print('mpmath' in sys.modules)"
+    src = str(Path(a4census.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
