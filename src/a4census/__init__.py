@@ -34,7 +34,13 @@ from .cohomology import (
 )
 from .config import Config, golden_rows, read_config, shipped_config
 from .fields import FieldError, NumberField, PrimeIdeal, cubic_subfield, quartic_field_search
-from .rayclass import Modulus, artin_vector, modulus_stability_check, ray_class_3_quotient
+from .rayclass import (
+    Modulus,
+    artin_vector,
+    modulus_stability_check,
+    ray_class_3_quotient,
+    ray_presentation,
+)
 from .stats import (
     DensityReport,
     binomial_z,
@@ -83,6 +89,7 @@ __all__ = [
     "modulus_stability_check",
     "quartic_field_search",
     "ray_class_3_quotient",
+    "ray_presentation",
     "read_census_csv",
     "read_config",
     "render_report",

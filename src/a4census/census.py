@@ -121,11 +121,13 @@ from .fields import (
 from .rayclass import (
     Modulus,
     RayClass3Quotient,
+    RayPresentation,
     TameBlock,
     WildBlock,
     artin_vector,
     modulus_stability_check,
     ray_class_3_quotient,
+    ray_presentation,
 )
 
 log = logging.getLogger(__name__)
@@ -188,15 +190,19 @@ class ConductorData:
     load_conductor is the only constructor; census pool workers receive
     this object (inherited under fork, pickled under spawn) instead of
     rebuilding it.  No field is filled later: classification only reads
-    the datum, the certificates included.  In both fast quotients unit
-    i's row is its wild philog followed by t_i, t the units' tame column:
-    unit_l2 in the fixed quotient, the logs of their characters at v_2 in
-    the moving one.  unit_spans[t] is the set of all vectors in the span
-    mod 3 of those rows, for every t in F_3^rank, so that membership in
-    either quotient's unit image is one set lookup.  span_codes and
-    cert_columns hold the spans and the certificates' logs as a bool
-    table and int64 columns for the verdict lanes (_lane_tables), so
-    that no census task rebuilds them.
+    the datum, the certificates and the ray presentation included.
+    `presentation` holds what the reference route's quotients share
+    (rayclass.RayPresentation): the kept unit and relation rows with
+    their wild and factor-base columns, their echelon form mod 3 and the
+    transform to it, so that classify_prime adds only v_2's tame column.
+    In both fast quotients unit i's row is its wild philog followed by
+    t_i, t the units' tame column: unit_l2 in the fixed quotient, the
+    logs of their characters at v_2 in the moving one.  unit_spans[t] is
+    the set of all vectors in the span mod 3 of those rows, for every t
+    in F_3^rank, so that membership in either quotient's unit image is
+    one set lookup.  span_codes and cert_columns hold the spans and the
+    certificates' logs as a bool table and int64 columns for the verdict
+    lanes (_lane_tables), so that no census task rebuilds them.
     """
 
     ell: int
@@ -207,6 +213,8 @@ class ConductorData:
     u: UnitData  # 3-saturated units (unit_group)
     p31: PrimeIdeal  # over 3, residue degree 3
     l2: PrimeIdeal  # over ell, e = 3
+    # the v-independent rows of every reference quotient, with their echelon form mod 3
+    presentation: RayPresentation
     fixed_q: RayClass3Quotient  # Cl_{3_1^2 ell_2} (x) F_3, reference shape
     wild: WildBlock  # the one block for (O/3_1^2)^* (x) F_3
     tame_l2: TameBlock
@@ -259,13 +267,19 @@ def load_conductor(config) -> ConductorData:
     same list.  A cold load writes the record {L, F}; the fields are
     re-verified on every read.
 
+    The ray presentation (rayclass.ray_presentation: the units' and the
+    relations' wild logs and factor-base columns, their echelon form mod 3
+    and the transform to it) is built once, in the stability stage, whose
+    quotient is its first; the stability quotient, the fixed quotient and
+    every moving quotient of classify_prime add tame columns to it.
+
     The wall seconds of each stage are kept in `stage_seconds`, in load
     order: h(L) (the cache read, L and its class group), F (the search or
     read and its checks), h(F) (with the splitting check at 3), saturated
-    units (search and 3-saturation),
-    stability (3_1, ell_2, the wild block and modulus_stability_check),
-    fixed quotient (with the unit spans) and certificates (with the
-    verdict lanes' tables).  The cache write after them is not timed.
+    units (search and 3-saturation), stability (3_1, ell_2, the wild
+    block, the ray presentation and modulus_stability_check), fixed
+    quotient (with the unit spans) and certificates (with the verdict
+    lanes' tables).  The cache write after them is not timed.
     """
     if isinstance(config, int):
         config = conductor_config(config)
@@ -350,7 +364,8 @@ def load_conductor(config) -> ConductorData:
 
     wild = WildBlock(F, p31)
     try:
-        stable = modulus_stability_check(F, p31, cg, u, wild)
+        presentation = ray_presentation(cg, u, wild)
+        stable = modulus_stability_check(presentation)
     except FieldError as exc:
         raise VerificationError("stability", f"stability check failed: {exc}") from exc
     if not stable:
@@ -359,7 +374,7 @@ def load_conductor(config) -> ConductorData:
         )
     lap("stability")
 
-    fixed_q = ray_class_3_quotient(Modulus(F, ((p31, 2), (l2, 1))), cg, u, wild)
+    fixed_q = ray_class_3_quotient(Modulus(F, ((p31, 2), (l2, 1))), presentation)
     if fixed_q.dim != 1:
         raise VerificationError(
             "fixed-dim", f"fixed quotient has F_3-dimension {fixed_q.dim}, expected 1"
@@ -399,6 +414,7 @@ def load_conductor(config) -> ConductorData:
         u=u,
         p31=p31,
         l2=l2,
+        presentation=presentation,
         fixed_q=fixed_q,
         wild=wild,
         tame_l2=tame_l2,
@@ -443,7 +459,7 @@ def _lane_tables(dim: int, rank: int, unit_spans, certs):
 
 
 # ---------------------------------------------------------------------------
-# Reference classifier: the moving ray class group is rebuilt per prime.
+# Reference classifier: each moving quotient from the load's presentation.
 
 
 def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
@@ -458,9 +474,13 @@ def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
     of degree 3, each holding one factor of its degree d: these are f's
     irreducible factors mod v, and fields.factor_rational_prime builds
     the prime ideals v1 and v2 from them without splitting f again.  Only
-    such a prime builds its moving quotient.
+    such a prime builds its moving quotient, from the load's presentation
+    (cd.presentation) and v_2's tame column alone: the characters of the
+    kept generators at v_2, one product by the stored transform and an
+    echelon form of at most rank + 1 rows (rayclass.ray_class_3_quotient).
     The HNF of v1 is LLL-reduced once, exactly (classgroup._reduced_basis),
-    and both Artin vectors search that basis of norm v^3 as it is.
+    and both Artin vectors search that basis of norm v^3 as it is; v1 is
+    coprime to v_2 because a row of it lies outside v_2.
     """
     if cd.excluded(v):
         log.info("conductor %d: skipping excluded prime %d", cd.ell, v)
@@ -474,7 +494,7 @@ def classify_prime(cd: ConductorData, v: int) -> PrimeClassification:
     v1 = next(P for P in primes if P.f == 3)
     v2 = next(P for P in primes if P.f == 1)
 
-    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
+    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.presentation)
     red = _reduced_basis(cd.F, list(v1.hnf))[0]
     in_lambda = any(artin_vector(moving, red, norm=v1.norm))
     in_taubar = not any(artin_vector(cd.fixed_q, red, norm=v1.norm))

@@ -115,7 +115,9 @@ def lattice_index(h) -> int:
 def kernel_mod_p(rows, ncols, p):
     """Basis of {x in F_p^ncols : sum_j rows[i][j] * x[j] = 0 for all i}.
 
-    Each row is one homogeneous equation.
+    Each row is one homogeneous equation.  The basis is read off the
+    reduced row echelon form of the rows (rref_mod_p): one vector per free
+    column, 1 there and minus that column's entries at the pivots.
     """
     red, pivots = rref_mod_p(rows, ncols, p)
     basis = []
@@ -134,43 +136,44 @@ def rref_mod_p(rows, ncols, p):
 
     Pivots are sought in the first ncols columns only; columns beyond
     them, if the rows are wider, are carried along by every row
-    operation.  The rows are reduced mod p in Python and eliminated as
-    one numpy array: int64 when p < 2^31, so that each product of two
-    residues stays below 2^62, and Python ints (dtype=object) otherwise.
-    Each pivot takes the first row at or below the rank with a nonzero
-    entry, so when the rows are no wider than ncols the result is the
-    unique reduced row echelon form of their span.  The rows come back
-    as tuples of Python ints; rows of unequal length raise ValueError.
+    operation.  Gauss-Jordan elimination on Python lists, one pivot at a
+    time: each pivot takes the first row at or below the rank with a
+    nonzero entry, is scaled to 1 unless it is 1 already, and is
+    subtracted from the rows with a nonzero entry in its column only.
+    Every caller's matrix is small (a 4 x 4 multiplication matrix, a
+    factor base's coordinates, a ray presentation of a few dozen rows),
+    where numpy's dispatch per pivot costs more than the whole list
+    update.  When the rows are no wider than ncols the result is the
+    unique reduced row echelon form of their span.  The rows come back as
+    tuples of Python ints; rows of unequal length raise ValueError.
     """
-    # Imported here for the reason given in lll_float_batch.
-    import numpy as np
-
     if not rows:
         return [], []
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("rows of unequal length")
-    flat = [x % p for r in rows for x in r]
-    a = np.array(flat, dtype=np.int64 if p < 2**31 else object).reshape(len(rows), width)
+    work = [[x % p for x in r] for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if not nonzero.size:
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
             continue
-        piv = rank + int(nonzero[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
-        update = np.multiply.outer(a[:, col], a[rank])
-        update[rank] = 0
-        a -= update
-        a %= p
+        row = work[piv]
+        work[piv] = work[rank]
+        if row[col] != 1:
+            inv = pow(row[col], -1, p)
+            row = [x * inv % p for x in row]
+        work[rank] = row
+        for i, other in enumerate(work):
+            f = other[col]
+            if f and i != rank:
+                work[i] = [(x - f * y) % p for x, y in zip(other, row)]
         pivots.append(col)
         rank += 1
-        if rank == len(a):
+        if rank == len(work):
             break
-    return [tuple(r) for r in a[:rank].tolist()], pivots
+    return [tuple(r) for r in work[:rank]], pivots
 
 
 def residual_mod_p(rref_rows, pivots, vec, p):

@@ -12,7 +12,13 @@ valuation vector.  This is the standard ray class exact sequence
 
 tensored with F_3; tensoring a presentation is exact, and the mod-3
 discrete logs used here are the true generator exponents mod 3 (the
-cubic character recovers dlog mod 3 even when 9 divides q-1).
+cubic character recovers dlog mod 3 even when 9 divides q-1).  Every
+modulus here is 3_1^2 times tame primes, and only the tame columns of
+the relation rows depend on the tame primes (Cohen, GTM 193, 4.3: Cl_m
+from Cl, the units and (O/m)^*).  So the rest of the rows, their
+echelon form mod 3 and the transform to it are built once
+(RayPresentation, ray_presentation), and each quotient adds one column
+of characters per tame prime (ray_class_3_quotient).
 
 Local blocks:
   * tame prime p (not over 3, norm q = 1 mod 3): one dimension; the log
@@ -63,6 +69,8 @@ __all__ = [
     "TameBlock",
     "WildBlock",
     "RayClass3Quotient",
+    "RayPresentation",
+    "ray_presentation",
     "ray_class_3_quotient",
     "artin_vector",
     "modulus_stability_check",
@@ -130,17 +138,18 @@ class TameBlock:
     def character(self, el) -> int:
         return pow(self.residue(el), self.exp, self.q)
 
+    def logs(self, els):
+        """philog's one entry for each element of els, as a list."""
+        q, exp, vals = self.q, self.exp, self.basis_vals
+        w = self.omega
+        base = {1: 0, w: 1, w * w % q: 2}
+        out = [base.get(pow(sum(map(operator.mul, el, vals)) % q, exp, q)) for el in els]
+        if None in out:
+            raise FieldError("element is not coprime to the tame prime")
+        return out
+
     def philog(self, el):
-        if self.dim == 0:
-            return ()
-        t = self.character(el)
-        if t == 1:
-            return (0,)
-        if t == self.omega:
-            return (1,)
-        if t == self.omega * self.omega % self.q:
-            return (2,)
-        raise FieldError("element is not coprime to the tame prime")
+        return tuple(self.logs((el,))) if self.dim else ()
 
 
 class _LatticeQuotientF3:
@@ -298,6 +307,47 @@ class RayClass3Quotient:
         return tuple(res[c] for c in self.free_cols)
 
 
+@dataclass(frozen=True, eq=False)
+class RayPresentation:
+    """The part of a presentation of Cl_m (x) F_3 that its tame primes leave alone.
+
+    For every modulus m = P^2 m_0 with P the wild block's prime and m_0
+    tame, the relation rows of ray_class_3_quotient are one row per kept
+    generator: the 3-saturated units of u, then the relation generators
+    of cg that do not lie in P, in cg's order.  A row holds the wild log,
+    then one character per tame block of m_0, then (-vec_j) % 3 for the
+    factor-base primes j at fb_positions (units: zeros there).  Only the
+    tame characters depend on m_0, so the rest is built once:
+    `rows` without the tame columns (wild log | factor-base part), its
+    reduced row echelon form `rref` with `pivots`, and an invertible
+    `transform` T over F_3 with T rows = rref followed by zero rows, so
+    that T's first len(rref) rows give the echelon rows and the others
+    the left kernel of `rows`.  `vals` holds each generator's valuation
+    vector over cg.factor_base (zeros for a unit), read only when a tame
+    modulus prime lies in the factor base (see ray_class_3_quotient).
+    """
+
+    cg: ClassGroupData
+    u: UnitData
+    wild: WildBlock
+    fb_positions: tuple
+    gens: tuple
+    vals: tuple
+    rows: tuple
+    rref: tuple
+    pivots: tuple
+    transform: object  # T as an int64 array
+
+    def transform_times(self, t):
+        """T t mod 3 for a column t with one entry per generator, as a list.
+
+        The entries of T and t lie in 0..2, so every int64 sum is exact.
+        """
+        import numpy as np
+
+        return (self.transform @ np.asarray(t, dtype=np.int64) % 3).tolist()
+
+
 def _coprime_to_modulus(m: Modulus, el) -> bool:
     return all(not element_in_prime(P, el) for P, _ in m.finite)
 
@@ -314,69 +364,170 @@ def _build_blocks(K: NumberField, finite, wild: WildBlock):
     return tuple(b for b in blocks if b.dim > 0)
 
 
-def ray_class_3_quotient(
-    m: Modulus, cg: ClassGroupData, u: UnitData, wild: WildBlock
-) -> RayClass3Quotient:
-    """Cl_m tensor F_3 with Artin data, from class-group and unit data.
-
-    u must hold 3-saturated units, as unit_group returns them.  `wild`
-    is the block for the modulus's one prime over 3 at exponent 2; the
-    census passes the one block it builds at load.  A relation that lies
-    in a modulus prime is skipped; when a tame one among them makes the
-    kept relations too few to present Cl/3Cl on the other base primes,
-    FieldError.
-    """
-    K = m.field
-    blocks = _build_blocks(K, m.finite, wild)
-    D = sum(b.dim for b in blocks)
-    in_modulus = [m.contains_prime(P) for P in cg.factor_base]
-    fb_positions = tuple(j for j, inside in enumerate(in_modulus) if not inside)
-    ncols = D + len(fb_positions)
-    cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
-
+def _check_fb_span(cg: ClassGroupData, fb_positions) -> None:
+    """FieldError unless the factor-base primes at fb_positions span Cl/3Cl."""
     if cg.h % 3 == 0:
         covered, _ = linalg.rref_mod_p(
             [[x % 3 for x in cg.coord_rows[j]] for j in fb_positions], len(cg.divisors), 3
         )
-        if len(covered) < cl3:
+        if len(covered) < sum(1 for d in cg.divisors if d % 3 == 0):
             raise FieldError("factor-base primes coprime to the modulus do not span Cl/3Cl")
 
-    rows = []
+
+def _presented(cg, u, wild, fb_positions, gens, vals, rows) -> RayPresentation:
+    """The presentation of these rows: their RREF and the transform T to it.
+
+    T's echelon rows come from the Gauss-Jordan form of rows | I, its
+    kernel rows from kernel_mod_p of the transposed rows; the kernel
+    rows span the left kernel and no combination of the echelon rows
+    lies in it, so T is invertible.
+    """
+    import numpy as np
+
+    ncols = wild.dim + len(fb_positions)
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = linalg.rref_mod_p(augmented, ncols, 3)
+    kernel = linalg.kernel_mod_p(list(zip(*rows)), n, 3)
+    transform = [r[ncols:] for r in red] + kernel
+    return RayPresentation(
+        cg=cg,
+        u=u,
+        wild=wild,
+        fb_positions=tuple(fb_positions),
+        gens=tuple(gens),
+        vals=tuple(vals),
+        rows=tuple(tuple(r) for r in rows),
+        rref=tuple(r[:ncols] for r in red),
+        pivots=tuple(pivots),
+        transform=np.array(transform, dtype=np.int64).reshape(n, n),
+    )
+
+
+def ray_presentation(cg: ClassGroupData, u: UnitData, wild: WildBlock) -> RayPresentation:
+    """The presentation shared by every modulus (wild.P)^2 m_0 with m_0 tame.
+
+    u must hold 3-saturated units, as unit_group returns them; a unit in
+    wild.P is a FieldError.  A relation generator lies in wild.P exactly
+    when wild.P is in the factor base with a positive entry in its
+    valuation vector ((gen) = prod fb^vec exactly); such a relation is
+    not kept, and wild.P's factor-base column goes.  When 3 divides h,
+    the factor-base primes left must span Cl/3Cl, else FieldError.  Each
+    kept generator's wild log is taken here, once (WildBlock.philog).
+    """
+    P = wild.P
+    inside = [Q.key() == P.key() for Q in cg.factor_base]
+    fb_positions = tuple(j for j, hit in enumerate(inside) if not hit)
+    _check_fb_span(cg, fb_positions)
+    zeros = (0,) * len(fb_positions)
+    gens, vals, rows = [], [], []
     for unit in u.fundamental_units:
-        if not _coprime_to_modulus(m, unit):
+        if element_in_prime(P, unit):
             raise FieldError("unit not coprime to the modulus")
-        rows.append(_local_row(blocks, unit, D) + [0] * len(fb_positions))
-    tame = [inside and P.p != 3 for P, inside in zip(cg.factor_base, in_modulus)]
-    tame_skip = False
+        gens.append(unit)
+        vals.append((0,) * len(inside))
+        rows.append(wild.philog(unit) + zeros)
     for gen, vec in cg.relations:
-        # (gen) = prod fb^vec exactly, so gen lies in a modulus prime only at a base prime
-        if any(e > 0 and inside for e, inside in zip(vec, in_modulus)):
-            tame_skip |= any(e > 0 and t for e, t in zip(vec, tame))
+        if any(e > 0 and hit for e, hit in zip(vec, inside)):
             continue
-        row = _local_row(blocks, gen, D)
-        row.extend((-vec[j]) % 3 for j in fb_positions)
-        rows.append(row)
-    if tame_skip:
-        # the kept relations must still present Cl/3Cl on the primes prime to
-        # the modulus, else the dimension below comes out too large; skips at
-        # the prime over 3 alone show at load as a fixed dimension above 1
-        fb_rows = [row[D:] for row in rows[len(u.fundamental_units):]]
+        gens.append(gen)
+        vals.append(tuple(vec))
+        rows.append(wild.philog(gen) + tuple((-vec[j]) % 3 for j in fb_positions))
+    return _presented(cg, u, wild, fb_positions, gens, vals, rows)
+
+
+def _without_base_primes(pres: RayPresentation, drop) -> RayPresentation:
+    """pres less the factor-base primes `drop` (indices into cg.factor_base) that the modulus holds.
+
+    A relation generator with a positive valuation at one of them lies in
+    a modulus prime, so its row goes, and so do their columns.  When a
+    relation of cg has a positive valuation at a tame one among them, the
+    kept relations must still present Cl/3Cl on the primes prime to the
+    modulus, else the quotient's dimension comes out too large:
+    FieldError.  Skips at the prime over 3 alone show at load as a fixed
+    dimension above 1.
+    """
+    cg, dw = pres.cg, pres.wild.dim
+    cols = [c for c, j in enumerate(pres.fb_positions) if j not in drop]
+    fb_positions = [pres.fb_positions[c] for c in cols]
+    _check_fb_span(cg, fb_positions)
+    kept = [i for i, vec in enumerate(pres.vals) if not any(vec[j] > 0 for j in drop)]
+    rows = [pres.rows[i][:dw] + tuple(pres.rows[i][dw + c] for c in cols) for i in kept]
+    tame = [j for j in drop if cg.factor_base[j].p != 3]
+    if any(vec[j] > 0 for _, vec in cg.relations for j in tame):
+        units = len(pres.u.fundamental_units)
+        fb_rows = [row[dw:] for i, row in zip(kept, rows) if i >= units]
         _, fb_pivots = linalg.rref_mod_p(fb_rows, len(fb_positions), 3)
+        cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
         if len(fb_pivots) < len(fb_positions) - cl3:
             raise FieldError("too few relations prime to the modulus to present Cl/3Cl")
+    gens = [pres.gens[i] for i in kept]
+    vals = [pres.vals[i] for i in kept]
+    return _presented(cg, pres.u, pres.wild, fb_positions, gens, vals, rows)
 
-    rref, pivots = linalg.rref_mod_p(rows, ncols, 3)
+
+def ray_class_3_quotient(m: Modulus, pres: RayPresentation) -> RayClass3Quotient:
+    """Cl_m tensor F_3 with Artin data: the presentation plus one tame column per tame prime.
+
+    m is (pres.wild.P)^2 times tame primes.  The relation rows are the
+    presentation's with the tame characters of its generators inserted
+    (see RayPresentation), so their row space is that of T times them:
+    the echelon rows, each with T t in its tame entries (t the tame
+    column), and the kernel rows, which are zero but for their T t.  The
+    RREF of that small matrix (the echelon rows and the RREF of the
+    kernel rows' tame entries) is the RREF of the relation rows, which is
+    unique, so the quotient is the one eliminating every row would give.
+    A tame modulus prime in the factor base drops its relations and its
+    column first (_without_base_primes).  A unit in a tame prime, a
+    relation generator in one outside the factor base, and a dimension
+    above the exact sequence's bound are FieldErrors.
+    """
+    K = m.field
+    cg, wild = pres.cg, pres.wild
+    blocks = _build_blocks(K, m.finite, wild)
+    others = [P for P, _ in m.finite if P.key() != wild.P.key()]
+    if any(element_in_prime(P, w) for P in others for w in pres.u.fundamental_units):
+        raise FieldError("unit not coprime to the modulus")
+    keys = {P.key() for P in others}
+    drop = [j for j in pres.fb_positions if cg.factor_base[j].key() in keys]
+    if drop:
+        pres = _without_base_primes(pres, drop)
+    D = sum(b.dim for b in blocks)
+    dw = wild.dim
+    # T t for the column t of the generators' characters at each tame block
+    tame = [b for b in blocks if b is not wild]
+    tt = [pres.transform_times(b.logs(pres.gens)) for b in tame]
+    rank = len(pres.rref)
+    kernel_tame = [row for row in zip(*(col[rank:] for col in tt)) if any(row)]
+
+    def local(wild_part, tame_part):
+        entries = iter(tame_part)
+        return [x for b in blocks for x in (wild_part if b is wild else (next(entries),))]
+
+    echelon = [local(e[:dw], [col[i] for col in tt]) + list(e[dw:]) for i, e in enumerate(pres.rref)]
+    zeros = [0] * len(pres.fb_positions)
+    kernel = [local((0,) * dw, row) + zeros for row in linalg.rref_mod_p(kernel_tame, len(tt), 3)[0]]
+    # A tame column takes as pivot the first row that meets it, and the rows
+    # after it fill in at that row's old pivot, and so on down.  So the
+    # echelon rows whose pivots follow the first tame column go in last
+    # first (the kernel rows before them): the pivot is then the last such
+    # row, which meets no other pivot column.  An RREF is the same in any
+    # row order.
+    head = sum(1 for p in pres.pivots if p < dw) if blocks[0] is wild else 0
+    small = echelon[:head] + kernel + echelon[head:][::-1]
+    ncols = D + len(pres.fb_positions)
+    rref, pivots = linalg.rref_mod_p(small, ncols, 3)
     free_cols = tuple(c for c in range(ncols) if c not in pivots)
     dim = len(free_cols)
-    if dim > D + cl3:
+    if dim > D + sum(1 for d in cg.divisors if d % 3 == 0):
         raise FieldError("exact-sequence dimension bound violated")
     return RayClass3Quotient(
         modulus=m,
         dim=dim,
         blocks=blocks,
         local_dim=D,
-        fb_positions=fb_positions,
-        rel_rref=tuple(tuple(r) for r in rref),
+        fb_positions=pres.fb_positions,
+        rel_rref=tuple(rref),
         rel_pivots=tuple(pivots),
         free_cols=free_cols,
         cg=cg,
@@ -398,24 +549,22 @@ def artin_vector(q: RayClass3Quotient, A, *, norm=None):
     A, a square basis of an integral ideal, must be coprime to the
     modulus, else FieldError.  For a modulus prime P with N(P) prime to
     N(A) = |det A| this holds without a test, because N(P) lies in P and
-    N(A) in A, so P + A contains 1; every other P is tested by the HNF of
-    P + A.  The class is smoothed by classgroup.smooth_split on the class
-    group's own factor-base context: a short alpha in A, coprime to the
-    modulus, whose cofactor (alpha)/A factors over the factor base; the
-    vector pairs the local log of alpha against the cofactor valuations
-    at the primes coprime to the modulus.  A caller that gives `norm`
-    states that A is an already reduced basis of an ideal of that norm,
-    as for smooth_split, which then searches it as it is; no determinant
-    is taken (census.classify_prime, with N(v1) = v^3).
+    N(A) in A, so P + A contains 1; every other P is tested by whether
+    some row of A lies outside P (element_in_prime): P is maximal, so
+    A + P = O exactly then.  The class is smoothed by
+    classgroup.smooth_split on the class group's own factor-base
+    context: a short alpha in A, coprime to the modulus, whose cofactor
+    (alpha)/A factors over the factor base; the vector pairs the local
+    log of alpha against the cofactor valuations at the primes coprime
+    to the modulus.  A caller that gives `norm` states that A is an
+    already reduced basis of an ideal of that norm, as for smooth_split,
+    which then searches it as it is; no determinant is taken
+    (census.classify_prime, with N(v1) = v^3).
     """
-    K = q.cg.field
     m = q.modulus
     nA = abs(arith.det_bareiss(A)) if norm is None else norm
     for P, _ in m.finite:
-        if math.gcd(P.norm, nA) == 1:
-            continue
-        rows = list(P.hnf) + [tuple(r) for r in A]
-        if linalg.lattice_index(linalg.hnf(rows, K.degree)) != 1:
+        if math.gcd(P.norm, nA) != 1 and all(element_in_prime(P, row) for row in A):
             raise FieldError("ideal is not coprime to the modulus")
     if q.dim == 0:
         return ()
@@ -527,19 +676,15 @@ def _integer_quotient_3rank(K, P: PrimeIdeal, cg, units) -> int:
     return sum(1 for d in divisors if d % 3 == 0)
 
 
-def modulus_stability_check(
-    K: NumberField,
-    prime_over_3: PrimeIdeal,
-    cg: ClassGroupData,
-    u: UnitData,
-    wild: WildBlock,
-) -> bool:
+def modulus_stability_check(pres: RayPresentation) -> bool:
     """True iff the quotient dimension is the same at wild exponents 2 and 3.
 
-    The modulus is prime_over_3^a.  Exponent 2 runs the F_3 presentation
-    (on the block `wild`, at prime_over_3); exponent 3 runs the independent
-    integer-Smith path, so agreement genuinely checks that depth-2
-    1-units already carry the whole 3-elementary quotient.
+    The modulus is P^a for P = pres.wild.P.  Exponent 2 is the F_3
+    presentation itself (ray_class_3_quotient with no tame prime);
+    exponent 3 runs the independent integer-Smith path on the same class
+    group and units, so agreement genuinely checks that depth-2 1-units
+    already carry the whole 3-elementary quotient.
     """
-    q = ray_class_3_quotient(Modulus(K, ((prime_over_3, 2),)), cg, u, wild)
-    return q.dim == _integer_quotient_3rank(K, prime_over_3, cg, u.fundamental_units)
+    K, P = pres.cg.field, pres.wild.P
+    q = ray_class_3_quotient(Modulus(K, ((P, 2),)), pres)
+    return q.dim == _integer_quotient_3rank(K, P, pres.cg, pres.u.fundamental_units)

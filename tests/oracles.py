@@ -21,9 +21,15 @@ a test oracle:
   presentation instead);
 - a4_order3_density: the density 1/3 of C3 from the conjugacy classes of
   A4 built as permutations (the census counts it);
-- loop_rref_mod_p: Gauss-Jordan elimination over F_p on Python lists, one
-  row at a time (linalg.rref_mod_p eliminates a whole numpy array per
-  pivot);
+- numpy_rref_mod_p: Gauss-Jordan elimination over F_p as one numpy
+  array, one whole-array update per pivot, int64 below 2^31 and Python
+  ints above (linalg.rref_mod_p eliminates on Python lists, only the rows
+  that meet each pivot);
+- scratch_ray_class_3_quotient: the ray class quotient built from
+  scratch for each modulus, every unit and relation row with its local
+  logs and factor-base part eliminated whole (rayclass.ray_class_3_quotient
+  adds one tame column per tame prime to the presentation built once,
+  rayclass.ray_presentation);
 - loop_quartic_field_search: the coefficient search over all 4 * 41^3
   quartics one at a time in Python, each discriminant from the resolvent
   cubic (fields.quartic_field_search screens them in numpy int64 planes
@@ -71,7 +77,7 @@ from fractions import Fraction
 
 import mpmath
 
-from a4census import arith, fields, linalg
+from a4census import arith, fields, linalg, rayclass
 from a4census.classgroup import (
     UNIT_SEARCH_ROUNDS,
     UnitData,
@@ -280,27 +286,107 @@ def _perm_order(p) -> int:
     return n
 
 
-def loop_rref_mod_p(rows, ncols, p):
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    work = [[x % p for x in r] for r in rows]
+def numpy_rref_mod_p(rows, ncols, p):
+    """Reduced row echelon form over F_p; returns (rows, pivot columns).
+
+    The rows are reduced mod p in Python and eliminated as one numpy
+    array: int64 when p < 2^31, so that each product of two residues
+    stays below 2^62, and Python ints (dtype=object) otherwise.  Pivots
+    are sought in the first ncols columns, each taking the first row at
+    or below the rank with a nonzero entry; wider rows are carried along.
+    """
+    import numpy as np
+
+    if not rows:
+        return [], []
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows of unequal length")
+    flat = [x % p for r in rows for x in r]
+    a = np.array(flat, dtype=np.int64 if p < 2**31 else object).reshape(len(rows), width)
     pivots = []
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        piv = rank + int(nonzero[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        update = np.multiply.outer(a[:, col], a[rank])
+        update[rank] = 0
+        a -= update
+        a %= p
         pivots.append(col)
         rank += 1
-        if rank == len(work):
+        if rank == len(a):
             break
-    return [tuple(r) for r in work[:rank]], pivots
+    return [tuple(r) for r in a[:rank].tolist()], pivots
+
+
+def scratch_ray_class_3_quotient(m, cg, u, wild):
+    """Cl_m tensor F_3 built from scratch: every row's local logs, then one elimination.
+
+    One row per unit (local logs, zeros at the factor base) and per
+    relation generator prime to the modulus (local logs, then minus its
+    valuations mod 3 at the factor-base primes outside the modulus),
+    eliminated whole by numpy_rref_mod_p, with the checks of the exact
+    sequence: units coprime to the modulus, the factor-base primes prime
+    to it spanning Cl/3Cl, enough relations left after a tame skip, and
+    the dimension bound.
+    """
+    K = m.field
+    blocks = rayclass._build_blocks(K, m.finite, wild)
+    D = sum(b.dim for b in blocks)
+    in_modulus = [m.contains_prime(P) for P in cg.factor_base]
+    fb_positions = tuple(j for j, inside in enumerate(in_modulus) if not inside)
+    ncols = D + len(fb_positions)
+    cl3 = sum(1 for d in cg.divisors if d % 3 == 0)
+
+    if cg.h % 3 == 0:
+        covered, _ = numpy_rref_mod_p(
+            [[x % 3 for x in cg.coord_rows[j]] for j in fb_positions], len(cg.divisors), 3
+        )
+        if len(covered) < cl3:
+            raise FieldError("factor-base primes coprime to the modulus do not span Cl/3Cl")
+
+    rows = []
+    for unit in u.fundamental_units:
+        if not rayclass._coprime_to_modulus(m, unit):
+            raise FieldError("unit not coprime to the modulus")
+        rows.append(rayclass._local_row(blocks, unit, D) + [0] * len(fb_positions))
+    tame = [inside and P.p != 3 for P, inside in zip(cg.factor_base, in_modulus)]
+    tame_skip = False
+    for gen, vec in cg.relations:
+        if any(e > 0 and inside for e, inside in zip(vec, in_modulus)):
+            tame_skip |= any(e > 0 and t for e, t in zip(vec, tame))
+            continue
+        row = rayclass._local_row(blocks, gen, D)
+        row.extend((-vec[j]) % 3 for j in fb_positions)
+        rows.append(row)
+    if tame_skip:
+        fb_rows = [row[D:] for row in rows[len(u.fundamental_units):]]
+        _, fb_pivots = numpy_rref_mod_p(fb_rows, len(fb_positions), 3)
+        if len(fb_pivots) < len(fb_positions) - cl3:
+            raise FieldError("too few relations prime to the modulus to present Cl/3Cl")
+
+    rref, pivots = numpy_rref_mod_p(rows, ncols, 3)
+    free_cols = tuple(c for c in range(ncols) if c not in pivots)
+    dim = len(free_cols)
+    if dim > D + cl3:
+        raise FieldError("exact-sequence dimension bound violated")
+    return rayclass.RayClass3Quotient(
+        modulus=m,
+        dim=dim,
+        blocks=blocks,
+        local_dim=D,
+        fb_positions=fb_positions,
+        rel_rref=tuple(tuple(r) for r in rref),
+        rel_pivots=tuple(pivots),
+        free_cols=free_cols,
+        cg=cg,
+    )
 
 
 def divmod_pm_pow(f, e, mod, p):

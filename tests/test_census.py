@@ -37,6 +37,7 @@ from a4census.census import (
 from a4census.config import CACHE_ENV, Config, golden_rows, read_config, shipped_config
 from a4census.fields import (
     FieldError,
+    element_in_prime,
     factor_rational_prime,
     ideal_from_elements,
     ideal_pow,
@@ -537,6 +538,36 @@ def test_classify_prime_splits_f_once_per_prime(conductor, monkeypatch):
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
+def test_classify_prime_reads_the_presentation_built_at_load(conductor, ell, monkeypatch):
+    # The moving quotient is the load's presentation plus v_2's tame column:
+    # per C3 prime the route takes a wild log only of the two Artin inputs
+    # (each an element of v1), takes no HNF to prove v1 coprime to v_2, and
+    # fills nothing into the datum later.
+    cd = conductor(ell)
+    before = pickle.dumps(cd)
+    logs, hnfs = [], []
+    philog, hnf = rayclass.WildBlock.philog, linalg.hnf
+
+    def counting_philog(self, el):
+        logs.append(el)
+        return philog(self, el)
+
+    def counting_hnf(*args, **kwargs):
+        hnfs.append(args)
+        return hnf(*args, **kwargs)
+
+    monkeypatch.setattr(rayclass.WildBlock, "philog", counting_philog)
+    monkeypatch.setattr(linalg, "hnf", counting_hnf)
+    for v in _c3_primes(cd, 10**6, 10**6 + 10**4, count=5):
+        logs.clear()
+        assert classify_prime(cd, v).in_C3
+        v1 = next(P for P in factor_rational_prime(cd.F, v) if P.f == 3)
+        assert len(logs) == 2 and all(element_in_prime(v1, el) for el in logs), v
+    assert hnfs == []
+    assert pickle.dumps(cd) == before
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
 def test_classify_prime_reduces_v1_once(conductor, ell, monkeypatch):
     # one exact LLL of v1's HNF serves both Artin vectors
     cd = conductor(ell)
@@ -564,7 +595,7 @@ def test_artin_vector_of_a_reduced_basis_with_its_norm(conductor, ell):
         v1 = next(P for P in primes if P.f == 3)
         v2 = next(P for P in primes if P.f == 1)
         moving = rayclass.ray_class_3_quotient(
-            rayclass.Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild
+            rayclass.Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.presentation
         )
         red = classgroup._reduced_basis(cd.F, list(v1.hnf))[0]
         for q in (moving, cd.fixed_q):

@@ -17,7 +17,7 @@ from a4census.classgroup import ideal_short_elements
 from a4census.config import Config
 
 from conftest import CONDUCTORS
-from oracles import fraction_short_vectors, loop_rref_mod_p, loop_smith_normal_form
+from oracles import fraction_short_vectors, loop_smith_normal_form, numpy_rref_mod_p
 
 mat3 = st.lists(
     st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3),
@@ -725,8 +725,9 @@ def test_kernel_mod_p():
             assert sum(a * b for a, b in zip(k, r)) % 3 == 0
 
 
-# int64 elimination below 2^31 (2^31 - 1 at its bound), Python ints above
-# (2^61 - 1 would overflow int64 products)
+# rref_mod_p eliminates in Python ints at every p; its numpy oracle in int64
+# below 2^31 (2^31 - 1 at its bound) and in Python ints above (2^61 - 1
+# would overflow int64 products)
 _RREF_PRIMES = (2, 3, 5, 163, 2**31 - 1, 2**31 + 11, 2**61 - 1)
 
 
@@ -750,10 +751,10 @@ def _rref_cases(p):
 
 
 @pytest.mark.parametrize("p", _RREF_PRIMES)
-def test_rref_mod_p_matches_the_loop_oracle(p):
+def test_rref_mod_p_matches_the_numpy_oracle(p):
     for rows, ncols in _rref_cases(p):
         red, pivots = linalg.rref_mod_p(rows, ncols, p)
-        assert (red, pivots) == loop_rref_mod_p(rows, ncols, p), (rows, ncols)
+        assert (red, pivots) == numpy_rref_mod_p(rows, ncols, p), (rows, ncols)
         assert all(type(x) is int for r in red for x in r)
 
 
@@ -762,11 +763,11 @@ def test_kernel_mod_p_on_the_rref_cases(p):
     for rows, ncols in _rref_cases(p):
         rows = [r[:ncols] for r in rows]
         basis = linalg.kernel_mod_p(rows, ncols, p)
-        assert len(basis) == ncols - len(loop_rref_mod_p(rows, ncols, p)[1])
+        assert len(basis) == ncols - len(numpy_rref_mod_p(rows, ncols, p)[1])
         for k in basis:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, k)) % p == 0
-        assert len(loop_rref_mod_p(basis, ncols, p)[0]) == len(basis)
+        assert len(numpy_rref_mod_p(basis, ncols, p)[0]) == len(basis)
 
 
 @pytest.mark.parametrize("p", (3, 2**61 - 1))

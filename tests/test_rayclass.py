@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import a4census
-from a4census import arith, census, linalg
+from a4census import arith, census, linalg, rayclass
 from a4census.census import VerificationError
 from a4census.classgroup import class_group, ideal_short_elements, unit_group
 from a4census.fields import (
@@ -34,10 +34,17 @@ from a4census.rayclass import (
     artin_vector,
     modulus_stability_check,
     ray_class_3_quotient,
+    ray_presentation,
 )
 
 from conftest import CONDUCTORS
-from oracles import brute_force_spans, power_dlog, power_wild_log
+from oracles import (
+    brute_force_spans,
+    numpy_rref_mod_p,
+    power_dlog,
+    power_wild_log,
+    scratch_ray_class_3_quotient,
+)
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -49,7 +56,7 @@ def test_fixed_modulus_dimension_is_one(ell, conductor):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_modulus_stability(ell, conductor):
     cd = conductor(ell)
-    assert modulus_stability_check(cd.F, cd.p31, cd.cg, cd.u, WildBlock(cd.F, cd.p31))
+    assert modulus_stability_check(ray_presentation(cd.cg, cd.u, WildBlock(cd.F, cd.p31)))
 
 
 def test_artin_map_kills_ray_principal_ideals(conductor):
@@ -101,7 +108,7 @@ def _c3_primes_over(F, v):
 def test_artin_vector_refuses_an_ideal_that_meets_the_modulus(conductor):
     cd = conductor(163)
     v1, v2 = _c3_primes_over(cd.F, 1000)
-    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
+    moving = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), cd.presentation)
     artin_vector(moving, list(v1.hnf))
     with pytest.raises(FieldError, match="ideal is not coprime to the modulus"):
         artin_vector(moving, list(v2.hnf))
@@ -114,23 +121,35 @@ def test_artin_vector_refuses_an_ideal_that_meets_the_modulus(conductor):
 @pytest.mark.parametrize("ell", CONDUCTORS)
 def test_artin_vector_takes_the_hnf_test_only_where_the_norms_meet(ell, conductor, monkeypatch):
     # N(P) prime to N(A) puts 1 in P + A, so only a modulus prime whose
-    # norm shares a factor with N(A) has its P + A put in HNF
+    # norm shares a factor with N(A) is tested, by whether a row of A lies
+    # outside P (P is maximal, so then P + A = O); no HNF of P + A is taken
     cd = conductor(ell)
     F = cd.F
     v1, v2 = _c3_primes_over(F, 1000)
     p3 = next(P for P in factor_rational_prime(F, 3) if P.f == 1)
     l1 = next(P for P in factor_rational_prime(F, ell) if P.e == 1)
-    moving = ray_class_3_quotient(Modulus(F, ((cd.p31, 2), (v2, 1))), cd.cg, cd.u, cd.wild)
-    tested = []
-    real_hnf = linalg.hnf
+    moving = ray_class_3_quotient(Modulus(F, ((cd.p31, 2), (v2, 1))), cd.presentation)
+    tested, splitting, hnfs = [], [], []
+    real_member, real_split, real_hnf = rayclass.element_in_prime, rayclass.smooth_split, linalg.hnf
 
-    def hnf(rows, *args, **kwargs):
-        for P, _ in (*cd.fixed_q.modulus.finite, *moving.modulus.finite):
-            if len(rows) == 2 * F.degree and [tuple(r) for r in rows[: F.degree]] == list(P.hnf):
-                tested.append(P.norm)
-                break
-        return real_hnf(rows, *args, **kwargs)
+    def member(P, a):
+        if not splitting:  # smooth_split's own coprimality tests are not counted
+            tested.append(P.norm)
+        return real_member(P, a)
 
+    def split(*args, **kwargs):
+        splitting.append(True)
+        try:
+            return real_split(*args, **kwargs)
+        finally:
+            splitting.pop()
+
+    def hnf(*args, **kwargs):
+        hnfs.append(args)
+        return real_hnf(*args, **kwargs)
+
+    monkeypatch.setattr(rayclass, "element_in_prime", member)
+    monkeypatch.setattr(rayclass, "smooth_split", split)
     monkeypatch.setattr(linalg, "hnf", hnf)
     for q, A, norms in [
         (cd.fixed_q, v1.hnf, []),
@@ -140,7 +159,10 @@ def test_artin_vector_takes_the_hnf_test_only_where_the_norms_meet(ell, conducto
     ]:
         tested.clear()
         artin_vector(q, list(A))
-        assert sorted(tested) == norms
+        assert sorted(set(tested)) == norms
+        # every row of A lies in P only if A is inside P: one row outside settles it
+        assert len(tested) <= F.degree
+    assert hnfs == []
 
 
 @pytest.mark.parametrize("ell", CONDUCTORS)
@@ -175,8 +197,8 @@ def test_relations_prime_to_the_modulus_are_read_off_their_valuations(ell, condu
                 kept.append((gen, vec))
         skipped += len(cg.relations) - len(kept)
         filtered = dataclasses.replace(cg, relations=tuple(kept))
-        want = ray_class_3_quotient(m, filtered, cd.u, cd.wild)
-        got = ray_class_3_quotient(m, cg, cd.u, cd.wild)
+        want = ray_class_3_quotient(m, ray_presentation(filtered, cd.u, cd.wild))
+        got = ray_class_3_quotient(m, cd.presentation)
         shape = (want.rel_rref, want.rel_pivots, want.free_cols, want.dim)
         assert (got.rel_rref, got.rel_pivots, got.free_cols, got.dim) == shape
         if m is cd.fixed_q.modulus:  # the load's own
@@ -213,10 +235,11 @@ def test_too_few_relations_at_a_tame_modulus_prime_is_a_field_error(conductor):
     v2 = next(P for P in factor_rational_prime(cd.F, 7) if P.f == 1)
     assert v2.key() in [P.key() for P in cd.cg.factor_base]
     m = Modulus(cd.F, ((cd.p31, 2), (v2, 1)))
-    assert ray_class_3_quotient(m, cd.cg, cd.u, cd.wild).dim >= 1
-    assert ray_class_3_quotient(m, _with_shortfall(cd, m, 0), cd.u, cd.wild).dim >= 1
+    assert ray_class_3_quotient(m, cd.presentation).dim >= 1
+    assert ray_class_3_quotient(m, ray_presentation(_with_shortfall(cd, m, 0), cd.u, cd.wild)).dim >= 1
+    short = ray_presentation(_with_shortfall(cd, m, 1), cd.u, cd.wild)
     with pytest.raises(FieldError, match="too few relations"):
-        ray_class_3_quotient(m, _with_shortfall(cd, m, 1), cd.u, cd.wild)
+        ray_class_3_quotient(m, short)
 
 
 @pytest.mark.parametrize("shortfall", [1, 2, 3])
@@ -227,9 +250,11 @@ def test_too_few_relations_at_3_1_raise_the_fixed_dimension(conductor, shortfall
     cd = conductor(349)
     m = cd.fixed_q.modulus
     short_cg = _with_shortfall(cd, m, shortfall)
-    assert ray_class_3_quotient(m, short_cg, cd.u, cd.wild).dim == 1 + shortfall
+    assert ray_class_3_quotient(m, ray_presentation(short_cg, cd.u, cd.wild)).dim == 1 + shortfall
     monkeypatch.setattr(
-        census, "ray_class_3_quotient", lambda m, cg, u, wild: ray_class_3_quotient(m, short_cg, u, wild)
+        census,
+        "ray_class_3_quotient",
+        lambda m, pres: ray_class_3_quotient(m, ray_presentation(short_cg, pres.u, pres.wild)),
     )
     with pytest.raises(VerificationError) as err:
         census.load_conductor(349)
@@ -274,17 +299,17 @@ def test_relation_rows_cover_a_cubed_unit(conductor):
     cubed = tuple(units[:2] + [F.el_pow(units[2], 3)])
     u_bad = dataclasses.replace(cd.u, fundamental_units=cubed)
     m = Modulus(F, ((cd.p31, 2), (cd.l2, 1)))
-    assert ray_class_3_quotient(m, cd.cg, u_bad, WildBlock(F, cd.p31)).dim == cd.fixed_q.dim
+    assert ray_class_3_quotient(m, ray_presentation(cd.cg, u_bad, WildBlock(F, cd.p31))).dim == cd.fixed_q.dim
 
 
 def test_ray_quotient_rejects_a_wild_block_at_another_prime(conductor):
     cd = conductor(163)
     p32 = next(P for P in factor_rational_prime(cd.F, 3) if P.f == 1)
     with pytest.raises(FieldError):
-        ray_class_3_quotient(Modulus(cd.F, ((p32, 2),)), cd.cg, cd.u, cd.wild)
+        ray_class_3_quotient(Modulus(cd.F, ((p32, 2),)), cd.presentation)
     with pytest.raises(FieldError):
-        ray_class_3_quotient(Modulus(cd.F, ((cd.l2, 1),)), cd.cg, cd.u, cd.wild)
-    q = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (cd.l2, 1))), cd.cg, cd.u, cd.wild)
+        ray_class_3_quotient(Modulus(cd.F, ((cd.l2, 1),)), cd.presentation)
+    q = ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (cd.l2, 1))), cd.presentation)
     assert q.blocks[0] is cd.wild and q.dim == cd.fixed_q.dim
 
 
@@ -381,10 +406,110 @@ def test_small_cubic_ray_quotient_brute_force():
     u = unit_group(L)
     (P3,) = factor_rational_prime(L, 3)
     (P7,) = factor_rational_prime(L, 7)
-    q = ray_class_3_quotient(Modulus(L, ((P3, 2), (P7, 1))), cg, u, WildBlock(L, P3))
+    q = ray_class_3_quotient(Modulus(L, ((P3, 2), (P7, 1))), ray_presentation(cg, u, WildBlock(L, P3)))
     # F_3^3 from the 1-units at 3 and F_3 from (O/P7)^*, less two unit rows
     assert (q.local_dim, q.dim) == (4, 2)
     assert brute_force_spans(q)
+
+
+def _moving_moduli(cd, lo, hi, count=None):
+    """3_1^2 v_2 for the C3 primes v in [lo, hi), the first `count` of them."""
+    out = []
+    for v in arith.primes_in_range(lo, hi):
+        if cd.excluded(v) or v % 3 != 1:
+            continue
+        primes = factor_rational_prime(cd.F, v)
+        if sorted(P.f for P in primes) == [1, 3]:
+            v2 = next(P for P in primes if P.f == 1)
+            out.append(Modulus(cd.F, ((cd.p31, 2), (v2, 1))))
+            if len(out) == count:
+                break
+    return out
+
+
+def _shape(q):
+    return (q.dim, q.local_dim, q.fb_positions, q.rel_rref, q.rel_pivots, q.free_cols)
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_presentation_quotients_match_the_scratch_oracle(conductor, ell):
+    # the load's presentation plus a tame column against every row
+    # eliminated whole: the stability quotient, the fixed one (the load's
+    # own too), and the moving quotient of every C3 prime below 2*10^4
+    # (whose v_2 may lie in the factor base) and of the first 20 after
+    # 10^6 and after 10^8
+    cd = conductor(ell)
+    moduli = [Modulus(cd.F, ((cd.p31, 2),)), cd.fixed_q.modulus]
+    moduli += _moving_moduli(cd, 2, 2 * 10**4)
+    moduli += _moving_moduli(cd, 10**6, 10**6 + 10**4, count=20)
+    moduli += _moving_moduli(cd, 10**8, 10**8 + 10**4, count=20)
+    in_base = 0
+    for m in moduli:
+        want = _shape(scratch_ray_class_3_quotient(m, cd.cg, cd.u, cd.wild))
+        assert _shape(ray_class_3_quotient(m, cd.presentation)) == want, m.finite
+        in_base += any(m.contains_prime(P) for P in cd.cg.factor_base if P.key() != cd.p31.key())
+    assert _shape(cd.fixed_q) == _shape(scratch_ray_class_3_quotient(cd.fixed_q.modulus, cd.cg, cd.u, cd.wild))
+    assert len(moduli) > 700 and in_base > 0
+
+
+def test_presentation_quotients_of_the_small_cubic_match_the_scratch_oracle():
+    # the cubic field of conductor 7 (3 inert, trivial class group) at
+    # 3^2 P7, at 3^2 P7 Q13 with two tame primes, and with the tame prime
+    # listed before the wild one
+    L = cubic_subfield(7)
+    cg, u = class_group(L), unit_group(L)
+    (P3,) = factor_rational_prime(L, 3)
+    (P7,) = factor_rational_prime(L, 7)
+    Q13 = factor_rational_prime(L, 13)[0]
+    assert Q13.f == 1  # 13 is a cube mod 7, so it splits
+    wild = WildBlock(L, P3)
+    pres = ray_presentation(cg, u, wild)
+    for finite in (((P3, 2), (P7, 1)), ((P3, 2), (P7, 1), (Q13, 1)), ((P7, 1), (P3, 2))):
+        m = Modulus(L, finite)
+        want = scratch_ray_class_3_quotient(m, cg, u, wild)
+        got = ray_class_3_quotient(m, pres)
+        assert _shape(got) == _shape(want), finite
+    assert got.dim == 2
+
+
+@pytest.mark.parametrize("ell", CONDUCTORS)
+def test_presentation_transform_gives_the_echelon_rows_and_the_left_kernel(conductor, ell):
+    # the kept generators are the units, then the relation generators prime
+    # to 3_1; each row is its wild log and minus its valuations mod 3; T is
+    # invertible and T rows = the RREF of the rows, then zero rows
+    cd = conductor(ell)
+    pres = cd.presentation
+    units = cd.u.fundamental_units
+    kept = [(gen, vec) for gen, vec in cd.cg.relations if not element_in_prime(cd.p31, gen)]
+    assert pres.gens == tuple(units) + tuple(gen for gen, _ in kept)
+    fb = [P for P in cd.cg.factor_base]
+    assert [fb[j].key() for j in pres.fb_positions] == [P.key() for P in fb if P.key() != cd.p31.key()]
+    for i, (gen, row) in enumerate(zip(pres.gens, pres.rows)):
+        assert row[: cd.wild.dim] == power_wild_log(cd.F, cd.p31, gen)
+        vec = kept[i - len(units)][1] if i >= len(units) else (0,) * len(fb)
+        assert row[cd.wild.dim :] == tuple(-vec[j] % 3 for j in pres.fb_positions)
+    n, ncols = len(pres.rows), len(pres.rows[0])
+    T = pres.transform.tolist()
+    assert len(numpy_rref_mod_p(T, n, 3)[1]) == n
+    product = [
+        tuple(sum(T[k][i] * pres.rows[i][c] for i in range(n)) % 3 for c in range(ncols)) for k in range(n)
+    ]
+    assert (list(pres.rref), list(pres.pivots)) == numpy_rref_mod_p(pres.rows, ncols, 3)
+    assert product == list(pres.rref) + [(0,) * ncols] * (n - len(pres.rref))
+
+
+def test_presentation_refuses_a_unit_in_the_modulus(conductor):
+    # 3u lies in 3_1 and v u in v_2: both fail as explicit errors
+    cd = conductor(163)
+    units = cd.u.fundamental_units
+    in_p31 = dataclasses.replace(cd.u, fundamental_units=(tuple(3 * x for x in units[0]),) + units[1:])
+    with pytest.raises(FieldError, match="unit not coprime to the modulus"):
+        ray_presentation(cd.cg, in_p31, cd.wild)
+    v1, v2 = _c3_primes_over(cd.F, 1000)
+    in_v2 = dataclasses.replace(cd.u, fundamental_units=(tuple(v2.p * x for x in units[0]),) + units[1:])
+    pres = ray_presentation(cd.cg, in_v2, cd.wild)
+    with pytest.raises(FieldError, match="unit not coprime to the modulus"):
+        ray_class_3_quotient(Modulus(cd.F, ((cd.p31, 2), (v2, 1))), pres)
 
 
 def test_tame_block_philog_multiplicative(conductor):
